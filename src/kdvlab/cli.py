@@ -86,7 +86,6 @@ _COMMON_FLOW = {
     "scheme": ("str", False, "etdrk4"),
     "seed": ("int", False, 0),
     "decay": ("float", False, 1.5),
-    "threads": ("int", False, 1),
 }
 
 _SCHEMAS = {
@@ -369,7 +368,6 @@ def _experiment_config(kind: str, cfg: dict) -> ExperimentConfig:
         "scheme": cfg["scheme"],
         "seed": cfg["seed"],
         "decay": cfg["decay"],
-        "threads": cfg["threads"],
     }
     for key in ("s", "N_list", "tail_size", "k0", "z_re", "z_im", "radius", "r",
                 "samples", "n_ascent", "amplitude", "data_kmax"):

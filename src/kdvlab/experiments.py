@@ -23,7 +23,6 @@ Conventions pinned here so results are reproducible:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -86,7 +85,6 @@ class ExperimentConfig:
     tail_size: float = 1.0
     n_ascent: int = 200
     fit_residual_threshold: float = 0.5
-    threads: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
@@ -97,8 +95,6 @@ class ExperimentConfig:
             raise ValueError("ball radius must be positive")
         if self.k0 == 0:
             raise ValueError("cylinder mode k0 must be nonzero")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def z(self) -> complex:
@@ -121,14 +117,6 @@ def _rng_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _map_indexed(fn, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(i, item) for i, item in enumerate(items)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, i, item) for i, item in enumerate(items)]
-        return [f.result() for f in futures]
-
-
 def _fit_loglog(params: Sequence[float], values: Sequence[float], threshold: float):
     """Least-squares slope of log(value) vs log(param); (slope, residual, flagged)."""
     x = np.log(np.asarray(params, dtype=float))
@@ -142,7 +130,7 @@ def _fit_loglog(params: Sequence[float], values: Sequence[float], threshold: flo
 
 
 def _sampled_solve(
-    u0: FourierField,
+    u0: FourierField | Sequence[FourierField],
     grid: GridSpec,
     cfg: ExperimentConfig,
     flavor: str = "full",
@@ -150,7 +138,7 @@ def _sampled_solve(
     T: float | None = None,
     dt: float | None = None,
 ) -> Trajectory:
-    """Integrate with exactly SUP_INTERVALS+1 uniform samples on [0, T]."""
+    """Integrate a field or an ensemble with SUP_INTERVALS+1 uniform samples on [0, T]."""
     T = cfg.T if T is None else T
     dt = cfg.dt if dt is None else dt
     per = max(1, round(abs(T) / (SUP_INTERVALS * dt)))
@@ -213,7 +201,7 @@ def approx_truncated_sweep(cfg: ExperimentConfig) -> SweepResult:
     )
     ref = _sampled_solve(u0, grid, cfg)
 
-    def one(idx, N):
+    def one(N):
         trunc = _sampled_solve(u0, grid, cfg, flavor="truncated", N=float(N))
         cut = float(np.sqrt(N))
         errs = [
@@ -222,7 +210,7 @@ def approx_truncated_sweep(cfg: ExperimentConfig) -> SweepResult:
         ]
         return float(np.max(errs)), np.maximum.accumulate(errs).tolist()
 
-    results = _map_indexed(one, list(cfg.N_list), cfg.threads)
+    results = [one(N) for N in cfg.N_list]
     rows = [(float(N), res[0]) for N, res in zip(cfg.N_list, results)]
     errors = [r[1] for r in rows]
     slope, resid, flagged = _fit_loglog(cfg.N_list, errors, cfg.fit_residual_threshold)
@@ -262,7 +250,7 @@ def high_freq_insensitivity(cfg: ExperimentConfig) -> SweepResult:
     profile = _seeded_field(grid, cfg.seed, 1, 0.05)
     base = _sampled_solve(u0, grid, cfg)
 
-    def one(idx, N):
+    def one(N):
         tail = project(profile, "gt", 2.0 * float(N))
         size = sobolev_norm(tail, -0.5)
         if size == 0:
@@ -275,7 +263,7 @@ def high_freq_insensitivity(cfg: ExperimentConfig) -> SweepResult:
         ]
         return float(np.max(errs))
 
-    errors = _map_indexed(one, list(cfg.N_list), cfg.threads)
+    errors = [one(N) for N in cfg.N_list]
     rows = [(float(N), e) for N, e in zip(cfg.N_list, errors)]
     slope, resid, flagged = _fit_loglog(cfg.N_list, errors, cfg.fit_residual_threshold)
     monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
@@ -310,13 +298,13 @@ def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
     )
     traj = _sampled_solve(u0, grid, cfg)
 
-    def one(idx, N):
+    def one(N):
         mult = IMultiplier(s=cfg.s, N=float(N))
         e4 = np.array([modified_energy(u, mult, 4) for u in traj.fields])
         e2 = np.array([modified_energy(u, mult, 2) for u in traj.fields])
         return float(np.max(np.abs(e4 - e4[0]))), float(np.max(np.abs(e2 - e2[0])))
 
-    results = _map_indexed(one, list(cfg.N_list), cfg.threads)
+    results = [one(N) for N in cfg.N_list]
     rows = [(float(N), d4, d2) for N, (d4, d2) in zip(cfg.N_list, results)]
     drifts = [r[1] for r in rows]
     slope, resid, flagged = _fit_loglog(cfg.N_list, drifts, cfg.fit_residual_threshold)
@@ -382,7 +370,9 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
     Seeded random sphere samples (plus one phase-aligned single-mode ray,
     exact at T = 0) are refined by projected coordinate ascent with a
     shrinking step. The reported value is a fresh re-evaluation of the
-    returned initial datum, never a stale search value.
+    returned initial datum, never a stale search value. Diagnostics count
+    the ascent probes solved (probes_solved) and those the sequential
+    order examines (probes_reached); the rest is speculative work.
     """
     grid = make_grid(cfg.j, cfg.K, cfg.mu)
     N = float(max(cfg.N_list)) if cfg.N_list else float(cfg.K)
@@ -395,17 +385,20 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
     R = cfg.radius
     z = cfg.z
 
-    def flow_map(u: FourierField) -> FourierField:
+    def flow_map(us: list) -> list:
+        """Truncated flow of every field in us, solved as one ensemble."""
         if cfg.T == 0.0:
-            return u
-        return _sampled_solve(u, grid, cfg, flavor="truncated", N=N).fields[-1]
+            return us
+        ends = _sampled_solve(us, grid, cfg, flavor="truncated", N=N).coeffs[-1]
+        return [FourierField(grid, c) for c in ends]
 
-    def coord(w: np.ndarray) -> float:
-        return cylinder_coordinate(flow_map(center + FourierField(grid, w)), cfg.k0, z)
+    def coords(ws: list) -> list:
+        us = flow_map([center + FourierField(grid, w) for w in ws])
+        return [cylinder_coordinate(u, cfg.k0, z) for u in us]
 
     # Phase-aligned ray: under the linear phase, mass R placed in the k0
     # pair lands on the outward cylinder direction; exact optimum at T=0.
-    v_center = flow_map(center)
+    v_center = flow_map([center])[0]
     direction = v_center.mode(cfg.k0) - z
     direction = direction / abs(direction) if abs(direction) > 0 else 1.0 + 0.0j
     freq0 = abs(cfg.k0) / grid.mu
@@ -419,46 +412,77 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
         _sphere_point(_rng_stream(cfg.seed, i), grid, n_modes, R)
         for i in range(cfg.samples)
     ]
-    values = _map_indexed(lambda i, w: coord(w), starts, cfg.threads)
+    values = coords(starts)
     best_idx = int(np.argmax(values))
     w_best = starts[best_idx].copy()
     v_best = values[best_idx]
 
+    # Projected coordinate ascent. Each iteration tries +step then -step
+    # along one coordinate and accepts the first improvement; after dim
+    # iterations without one the step halves. The probes of the next sweep
+    # (dim iterations) are planned as if none improves and solved as one
+    # ensemble, each iteration with the (step, since_improved) it leaves
+    # behind when it fails; the walk below replays the sequential order
+    # exactly and the next sweep starts after the first accepted probe.
     improvements = 0
     step = 0.5
     dim = 2 * n_modes
     since_improved = 0
-    for it in range(cfg.n_ascent):
-        i = it % dim
-        mode_i, is_imag = divmod(i, 2)
-        improved = False
-        for sgn in (1.0, -1.0):
-            w_try = w_best.copy()
-            w_try[mode_i] += sgn * step * R * (1j if is_imag else 1.0)
-            f_try = FourierField(grid, w_try)
-            nrm = ball_norm(f_try, n_modes)
-            if nrm == 0:
-                continue
-            w_try = w_try * (R / nrm)
-            v_try = coord(w_try)
-            if v_try > v_best:
-                w_best, v_best = w_try, v_try
-                improvements += 1
-                improved = True
+    it = 0
+    probes_solved = probes_reached = 0
+    while it < cfg.n_ascent:
+        plan = []
+        plan_step, plan_since = step, since_improved
+        for plan_it in range(it, min(it + dim, cfg.n_ascent)):
+            mode_i, is_imag = divmod(plan_it % dim, 2)
+            tries = []
+            for sgn in (1.0, -1.0):
+                w_try = w_best.copy()
+                w_try[mode_i] += sgn * plan_step * R * (1j if is_imag else 1.0)
+                nrm = ball_norm(FourierField(grid, w_try), n_modes)
+                if nrm == 0:
+                    continue
+                tries.append(w_try * (R / nrm))
+            plan_since += 1
+            if plan_since >= dim:
+                plan_step = max(plan_step * 0.5, 1e-4)
+                plan_since = 0
+            plan.append((tries, plan_step, plan_since))
+        flat = [w for tries, _, _ in plan for w in tries]
+        plan_values = iter(coords(flat))
+        probes_solved += len(flat)
+
+        for tries, step_after, since_after in plan:
+            it += 1
+            improved = False
+            for w_try in tries:
+                v_try = next(plan_values)
+                probes_reached += 1
+                if v_try > v_best:
+                    w_best, v_best = w_try, v_try
+                    improvements += 1
+                    improved = True
+                    break
+            if improved:
+                since_improved = 0
                 break
-        since_improved = 0 if improved else since_improved + 1
-        if since_improved >= dim:
-            step = max(step * 0.5, 1e-4)
-            since_improved = 0
+            step, since_improved = step_after, since_after
 
     u_best = center + FourierField(grid, w_best)
-    final = cylinder_coordinate(flow_map(u_best), cfg.k0, z)
+    final = cylinder_coordinate(flow_map([u_best])[0], cfg.k0, z)
     return WitnessResult(
         u0=u_best,
         value=final,
         start_values=[float(v) for v in values],
         improvements=improvements,
-        diagnostics={"radius": R, "N": N, "k0": cfg.k0, "center_coord": float(values[0])},
+        diagnostics={
+            "radius": R,
+            "N": N,
+            "k0": cfg.k0,
+            "center_coord": float(values[0]),
+            "probes_solved": probes_solved,
+            "probes_reached": probes_reached,
+        },
     )
 
 

@@ -16,8 +16,8 @@ alternative of the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,16 +89,26 @@ class FlowSpec:
 
 @dataclass
 class Trajectory:
-    """Time-stamped coefficient snapshots plus integrator metadata."""
+    """Time-stamped coefficient snapshots plus integrator metadata.
+
+    coeffs holds every sample in one array: shape (samples, K) for a single
+    field, (samples, members, K) for an ensemble. stats["steps"] counts
+    one field advanced by one step, so an ensemble reports steps x members.
+    """
 
     times: np.ndarray
-    fields: list
+    coeffs: np.ndarray
     spec: FlowSpec
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) == 0) and len(self.times) > 1:
             raise ValueError("trajectory timestamps must be strictly monotone")
+
+    @property
+    def fields(self) -> list:
+        """The samples of a single-field trajectory, built on demand."""
+        return [FourierField(self.spec.grid, c) for c in self.coeffs]
 
 
 def _phases(grid: GridSpec) -> np.ndarray:
@@ -128,10 +138,10 @@ def _rhs_function(spec: FlowSpec) -> Callable[[np.ndarray], np.ndarray]:
     half_len = P // 2 + 1
 
     def rhs(c: np.ndarray) -> np.ndarray:
-        half = np.zeros(half_len, dtype=np.complex128)
-        half[1 : g.K + 1] = c * phys_scale
+        half = np.zeros(c.shape[:-1] + (half_len,), dtype=np.complex128)
+        half[..., 1 : g.K + 1] = c * phys_scale
         w = np.fft.irfft(half, n=P)
-        sq = np.fft.rfft(w * w)[1 : g.K + 1] * spec_scale
+        sq = np.fft.rfft(w * w)[..., 1 : g.K + 1] * spec_scale
         return np.where(mask, -0.5 * ik * sq, 0.0)
 
     return rhs
@@ -169,7 +179,11 @@ def _etdrk4_tables(lin: np.ndarray, h: float) -> dict:
 
 
 class _Stepper:
-    """One-step integrator with precomputed exponential tables."""
+    """One-step integrator with precomputed exponential tables.
+
+    Steps a coefficient array of shape (K,) or (members, K); the tables
+    broadcast along the leading axis and the FFTs run along the last.
+    """
 
     def __init__(self, spec: FlowSpec, h: float):
         self.spec = spec
@@ -179,7 +193,6 @@ class _Stepper:
             self.rhs = _rhs_function(spec)
         else:
             self.rhs = None
-        self.max_rhs = 0.0
         if spec.scheme == "etdrk4" and self.rhs is not None:
             self.tab = _etdrk4_tables(lin, h)
         else:
@@ -197,7 +210,7 @@ class _Stepper:
             nb = self.rhs(b)
             cc = t["e_half"] * a + t["q"] * (2.0 * nb - n0)
             nc = self.rhs(cc)
-            out = t["e_full"] * c + t["f1"] * n0 + 2.0 * t["f2"] * (na + nb) + t["f3"] * nc
+            return t["e_full"] * c + t["f1"] * n0 + 2.0 * t["f2"] * (na + nb) + t["f3"] * nc
         else:  # lawson_rk4
             h = self.h
             e1, e2 = t["e_full"], t["e_half"]
@@ -205,56 +218,69 @@ class _Stepper:
             na = self.rhs(e2 * (c + 0.5 * h * n0))
             nb = self.rhs(e2 * c + 0.5 * h * na)
             nc = self.rhs(e1 * c + h * e2 * nb)
-            out = e1 * c + (h / 6.0) * (e1 * n0 + 2.0 * e2 * (na + nb) + nc)
-        self.max_rhs = max(self.max_rhs, float(np.max(np.abs(n0))))
-        return out
+        return e1 * c + (h / 6.0) * (e1 * n0 + 2.0 * e2 * (na + nb) + nc)
 
 
-def integrate(u0: FourierField, spec: FlowSpec) -> Trajectory:
+def _step_count(spec: FlowSpec) -> int:
+    return max(1, round(abs(spec.T) / spec.dt))
+
+
+def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Trajectory:
     """Run the flow from u0 over [0, T]; samples every sample_stride steps.
 
-    Truncated-flavor data is projected onto |k| <= N rather than rejected.
-    The requested dt is adjusted to the nearest step count landing exactly
-    on T. A coefficient magnitude above the blow-up threshold aborts.
+    u0 is one field or a sequence of fields (an ensemble), all advanced in
+    one loop; each member's samples equal those of its own solve bit for
+    bit. Truncated-flavor data is projected onto |k| <= N rather than
+    rejected. The requested dt is adjusted to the nearest step count
+    landing exactly on T. A coefficient magnitude above the blow-up
+    threshold aborts; for an ensemble the error names the member.
     """
     g = spec.grid
-    if (u0.grid.j, u0.grid.K, u0.grid.mu) != (g.j, g.K, g.mu):
-        raise ValueError("initial data grid does not match flow grid")
-    c = u0.coeffs.copy()
+    ensemble = not isinstance(u0, FourierField)
+    members = list(u0) if ensemble else [u0]
+    if not members:
+        raise ValueError("integrate needs at least one initial field")
+    for u in members:
+        if (u.grid.j, u.grid.K, u.grid.mu) != (g.j, g.K, g.mu):
+            raise ValueError("initial data grid does not match flow grid")
+    c = np.array([u.coeffs for u in members]) if ensemble else u0.coeffs.copy()
     if spec.flavor == "truncated":
         c = np.where(_band_mask(g, "truncated", spec.N), c, 0.0)
 
     if spec.T == 0.0:
-        field0 = FourierField(g, c)
-        return Trajectory(
-            times=np.array([0.0]),
-            fields=[field0],
-            spec=spec,
-            stats={"steps": 0, "max_rhs": 0.0, "dt_actual": 0.0},
-        )
+        return Trajectory(times=np.array([0.0]), coeffs=c[None], spec=spec, stats={"steps": 0})
 
-    n_steps = max(1, round(abs(spec.T) / spec.dt))
+    n_steps = _step_count(spec)
     h = spec.T / n_steps
     stepper = _Stepper(spec, h)
 
-    times = [0.0]
-    fields = [FourierField(g, c)]
+    stride = spec.sample_stride
+    sampled = list(range(stride, n_steps + 1, stride))
+    if sampled[-1:] != [n_steps]:
+        sampled.append(n_steps)
+    times = np.array([0.0] + [s * h for s in sampled])
+    samples = np.empty((len(times),) + c.shape, dtype=np.complex128)
+    samples[0] = c
+    n_done = 1
     for step in range(1, n_steps + 1):
         c = stepper.step(c)
         peak = float(np.max(np.abs(c)))
         if not np.isfinite(peak) or peak > spec.blowup_threshold:
+            where = ""
+            if ensemble:
+                peaks = np.max(np.abs(c), axis=-1)
+                bad = ~np.isfinite(peaks) | (peaks > spec.blowup_threshold)
+                where = f" in member {int(np.argmax(bad))}"
+                peak = float(peaks[bad][0])
             raise FlowBlowupError(
-                f"blow-up guard tripped at t={step * h:.6g}: max |coeff| = {peak:.3e} "
-                f"> {spec.blowup_threshold:.1e}"
+                f"blow-up guard tripped{where} at t={step * h:.6g}: max |coeff| = "
+                f"{peak:.3e} > {spec.blowup_threshold:.1e}"
             )
-        if step % spec.sample_stride == 0 or step == n_steps:
-            times.append(step * h)
-            fields.append(FourierField(g, c))
+        if step % stride == 0 or step == n_steps:
+            samples[n_done] = c
+            n_done += 1
     return Trajectory(
-        times=np.array(times),
-        fields=fields,
-        spec=spec,
-        stats={"steps": n_steps, "max_rhs": stepper.max_rhs, "dt_actual": h},
+        times=times, coeffs=samples, spec=spec, stats={"steps": n_steps * len(members)}
     )
 
 
@@ -281,9 +307,9 @@ def conservation_report(traj: Trajectory) -> tuple[list, dict]:
 
 
 def _coords_of(c: np.ndarray, n_modes: int) -> np.ndarray:
-    out = np.empty(2 * n_modes)
-    out[0::2] = c[:n_modes].real
-    out[1::2] = c[:n_modes].imag
+    out = np.empty(c.shape[:-1] + (2 * n_modes,))
+    out[..., 0::2] = c[..., :n_modes].real
+    out[..., 1::2] = c[..., :n_modes].imag
     return out
 
 
@@ -297,7 +323,8 @@ def flow_jacobian(u0: FourierField, spec: FlowSpec, h: float) -> np.ndarray:
     """Central-difference Jacobian of u0 -> S(T) u0 in real coordinates.
 
     Coordinates are (Re u_hat(k), Im u_hat(k)) for 0 < k <= N of a
-    truncated flow; dimension 2N is capped for cost.
+    truncated flow; dimension 2N is capped for cost. All 2·dim perturbed
+    data are advanced as one ensemble that keeps only its endpoint.
     """
     if spec.flavor != "truncated":
         raise ValueError("flow_jacobian is defined for the truncated flavor")
@@ -309,18 +336,15 @@ def flow_jacobian(u0: FourierField, spec: FlowSpec, h: float) -> np.ndarray:
         raise ValueError("finite-difference step must be positive")
 
     x0 = _coords_of(u0.coeffs, n_modes)
-    J = np.empty((dim, dim))
+    probes = []
     for i in range(dim):
-        xp = x0.copy()
-        xp[i] += h
-        xm = x0.copy()
-        xm[i] -= h
-        fp = integrate(_field_of(xp, spec.grid, n_modes), spec).fields[-1]
-        fm = integrate(_field_of(xm, spec.grid, n_modes), spec).fields[-1]
-        J[:, i] = (_coords_of(fp.coeffs, n_modes) - _coords_of(fm.coeffs, n_modes)) / (
-            2.0 * h
-        )
-    return J
+        for sgn in (1.0, -1.0):
+            x = x0.copy()
+            x[i] += sgn * h
+            probes.append(_field_of(x, spec.grid, n_modes))
+    ends = integrate(probes, replace(spec, sample_stride=_step_count(spec))).coeffs[-1]
+    y = _coords_of(ends, n_modes)
+    return np.ascontiguousarray(((y[0::2] - y[1::2]) / (2.0 * h)).T)
 
 
 def symplectic_matrix(grid: GridSpec, N: float) -> np.ndarray:

@@ -25,6 +25,9 @@ class TestParseConfig:
         cfg.write_text("jj = 2\n")
         with pytest.raises(ConfigError, match="'jj'"):
             parse_config("solve", str(cfg), {})
+        cfg.write_text("j = 2\nK = 8\nN_list = 4\nthreads = 2\n")
+        with pytest.raises(ConfigError, match="unknown configuration key 'threads'"):
+            parse_config("approx-sweep", str(cfg), {})
 
     def test_missing_required_named(self):
         with pytest.raises(ConfigError, match="'K'"):

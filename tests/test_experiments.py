@@ -12,7 +12,10 @@ from kdvlab.experiments import (
     high_freq_insensitivity,
     scaling_check,
     squeeze_witness,
+    _rng_stream,
+    _sampled_solve,
     _seeded_field,
+    _sphere_point,
 )
 from kdvlab.spectral import FourierField, make_grid, project
 
@@ -136,8 +139,6 @@ class TestSqueezeWitness:
             z_re=0.1, z_im=0.0, radius=0.5, samples=8, n_ascent=30, seed=7,
         )
         res = squeeze_witness(cfg)
-        from kdvlab.experiments import _sampled_solve
-
         grid = make_grid(2, 8)
         final = _sampled_solve(res.u0, grid, cfg, flavor="truncated", N=8.0).fields[-1]
         again = cylinder_coordinate(final, 2, 0.1 + 0.0j)
@@ -149,6 +150,90 @@ class TestSqueezeWitness:
         # one conjugate pair at k: norm |w_hat| / sqrt(k)
         assert ball_norm(w) == pytest.approx(0.6 / np.sqrt(3.0), rel=1e-13)
         assert cylinder_coordinate(w, 3, 0.0) == pytest.approx(ball_norm(w), rel=1e-13)
+
+
+def sequential_squeeze(cfg):
+    """Reference: the witness search with one solve per start and per probe."""
+    grid = make_grid(cfg.j, cfg.K, cfg.mu)
+    N = float(max(cfg.N_list))
+    n_modes = int(N * grid.mu)
+    center = project(_seeded_field(grid, cfg.seed, 10_000, cfg.decay, norm_s=-0.5), "le", N)
+    R, z = cfg.radius, cfg.z
+
+    def flow_map(u):
+        if cfg.T == 0.0:
+            return u
+        return _sampled_solve(u, grid, cfg, flavor="truncated", N=N).fields[-1]
+
+    def coord(w):
+        return cylinder_coordinate(flow_map(center + FourierField(grid, w)), cfg.k0, z)
+
+    direction = flow_map(center).mode(cfg.k0) - z
+    direction = direction / abs(direction) if abs(direction) > 0 else 1.0 + 0.0j
+    phase = np.exp(-1j * (cfg.k0 / grid.mu) ** (2 * grid.j + 1) * cfg.T)
+    ray = np.zeros(grid.K, dtype=np.complex128)
+    ray[abs(cfg.k0) - 1] = R * np.sqrt(abs(cfg.k0) / grid.mu) * direction * phase
+    if cfg.k0 < 0:
+        ray[abs(cfg.k0) - 1] = np.conj(ray[abs(cfg.k0) - 1])
+    starts = [ray] + [
+        _sphere_point(_rng_stream(cfg.seed, i), grid, n_modes, R) for i in range(cfg.samples)
+    ]
+    values = [coord(w) for w in starts]
+    best = int(np.argmax(values))
+    w_best, v_best = starts[best].copy(), values[best]
+
+    improvements, probes, step, since_improved = 0, 0, 0.5, 0
+    dim = 2 * n_modes
+    for it in range(cfg.n_ascent):
+        mode_i, is_imag = divmod(it % dim, 2)
+        improved = False
+        for sgn in (1.0, -1.0):
+            w_try = w_best.copy()
+            w_try[mode_i] += sgn * step * R * (1j if is_imag else 1.0)
+            nrm = ball_norm(FourierField(grid, w_try), n_modes)
+            if nrm == 0:
+                continue
+            w_try = w_try * (R / nrm)
+            v_try = coord(w_try)
+            probes += 1
+            if v_try > v_best:
+                w_best, v_best = w_try, v_try
+                improvements += 1
+                improved = True
+                break
+        since_improved = 0 if improved else since_improved + 1
+        if since_improved >= dim:
+            step = max(step * 0.5, 1e-4)
+            since_improved = 0
+    u_best = center + FourierField(grid, w_best)
+    final = cylinder_coordinate(flow_map(u_best), cfg.k0, z)
+    return u_best, final, values, improvements, probes, step
+
+
+class TestBatchedAscent:
+    # N=4 gives dim=8 and no n_ascent here is a multiple of 8. Every run
+    # halves the step; the flowed runs also accept probes (at T=0 the ray
+    # start is already optimal). Both are checked on the reference.
+    @pytest.mark.parametrize("T, k0, n_ascent, seed", [
+        (0.0, 2, 37, 21),
+        (0.02, -3, 45, 22),
+        (0.02, 3, 75, 23),
+    ])
+    def test_matches_sequential_ascent(self, T, k0, n_ascent, seed):
+        cfg = ExperimentConfig(
+            kind="squeeze", j=2, K=8, N_list=(4,), T=T, dt=1e-3, k0=k0, z_re=0.2,
+            z_im=-0.1, radius=0.6, samples=8, n_ascent=n_ascent, seed=seed,
+        )
+        u_best, final, values, improvements, probes, step = sequential_squeeze(cfg)
+        assert step < 0.5
+        assert (improvements > 0) == (T != 0.0)
+        res = squeeze_witness(cfg)
+        assert res.value == final
+        assert res.improvements == improvements
+        assert res.start_values == values
+        assert np.array_equal(res.u0.coeffs, u_best.coeffs)
+        assert res.diagnostics["probes_reached"] == probes
+        assert res.diagnostics["probes_solved"] >= probes
 
 
 class TestScalingCheck:
@@ -175,12 +260,3 @@ class TestScalingCheck:
             )
             res = scaling_check(cfg)
             assert res.diagnostics["norm_ratio_rel_error"] <= 1e-12
-
-
-class TestThreads:
-    def test_threaded_sweep_matches_sequential(self):
-        base = dict(kind="almost-cons", j=1, K=8, N_list=(2, 4, 8), dt=1e-3,
-                    T=0.1, s=-0.5, seed=11, decay=0.8)
-        r1 = almost_conservation_sweep(ExperimentConfig(**base, threads=1))
-        r2 = almost_conservation_sweep(ExperimentConfig(**base, threads=3))
-        assert r1.rows == r2.rows

@@ -159,6 +159,64 @@ class TestIntegrate:
             FlowSpec(grid=g, dt=1e-3, T=0.1, flavor="truncated", N=9.0)
 
 
+ENSEMBLE_CASES = [
+    # scheme, flavor, j, mu, K, T
+    ("etdrk4", "full", 1, 1.0, 8, 0.05),
+    ("lawson_rk4", "full", 2, 1.0, 8, 0.05),
+    ("etdrk4", "truncated", 3, 1.0, 8, 0.01),
+    ("lawson_rk4", "truncated", 1, 1.0, 8, 0.05),
+    ("etdrk4", "full", 2, 2.0, 8, 0.05),
+    ("lawson_rk4", "truncated", 2, 2.0, 8, 0.05),
+    ("etdrk4", "truncated", 2, 1.0, 8, -0.05),
+    ("lawson_rk4", "full", 3, 1.0, 8, -0.01),
+    ("etdrk4", "full", 2, 1.0, 256, 0.002),
+    ("lawson_rk4", "truncated", 2, 1.0, 256, 0.002),
+]
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("scheme, flavor, j, mu, K, T", ENSEMBLE_CASES)
+    def test_members_match_single_solves(self, scheme, flavor, j, mu, K, T):
+        g = make_grid(j, K, mu)
+        N = K / (2 * mu) if flavor == "truncated" else None
+        spec = FlowSpec(
+            grid=g, dt=1e-3 if K == 8 else 2e-4, T=T, flavor=flavor, N=N,
+            scheme=scheme, sample_stride=3,
+        )
+        members = [band_limited_field(g, 100 + i, min(K, 6), norm=0.5 + i) for i in range(4)]
+        batch = integrate(members, spec)
+        n_steps = max(1, round(abs(T) / spec.dt))
+        assert batch.stats["steps"] == n_steps * len(members)
+        assert batch.coeffs.shape == (len(batch.times), len(members), K)
+        for b, u in enumerate(members):
+            single = integrate(u, spec)
+            assert single.stats["steps"] == n_steps
+            assert np.array_equal(single.times, batch.times)
+            assert np.array_equal(single.coeffs, batch.coeffs[:, b])
+
+    def test_linear_and_zero_horizon_ensembles(self):
+        g = make_grid(2, 8)
+        members = [band_limited_field(g, 110 + i, 4) for i in range(3)]
+        for spec in (
+            FlowSpec(grid=g, dt=1e-3, T=0.05, nonlinear=False),
+            FlowSpec(grid=g, dt=1e-3, T=0.0, flavor="truncated", N=2.0),
+        ):
+            batch = integrate(members, spec)
+            for b, u in enumerate(members):
+                assert np.array_equal(integrate(u, spec).coeffs, batch.coeffs[:, b])
+        with pytest.raises(ValueError, match="shape"):
+            batch.fields
+
+    def test_blowup_names_member(self):
+        g = make_grid(1, 8)
+        members = [harmonic(g, 1, a) for a in (0.1, 0.2, 50.0, 0.3)]
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.1, blowup_threshold=10.0)
+        with pytest.raises(FlowBlowupError, match="member 2 at"):
+            integrate(members, spec)
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.1, blowup_threshold=1e3)
+        assert integrate(members, spec).stats["steps"] == 400
+
+
 class TestConservation:
     def test_mass_exactly_zero(self):
         g = make_grid(2, 16)
@@ -210,6 +268,38 @@ class TestJacobian:
             expected[b + 1, b] = np.sin(th)
             expected[b + 1, b + 1] = np.cos(th)
         assert np.max(np.abs(J - expected)) < 1e-8
+
+    @pytest.mark.parametrize("mu, T", [(1.0, 0.05), (2.0, -0.05)])
+    def test_matches_column_by_column_solves(self, mu, T):
+        g = make_grid(2, 8, mu)
+        N = 4.0 / mu
+        u0 = band_limited_field(g, 13, 4, norm=1.5)
+        spec = FlowSpec(grid=g, dt=1e-3, T=T, flavor="truncated", N=N)
+        n_modes = int(N * mu)
+        dim = 2 * n_modes
+
+        def coords(c):
+            return np.ravel(np.column_stack([c[:n_modes].real, c[:n_modes].imag]))
+
+        def field(x):
+            c = np.zeros(g.K, dtype=np.complex128)
+            c[:n_modes] = x[0::2] + 1j * x[1::2]
+            return FourierField(g, c)
+
+        h = 1e-5
+        x0 = coords(u0.coeffs)
+        ref = np.empty((dim, dim))
+        for i in range(dim):
+            xp = x0.copy()
+            xp[i] += h
+            xm = x0.copy()
+            xm[i] -= h
+            fp = integrate(field(xp), spec).fields[-1]
+            fm = integrate(field(xm), spec).fields[-1]
+            ref[:, i] = (coords(fp.coeffs) - coords(fm.coeffs)) / (2.0 * h)
+        J = flow_jacobian(u0, spec, h=h)
+        assert J.flags.c_contiguous
+        assert np.array_equal(J, ref)
 
     def test_dimension_cap(self):
         g = make_grid(1, 64)
