@@ -322,35 +322,13 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> int:
         f"ratio in [{float(rep4.min_ratio):.6g}, {float(rep4.max_ratio):.6g}]; failures 0"
     )
     if cfg["csv"]:
-        from .resonance import p_n, prefactor, q_n
-
-        rows = []
-        for rep, arity in ((rep3, 3), (rep4, 4)):
-            K = cfg["K"] if arity == 3 else k4
-            rng = [k for k in range(-K, K + 1) if k != 0]
-            if arity == 3:
-                tuples = (
-                    (x, y, -x - y)
-                    for x in rng
-                    for y in rng
-                    if -x - y != 0 and abs(x + y) <= K
-                )
-            else:
-                tuples = (
-                    (x, y, z, -x - y - z)
-                    for x in rng
-                    for y in rng
-                    for z in rng
-                    if -x - y - z != 0 and abs(x + y + z) <= K
-                )
-            for t in tuples:
-                if prefactor(t, cfg["j"]) == 0:
-                    continue
-                q = q_n(t, cfg["j"])
-                ratio = abs(q) / max(abs(e) for e in t) ** (2 * cfg["j"] - 2)
-                rows.append(
-                    (" ".join(map(str, t)), str(p_n(t, cfg["j"])), str(q), float(ratio))
-                )
+        rows = [
+            (" ".join(map(str, t)), p, q, ratio)
+            for rep in (rep3, rep4)
+            for t, p, q, ratio in zip(
+                rep.tuples.tolist(), rep.p.tolist(), rep.q.tolist(), rep.ratio.tolist()
+            )
+        ]
         _write_csv(
             os.path.join(out_dir, cfg["csv"]), ("tuple", "P_n", "Q_n", "ratio"), rows
         )

@@ -35,6 +35,7 @@ from .spectral import (
     GridSpec,
     make_grid,
     project,
+    random_smooth_field,
     sobolev_norm,
 )
 
@@ -155,27 +156,6 @@ def _sampled_solve(
     return integrate(u0, spec)
 
 
-def _seeded_field(
-    grid: GridSpec,
-    seed: int,
-    stream: int,
-    decay: float,
-    kmax: int | None = None,
-    norm_s: float = -0.5,
-    norm_value: float = 1.0,
-) -> FourierField:
-    """Smooth random field on modes 1..kmax, normalized in H^norm_s."""
-    rng = _rng_stream(seed, stream)
-    kmax = grid.K if kmax is None else int(kmax)
-    z = rng.standard_normal(grid.K) + 1j * rng.standard_normal(grid.K)
-    c = np.where(grid.modes <= kmax, z * np.exp(-decay * grid.modes), 0.0)
-    u = FourierField(grid, c)
-    nrm = sobolev_norm(u, norm_s)
-    if nrm == 0:
-        raise ValueError("degenerate seeded field")
-    return u * (norm_value / nrm)
-
-
 # ---------------------------------------------------------------------------
 # Truncation approximation sweeps
 # ---------------------------------------------------------------------------
@@ -196,8 +176,9 @@ def approx_truncated_sweep(cfg: ExperimentConfig) -> SweepResult:
             f"{4 * max(cfg.N_list)}"
         )
     grid = make_grid(cfg.j, cfg.K, cfg.mu)
-    u0 = _seeded_field(
-        grid, cfg.seed, 0, cfg.decay, kmax=min(cfg.N_list), norm_value=cfg.amplitude
+    u0 = random_smooth_field(
+        grid, _rng_stream(cfg.seed, 0), cfg.decay,
+        kmax=min(cfg.N_list), norm_s=-0.5, norm_value=cfg.amplitude,
     )
     ref = _sampled_solve(u0, grid, cfg)
 
@@ -244,10 +225,11 @@ def high_freq_insensitivity(cfg: ExperimentConfig) -> SweepResult:
             f"{4 * max(cfg.N_list)}"
         )
     grid = make_grid(cfg.j, cfg.K, cfg.mu)
-    u0 = _seeded_field(
-        grid, cfg.seed, 0, cfg.decay, kmax=min(cfg.N_list), norm_value=cfg.amplitude
+    u0 = random_smooth_field(
+        grid, _rng_stream(cfg.seed, 0), cfg.decay,
+        kmax=min(cfg.N_list), norm_s=-0.5, norm_value=cfg.amplitude,
     )
-    profile = _seeded_field(grid, cfg.seed, 1, 0.05)
+    profile = random_smooth_field(grid, _rng_stream(cfg.seed, 1), 0.05, norm_s=-0.5)
     base = _sampled_solve(u0, grid, cfg)
 
     def one(N):
@@ -292,9 +274,9 @@ def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
     if not cfg.N_list:
         raise ValueError("almost-conservation sweep needs N_list")
     grid = make_grid(cfg.j, cfg.K, cfg.mu)
-    u0 = _seeded_field(
-        grid, cfg.seed, 0, cfg.decay, kmax=cfg.data_kmax,
-        norm_s=0.0, norm_value=cfg.amplitude,
+    u0 = random_smooth_field(
+        grid, _rng_stream(cfg.seed, 0), cfg.decay,
+        kmax=cfg.data_kmax, norm_s=0.0, norm_value=cfg.amplitude,
     )
     traj = _sampled_solve(u0, grid, cfg)
 
@@ -380,7 +362,9 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
     if abs(cfg.k0) > N:
         raise ValueError(f"cylinder mode |k0|={abs(cfg.k0)} exceeds N={N}")
     center = project(
-        _seeded_field(grid, cfg.seed, 10_000, cfg.decay, norm_s=-0.5), "le", N
+        random_smooth_field(grid, _rng_stream(cfg.seed, 10_000), cfg.decay, norm_s=-0.5),
+        "le",
+        N,
     )
     R = cfg.radius
     z = cfg.z
@@ -479,7 +463,7 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
             "radius": R,
             "N": N,
             "k0": cfg.k0,
-            "center_coord": float(values[0]),
+            "center_coord": cylinder_coordinate(v_center, cfg.k0, z),
             "probes_solved": probes_solved,
             "probes_reached": probes_reached,
         },
@@ -502,7 +486,9 @@ def scaling_check(cfg: ExperimentConfig) -> SweepResult:
     mu = cfg.mu
     grid1 = make_grid(cfg.j, cfg.K, 1.0)
     gridm = make_grid(cfg.j, cfg.K, mu)
-    u0 = _seeded_field(grid1, cfg.seed, 0, cfg.decay, norm_s=0.0, norm_value=cfg.amplitude)
+    u0 = random_smooth_field(
+        grid1, _rng_stream(cfg.seed, 0), cfg.decay, norm_s=0.0, norm_value=cfg.amplitude
+    )
     scale_pow = 2 * cfg.j + 1
 
     u0m = FourierField(gridm, u0.coeffs * mu ** (1 - 2 * cfg.j))

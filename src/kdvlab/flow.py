@@ -124,24 +124,27 @@ def linear_propagate(u: FourierField, t: float) -> FourierField:
 def _band_mask(grid: GridSpec, flavor: str, N: float | None) -> np.ndarray:
     if flavor == "full":
         return np.ones(grid.K, dtype=bool)
-    return grid.frequencies <= N
+    if flavor == "truncated" and N is not None:
+        return grid.frequencies <= N
+    raise ValueError(f"unknown flavor {flavor!r} (truncated requires N)")
 
 
-def _rhs_function(spec: FlowSpec) -> Callable[[np.ndarray], np.ndarray]:
+def _rhs_function(
+    grid: GridSpec, flavor: str, N: float | None
+) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized nonlinearity on coefficient arrays: -(1/2) d_x Pi(u^2)."""
-    g = spec.grid
-    P = g.physical_points
-    mask = _band_mask(g, spec.flavor, spec.N)
-    ik = 1j * g.frequencies
-    phys_scale = P / (2.0 * np.pi * g.mu)
-    spec_scale = 2.0 * np.pi * g.mu / P
+    P = grid.physical_points
+    mask = _band_mask(grid, flavor, N)
+    ik = 1j * grid.frequencies
+    phys_scale = P / (2.0 * np.pi * grid.mu)
+    spec_scale = 2.0 * np.pi * grid.mu / P
     half_len = P // 2 + 1
 
     def rhs(c: np.ndarray) -> np.ndarray:
         half = np.zeros(c.shape[:-1] + (half_len,), dtype=np.complex128)
-        half[..., 1 : g.K + 1] = c * phys_scale
+        half[..., 1 : grid.K + 1] = c * phys_scale
         w = np.fft.irfft(half, n=P)
-        sq = np.fft.rfft(w * w)[..., 1 : g.K + 1] * spec_scale
+        sq = np.fft.rfft(w * w)[..., 1 : grid.K + 1] * spec_scale
         return np.where(mask, -0.5 * ik * sq, 0.0)
 
     return rhs
@@ -149,8 +152,7 @@ def _rhs_function(spec: FlowSpec) -> Callable[[np.ndarray], np.ndarray]:
 
 def nonlinear_rhs(u: FourierField, flavor: str = "full", N: float | None = None) -> FourierField:
     """Nonlinear tendency -(1/2) d_x Pi(u^2) as a field (alias-free)."""
-    spec = FlowSpec(grid=u.grid, dt=1.0, T=1.0, flavor=flavor, N=N)
-    return FourierField(u.grid, _rhs_function(spec)(u.coeffs.copy()))
+    return FourierField(u.grid, _rhs_function(u.grid, flavor, N)(u.coeffs.copy()))
 
 
 def _etdrk4_tables(lin: np.ndarray, h: float) -> dict:
@@ -190,7 +192,7 @@ class _Stepper:
         self.h = h
         lin = _phases(spec.grid)
         if spec.nonlinear:
-            self.rhs = _rhs_function(spec)
+            self.rhs = _rhs_function(spec.grid, spec.flavor, spec.N)
         else:
             self.rhs = None
         if spec.scheme == "etdrk4" and self.rhs is not None:

@@ -26,13 +26,13 @@ tuples (alpha4 = 0), where a runtime check confirms M4 vanishes there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .flow import nonlinear_rhs
+from .resonance import _hyperplane_tuples
 from .spectral import FourierField, GridSpec
 
 __all__ = [
@@ -153,22 +153,6 @@ def _pn_int(idx_arrays: Sequence[np.ndarray], j: int) -> np.ndarray:
     for a in idx_arrays:
         acc = acc + a.astype(np.int64) ** e
     return acc
-
-
-@lru_cache(maxsize=32)
-def _hyperplane_tuples(n: int, K: int) -> tuple:
-    """Integer index tuples on Gamma_n with nonzero entries, |index| <= K."""
-    vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
-    if n == 2:
-        return (vals.copy(), -vals)
-    grids = np.meshgrid(*([vals] * (n - 1)), indexing="ij")
-    free = [g.reshape(-1) for g in grids]
-    last = -sum(free)
-    mask = (last != 0) & (np.abs(last) <= K)
-    out = tuple(a[mask] for a in free) + (last[mask],)
-    for a in out:
-        a.flags.writeable = False
-    return out
 
 
 _WEIGHT_CACHE: dict = {}

@@ -5,16 +5,20 @@ On Gamma_3 it factors as x*y*z*Q_3 and on Gamma_4 as
 (x+y)(x+z)(x+w)*Q_4, with |Q_n| comparable to max|entry|^(2j-2). This
 module evaluates the polynomials and cofactors in exact integer/rational
 arithmetic (floats are deliberately rejected: the identities are exact,
-and k^(2j+1) overflows fixed-width types quickly) and verifies the
-factorization and comparability claims by exhaustive lattice enumeration.
+and k^(2j+1) overflows fixed-width types quickly), owns the one lattice
+enumerator of the zero-sum tuples, and verifies the factorization and
+comparability claims over it as exact integer array arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "FreqTuple",
@@ -119,7 +123,14 @@ def alpha_n(t, j: int | None = None, allow_zero: bool = False) -> complex:
 
 @dataclass
 class FactorizationReport:
-    """Outcome of exhaustive factorization/comparability enumeration."""
+    """Outcome of exhaustive factorization/comparability enumeration.
+
+    One row per non-resonant tuple whose prefactor divides P_n, in
+    nested-loop order: tuples (rows x arity), p (P_n), q (Q_n) and ratio
+    (|Q_n| / max|entry|^(2j-2), correctly rounded). The integer columns are
+    int64 while n*K^(2j+1) < 2^53 and Python ints beyond. count includes
+    the failures, each recorded as (tuple, P_n, prefactor).
+    """
 
     j: int
     K: int
@@ -127,6 +138,10 @@ class FactorizationReport:
     count: int
     min_ratio: Fraction | None
     max_ratio: Fraction | None
+    tuples: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    ratio: np.ndarray
     failures: list = field(default_factory=list)
 
     @property
@@ -134,71 +149,71 @@ class FactorizationReport:
         return not self.failures and self.count > 0
 
 
-def _gamma3_tuples(K: int) -> Iterable[tuple]:
-    rng = [k for k in range(-K, K + 1) if k != 0]
-    for x in rng:
-        for y in rng:
-            z = -x - y
-            if z != 0 and -K <= z <= K:
-                yield (x, y, z)
+@lru_cache(maxsize=32)
+def _hyperplane_tuples(n: int, K: int) -> tuple:
+    """Integer index tuples on Gamma_n with nonzero entries, |index| <= K.
 
-
-def _gamma4_tuples(K: int) -> Iterable[tuple]:
-    rng = [k for k in range(-K, K + 1) if k != 0]
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                w = -x - y - z
-                if w != 0 and -K <= w <= K:
-                    yield (x, y, z, w)
+    One int64 array per slot, in nested-loop order (first slot outermost).
+    """
+    vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
+    if n == 2:
+        return (vals.copy(), -vals)
+    grids = np.meshgrid(*([vals] * (n - 1)), indexing="ij")
+    free = [g.reshape(-1) for g in grids]
+    last = -sum(free)
+    mask = (last != 0) & (np.abs(last) <= K)
+    out = tuple(a[mask] for a in free) + (last[mask],)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
     """Check P_n = prefactor * Q_n exactly on the full lattice.
 
     Enumerates all nonzero-entry, nonzero-prefactor tuples on Gamma_n with
-    |entries| <= K, verifies the identity in exact arithmetic, and records
-    min/max of |Q_n| / max|entry|^(2j-2). The comparability constants are
-    reported, not asserted: the underlying claim hides its constants.
+    |entries| <= K and checks that the prefactor divides P_n in the
+    integers. Below n*K^(2j+1) < 2^53 every integer, and both operands of
+    the ratio, are exact in int64 and float64; beyond, the same expressions
+    run on Python ints. min/max of |Q_n| / max|entry|^(2j-2) are exact
+    Fractions, taken among the tuples whose rounded ratio is extreme (a
+    correctly rounded division is monotone). The comparability constants
+    are reported, not asserted: the underlying claim hides its constants.
     """
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     if arity not in (3, 4):
         raise ValueError(f"arity must be 3 or 4, got {arity}")
     e = 2 * j + 1
-    powers = {k: k**e for k in range(-3 * K, 3 * K + 1)}
-    tuples = _gamma3_tuples(K) if arity == 3 else _gamma4_tuples(K)
+    dtype = np.int64 if arity * K**e < 2**53 else object
+    t = np.stack(_hyperplane_tuples(arity, K), axis=1).astype(dtype)
+    x = t.T
+    if arity == 3:
+        pref = x[0] * x[1] * x[2]
+    else:
+        pref = (x[0] + x[1]) * (x[0] + x[2]) * (x[0] + x[3])
+    keep = pref != 0
+    t, pref = t[keep], pref[keep]
+    p = sum(col**e for col in t.T)
+    q, rem = p // pref, p % pref
+    ok = rem == 0
+    failures = [
+        (tuple(row), pv, dv)
+        for row, pv, dv in zip(t[~ok].tolist(), p[~ok].tolist(), pref[~ok].tolist())
+    ]
+    t, p, q = t[ok], p[ok], q[ok]
+    num = np.abs(q)
+    den = np.max(np.abs(t), axis=1) ** (2 * j - 2)
+    ratio = (num / den).astype(np.float64)
 
-    count = 0
-    min_ratio = None
-    max_ratio = None
-    failures = []
-    for t in tuples:
-        p = sum(powers[x] for x in t)
-        if arity == 3:
-            pref = t[0] * t[1] * t[2]
-        else:
-            pref = (t[0] + t[1]) * (t[0] + t[2]) * (t[0] + t[3])
-        if pref == 0:
-            continue
-        count += 1
-        q, rem = divmod(p, pref)
-        if rem != 0:
-            q = Fraction(p, pref)
-        if q * pref != p:
-            failures.append((t, p, pref))
-            continue
-        ratio = abs(Fraction(q)) / Fraction(max(abs(x) for x in t)) ** (2 * j - 2)
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio = ratio
-        if max_ratio is None or ratio > max_ratio:
-            max_ratio = ratio
+    def exact(sel) -> set:
+        return {Fraction(a, b) for a, b in zip(num[sel].tolist(), den[sel].tolist())}
+
+    extremes = (None, None)
+    if ratio.size:
+        extremes = (min(exact(ratio == ratio.min())), max(exact(ratio == ratio.max())))
     return FactorizationReport(
-        j=j,
-        K=K,
-        arity=arity,
-        count=count,
-        min_ratio=min_ratio,
-        max_ratio=max_ratio,
-        failures=failures,
+        j=j, K=K, arity=arity, count=len(t) + len(failures),
+        min_ratio=extremes[0], max_ratio=extremes[1],
+        tuples=t, p=p, q=q, ratio=ratio, failures=failures,
     )

@@ -43,8 +43,6 @@ __all__ = [
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
-_DEALIAS_RULES = ("pad3", "pad4")
-
 
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (fast FFT size)."""
@@ -67,14 +65,12 @@ class GridSpec:
     mu : period parameter; the torus has circumference 2*pi*mu.
     physical_points : collocation points for transforms, >= 3K+1 so that
         quadratic products of band-limited fields are alias-free.
-    dealias : padding rule used to choose physical_points.
     """
 
     j: int
     K: int
     mu: float = 1.0
     physical_points: int = 0
-    dealias: str = "pad3"
 
     def __post_init__(self):
         if self.j < 1:
@@ -83,8 +79,6 @@ class GridSpec:
             raise ValueError(f"mode cutoff K must be >= 1, got {self.K}")
         if not self.mu > 0:
             raise ValueError(f"period parameter mu must be positive, got {self.mu}")
-        if self.dealias not in _DEALIAS_RULES:
-            raise ValueError(f"unknown dealias rule {self.dealias!r}")
         if self.physical_points < 3 * self.K + 1:
             raise ValueError(
                 f"physical_points={self.physical_points} < 3K+1={3 * self.K + 1}"
@@ -110,15 +104,9 @@ class GridSpec:
         return _next_fast_len(4 * self.K + 1)
 
 
-def make_grid(j: int, K: int, mu: float = 1.0, dealias: str = "pad3") -> GridSpec:
-    """Validated grid with physical_points chosen per the dealias rule."""
-    if dealias == "pad3":
-        pts = _next_fast_len(3 * K + 1)
-    elif dealias == "pad4":
-        pts = _next_fast_len(4 * K + 1)
-    else:
-        raise ValueError(f"unknown dealias rule {dealias!r}")
-    return GridSpec(j=j, K=K, mu=float(mu), physical_points=pts, dealias=dealias)
+def make_grid(j: int, K: int, mu: float = 1.0) -> GridSpec:
+    """Validated grid on the smallest fast transform size >= 3K+1."""
+    return GridSpec(j=j, K=K, mu=float(mu), physical_points=_next_fast_len(3 * K + 1))
 
 
 @dataclass(frozen=True)
@@ -326,11 +314,18 @@ def random_smooth_field(
     norm_s: float = 0.0,
     norm_value: float = 1.0,
     weight: str = "bessel",
+    kmax: int | None = None,
 ) -> FourierField:
-    """Random field with exponentially decaying spectrum, normalized in H^s."""
+    """Random field with exponentially decaying spectrum, normalized in H^s.
+
+    Modes above kmax (index units) are zeroed after the draw, so the draws
+    do not depend on kmax.
+    """
     n = grid.modes
     z = rng.standard_normal(grid.K) + 1j * rng.standard_normal(grid.K)
     c = z * np.exp(-decay * n)
+    if kmax is not None:
+        c = np.where(n <= kmax, c, 0.0)
     u = FourierField(grid, c)
     cur = sobolev_norm(u, norm_s, weight=weight)
     if cur == 0.0:
@@ -358,7 +353,7 @@ def save_snapshot(u: FourierField, path: str) -> None:
     os.replace(tmp, path)
 
 
-def load_snapshot(path: str, dealias: str = "pad3") -> FourierField:
+def load_snapshot(path: str) -> FourierField:
     """Read a snapshot; rejects malformed files.
 
     Rejected: k_index 0 or negative (would break the positive-half storage
@@ -372,7 +367,7 @@ def load_snapshot(path: str, dealias: str = "pad3") -> FourierField:
             raise ValueError(f"snapshot missing key {key!r}")
     if payload["schema_version"] != SNAPSHOT_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {payload['schema_version']}")
-    grid = make_grid(int(payload["j"]), int(payload["K"]), float(payload["mu"]), dealias)
+    grid = make_grid(int(payload["j"]), int(payload["K"]), float(payload["mu"]))
     c = np.zeros(grid.K, dtype=np.complex128)
     seen = set()
     for entry in payload["coeffs"]:

@@ -20,7 +20,7 @@ from kdvlab.experiments import (
     high_freq_insensitivity,
     scaling_check,
     squeeze_witness,
-    _seeded_field,
+    _rng_stream,
 )
 from kdvlab.flow import (
     FlowSpec,
@@ -43,6 +43,7 @@ from kdvlab.spectral import (
     harmonic,
     make_grid,
     project,
+    random_smooth_field,
     sobolev_norm,
 )
 
@@ -63,13 +64,20 @@ def modes12_field(grid, seed, norm=1.0):
     return u * (norm / sobolev_norm(u, 0.0))
 
 
+@pytest.fixture(scope="module")
+def factorization_reports():
+    """Gamma_3 at K=64 and Gamma_4 at K=24 for j = 1, 2, 3 (criteria 1 and 2)."""
+    return {
+        j: (verify_factorization(j, 64, arity=3), verify_factorization(j, 24, arity=4))
+        for j in (1, 2, 3)
+    }
+
+
 class TestCriterion01ResonanceExactness:
-    def test_factorization_exact(self):
+    def test_factorization_exact(self, factorization_reports):
         details = []
         ok = True
-        for j in (1, 2, 3):
-            r3 = verify_factorization(j, 64, arity=3)
-            r4 = verify_factorization(j, 24, arity=4)
+        for j, (r3, r4) in factorization_reports.items():
             ok &= r3.ok and r4.ok
             if j == 1:
                 ok &= r3.min_ratio == r3.max_ratio == 3
@@ -80,12 +88,10 @@ class TestCriterion01ResonanceExactness:
 
 
 class TestCriterion02Comparability:
-    def test_ratio_bounds(self):
+    def test_ratio_bounds(self, factorization_reports):
         details = []
         ok = True
-        for j in (1, 2, 3):
-            r3 = verify_factorization(j, 64, arity=3)
-            r4 = verify_factorization(j, 24, arity=4)
+        for j, (r3, r4) in factorization_reports.items():
             for r in (r3, r4):
                 ok &= r.min_ratio is not None and r.min_ratio > 0
                 ok &= r.max_ratio is not None and np.isfinite(float(r.max_ratio))
@@ -186,7 +192,7 @@ class TestCriterion06DerivativeIdentities:
 
     def test_fd_vs_lambda(self):
         g = make_grid(2, 12)
-        u0 = _seeded_field(g, 7, 0, 2.0, norm_s=0.0, norm_value=1.0)
+        u0 = random_smooth_field(g, _rng_stream(7, 0), 2.0, norm_s=0.0, norm_value=1.0)
         h = 1e-4
         traj = integrate(u0, FlowSpec(grid=g, dt=h, T=60 * h))
         mult = IMultiplier(s=-0.5, N=4.0)
@@ -356,7 +362,8 @@ class TestCriterion10Symplecticity:
 class TestCriterion11NonsqueezingWitness:
     def test_t0_exact(self):
         grid = make_grid(2, 8)
-        center = project(_seeded_field(grid, 5, 10_000, 1.5, norm_s=-0.5), "le", 8.0)
+        seeded = random_smooth_field(grid, _rng_stream(5, 10_000), 1.5, norm_s=-0.5)
+        center = project(seeded, "le", 8.0)
         z = center.mode(3)
         cfg = ExperimentConfig(
             kind="squeeze", j=2, K=8, N_list=(8,), T=0.0, k0=3,

@@ -2,10 +2,12 @@
 
 import json
 import os
+from itertools import product
 
 import pytest
 
 from kdvlab.cli import ConfigError, main, parse_config
+from kdvlab.resonance import p_n, prefactor, q_n
 
 
 def run_cli(*args):
@@ -56,6 +58,26 @@ class TestExitCodes:
         assert status == 0
         out = capsys.readouterr().out
         assert "ratio in [3, 3]" in out
+
+    def test_resonance_csv_matches_scalar_api(self, tmp_path):
+        j, K, K4 = 2, 8, 6
+        status = run_cli(
+            "resonance-check", "--j", str(j), "--K", str(K), "--K4", str(K4),
+            "--csv", "tuples.csv", "--out", str(tmp_path),
+        )
+        assert status == 0
+        lines = ["tuple,P_n,Q_n,ratio"]
+        for arity, cutoff in ((3, K), (4, K4)):
+            rng = [k for k in range(-cutoff, cutoff + 1) if k != 0]
+            for free in product(rng, repeat=arity - 1):
+                t = free + (-sum(free),)
+                if t[-1] == 0 or abs(t[-1]) > cutoff or prefactor(t, j) == 0:
+                    continue
+                q = q_n(t, j)
+                ratio = float(abs(q) / max(abs(e) for e in t) ** (2 * j - 2))
+                lines.append(f"{' '.join(map(str, t))},{p_n(t, j)},{q},{ratio!r}")
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / "tuples.csv").read_bytes() == expected
 
     def test_solve_bad_dt_is_config_error(self, tmp_path):
         status = run_cli(

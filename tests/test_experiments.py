@@ -14,10 +14,9 @@ from kdvlab.experiments import (
     squeeze_witness,
     _rng_stream,
     _sampled_solve,
-    _seeded_field,
     _sphere_point,
 )
-from kdvlab.spectral import FourierField, make_grid, project
+from kdvlab.spectral import FourierField, make_grid, project, random_smooth_field
 
 
 class TestConfigValidation:
@@ -105,7 +104,8 @@ class TestAlmostConservation:
 class TestSqueezeWitness:
     def test_t0_witness_equals_radius(self):
         grid = make_grid(2, 8)
-        center = project(_seeded_field(grid, 5, 10_000, 1.5, norm_s=-0.5), "le", 8.0)
+        seeded = random_smooth_field(grid, _rng_stream(5, 10_000), 1.5, norm_s=-0.5)
+        center = project(seeded, "le", 8.0)
         z = center.mode(3)
         cfg = ExperimentConfig(
             kind="squeeze", j=2, K=8, N_list=(8,), T=0.0, k0=3,
@@ -116,7 +116,8 @@ class TestSqueezeWitness:
 
     def test_vanishing_radius_returns_center_coordinate(self):
         grid = make_grid(2, 8)
-        center = project(_seeded_field(grid, 6, 10_000, 1.5, norm_s=-0.5), "le", 8.0)
+        seeded = random_smooth_field(grid, _rng_stream(6, 10_000), 1.5, norm_s=-0.5)
+        center = project(seeded, "le", 8.0)
         cfg = ExperimentConfig(
             kind="squeeze", j=2, K=8, N_list=(8,), T=0.0, k0=2,
             z_re=0.3, z_im=-0.1, radius=1e-9, samples=4, n_ascent=10, seed=6,
@@ -125,6 +126,20 @@ class TestSqueezeWitness:
         assert res.value == pytest.approx(
             cylinder_coordinate(center, 2, 0.3 - 0.1j), abs=1e-7
         )
+
+    def test_center_coord_is_the_centre(self):
+        # At T=0 the ray start sits exactly R outside the centre's coordinate
+        grid = make_grid(2, 8)
+        seeded = random_smooth_field(grid, _rng_stream(5, 10_000), 1.5, norm_s=-0.5)
+        center = project(seeded, "le", 8.0)
+        cfg = ExperimentConfig(
+            kind="squeeze", j=2, K=8, N_list=(8,), T=0.0, k0=3,
+            z_re=0.1, z_im=0.2, radius=0.7, samples=4, n_ascent=4, seed=5,
+        )
+        res = squeeze_witness(cfg)
+        coord = res.diagnostics["center_coord"]
+        assert coord == cylinder_coordinate(center, 3, 0.1 + 0.2j)
+        assert res.start_values[0] - coord == pytest.approx(0.7, abs=1e-12)
 
     def test_k0_beyond_band_rejected(self):
         cfg = ExperimentConfig(
@@ -157,7 +172,8 @@ def sequential_squeeze(cfg):
     grid = make_grid(cfg.j, cfg.K, cfg.mu)
     N = float(max(cfg.N_list))
     n_modes = int(N * grid.mu)
-    center = project(_seeded_field(grid, cfg.seed, 10_000, cfg.decay, norm_s=-0.5), "le", N)
+    seeded = random_smooth_field(grid, _rng_stream(cfg.seed, 10_000), cfg.decay, norm_s=-0.5)
+    center = project(seeded, "le", N)
     R, z = cfg.radius, cfg.z
 
     def flow_map(u):

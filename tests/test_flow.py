@@ -79,6 +79,12 @@ class TestNonlinearRhs:
         out = nonlinear_rhs(FourierField.zero(g))
         assert np.all(out.coeffs == 0.0)
 
+    def test_bad_flavor_rejected(self):
+        u = harmonic(make_grid(1, 8), 1)
+        for flavor, N in (("bogus", None), ("truncated", None)):
+            with pytest.raises(ValueError, match="flavor"):
+                nonlinear_rhs(u, flavor, N)
+
 
 class TestIntegrate:
     def test_linear_only_matches_propagator(self):

@@ -1,9 +1,12 @@
 """Exact resonance-polynomial algebra and factorization enumeration."""
 
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
+from kdvlab import resonance
 from kdvlab.resonance import (
     FreqTuple,
     ResonantTupleError,
@@ -124,3 +127,51 @@ class TestVerifyFactorization:
     def test_small_K_rejected(self):
         with pytest.raises(ValueError):
             verify_factorization(1, 1)
+
+
+def scalar_rows(j, K, arity):
+    """Reference rows from nested loops and the scalar Fraction API."""
+    rng = [k for k in range(-K, K + 1) if k != 0]
+    rows = []
+    for free in product(rng, repeat=arity - 1):
+        t = free + (-sum(free),)
+        if t[-1] == 0 or abs(t[-1]) > K or prefactor(t, j) == 0:
+            continue
+        q = q_n(t, j)
+        ratio = abs(q) / Fraction(max(abs(e) for e in t)) ** (2 * j - 2)
+        rows.append((t, p_n(t, j), q, ratio))
+    return rows
+
+
+class TestVerifierRows:
+    @pytest.mark.parametrize(
+        "j, K, arity",
+        [(1, 7, 3), (2, 7, 3), (3, 7, 3), (1, 5, 4), (2, 5, 4), (3, 5, 4),
+         (9, 12, 3), (9, 6, 4), (5, 25, 3), (5, 26, 3)],
+    )
+    def test_rows_match_scalar_api(self, j, K, arity):
+        rep = verify_factorization(j, K, arity=arity)
+        ref = scalar_rows(j, K, arity)
+        assert rep.ok and rep.count == len(ref) == len(rep.ratio)
+        got = zip(rep.tuples.tolist(), rep.p.tolist(), rep.q.tolist(), rep.ratio.tolist())
+        for (t, p, q, ratio), (t_ref, p_ref, q_ref, ratio_ref) in zip(got, ref):
+            assert tuple(t) == t_ref and p == p_ref and q == q_ref
+            assert type(p) is int and type(q) is int
+            assert ratio == float(ratio_ref)
+        exact = [r[3] for r in ref]
+        assert rep.min_ratio == min(exact) and rep.max_ratio == max(exact)
+
+    def test_dtype_switch_at_2_53(self):
+        # 3 * 25^11 < 2^53 <= 3 * 26^11: int64 below, Python ints above
+        assert verify_factorization(5, 25).p.dtype == np.int64
+        assert verify_factorization(5, 26).p.dtype == object
+        assert verify_factorization(9, 12).p.dtype == object
+
+    def test_indivisible_tuples_fail(self, monkeypatch):
+        # Off-hyperplane probes: (1, 2, 4) has P = 73, prefactor 8
+        fake = (np.array([1, 1]), np.array([2, 1]), np.array([4, 1]))
+        monkeypatch.setattr(resonance, "_hyperplane_tuples", lambda n, K: fake)
+        rep = verify_factorization(1, 4)
+        assert not rep.ok and rep.count == 2
+        assert rep.failures == [((1, 2, 4), 73, 8)]
+        assert rep.tuples.tolist() == [[1, 1, 1]] and rep.q.tolist() == [3]
