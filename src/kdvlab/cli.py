@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -232,9 +233,32 @@ class _Manifest:
         _write_atomic(self.path, json.dumps(self.data, indent=1) + "\n")
 
 
+def _built(make, *args, **kwargs):
+    """make(*args, **kwargs) on configuration values; a ValueError is a ConfigError.
+
+    Each configuration object's error message names its offending key.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _flow_spec(cfg: dict, grid, **kwargs) -> FlowSpec:
+    """The run's FlowSpec, validated before its sample stride is derived from dt."""
+    spec = _built(FlowSpec, grid=grid, dt=cfg["dt"], T=cfg["T"], scheme=cfg["scheme"], **kwargs)
+    steps = max(1, round(abs(cfg["T"]) / cfg["dt"]))
+    return replace(spec, sample_stride=max(1, steps // max(1, cfg["samples"])))
+
+
 def _initial_field(cfg: dict, grid):
     if cfg.get("input"):
-        u0 = load_snapshot(cfg["input"])
+        if not os.path.isfile(cfg["input"]):
+            raise ConfigError(f"bad value for key 'input': no such file {cfg['input']!r}")
+        try:
+            u0 = load_snapshot(cfg["input"])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for key 'input': {exc}") from exc
         g = u0.grid
         if (g.j, g.K, g.mu) != (grid.j, grid.K, grid.mu):
             raise ConfigError(
@@ -247,23 +271,10 @@ def _initial_field(cfg: dict, grid):
 
 
 def _cmd_solve(cfg: dict, out_dir: str) -> int:
-    if cfg["dt"] <= 0:
-        raise ConfigError(f"bad value for key 'dt': {cfg['dt']} (must be positive)")
-    grid = make_grid(cfg["j"], cfg["K"], cfg["mu"])
-    u0 = _initial_field(cfg, grid)
+    grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
     flavor = "truncated" if cfg["N"] is not None else "full"
-    steps = max(1, round(abs(cfg["T"]) / cfg["dt"]))
-    stride = max(1, steps // max(1, cfg["samples"]))
-    spec = FlowSpec(
-        grid=grid,
-        dt=cfg["dt"],
-        T=cfg["T"],
-        flavor=flavor,
-        N=cfg["N"],
-        scheme=cfg["scheme"],
-        nonlinear=cfg["nonlinear"],
-        sample_stride=stride,
-    )
+    spec = _flow_spec(cfg, grid, flavor=flavor, N=cfg["N"], nonlinear=cfg["nonlinear"])
+    u0 = _initial_field(cfg, grid)
     traj = integrate(u0, spec)
     prefix = os.path.join(out_dir, cfg["output"])
     for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
@@ -282,16 +293,14 @@ def _cmd_solve(cfg: dict, out_dir: str) -> int:
 
 
 def _cmd_energies(cfg: dict, out_dir: str) -> int:
-    grid = make_grid(cfg["j"], cfg["K"], cfg["mu"])
-    u0 = _initial_field(cfg, grid)
+    grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
     orders = sorted({int(o) for o in cfg["orders"].replace(" ", "").split(",") if o})
     if not orders or any(o not in (2, 3, 4) for o in orders):
         raise ConfigError(f"bad value for key 'orders': {cfg['orders']!r}")
-    steps = max(1, round(abs(cfg["T"]) / cfg["dt"]))
-    stride = max(1, steps // max(1, cfg["samples"]))
-    spec = FlowSpec(grid=grid, dt=cfg["dt"], T=cfg["T"], scheme=cfg["scheme"], sample_stride=stride)
+    spec = _flow_spec(cfg, grid)
+    mult = _built(IMultiplier, s=cfg["s"], N=cfg["N"])
+    u0 = _initial_field(cfg, grid)
     traj = integrate(u0, spec)
-    mult = IMultiplier(s=cfg["s"], N=cfg["N"])
     m5 = big_m5(mult, grid, lattice_cutoff=grid.K) if grid.K <= 16 else None
     rows = []
     for t, u in zip(traj.times, traj.fields):
@@ -335,9 +344,11 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def _experiment_config(kind: str, cfg: dict) -> ExperimentConfig:
+def _experiment_config(cfg: dict) -> ExperimentConfig:
+    """The experiment's configuration, with its grid and flow settings checked first."""
+    grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
+    _built(FlowSpec, grid=grid, dt=cfg["dt"], T=cfg["T"], scheme=cfg["scheme"])
     fields = {
-        "kind": kind,
         "j": cfg["j"],
         "K": cfg["K"],
         "mu": cfg["mu"],
@@ -347,14 +358,11 @@ def _experiment_config(kind: str, cfg: dict) -> ExperimentConfig:
         "seed": cfg["seed"],
         "decay": cfg["decay"],
     }
-    for key in ("s", "N_list", "tail_size", "k0", "z_re", "z_im", "radius", "r",
+    for key in ("s", "N_list", "tail_size", "k0", "z_re", "z_im", "radius",
                 "samples", "n_ascent", "amplitude", "data_kmax"):
         if key in cfg and cfg[key] is not None:
             fields[key] = cfg[key]
-    try:
-        return ExperimentConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _built(ExperimentConfig, **fields)
 
 
 def _check_monotone(result, what: str) -> None:
@@ -368,7 +376,9 @@ def _check_monotone(result, what: str) -> None:
 
 
 def _cmd_sweep(kind: str, cfg: dict, out_dir: str) -> int:
-    ecfg = _experiment_config(kind, cfg)
+    ecfg = _experiment_config(cfg)
+    if kind == "almost-cons":
+        _built(IMultiplier, s=ecfg.s, N=float(max(ecfg.N_list)))
     fn = {
         "approx-sweep": approx_truncated_sweep,
         "tail-sweep": high_freq_insensitivity,
@@ -385,27 +395,28 @@ def _cmd_sweep(kind: str, cfg: dict, out_dir: str) -> int:
 
 
 def _cmd_squeeze(cfg: dict, out_dir: str) -> int:
-    ecfg = _experiment_config("squeeze", cfg)
+    ecfg = _experiment_config(cfg)
+    r = cfg["r"]
     result = squeeze_witness(ecfg)
     save_snapshot(result.u0, os.path.join(out_dir, "witness.json"))
     _write_csv(
         os.path.join(out_dir, "squeeze.csv"),
         ("k0", "radius", "witness_value", "threshold_r"),
-        [(ecfg.k0, ecfg.radius, result.value, ecfg.r)],
+        [(ecfg.k0, ecfg.radius, result.value, r)],
     )
     print(
-        f"squeeze: witness value {result.value!r} (R={ecfg.radius}, r={ecfg.r}, "
+        f"squeeze: witness value {result.value!r} (R={ecfg.radius}, r={r}, "
         f"{result.improvements} ascent improvements)"
     )
-    if result.value <= ecfg.r:
+    if result.value <= r:
         raise RunCheckError(
-            f"witness value {result.value!r} did not exceed cylinder radius r={ecfg.r}"
+            f"witness value {result.value!r} did not exceed cylinder radius r={r}"
         )
     return 0
 
 
 def _cmd_scaling(cfg: dict, out_dir: str) -> int:
-    ecfg = _experiment_config("scaling-check", cfg)
+    ecfg = _experiment_config(cfg)
     result = scaling_check(ecfg)
     _write_csv(os.path.join(out_dir, "scaling-check.csv"), result.columns, result.rows)
     d = result.diagnostics

@@ -53,18 +53,19 @@ __all__ = [
 ]
 
 SUP_INTERVALS = 32
+FIT_RESIDUAL_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared configuration for all experiment kinds.
 
-    Only the fields an experiment needs are validated by it; everything
-    has a reproducible default. z = z_re + i z_im is the cylinder center,
-    k0 its mode index, (radius, center) the ball data.
+    Every field has a reproducible default; N_list and the ball and
+    cylinder data are validated here, the rest by the experiment that
+    reads them. z = z_re + i z_im is the cylinder center, k0 its mode
+    index, (radius, center) the ball data.
     """
 
-    kind: str
     j: int
     K: int
     mu: float = 1.0
@@ -79,23 +80,30 @@ class ExperimentConfig:
     k0: int = 1
     z_re: float = 0.0
     z_im: float = 0.0
-    r: float = 0.5
     decay: float = 1.5
     amplitude: float = 1.0
     data_kmax: int | None = None
     tail_size: float = 1.0
     n_ascent: int = 200
-    fit_residual_threshold: float = 0.5
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.N_list and list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError(f"N_list must be strictly increasing, got {self.N_list}")
+        if self.N_list and min(self.N_list) < 1:
+            raise ValueError(f"N_list entries must be positive, got {self.N_list}")
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
         if self.k0 == 0:
             raise ValueError("cylinder mode k0 must be nonzero")
+        if abs(self.k0) > self.N:
+            raise ValueError(f"cylinder mode |k0|={abs(self.k0)} exceeds N={self.N}")
+
+    @property
+    def N(self) -> float:
+        """Truncation threshold of the witness search: max(N_list), else K."""
+        return float(max(self.N_list)) if self.N_list else float(self.K)
 
     @property
     def z(self) -> complex:
@@ -118,7 +126,7 @@ def _rng_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _fit_loglog(params: Sequence[float], values: Sequence[float], threshold: float):
+def _fit_loglog(params: Sequence[float], values: Sequence[float]):
     """Least-squares slope of log(value) vs log(param); (slope, residual, flagged)."""
     x = np.log(np.asarray(params, dtype=float))
     y = np.asarray(values, dtype=float)
@@ -127,7 +135,7 @@ def _fit_loglog(params: Sequence[float], values: Sequence[float], threshold: flo
     ly = np.log(y)
     coef = np.polyfit(x, ly, 1)
     resid = float(np.sqrt(np.mean((np.polyval(coef, x) - ly) ** 2)))
-    return float(coef[0]), resid, resid > threshold
+    return float(coef[0]), resid, resid > FIT_RESIDUAL_THRESHOLD
 
 
 def _sampled_solve(
@@ -157,8 +165,43 @@ def _sampled_solve(
 
 
 # ---------------------------------------------------------------------------
-# Truncation approximation sweeps
+# Sweeps over the frequency threshold N
 # ---------------------------------------------------------------------------
+
+
+def _sweep_start(cfg: ExperimentConfig, what: str) -> tuple[GridSpec, FourierField]:
+    """Check N_list against the band K/mu; the grid and a datum band-limited to min(N_list)."""
+    if not cfg.N_list:
+        raise ValueError(f"{what} needs N_list")
+    band = cfg.K / cfg.mu
+    if band < 4 * max(cfg.N_list):
+        raise ValueError(
+            f"reference band K/mu={band:g} under-resolved: need K/mu >= "
+            f"4 max(N_list)={4 * max(cfg.N_list)}"
+        )
+    grid = make_grid(cfg.j, cfg.K, cfg.mu)
+    u0 = random_smooth_field(
+        grid, _rng_stream(cfg.seed, 0), cfg.decay,
+        kmax=min(cfg.N_list), norm_s=-0.5, norm_value=cfg.amplitude,
+    )
+    return grid, u0
+
+
+def _low_errors(grid: GridSpec, a: np.ndarray, b: np.ndarray, cut: float) -> list:
+    """Per-sample ||P_{<=cut}(a - b)||_{H^{-1/2}} of two coefficient series."""
+    return [
+        sobolev_norm(project(FourierField(grid, x - y), "le", cut), -0.5)
+        for x, y in zip(a, b)
+    ]
+
+
+def _sweep_result(kind: str, columns: tuple, rows: list, **extra) -> SweepResult:
+    """Rows (N, value, ...) with the log-log fit of value against N."""
+    values = [row[1] for row in rows]
+    slope, resid, flagged = _fit_loglog([row[0] for row in rows], values)
+    monotone = all(b < a for a, b in zip(values, values[1:]))
+    diagnostics = {"fit_flagged": flagged, "monotone": monotone, **extra}
+    return SweepResult(kind, columns, rows, slope, resid, diagnostics)
 
 
 def approx_truncated_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -168,46 +211,15 @@ def approx_truncated_sweep(cfg: ExperimentConfig) -> SweepResult:
     || P_{<= sqrt(N)} (S(t) u0 - S^N(t) u0) ||_{H^{-1/2}} against the
     full flow at reference resolution K, and fits error ~ N^(-sigma).
     """
-    if not cfg.N_list:
-        raise ValueError("approx sweep needs N_list")
-    if cfg.K < 4 * max(cfg.N_list):
-        raise ValueError(
-            f"reference K={cfg.K} under-resolved: need K >= 4 max(N_list)="
-            f"{4 * max(cfg.N_list)}"
-        )
-    grid = make_grid(cfg.j, cfg.K, cfg.mu)
-    u0 = random_smooth_field(
-        grid, _rng_stream(cfg.seed, 0), cfg.decay,
-        kmax=min(cfg.N_list), norm_s=-0.5, norm_value=cfg.amplitude,
-    )
-    ref = _sampled_solve(u0, grid, cfg)
-
-    def one(N):
-        trunc = _sampled_solve(u0, grid, cfg, flavor="truncated", N=float(N))
-        cut = float(np.sqrt(N))
-        errs = [
-            sobolev_norm(project(a - b, "le", cut), -0.5)
-            for a, b in zip(ref.fields, trunc.fields)
-        ]
-        return float(np.max(errs)), np.maximum.accumulate(errs).tolist()
-
-    results = [one(N) for N in cfg.N_list]
-    rows = [(float(N), res[0]) for N, res in zip(cfg.N_list, results)]
-    errors = [r[1] for r in rows]
-    slope, resid, flagged = _fit_loglog(cfg.N_list, errors, cfg.fit_residual_threshold)
-    monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-    return SweepResult(
-        kind="approx-sweep",
-        columns=("N", "error"),
-        rows=rows,
-        fitted_exponent=slope,
-        fit_residual=resid,
-        diagnostics={
-            "fit_flagged": flagged,
-            "monotone": monotone,
-            "envelopes": {float(N): res[1] for N, res in zip(cfg.N_list, results)},
-        },
-    )
+    grid, u0 = _sweep_start(cfg, "approx sweep")
+    ref = _sampled_solve(u0, grid, cfg).coeffs
+    envelopes = {}
+    for N in cfg.N_list:
+        trunc = _sampled_solve(u0, grid, cfg, flavor="truncated", N=float(N)).coeffs
+        errs = _low_errors(grid, ref, trunc, float(np.sqrt(N)))
+        envelopes[float(N)] = np.maximum.accumulate(errs).tolist()
+    rows = [(N, env[-1]) for N, env in envelopes.items()]
+    return _sweep_result("approx-sweep", ("N", "error"), rows, envelopes=envelopes)
 
 
 def high_freq_insensitivity(cfg: ExperimentConfig) -> SweepResult:
@@ -215,53 +227,24 @@ def high_freq_insensitivity(cfg: ExperimentConfig) -> SweepResult:
 
     The tail perturbation is the |k| > 2N part of a fixed random profile,
     renormalized to tail_size in H^{-1/2}; rejected if its support is
-    empty (the perturbation must live strictly above 2N).
+    empty (the perturbation must live strictly above 2N). The datum and
+    every perturbed datum are solved as one ensemble.
     """
-    if not cfg.N_list:
-        raise ValueError("tail sweep needs N_list")
-    if cfg.K < 4 * max(cfg.N_list):
-        raise ValueError(
-            f"reference K={cfg.K} under-resolved: need K >= 4 max(N_list)="
-            f"{4 * max(cfg.N_list)}"
-        )
-    grid = make_grid(cfg.j, cfg.K, cfg.mu)
-    u0 = random_smooth_field(
-        grid, _rng_stream(cfg.seed, 0), cfg.decay,
-        kmax=min(cfg.N_list), norm_s=-0.5, norm_value=cfg.amplitude,
-    )
+    grid, u0 = _sweep_start(cfg, "tail sweep")
     profile = random_smooth_field(grid, _rng_stream(cfg.seed, 1), 0.05, norm_s=-0.5)
-    base = _sampled_solve(u0, grid, cfg)
-
-    def one(N):
+    perturbed = []
+    for N in cfg.N_list:
         tail = project(profile, "gt", 2.0 * float(N))
         size = sobolev_norm(tail, -0.5)
         if size == 0:
             raise ValueError(f"tail support above 2N={2 * N} is empty at K={cfg.K}")
-        tail = tail * (cfg.tail_size / size)
-        pert = _sampled_solve(u0 + tail, grid, cfg)
-        errs = [
-            sobolev_norm(project(a - b, "le", float(N)), -0.5)
-            for a, b in zip(base.fields, pert.fields)
-        ]
-        return float(np.max(errs))
-
-    errors = [one(N) for N in cfg.N_list]
-    rows = [(float(N), e) for N, e in zip(cfg.N_list, errors)]
-    slope, resid, flagged = _fit_loglog(cfg.N_list, errors, cfg.fit_residual_threshold)
-    monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-    return SweepResult(
-        kind="tail-sweep",
-        columns=("N", "error"),
-        rows=rows,
-        fitted_exponent=slope,
-        fit_residual=resid,
-        diagnostics={"fit_flagged": flagged, "monotone": monotone},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Almost conservation
-# ---------------------------------------------------------------------------
+        perturbed.append(u0 + tail * (cfg.tail_size / size))
+    c = _sampled_solve([u0] + perturbed, grid, cfg).coeffs
+    rows = [
+        (float(N), float(np.max(_low_errors(grid, c[:, 0], c[:, i], float(N)))))
+        for i, N in enumerate(cfg.N_list, start=1)
+    ]
+    return _sweep_result("tail-sweep", ("N", "error"), rows)
 
 
 def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -278,27 +261,16 @@ def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
         grid, _rng_stream(cfg.seed, 0), cfg.decay,
         kmax=cfg.data_kmax, norm_s=0.0, norm_value=cfg.amplitude,
     )
-    traj = _sampled_solve(u0, grid, cfg)
-
-    def one(N):
+    fields = _sampled_solve(u0, grid, cfg).fields
+    rows = []
+    for N in cfg.N_list:
         mult = IMultiplier(s=cfg.s, N=float(N))
-        e4 = np.array([modified_energy(u, mult, 4) for u in traj.fields])
-        e2 = np.array([modified_energy(u, mult, 2) for u in traj.fields])
-        return float(np.max(np.abs(e4 - e4[0]))), float(np.max(np.abs(e2 - e2[0])))
-
-    results = [one(N) for N in cfg.N_list]
-    rows = [(float(N), d4, d2) for N, (d4, d2) in zip(cfg.N_list, results)]
-    drifts = [r[1] for r in rows]
-    slope, resid, flagged = _fit_loglog(cfg.N_list, drifts, cfg.fit_residual_threshold)
-    monotone = all(drifts[i + 1] < drifts[i] for i in range(len(drifts) - 1))
-    return SweepResult(
-        kind="almost-cons",
-        columns=("N", "e4_drift", "e2_drift"),
-        rows=rows,
-        fitted_exponent=slope,
-        fit_residual=resid,
-        diagnostics={"fit_flagged": flagged, "monotone": monotone},
-    )
+        e4 = np.array([modified_energy(u, mult, 4) for u in fields])
+        e2 = np.array([modified_energy(u, mult, 2) for u in fields])
+        rows.append(
+            (float(N), float(np.max(np.abs(e4 - e4[0]))), float(np.max(np.abs(e2 - e2[0]))))
+        )
+    return _sweep_result("almost-cons", ("N", "e4_drift", "e2_drift"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +329,8 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
     order examines (probes_reached); the rest is speculative work.
     """
     grid = make_grid(cfg.j, cfg.K, cfg.mu)
-    N = float(max(cfg.N_list)) if cfg.N_list else float(cfg.K)
+    N = cfg.N
     n_modes = int(N * grid.mu)
-    if abs(cfg.k0) > N:
-        raise ValueError(f"cylinder mode |k0|={abs(cfg.k0)} exceeds N={N}")
     center = project(
         random_smooth_field(grid, _rng_stream(cfg.seed, 10_000), cfg.decay, norm_s=-0.5),
         "le",

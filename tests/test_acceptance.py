@@ -260,7 +260,7 @@ class TestCriterion08AlmostConservation:
 
     def test_drift_decay(self):
         cfg = ExperimentConfig(
-            kind="almost-cons", j=3, K=16, s=-1.5, N_list=(4, 8, 16),
+            j=3, K=16, s=-1.5, N_list=(4, 8, 16),
             dt=5e-7, T=1.0, seed=2, decay=0.6, amplitude=10.0, data_kmax=8,
         )
         res = almost_conservation_sweep(cfg)
@@ -300,7 +300,7 @@ class TestCriterion09TruncationApproximation:
 
     def test_sweeps(self):
         cfg_a = ExperimentConfig(
-            kind="approx-sweep", j=2, K=256, N_list=(16, 32, 64),
+            j=2, K=256, N_list=(16, 32, 64),
             dt=2e-4, T=0.5, seed=4, decay=-0.3,
         )
         res_a = approx_truncated_sweep(cfg_a)
@@ -309,7 +309,7 @@ class TestCriterion09TruncationApproximation:
         sigma_a = None if res_a.fitted_exponent is None else -res_a.fitted_exponent
 
         cfg_t = ExperimentConfig(
-            kind="tail-sweep", j=2, K=256, N_list=(16, 32, 64),
+            j=2, K=256, N_list=(16, 32, 64),
             dt=2e-4, T=0.5, seed=4, decay=0.4, tail_size=1.0,
         )
         res_t = high_freq_insensitivity(cfg_t)
@@ -366,7 +366,7 @@ class TestCriterion11NonsqueezingWitness:
         center = project(seeded, "le", 8.0)
         z = center.mode(3)
         cfg = ExperimentConfig(
-            kind="squeeze", j=2, K=8, N_list=(8,), T=0.0, k0=3,
+            j=2, K=8, N_list=(8,), T=0.0, k0=3,
             z_re=z.real, z_im=z.imag, radius=0.7, samples=16, n_ascent=50, seed=5,
         )
         res = squeeze_witness(cfg)
@@ -387,7 +387,7 @@ class TestCriterion11NonsqueezingWitness:
             z = complex(rng.normal(), rng.normal())
             seed = int(rng.integers(0, 2**31))
             cfg = ExperimentConfig(
-                kind="squeeze", j=2, K=8, N_list=(8,), T=0.1, dt=1e-3, k0=k0,
+                j=2, K=8, N_list=(8,), T=0.1, dt=1e-3, k0=k0,
                 z_re=z.real, z_im=z.imag, radius=R, samples=64, n_ascent=200, seed=seed,
             )
             res = squeeze_witness(cfg)
@@ -405,7 +405,7 @@ class TestCriterion11NonsqueezingWitness:
 class TestCriterion12ScalingIdentity:
     def test_rescaled_solve_and_norm_ratio(self):
         cfg = ExperimentConfig(
-            kind="scaling-check", j=2, K=16, mu=2.0, dt=1e-3, T=0.2,
+            j=2, K=16, mu=2.0, dt=1e-3, T=0.2,
             s=-1.5, seed=3, decay=1.0,
         )
         res = scaling_check(cfg)

@@ -86,6 +86,47 @@ class TestExitCodes:
         )
         assert status == 2
 
+    # Each invalid value is refused when the run's grid, FlowSpec,
+    # IMultiplier, experiment configuration or snapshot is built, before
+    # anything runs: exit 2 with the offending key named.
+    @pytest.mark.parametrize("argv, key", [
+        (["solve", "--j", "2", "--K", "8", "--N", "9", "--dt", "1e-3", "--T", "0.01"],
+         "N=9.0 exceeds"),
+        (["solve", "--j", "2", "--K", "0", "--dt", "1e-3", "--T", "0.01"], "cutoff K"),
+        (["tail-sweep", "--j", "2", "--K", "0", "--N_list", "4", "--T", "0.01"], "cutoff K"),
+        (["energies", "--j", "2", "--K", "8", "--s", "0.5", "--N", "4", "--dt", "1e-3",
+          "--T", "0.01"], "index s"),
+        (["almost-cons", "--j", "1", "--K", "8", "--s", "0.5", "--N_list", "4",
+          "--T", "0.01"], "index s"),
+        (["squeeze", "--j", "2", "--K", "8", "--N_list", "4", "--k0", "5",
+          "--radius", "0.5"], "|k0|=5 exceeds N=4"),
+        (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--scheme", "rk45"],
+         "scheme 'rk45'"),
+        (["approx-sweep", "--j", "2", "--K", "64", "--N_list", "4", "--T", "0.01",
+          "--scheme", "rk45"], "scheme 'rk45'"),
+        (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01",
+          "--input", "missing.json"], "key 'input': no such file"),
+        (["energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4", "--dt", "0",
+          "--T", "0.01"], "dt must be positive"),
+    ])
+    def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
+        monkeypatch.chdir(tmp_path)
+        status = run_cli(*argv, "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("configuration error:") and key in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_malformed_snapshot_is_config_error(self, tmp_path, capsys):
+        snap = tmp_path / "bad.json"
+        snap.write_text('{"schema_version": 1}')
+        status = run_cli(
+            "solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01",
+            "--input", str(snap), "--out", str(tmp_path),
+        )
+        assert status == 2
+        assert "key 'input': snapshot missing key 'j'" in capsys.readouterr().err
+
     def test_missing_required_is_config_error(self, tmp_path):
         status = run_cli("solve", "--j", "2", "--out", str(tmp_path))
         assert status == 2

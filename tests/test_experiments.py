@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kdvlab.experiments
 from kdvlab.experiments import (
     ExperimentConfig,
     almost_conservation_sweep,
@@ -16,25 +17,58 @@ from kdvlab.experiments import (
     _sampled_solve,
     _sphere_point,
 )
-from kdvlab.spectral import FourierField, make_grid, project, random_smooth_field
+from kdvlab.spectral import (
+    FourierField,
+    make_grid,
+    project,
+    random_smooth_field,
+    sobolev_norm,
+)
 
 
 class TestConfigValidation:
     def test_n_list_must_increase(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(kind="almost-cons", j=1, K=8, N_list=(8, 4))
+            ExperimentConfig(j=1, K=8, N_list=(8, 4))
 
     def test_radius_positive(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(kind="squeeze", j=1, K=8, radius=0.0)
+            ExperimentConfig(j=1, K=8, radius=0.0)
 
     def test_k0_nonzero(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(kind="squeeze", j=1, K=8, k0=0)
+            ExperimentConfig(j=1, K=8, k0=0)
 
     def test_samples_positive(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(kind="squeeze", j=1, K=8, samples=0)
+            ExperimentConfig(j=1, K=8, samples=0)
+
+    def test_n_list_positive(self):
+        with pytest.raises(ValueError, match="N_list entries must be positive"):
+            ExperimentConfig(j=1, K=8, N_list=(0, 4))
+
+
+# The sweeps' resolution check compares the band K/mu, not the index
+# cutoff K, with 4 max(N_list): K=64 at mu=4 is a band of 16, K=32 at
+# mu=0.5 a band of 64.
+SWEEPS = [approx_truncated_sweep, high_freq_insensitivity]
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_sweep_band_too_narrow_rejected(sweep):
+    cfg = ExperimentConfig(j=2, K=64, mu=4.0, N_list=(4, 8, 16), dt=1e-3, T=0.01)
+    with pytest.raises(ValueError, match="band K/mu=16 under-resolved"):
+        sweep(cfg)
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_sweep_wide_band_accepted(sweep):
+    cfg = ExperimentConfig(
+        j=1, K=32, mu=0.5, N_list=(4, 8, 16), dt=1e-3, T=0.02, seed=6, decay=0.4
+    )
+    res = sweep(cfg)
+    assert [row[0] for row in res.rows] == [4.0, 8.0, 16.0]
+    assert all(np.isfinite(row[1]) and row[1] >= 0 for row in res.rows)
 
 
 class TestApproxSweep:
@@ -42,7 +76,7 @@ class TestApproxSweep:
         # nonlinearity disabled by data: the zero field evolves trivially,
         # so exercise instead the under-resolution guard + a tiny sweep
         cfg = ExperimentConfig(
-            kind="approx-sweep", j=1, K=32, N_list=(4, 8), dt=1e-3, T=0.1, seed=0, decay=0.5
+            j=1, K=32, N_list=(4, 8), dt=1e-3, T=0.1, seed=0, decay=0.5
         )
         res = approx_truncated_sweep(cfg)
         assert len(res.rows) == 2
@@ -50,7 +84,7 @@ class TestApproxSweep:
 
     def test_underresolved_reference_rejected(self):
         cfg = ExperimentConfig(
-            kind="approx-sweep", j=1, K=16, N_list=(8,), dt=1e-3, T=0.1
+            j=1, K=16, N_list=(8,), dt=1e-3, T=0.1
         )
         with pytest.raises(ValueError, match="under-resolved"):
             approx_truncated_sweep(cfg)
@@ -58,7 +92,7 @@ class TestApproxSweep:
     def test_envelope_monotone_in_horizon(self):
         # sup over a growing prefix of sample times never decreases
         cfg = ExperimentConfig(
-            kind="approx-sweep", j=1, K=32, N_list=(4, 8), dt=1e-3, T=0.2, seed=1, decay=0.3
+            j=1, K=32, N_list=(4, 8), dt=1e-3, T=0.2, seed=1, decay=0.3
         )
         res = approx_truncated_sweep(cfg)
         for env in res.diagnostics["envelopes"].values():
@@ -66,7 +100,7 @@ class TestApproxSweep:
 
     def test_determinism(self):
         cfg = ExperimentConfig(
-            kind="approx-sweep", j=1, K=32, N_list=(4, 8), dt=1e-3, T=0.1, seed=2, decay=0.4
+            j=1, K=32, N_list=(4, 8), dt=1e-3, T=0.1, seed=2, decay=0.4
         )
         r1 = approx_truncated_sweep(cfg)
         r2 = approx_truncated_sweep(cfg)
@@ -76,7 +110,7 @@ class TestApproxSweep:
 class TestTailSweep:
     def test_zero_tail_gives_zero_error(self):
         cfg = ExperimentConfig(
-            kind="tail-sweep", j=1, K=32, N_list=(4, 8), dt=1e-3, T=0.1,
+            j=1, K=32, N_list=(4, 8), dt=1e-3, T=0.1,
             seed=3, decay=0.4, tail_size=1e-300,
         )
         res = high_freq_insensitivity(cfg)
@@ -85,14 +119,50 @@ class TestTailSweep:
     def test_underresolved_reference_rejected(self):
         with pytest.raises(ValueError, match="under-resolved"):
             high_freq_insensitivity(
-                ExperimentConfig(kind="tail-sweep", j=1, K=32, N_list=(16,), dt=1e-3, T=0.1)
+                ExperimentConfig(j=1, K=32, N_list=(16,), dt=1e-3, T=0.1)
             )
+
+    @pytest.mark.parametrize("j, N_list, T", [(1, (4, 8), 0.1), (2, (2, 4), 0.05)])
+    def test_one_ensemble_matches_per_n_solves(self, monkeypatch, j, N_list, T):
+        cfg = ExperimentConfig(
+            j=j, K=32, N_list=N_list, dt=1e-3, T=T, seed=11, decay=0.4, tail_size=0.5
+        )
+        # reference: one solve per N, each against the unperturbed solve
+        grid = make_grid(j, 32)
+        u0 = random_smooth_field(
+            grid, _rng_stream(cfg.seed, 0), cfg.decay,
+            kmax=min(N_list), norm_s=-0.5, norm_value=cfg.amplitude,
+        )
+        profile = random_smooth_field(grid, _rng_stream(cfg.seed, 1), 0.05, norm_s=-0.5)
+        base = _sampled_solve(u0, grid, cfg)
+        expected = []
+        for N in N_list:
+            tail = project(profile, "gt", 2.0 * N)
+            pert = _sampled_solve(u0 + tail * (cfg.tail_size / sobolev_norm(tail, -0.5)), grid, cfg)
+            errs = [
+                sobolev_norm(project(a - b, "le", float(N)), -0.5)
+                for a, b in zip(base.fields, pert.fields)
+            ]
+            expected.append((float(N), float(np.max(errs))))
+        assert all(row[1] > 0 for row in expected)
+
+        calls = []
+        integrate = kdvlab.experiments.integrate
+
+        def counted(u, spec):
+            calls.append(len(u))
+            return integrate(u, spec)
+
+        monkeypatch.setattr(kdvlab.experiments, "integrate", counted)
+        res = high_freq_insensitivity(cfg)
+        assert res.rows == expected
+        assert calls == [1 + len(N_list)]
 
 
 class TestAlmostConservation:
     def test_threshold_above_grid_matches_l2_drift(self):
         cfg = ExperimentConfig(
-            kind="almost-cons", j=1, K=8, N_list=(8,), dt=1e-3, T=0.2,
+            j=1, K=8, N_list=(8,), dt=1e-3, T=0.2,
             s=-0.5, seed=4, decay=1.0,
         )
         res = almost_conservation_sweep(cfg)
@@ -108,7 +178,7 @@ class TestSqueezeWitness:
         center = project(seeded, "le", 8.0)
         z = center.mode(3)
         cfg = ExperimentConfig(
-            kind="squeeze", j=2, K=8, N_list=(8,), T=0.0, k0=3,
+            j=2, K=8, N_list=(8,), T=0.0, k0=3,
             z_re=z.real, z_im=z.imag, radius=0.7, samples=8, n_ascent=40, seed=5,
         )
         res = squeeze_witness(cfg)
@@ -119,7 +189,7 @@ class TestSqueezeWitness:
         seeded = random_smooth_field(grid, _rng_stream(6, 10_000), 1.5, norm_s=-0.5)
         center = project(seeded, "le", 8.0)
         cfg = ExperimentConfig(
-            kind="squeeze", j=2, K=8, N_list=(8,), T=0.0, k0=2,
+            j=2, K=8, N_list=(8,), T=0.0, k0=2,
             z_re=0.3, z_im=-0.1, radius=1e-9, samples=4, n_ascent=10, seed=6,
         )
         res = squeeze_witness(cfg)
@@ -133,7 +203,7 @@ class TestSqueezeWitness:
         seeded = random_smooth_field(grid, _rng_stream(5, 10_000), 1.5, norm_s=-0.5)
         center = project(seeded, "le", 8.0)
         cfg = ExperimentConfig(
-            kind="squeeze", j=2, K=8, N_list=(8,), T=0.0, k0=3,
+            j=2, K=8, N_list=(8,), T=0.0, k0=3,
             z_re=0.1, z_im=0.2, radius=0.7, samples=4, n_ascent=4, seed=5,
         )
         res = squeeze_witness(cfg)
@@ -142,15 +212,15 @@ class TestSqueezeWitness:
         assert res.start_values[0] - coord == pytest.approx(0.7, abs=1e-12)
 
     def test_k0_beyond_band_rejected(self):
-        cfg = ExperimentConfig(
-            kind="squeeze", j=2, K=8, N_list=(4,), T=0.0, k0=6, radius=0.5
-        )
+        # checked when the configuration is built, before any search
         with pytest.raises(ValueError, match="k0"):
-            squeeze_witness(cfg)
+            ExperimentConfig(j=2, K=8, N_list=(4,), T=0.0, k0=6, radius=0.5)
+        with pytest.raises(ValueError, match=r"\|k0\|=9 exceeds N=8"):
+            ExperimentConfig(j=2, K=8, k0=-9)
 
     def test_reported_value_is_reevaluated(self):
         cfg = ExperimentConfig(
-            kind="squeeze", j=2, K=8, N_list=(8,), T=0.05, dt=1e-3, k0=2,
+            j=2, K=8, N_list=(8,), T=0.05, dt=1e-3, k0=2,
             z_re=0.1, z_im=0.0, radius=0.5, samples=8, n_ascent=30, seed=7,
         )
         res = squeeze_witness(cfg)
@@ -237,7 +307,7 @@ class TestBatchedAscent:
     ])
     def test_matches_sequential_ascent(self, T, k0, n_ascent, seed):
         cfg = ExperimentConfig(
-            kind="squeeze", j=2, K=8, N_list=(4,), T=T, dt=1e-3, k0=k0, z_re=0.2,
+            j=2, K=8, N_list=(4,), T=T, dt=1e-3, k0=k0, z_re=0.2,
             z_im=-0.1, radius=0.6, samples=8, n_ascent=n_ascent, seed=seed,
         )
         u_best, final, values, improvements, probes, step = sequential_squeeze(cfg)
@@ -255,7 +325,7 @@ class TestBatchedAscent:
 class TestScalingCheck:
     def test_identity_at_mu_one(self):
         cfg = ExperimentConfig(
-            kind="scaling-check", j=2, K=8, mu=1.0, dt=1e-3, T=0.05, s=-1.5, seed=8
+            j=2, K=8, mu=1.0, dt=1e-3, T=0.05, s=-1.5, seed=8
         )
         res = scaling_check(cfg)
         assert res.diagnostics["max_mismatch"] <= 1e-13
@@ -263,7 +333,7 @@ class TestScalingCheck:
 
     def test_mu_two_matches(self):
         cfg = ExperimentConfig(
-            kind="scaling-check", j=2, K=12, mu=2.0, dt=1e-3, T=0.1, s=-1.5, seed=9, decay=0.8
+            j=2, K=12, mu=2.0, dt=1e-3, T=0.1, s=-1.5, seed=9, decay=0.8
         )
         res = scaling_check(cfg)
         assert res.diagnostics["max_mismatch"] <= 1e-6
@@ -272,7 +342,7 @@ class TestScalingCheck:
     def test_norm_ratio_various_s(self):
         for s in (-1.5, -0.5):
             cfg = ExperimentConfig(
-                kind="scaling-check", j=1, K=8, mu=3.0, dt=1e-3, T=0.02, s=s, seed=10
+                j=1, K=8, mu=3.0, dt=1e-3, T=0.02, s=s, seed=10
             )
             res = scaling_check(cfg)
             assert res.diagnostics["norm_ratio_rel_error"] <= 1e-12

@@ -20,6 +20,7 @@ from kdvlab.spectral import (
     make_grid,
     random_smooth_field,
     sobolev_norm,
+    symplectic_form,
 )
 
 
@@ -328,6 +329,18 @@ class TestSymplectic:
             b = 2 * (n - 1)
             off[b : b + 2, b : b + 2] = 0.0
         assert np.max(np.abs(off)) < 1e-14
+
+    @pytest.mark.parametrize("mu, K, N", [(1.0, 8, 4), (2.0, 8, 2), (0.5, 16, 16), (1.0, 64, 32)])
+    def test_omega_is_the_form_on_basis_fields(self, mu, K, N):
+        g = make_grid(2, K, mu)
+        n_modes = int(N * mu)
+        basis = []
+        for i in range(2 * n_modes):
+            c = np.zeros(K, dtype=complex)
+            c[i // 2] = 1j if i % 2 else 1.0
+            basis.append(FourierField(g, c))
+        expected = np.array([[symplectic_form(a, b) for b in basis] for a in basis])
+        assert np.array_equal(symplectic_matrix(g, N), expected)
 
     def test_identity_has_zero_defect(self):
         g = make_grid(2, 8)
