@@ -28,6 +28,7 @@ from .experiments import (
     ExperimentConfig,
     almost_conservation_sweep,
     approx_truncated_sweep,
+    check_sweep_band,
     high_freq_insensitivity,
     scaling_check,
     squeeze_witness,
@@ -379,6 +380,8 @@ def _cmd_sweep(kind: str, cfg: dict, out_dir: str) -> int:
     ecfg = _experiment_config(cfg)
     if kind == "almost-cons":
         _built(IMultiplier, s=ecfg.s, N=float(max(ecfg.N_list)))
+    else:
+        _built(check_sweep_band, ecfg)
     fn = {
         "approx-sweep": approx_truncated_sweep,
         "tail-sweep": high_freq_insensitivity,

@@ -169,16 +169,21 @@ def _sampled_solve(
 # ---------------------------------------------------------------------------
 
 
-def _sweep_start(cfg: ExperimentConfig, what: str) -> tuple[GridSpec, FourierField]:
-    """Check N_list against the band K/mu; the grid and a datum band-limited to min(N_list)."""
+def check_sweep_band(cfg: ExperimentConfig) -> None:
+    """Refuse an approx or tail sweep whose reference band K/mu is below 4 max(N_list)."""
     if not cfg.N_list:
-        raise ValueError(f"{what} needs N_list")
+        raise ValueError("the sweep needs N_list")
     band = cfg.K / cfg.mu
     if band < 4 * max(cfg.N_list):
         raise ValueError(
             f"reference band K/mu={band:g} under-resolved: need K/mu >= "
             f"4 max(N_list)={4 * max(cfg.N_list)}"
         )
+
+
+def _sweep_start(cfg: ExperimentConfig) -> tuple[GridSpec, FourierField]:
+    """The checked band's grid and a datum band-limited to min(N_list)."""
+    check_sweep_band(cfg)
     grid = make_grid(cfg.j, cfg.K, cfg.mu)
     u0 = random_smooth_field(
         grid, _rng_stream(cfg.seed, 0), cfg.decay,
@@ -211,7 +216,7 @@ def approx_truncated_sweep(cfg: ExperimentConfig) -> SweepResult:
     || P_{<= sqrt(N)} (S(t) u0 - S^N(t) u0) ||_{H^{-1/2}} against the
     full flow at reference resolution K, and fits error ~ N^(-sigma).
     """
-    grid, u0 = _sweep_start(cfg, "approx sweep")
+    grid, u0 = _sweep_start(cfg)
     ref = _sampled_solve(u0, grid, cfg).coeffs
     envelopes = {}
     for N in cfg.N_list:
@@ -230,7 +235,7 @@ def high_freq_insensitivity(cfg: ExperimentConfig) -> SweepResult:
     empty (the perturbation must live strictly above 2N). The datum and
     every perturbed datum are solved as one ensemble.
     """
-    grid, u0 = _sweep_start(cfg, "tail sweep")
+    grid, u0 = _sweep_start(cfg)
     profile = random_smooth_field(grid, _rng_stream(cfg.seed, 1), 0.05, norm_s=-0.5)
     perturbed = []
     for N in cfg.N_list:

@@ -15,24 +15,32 @@ the cascade
     d/dt E3 = Lambda_4(M4),   sigma4 = -M4/alpha4,
     d/dt E4 = Lambda_5(M5),
 
-where M3 = -i [m(x1) m(x2+x3) (x2+x3)]_sym = (i/3) sum_i m^2(x_i) x_i on
-the hyperplane, M4 = -(3i/2) [sigma3(x1,x2,x3+x4) (x3+x4)]_sym and
+with the closed form M3 = (i/3) sum_i m^2(x_i) x_i on the hyperplane at
+its base. Every later multiplier comes from one step, the pair reduction
+of a symmetrization:
+
+    M_n = -(i/n) sum over pairs {a,b} of sigma_(n-1)(rest, x_a+x_b) (x_a+x_b),
+
+so M4 = -(3i/2) [sigma3(x1,x2,x3+x4) (x3+x4)]_sym and
 M5 = -2i [sigma4(x1,x2,x3,x4+x5) (x4+x5)]_sym, with [.]_sym the mean over
-all argument permutations. Any symmetrization term whose pair-sum factor
-vanishes contributes exactly 0, and sigma4 is defined as 0 on resonant
-tuples (alpha4 = 0), where a runtime check confirms M4 vanishes there.
+all argument permutations; on sigma2 = m(x1) m(x2) the same step gives M3.
+sigma_(n-1) is evaluated once per lattice, as a table on Gamma_(n-1) that
+the step reads. A term whose pair sum vanishes contributes exactly 0, and
+sigma4 is defined as 0 on resonant tuples (alpha4 = 0), where a runtime
+check confirms M4 vanishes there. Tuples, form weights and sigma tables
+share the one bounded cache of the resonance module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .flow import nonlinear_rhs
-from .resonance import _hyperplane_tuples
+from .resonance import _cached, _hyperplane_tuples, _pn_int
 from .spectral import FourierField, GridSpec
 
 __all__ = [
@@ -135,37 +143,11 @@ def constant_form(n: int, value: complex = 1.0) -> MultilinearForm:
     return MultilinearForm(n=n, weight=w, tag="constant", cache_key=("const", n, value))
 
 
-def _int64_pow_guard(j: int, max_abs: int, nterms: int = 5) -> None:
-    e = 2 * j + 1
-    if nterms * max_abs**e >= 2**62:
-        raise OverflowError(
-            f"|index|^{e} with |index| <= {max_abs} exceeds exact int64 range; "
-            f"reduce K or j"
-        )
-
-
-def _pn_int(idx_arrays: Sequence[np.ndarray], j: int) -> np.ndarray:
-    """Exact sum of (2j+1)-th powers of integer index arrays (int64)."""
-    mx = max(int(np.max(np.abs(a))) if a.size else 0 for a in idx_arrays)
-    _int64_pow_guard(j, mx, nterms=len(idx_arrays))
-    e = 2 * j + 1
-    acc = np.zeros(idx_arrays[0].shape, dtype=np.int64)
-    for a in idx_arrays:
-        acc = acc + a.astype(np.int64) ** e
-    return acc
-
-
-_WEIGHT_CACHE: dict = {}
-
-
 def _form_weights(form: MultilinearForm, K: int) -> np.ndarray:
     idx = _hyperplane_tuples(form.n, K)
     if form.cache_key is None:
         return form.weight(*idx)
-    key = (form.cache_key, form.n, K)
-    if key not in _WEIGHT_CACHE:
-        _WEIGHT_CACHE[key] = form.weight(*idx)
-    return _WEIGHT_CACHE[key]
+    return _cached(("weights", form.cache_key, form.n, K), lambda: form.weight(*idx))
 
 
 def _coeff_table(u: FourierField) -> np.ndarray:
@@ -234,99 +216,120 @@ def big_m3(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
     return MultilinearForm(3, w, tag="M3", cache_key=("M3", mult.key, grid.j, mu))
 
 
-def big_m3_symmetrized(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
-    """M3 as the explicit mean over S3 of -i m(k1) m(k2+k3) (k2+k3)."""
+def _sigma_values(
+    n: int, mult: IMultiplier, grid: GridSpec, idx: tuple, cutoff: int | None = None
+) -> np.ndarray:
+    """sigma_n at Gamma_n index tuples.
+
+    sigma2 = m(k1) m(k2) seeds the cascade. sigma3 = -M3/alpha3 is the
+    real closed form: alpha3 = i mu^-(2j+1) P3 never vanishes on nonzero
+    entries, by the exact factorization, so a vanishing P3 raises. From
+    n = 4 on, sigma_n = -M_n/alpha_n off the resonant set and 0 on it
+    (alpha_n = 0, exact integer test), where the pointwise envelope forces
+    M_n = 0; that is asserted at RESONANT_M4_TOL relative to the largest
+    pair term.
+    """
     mu = grid.mu
+    if n == 2:
+        return _m_array(mult, idx[0] / mu) * _m_array(mult, idx[1] / mu)
+    pn = _pn_int(idx, grid.j)
+    pn_freq = pn.astype(np.float64) * mu ** (-(2 * grid.j + 1))
+    if n == 3:
+        if np.any(pn == 0):
+            raise ArithmeticError(
+                "alpha3 = 0 on a nonzero-entry lattice tuple: contradicts the "
+                "exact factorization of the resonance polynomial"
+            )
+        num = np.zeros(idx[0].shape, dtype=np.float64)
+        for a in idx:
+            k = a / mu
+            num = num + _m_array(mult, k) ** 2 * k
+        return -(num / 3.0) / pn_freq
+    resonant = pn == 0
+    m, scale = _m_values(n, mult, grid, idx, cutoff)
+    if np.any(np.abs(m[resonant]) > RESONANT_M4_TOL * np.maximum(scale[resonant], 1e-300)):
+        worst = float(np.max(np.abs(m[resonant])))
+        raise ArithmeticError(
+            f"M{n} does not vanish on a resonant tuple (|M{n}| up to {worst:.3e}); "
+            "contradicts the resonant-set envelope"
+        )
+    alpha = 1j * np.where(resonant, 1.0, pn_freq)
+    return np.where(resonant, 0.0, -m / alpha)
 
-    def w(i1, i2, i3):
-        acc = np.zeros(i1.shape, dtype=np.float64)
-        for a, b, c in ((i1, i2, i3), (i1, i3, i2), (i2, i1, i3),
-                        (i2, i3, i1), (i3, i1, i2), (i3, i2, i1)):
-            ka = a / mu
-            p = (b + c) / mu
-            acc = acc + _m_array(mult, ka) * _m_array(mult, p) * p
-        return (-1j / 6.0) * acc
 
-    return MultilinearForm(3, w, tag="M3sym", cache_key=("M3sym", mult.key, grid.j, mu))
+def _sigma_table(
+    n: int, mult: IMultiplier, grid: GridSpec, B: int, cutoff: int | None
+) -> np.ndarray:
+    """sigma_n on Gamma_n with |entries| <= B and |last| <= cutoff, dense
+    over the first n-1 entries (offset by B); 0 off that set."""
+
+    def build():
+        idx = _hyperplane_tuples(n, B)
+        if cutoff is not None:
+            keep = np.abs(idx[-1]) <= cutoff
+            idx = tuple(a[keep] for a in idx)
+        values = _sigma_values(n, mult, grid, idx, cutoff)
+        table = np.zeros((2 * B + 1,) * (n - 1), dtype=values.dtype)
+        table[tuple(a + B for a in idx[:-1])] = values
+        return table
+
+    return _cached(("sigma", n, mult.key, grid.j, grid.mu, B, cutoff), build)
 
 
-def _sigma3_values(
+def _m_values(
+    n: int, mult: IMultiplier, grid: GridSpec, idx: tuple, cutoff: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M_n, max |pair term|) at Gamma_n index tuples: the one cascade step.
+
+    M_n = -(i/n) sum over pairs {a,b} of sigma_(n-1)(rest, k_a+k_b) (k_a+k_b),
+    the pair reduction of the mean over all argument permutations. On
+    Gamma_n the rest fixes the pair sum, so sigma_(n-1) is read from its
+    table on Gamma_(n-1), which covers every entry and pair sum here. A
+    vanishing pair sum contributes exactly 0, and so, with a lattice
+    cutoff, does one above it: it is a mode absent from the K-truncated
+    Galerkin system whose energy derivative this multiplier represents.
+    """
+    # rest entries reach E and pair sums 2E, but none above the cutoff counts
+    E = max((int(np.max(np.abs(a))) for a in idx if a.size), default=1)
+    B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
+    table = _sigma_table(n - 1, mult, grid, B, cutoff)
+    acc = np.zeros(idx[0].shape, dtype=table.dtype)
+    scale = np.zeros(idx[0].shape, dtype=np.float64)
+    for a, b in combinations(range(n), 2):
+        rest = tuple(idx[x] + B for x in range(n) if x not in (a, b))
+        term = table[rest] * ((idx[a] + idx[b]) / grid.mu)
+        acc = acc + term
+        scale = np.maximum(scale, np.abs(term))
+    return (-1j / n) * acc, scale
+
+
+def _cascade_form(
+    kind: str,
+    n: int,
     mult: IMultiplier,
     grid: GridSpec,
-    i1: np.ndarray,
-    i2: np.ndarray,
-    i3: np.ndarray,
-    active: np.ndarray | None = None,
-) -> np.ndarray:
-    """Real sigma3 on Gamma_3 index tuples; inactive lanes return 0.
+    cutoff: int | None = None,
+    tag: str | None = None,
+) -> MultilinearForm:
+    """M_n (kind "M") or sigma_n (kind "sigma") of the cascade as a form."""
 
-    alpha3 = i mu^-(2j+1) P3(indices) never vanishes on active lanes
-    (nonzero entries), by the exact factorization; a vanishing P3 there
-    indicates a bug and raises.
-    """
-    if active is None:
-        active = np.ones(i1.shape, dtype=bool)
-    p3 = _pn_int((i1, i2, i3), grid.j)
-    if np.any((p3 == 0) & active):
-        raise ArithmeticError(
-            "alpha3 = 0 on a nonzero-entry lattice tuple: contradicts the "
-            "exact factorization of the resonance polynomial"
-        )
-    mu = grid.mu
-    num = np.zeros(i1.shape, dtype=np.float64)
-    for a in (i1, i2, i3):
-        k = a / mu
-        num = num + _m_array(mult, k) ** 2 * k
-    p3_freq = p3.astype(np.float64) * mu ** (-(2 * grid.j + 1))
-    denom = np.where(active, p3_freq, 1.0)
-    return np.where(active, -(num / 3.0) / denom, 0.0)
+    def w(*idx):
+        if kind == "M":
+            return _m_values(n, mult, grid, idx, cutoff)[0]
+        return _sigma_values(n, mult, grid, idx, cutoff).astype(np.complex128)
+
+    tag = tag or f"{kind}{n}"
+    return MultilinearForm(n, w, tag=tag, cache_key=(tag, mult.key, grid.j, grid.mu, cutoff))
+
+
+def big_m3_symmetrized(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
+    """M3 as the cascade step on sigma2 = m(k1) m(k2): -i [m(k1) m(k2+k3) (k2+k3)]_sym."""
+    return _cascade_form("M", 3, mult, grid, tag="M3sym")
 
 
 def sigma3(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
     """sigma3 = -M3/alpha3; real, even, permutation-symmetric."""
-
-    def w(i1, i2, i3):
-        return _sigma3_values(mult, grid, i1, i2, i3).astype(np.complex128)
-
-    return MultilinearForm(3, w, tag="sigma3", cache_key=("sigma3", mult.key, grid.j, grid.mu))
-
-
-def _pair_lane(pair: np.ndarray, cutoff: int | None) -> np.ndarray:
-    lane = pair != 0
-    if cutoff is not None:
-        lane &= np.abs(pair) <= cutoff
-    return lane
-
-
-def _m4_values(
-    mult: IMultiplier,
-    grid: GridSpec,
-    idx: tuple,
-    active: np.ndarray | None = None,
-    cutoff: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(M4 values, max |summand|) at Gamma_4 index tuples.
-
-    Pair reduction of the S4 symmetrization: each of the 6 pair choices
-    {a,b} contributes sigma3(rest, sum) * sum, and a vanishing pair sum
-    contributes exactly 0. With a lattice cutoff, pair sums above it are
-    dropped as well: they correspond to modes absent from the K-truncated
-    Galerkin system, whose energy derivative this multiplier represents.
-    """
-    if active is None:
-        active = np.ones(idx[0].shape, dtype=bool)
-    mu = grid.mu
-    acc = np.zeros(idx[0].shape, dtype=np.float64)
-    scale = np.zeros(idx[0].shape, dtype=np.float64)
-    for a, b in combinations(range(4), 2):
-        c, d = (x for x in range(4) if x not in (a, b))
-        pair = idx[a] + idx[b]
-        lane = active & _pair_lane(pair, cutoff)
-        s3 = _sigma3_values(mult, grid, idx[c], idx[d], np.where(lane, pair, 1), lane)
-        term = s3 * (pair / mu)
-        acc = acc + term
-        scale = np.maximum(scale, np.abs(term))
-    return (-0.25j) * acc, scale
+    return _cascade_form("sigma", 3, mult, grid)
 
 
 def big_m4(
@@ -337,85 +340,21 @@ def big_m4(
     lattice_cutoff (index units) restricts symmetrization pair sums to the
     stored lattice; None gives the continuum multiplier.
     """
-
-    def w(i1, i2, i3, i4):
-        values, _ = _m4_values(mult, grid, (i1, i2, i3, i4), cutoff=lattice_cutoff)
-        return values
-
-    return MultilinearForm(
-        4, w, tag="M4", cache_key=("M4", mult.key, grid.j, grid.mu, lattice_cutoff)
-    )
-
-
-def _sigma4_values(
-    mult: IMultiplier,
-    grid: GridSpec,
-    idx: tuple,
-    active: np.ndarray | None = None,
-    cutoff: int | None = None,
-) -> np.ndarray:
-    """sigma4 = -M4/alpha4 off the resonant set, 0 on it.
-
-    On resonant tuples (alpha4 = 0, exact integer test) the pointwise
-    envelope for M4 forces M4 = 0; asserted at RESONANT_M4_TOL relative
-    to the largest symmetrized summand.
-    """
-    if active is None:
-        active = np.ones(idx[0].shape, dtype=bool)
-    p4 = _pn_int(idx, grid.j)
-    resonant = (p4 == 0) & active
-    m4, scale = _m4_values(mult, grid, idx, active, cutoff)
-    if np.any(resonant):
-        bad = np.abs(m4[resonant]) > RESONANT_M4_TOL * np.maximum(
-            scale[resonant], 1e-300
-        )
-        if np.any(bad):
-            worst = float(np.max(np.abs(m4[resonant])))
-            raise ArithmeticError(
-                f"M4 does not vanish on a resonant tuple (|M4| up to {worst:.3e}); "
-                "contradicts the resonant-set envelope"
-            )
-    mu = grid.mu
-    p4_freq = p4.astype(np.float64) * mu ** (-(2 * grid.j + 1))
-    lane = active & ~resonant
-    alpha4 = 1j * np.where(lane, p4_freq, 1.0)
-    return np.where(lane, -m4 / alpha4, 0.0)
+    return _cascade_form("M", 4, mult, grid, lattice_cutoff)
 
 
 def sigma4(
     mult: IMultiplier, grid: GridSpec, lattice_cutoff: int | None = None
 ) -> MultilinearForm:
     """sigma4 = -M4/alpha4 with the resonant-set zero convention."""
-
-    def w(i1, i2, i3, i4):
-        return _sigma4_values(mult, grid, (i1, i2, i3, i4), cutoff=lattice_cutoff)
-
-    return MultilinearForm(
-        4, w, tag="sigma4", cache_key=("sigma4", mult.key, grid.j, grid.mu, lattice_cutoff)
-    )
+    return _cascade_form("sigma", 4, mult, grid, lattice_cutoff)
 
 
 def big_m5(
     mult: IMultiplier, grid: GridSpec, lattice_cutoff: int | None = None
 ) -> MultilinearForm:
     """M5 = -2i [sigma4(k1,k2,k3,k4+k5) (k4+k5)]_sym."""
-    mu = grid.mu
-
-    def w(*idx):
-        acc = np.zeros(idx[0].shape, dtype=np.complex128)
-        for a, b in combinations(range(5), 2):
-            rest = [idx[x] for x in range(5) if x not in (a, b)]
-            pair = idx[a] + idx[b]
-            lane = _pair_lane(pair, lattice_cutoff)
-            s4 = _sigma4_values(
-                mult, grid, (*rest, np.where(lane, pair, 1)), lane, lattice_cutoff
-            )
-            acc = acc + s4 * np.where(lane, pair / mu, 0.0)
-        return (-1j / 5.0) * acc
-
-    return MultilinearForm(
-        5, w, tag="M5", cache_key=("M5", mult.key, grid.j, grid.mu, lattice_cutoff)
-    )
+    return _cascade_form("M", 5, mult, grid, lattice_cutoff)
 
 
 def _successor_form(order: int, mult: IMultiplier, grid: GridSpec) -> MultilinearForm:

@@ -6,15 +6,16 @@ On Gamma_3 it factors as x*y*z*Q_3 and on Gamma_4 as
 module evaluates the polynomials and cofactors in exact integer/rational
 arithmetic (floats are deliberately rejected: the identities are exact,
 and k^(2j+1) overflows fixed-width types quickly), owns the one lattice
-enumerator of the zero-sum tuples, and verifies the factorization and
-comparability claims over it as exact integer array arithmetic.
+enumerator of the zero-sum tuples, the one array evaluator of P_n and the
+package's one bounded cache, and verifies the factorization and
+comparability claims over the tuples as exact integer array arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 from typing import Sequence
 
@@ -149,23 +150,61 @@ class FactorizationReport:
         return not self.failures and self.count > 0
 
 
-@lru_cache(maxsize=32)
+CACHE_ENTRIES = 32
+# The package's one cache: lattice tuples, form weights and sigma tables
+# share it, least recently used out first, so one bound caps their memory.
+_CACHE: OrderedDict = OrderedDict()
+
+
+def _cached(key, build):
+    """The value stored under key; build() computes and stores it on a miss."""
+    if key in _CACHE:
+        _CACHE.move_to_end(key)
+        return _CACHE[key]
+    value = _CACHE[key] = build()
+    if len(_CACHE) > CACHE_ENTRIES:
+        _CACHE.popitem(last=False)
+    return value
+
+
 def _hyperplane_tuples(n: int, K: int) -> tuple:
     """Integer index tuples on Gamma_n with nonzero entries, |index| <= K.
 
-    One int64 array per slot, in nested-loop order (first slot outermost).
+    One read-only int64 array per slot, in nested-loop order (first slot
+    outermost).
     """
-    vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
-    if n == 2:
-        return (vals.copy(), -vals)
-    grids = np.meshgrid(*([vals] * (n - 1)), indexing="ij")
-    free = [g.reshape(-1) for g in grids]
-    last = -sum(free)
-    mask = (last != 0) & (np.abs(last) <= K)
-    out = tuple(a[mask] for a in free) + (last[mask],)
-    for a in out:
-        a.flags.writeable = False
-    return out
+
+    def build():
+        vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
+        if n == 2:
+            out = (vals.copy(), -vals)
+        else:
+            grids = np.meshgrid(*([vals] * (n - 1)), indexing="ij")
+            free = [g.reshape(-1) for g in grids]
+            last = -sum(free)
+            mask = (last != 0) & (np.abs(last) <= K)
+            out = tuple(a[mask] for a in free) + (last[mask],)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    return _cached(("tuples", n, K), build)
+
+
+def _exact_dtype(n: int, max_abs: int, j: int):
+    """int64 while n * max_abs^(2j+1) < 2^53, so every P_n is exact in int64
+    and float64; Python ints (object) beyond."""
+    return np.int64 if n * max_abs ** (2 * j + 1) < 2**53 else object
+
+
+def _pn_int(cols: Sequence[np.ndarray], j: int) -> np.ndarray:
+    """Exact P_n of integer index columns: the sum of their (2j+1)-th powers.
+
+    int64 below the _exact_dtype bound, Python ints above it.
+    """
+    mx = max((int(np.max(np.abs(c))) for c in cols if c.size), default=0)
+    dtype = _exact_dtype(len(cols), mx, j)
+    return sum(c.astype(dtype) ** (2 * j + 1) for c in cols)
 
 
 def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
@@ -184,9 +223,7 @@ def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
         raise ValueError(f"K must be >= 2, got {K}")
     if arity not in (3, 4):
         raise ValueError(f"arity must be 3 or 4, got {arity}")
-    e = 2 * j + 1
-    dtype = np.int64 if arity * K**e < 2**53 else object
-    t = np.stack(_hyperplane_tuples(arity, K), axis=1).astype(dtype)
+    t = np.stack(_hyperplane_tuples(arity, K), axis=1).astype(_exact_dtype(arity, K, j))
     x = t.T
     if arity == 3:
         pref = x[0] * x[1] * x[2]
@@ -194,7 +231,7 @@ def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
         pref = (x[0] + x[1]) * (x[0] + x[2]) * (x[0] + x[3])
     keep = pref != 0
     t, pref = t[keep], pref[keep]
-    p = sum(col**e for col in t.T)
+    p = _pn_int(t.T, j)
     q, rem = p // pref, p % pref
     ok = rem == 0
     failures = [

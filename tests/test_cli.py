@@ -87,8 +87,8 @@ class TestExitCodes:
         assert status == 2
 
     # Each invalid value is refused when the run's grid, FlowSpec,
-    # IMultiplier, experiment configuration or snapshot is built, before
-    # anything runs: exit 2 with the offending key named.
+    # IMultiplier, experiment configuration, sweep band or snapshot is
+    # checked, before anything runs: exit 2 with the offending key named.
     @pytest.mark.parametrize("argv, key", [
         (["solve", "--j", "2", "--K", "8", "--N", "9", "--dt", "1e-3", "--T", "0.01"],
          "N=9.0 exceeds"),
@@ -108,6 +108,12 @@ class TestExitCodes:
           "--input", "missing.json"], "key 'input': no such file"),
         (["energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4", "--dt", "0",
           "--T", "0.01"], "dt must be positive"),
+        (["approx-sweep", "--j", "2", "--K", "16", "--N_list", "8", "--T", "0.01"],
+         "K/mu=16 under-resolved: need K/mu >= 4 max(N_list)=32"),
+        (["approx-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16", "--mu", "4",
+          "--T", "0.01"], "4 max(N_list)=64"),
+        (["tail-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16", "--mu", "4",
+          "--T", "0.01"], "4 max(N_list)=64"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)

@@ -9,10 +9,12 @@ series holds to round-off at any step. Both pin every constant (in
 particular the 1/n! in the symmetrizations).
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from kdvlab import imethod
+from kdvlab import imethod, resonance
 from kdvlab.flow import FlowSpec, integrate
 from kdvlab.imethod import (
     IMultiplier,
@@ -30,7 +32,8 @@ from kdvlab.imethod import (
     sigma3,
     sigma4,
 )
-from kdvlab.imethod import _hyperplane_tuples, _m4_values, _pn_int
+from kdvlab.imethod import _hyperplane_tuples, _m_values
+from kdvlab.resonance import _pn_int
 from kdvlab.spectral import (
     FourierField,
     harmonic,
@@ -244,7 +247,7 @@ class TestM4Cascade:
         p4 = _pn_int(idx, g.j)
         resonant = p4 == 0
         assert np.any(resonant)
-        m4, scale = _m4_values(mult, g, idx)
+        m4, scale = _m_values(4, mult, g, idx)
         ratio = np.abs(m4[resonant]) / np.maximum(scale[resonant], 1e-300)
         assert float(np.max(ratio)) <= 1e-10
 
@@ -266,6 +269,120 @@ class TestM4Cascade:
         tn = tuple(-a for a in t)
         assert m4.weight(*t)[0] == pytest.approx(-m4.weight(*tn)[0], rel=1e-13)
         assert s4.weight(*t)[0] == pytest.approx(s4.weight(*tn)[0], rel=1e-13)
+
+
+# Test-local copy of the hand-written cascade that the one step replaced:
+# every order recomputed sigma_(n-1) on each lane, with active-lane masks
+# and substitute pair sums.
+def _ref_pn(idx, j):
+    acc = np.zeros(idx[0].shape, dtype=np.int64)
+    for a in idx:
+        acc = acc + a.astype(np.int64) ** (2 * j + 1)
+    return acc
+
+
+def _ref_sigma3(mult, grid, i1, i2, i3, active):
+    p3 = _ref_pn((i1, i2, i3), grid.j)
+    num = np.zeros(i1.shape, dtype=np.float64)
+    for a in (i1, i2, i3):
+        k = a / grid.mu
+        num = num + imethod._m_array(mult, k) ** 2 * k
+    p3_freq = p3.astype(np.float64) * grid.mu ** (-(2 * grid.j + 1))
+    return np.where(active, -(num / 3.0) / np.where(active, p3_freq, 1.0), 0.0)
+
+
+def _ref_lane(pair, cutoff):
+    lane = pair != 0
+    if cutoff is not None:
+        lane &= np.abs(pair) <= cutoff
+    return lane
+
+
+def _ref_m4(mult, grid, idx, active, cutoff):
+    acc = np.zeros(idx[0].shape, dtype=np.float64)
+    scale = np.zeros(idx[0].shape, dtype=np.float64)
+    for a, b in combinations(range(4), 2):
+        c, d = (x for x in range(4) if x not in (a, b))
+        pair = idx[a] + idx[b]
+        lane = active & _ref_lane(pair, cutoff)
+        s3 = _ref_sigma3(mult, grid, idx[c], idx[d], np.where(lane, pair, 1), lane)
+        term = s3 * (pair / grid.mu)
+        acc = acc + term
+        scale = np.maximum(scale, np.abs(term))
+    return (-0.25j) * acc, scale
+
+
+def _ref_sigma4(mult, grid, idx, active, cutoff):
+    p4 = _ref_pn(idx, grid.j)
+    lane = active & (p4 != 0)
+    m4, _ = _ref_m4(mult, grid, idx, active, cutoff)
+    p4_freq = p4.astype(np.float64) * grid.mu ** (-(2 * grid.j + 1))
+    return np.where(lane, -m4 / (1j * np.where(lane, p4_freq, 1.0)), 0.0)
+
+
+def _ref_m5(mult, grid, idx, cutoff):
+    acc = np.zeros(idx[0].shape, dtype=np.complex128)
+    for a, b in combinations(range(5), 2):
+        rest = [idx[x] for x in range(5) if x not in (a, b)]
+        pair = idx[a] + idx[b]
+        lane = _ref_lane(pair, cutoff)
+        s4 = _ref_sigma4(mult, grid, (*rest, np.where(lane, pair, 1)), lane, cutoff)
+        acc = acc + s4 * np.where(lane, pair / grid.mu, 0.0)
+    return (-1j / 5.0) * acc
+
+
+class TestCascadeStep:
+    @pytest.mark.parametrize("shape", ["clipped_power", "smooth_log"])
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_bit_identical_to_per_lane_cascade(self, j, mu, shape):
+        K = 6
+        g = make_grid(j, K, mu)
+        mult = IMultiplier(s=-1.0, N=2.0 / mu, shape=shape)
+        idx4 = _hyperplane_tuples(4, K)
+        idx5 = _hyperplane_tuples(5, K)
+        all4 = np.ones(idx4[0].shape, dtype=bool)
+        for cutoff in (None, K, K - 2):
+            m4, scale = _m_values(4, mult, g, idx4, cutoff)
+            ref_m4, ref_scale = _ref_m4(mult, g, idx4, all4, cutoff)
+            assert np.array_equal(m4, ref_m4) and np.array_equal(scale, ref_scale)
+            assert np.array_equal(big_m4(mult, g, cutoff).weight(*idx4), ref_m4)
+            assert np.array_equal(
+                sigma4(mult, g, cutoff).weight(*idx4), _ref_sigma4(mult, g, idx4, all4, cutoff)
+            )
+            assert np.array_equal(
+                big_m5(mult, g, cutoff).weight(*idx5), _ref_m5(mult, g, idx5, cutoff)
+            )
+
+    def test_cache_stays_at_its_bound(self):
+        resonance._CACHE.clear()
+        g = make_grid(1, 6)
+        u = smooth_field(g, 3)
+        tuples = _hyperplane_tuples(4, 6)
+        for i in range(40):
+            lambda_n(sigma4(IMultiplier(s=-0.5, N=1.0 + 0.1 * i), g, 6), [u] * 4)
+            assert len(resonance._CACHE) <= resonance.CACHE_ENTRIES
+        assert len(resonance._CACHE) == resonance.CACHE_ENTRIES
+        # least recently used out first: the tuples every form reads stay
+        assert _hyperplane_tuples(4, 6) is tuples
+
+    def test_odd_multiplier_breaks_the_resonant_set_check(self, monkeypatch):
+        # an m that is not even: M4 no longer cancels on the resonant tuples
+        # (a, -a, b, -b), so sigma4, and M5 through its sigma4 table, refuse
+        true_m = imethod._m_array
+        monkeypatch.setattr(
+            imethod, "_m_array", lambda mult, k: true_m(mult, k) * (1.0 + 0.25 * (k > 0))
+        )
+        g = make_grid(2, 6)
+        mult = IMultiplier(s=-0.5, N=2.0)
+        resonance._CACHE.clear()
+        try:
+            with pytest.raises(ArithmeticError, match="M4 does not vanish on a resonant tuple"):
+                sigma4(mult, g, 6).weight(*_hyperplane_tuples(4, 6))
+            with pytest.raises(ArithmeticError, match="M4 does not vanish on a resonant tuple"):
+                big_m5(mult, g, 6).weight(*_hyperplane_tuples(5, 6))
+        finally:
+            resonance._CACHE.clear()
 
 
 class TestModifiedEnergy:

@@ -175,3 +175,18 @@ class TestVerifierRows:
         assert not rep.ok and rep.count == 2
         assert rep.failures == [((1, 2, 4), 73, 8)]
         assert rep.tuples.tolist() == [[1, 1, 1]] and rep.q.tolist() == [3]
+
+
+# (n, j, K) with n * K^(2j+1) just below 2^53, so K + 1 is just above it
+@pytest.mark.parametrize("n, j, K", [(3, 5, 25), (4, 5, 24), (5, 9, 6)])
+def test_pn_int_equals_scalar_p_n_across_the_switch(n, j, K):
+    for K_side, dtype in ((K, np.int64), (K + 1, object)):
+        idx = resonance._hyperplane_tuples(n, K_side)
+        # a spread of tuples, always including one that reaches K_side
+        sel = np.unique(np.r_[np.arange(0, idx[0].size, 37), np.argmax(np.abs(idx[0]))])
+        cols = [a[sel] for a in idx]
+        p = resonance._pn_int(cols, j)
+        assert p.dtype == dtype
+        expected = [p_n(tuple(row), j) for row in np.stack(cols, axis=1).tolist()]
+        assert [int(v) for v in p] == expected
+
