@@ -28,6 +28,7 @@ from .experiments import (
     ExperimentConfig,
     almost_conservation_sweep,
     approx_truncated_sweep,
+    check_almost_cons,
     check_sweep_band,
     high_freq_insensitivity,
     scaling_check,
@@ -378,10 +379,7 @@ def _check_monotone(result, what: str) -> None:
 
 def _cmd_sweep(kind: str, cfg: dict, out_dir: str) -> int:
     ecfg = _experiment_config(cfg)
-    if kind == "almost-cons":
-        _built(IMultiplier, s=ecfg.s, N=float(max(ecfg.N_list)))
-    else:
-        _built(check_sweep_band, ecfg)
+    _built(check_almost_cons if kind == "almost-cons" else check_sweep_band, ecfg)
     fn = {
         "approx-sweep": approx_truncated_sweep,
         "tail-sweep": high_freq_insensitivity,

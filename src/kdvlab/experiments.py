@@ -181,6 +181,13 @@ def check_sweep_band(cfg: ExperimentConfig) -> None:
         )
 
 
+def check_almost_cons(cfg: ExperimentConfig) -> None:
+    """Refuse an almost-cons sweep without N_list or with an index s the multiplier rejects."""
+    if not cfg.N_list:
+        raise ValueError("the sweep needs N_list")
+    IMultiplier(s=cfg.s, N=float(max(cfg.N_list)))
+
+
 def _sweep_start(cfg: ExperimentConfig) -> tuple[GridSpec, FourierField]:
     """The checked band's grid and a datum band-limited to min(N_list)."""
     check_sweep_band(cfg)
@@ -259,8 +266,7 @@ def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
     bare sup_t |E2(t) - E2(0)| for comparison, then fits the E4 drift
     against N in log-log.
     """
-    if not cfg.N_list:
-        raise ValueError("almost-conservation sweep needs N_list")
+    check_almost_cons(cfg)
     grid = make_grid(cfg.j, cfg.K, cfg.mu)
     u0 = random_smooth_field(
         grid, _rng_stream(cfg.seed, 0), cfg.decay,

@@ -125,30 +125,54 @@ def _band_mask(grid: GridSpec, flavor: str, N: float | None) -> np.ndarray:
     raise ValueError(f"unknown flavor {flavor!r} (truncated requires N)")
 
 
+def _full(table: np.ndarray, shape: tuple) -> np.ndarray:
+    """A per-mode table repeated along the leading axes of shape.
+
+    Operands of equal shape take numpy's contiguous loops, where a
+    broadcast operand would take its buffered iterator, which allocates.
+    """
+    full = np.empty(shape, dtype=table.dtype)
+    full[...] = table
+    return full
+
+
 def _rhs_function(
-    grid: GridSpec, flavor: str, N: float | None
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized nonlinearity on coefficient arrays: -(1/2) d_x Pi(u^2)."""
+    grid: GridSpec, flavor: str, N: float | None, shape: tuple
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Vectorized nonlinearity -(1/2) d_x Pi(u^2) on coefficient arrays of one shape.
+
+    rhs(c, out) writes the tendency of c into out and returns out; c is not
+    changed. The zero-padded half spectrum, the physical samples and the
+    spectrum of their square are held between calls, so a call creates no
+    arrays. Entries outside the band are set to +0.0.
+    """
     P = grid.physical_points
-    mask = _band_mask(grid, flavor, N)
-    ik = 1j * grid.frequencies
+    K = grid.K
+    in_band = int(np.count_nonzero(_band_mask(grid, flavor, N)))  # a prefix: frequencies ascend
+    minus_half_ik = _full(-0.5 * (1j * grid.frequencies), shape)
     phys_scale = P / (2.0 * np.pi * grid.mu)
     spec_scale = 2.0 * np.pi * grid.mu / P
-    half_len = P // 2 + 1
+    lead = shape[:-1]
+    half = np.zeros(lead + (P // 2 + 1,), dtype=np.complex128)
+    w = np.empty(lead + (P,))
+    sp = np.empty(lead + (P // 2 + 1,), dtype=np.complex128)
+    half_modes, sp_modes = half[..., 1 : K + 1], sp[..., 1 : K + 1]
 
-    def rhs(c: np.ndarray) -> np.ndarray:
-        half = np.zeros(c.shape[:-1] + (half_len,), dtype=np.complex128)
-        half[..., 1 : grid.K + 1] = c * phys_scale
-        w = np.fft.irfft(half, n=P)
-        sq = np.fft.rfft(w * w)[..., 1 : grid.K + 1] * spec_scale
-        return np.where(mask, -0.5 * ik * sq, 0.0)
+    def rhs(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(c, phys_scale, out=half_modes)
+        np.fft.irfft(half, n=P, out=w)
+        np.fft.rfft(np.multiply(w, w, out=w), out=sp)
+        np.multiply(minus_half_ik, np.multiply(sp_modes, spec_scale, out=out), out=out)
+        out[..., in_band:] = 0.0
+        return out
 
     return rhs
 
 
 def nonlinear_rhs(u: FourierField, flavor: str = "full", N: float | None = None) -> FourierField:
     """Nonlinear tendency -(1/2) d_x Pi(u^2) as a field (alias-free)."""
-    return FourierField(u.grid, _rhs_function(u.grid, flavor, N)(u.coeffs.copy()))
+    rhs = _rhs_function(u.grid, flavor, N, u.coeffs.shape)
+    return FourierField(u.grid, rhs(u.coeffs, np.empty(u.coeffs.shape, dtype=np.complex128)))
 
 
 def _etdrk4_tables(lin: np.ndarray, h: float) -> dict:
@@ -164,14 +188,14 @@ def _etdrk4_tables(lin: np.ndarray, h: float) -> dict:
     ez = np.exp(z)
     q = h * np.mean((np.exp(z / 2.0) - 1.0) / z, axis=1)
     f1 = h * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z**3, axis=1)
-    f2 = h * np.mean((2.0 + z + ez * (z - 2.0)) / z**3, axis=1)
+    two_f2 = 2.0 * (h * np.mean((2.0 + z + ez * (z - 2.0)) / z**3, axis=1))
     f3 = h * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z**3, axis=1)
     return {
         "e_full": np.exp(hl),
         "e_half": np.exp(hl / 2.0),
         "q": q,
         "f1": f1,
-        "f2": f2,
+        "two_f2": two_f2,
         "f3": f3,
     }
 
@@ -179,44 +203,68 @@ def _etdrk4_tables(lin: np.ndarray, h: float) -> dict:
 class _Stepper:
     """One-step integrator with precomputed exponential tables.
 
-    Steps a coefficient array of shape (K,) or (members, K); the tables
-    broadcast along the leading axis and the FFTs run along the last.
+    Advances a coefficient array of one shape, (K,) or (members, K), in
+    place; the tables are repeated along the leading axis and the FFTs run
+    along the last. The eight stage arrays are held between steps, so a step
+    creates no arrays. Each stage evaluates the expression in its comment
+    with the same operands in the same order, so the result does not depend
+    on the shape: an ensemble member equals its own solve bit for bit.
     """
 
-    def __init__(self, spec: FlowSpec, h: float):
+    def __init__(self, spec: FlowSpec, h: float, shape: tuple):
         self.spec = spec
         self.h = h
         lin = _phases(spec.grid)
         if spec.nonlinear:
-            self.rhs = _rhs_function(spec.grid, spec.flavor, spec.N)
+            self.rhs = _rhs_function(spec.grid, spec.flavor, spec.N, shape)
         else:
             self.rhs = None
         if spec.scheme == "etdrk4" and self.rhs is not None:
-            self.tab = _etdrk4_tables(lin, h)
+            tab = _etdrk4_tables(lin, h)
         else:
-            self.tab = {"e_full": np.exp(h * lin), "e_half": np.exp(h * lin / 2.0)}
+            e_half = np.exp(h * lin / 2.0)
+            tab = {
+                "e_full": np.exp(h * lin),
+                "e_half": e_half,
+                "h_e_half": h * e_half,
+                "two_e_half": 2.0 * e_half,
+            }
+        self.tab = {name: _full(t, shape) for name, t in tab.items()}
+        self.buf = [np.empty(shape, dtype=np.complex128) for _ in range(8)]
 
-    def step(self, c: np.ndarray) -> np.ndarray:
+    def step(self, c: np.ndarray) -> None:
+        """Advance c by one step of length h, in place."""
         t = self.tab
+        mul, add = np.multiply, np.add
         if self.rhs is None:
-            return t["e_full"] * c
+            mul(t["e_full"], c, out=c)
+            return
+        rhs = self.rhs
+        n0, na, nb, nc, a, b, ec, s = self.buf
         if self.spec.scheme == "etdrk4":
-            n0 = self.rhs(c)
-            a = t["e_half"] * c + t["q"] * n0
-            na = self.rhs(a)
-            b = t["e_half"] * c + t["q"] * na
-            nb = self.rhs(b)
-            cc = t["e_half"] * a + t["q"] * (2.0 * nb - n0)
-            nc = self.rhs(cc)
-            return t["e_full"] * c + t["f1"] * n0 + 2.0 * t["f2"] * (na + nb) + t["f3"] * nc
+            e_half, q = t["e_half"], t["q"]
+            mul(e_half, c, out=ec)
+            rhs(c, n0)
+            rhs(add(ec, mul(q, n0, out=a), out=a), na)  # a = e_half*c + q*n0
+            rhs(add(ec, mul(q, na, out=b), out=b), nb)  # b = e_half*c + q*na
+            np.subtract(mul(2.0, nb, out=s), n0, out=s)
+            rhs(add(mul(e_half, a, out=b), mul(q, s, out=s), out=b), nc)  # e_half*a + q*(2nb - n0)
+            # c = e_full*c + f1*n0 + (2 f2)*(na + nb) + f3*nc, summed left to right
+            mul(t["e_full"], c, out=s)
+            add(s, mul(t["f1"], n0, out=a), out=s)
+            add(s, mul(t["two_f2"], add(na, nb, out=a), out=a), out=s)
+            add(s, mul(t["f3"], nc, out=a), out=c)
         else:  # lawson_rk4
-            h = self.h
-            e1, e2 = t["e_full"], t["e_half"]
-            n0 = self.rhs(c)
-            na = self.rhs(e2 * (c + 0.5 * h * n0))
-            nb = self.rhs(e2 * c + 0.5 * h * na)
-            nc = self.rhs(e1 * c + h * e2 * nb)
-        return e1 * c + (h / 6.0) * (e1 * n0 + 2.0 * e2 * (na + nb) + nc)
+            e_full, e_half, half_h = t["e_full"], t["e_half"], 0.5 * self.h
+            rhs(c, n0)
+            # na = rhs(e_half*(c + (h/2)*n0)), nb = rhs(e_half*c + (h/2)*na)
+            rhs(mul(e_half, add(c, mul(half_h, n0, out=s), out=s), out=a), na)
+            rhs(add(mul(e_half, c, out=b), mul(half_h, na, out=s), out=b), nb)
+            mul(e_full, c, out=ec)
+            rhs(add(ec, mul(t["h_e_half"], nb, out=s), out=b), nc)  # e_full*c + (h e_half)*nb
+            # c = e_full*c + (h/6)*(e_full*n0 + (2 e_half)*(na + nb) + nc)
+            add(mul(e_full, n0, out=a), mul(t["two_e_half"], add(na, nb, out=s), out=s), out=a)
+            add(ec, mul(self.h / 6.0, add(a, nc, out=a), out=a), out=c)
 
 
 def _step_count(spec: FlowSpec) -> int:
@@ -230,8 +278,9 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
     one loop; each member's samples equal those of its own solve bit for
     bit. Truncated-flavor data is projected onto |k| <= N rather than
     rejected. The requested dt is adjusted to the nearest step count
-    landing exactly on T. A coefficient magnitude above the blow-up
-    threshold aborts; for an ensemble the error names the member.
+    landing exactly on T. The blow-up guard runs after every step, sampled
+    or not: a coefficient magnitude above its threshold aborts, and for an
+    ensemble the error names the member.
     """
     g = spec.grid
     ensemble = not isinstance(u0, FourierField)
@@ -250,7 +299,7 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
 
     n_steps = _step_count(spec)
     h = spec.T / n_steps
-    stepper = _Stepper(spec, h)
+    stepper = _Stepper(spec, h, c.shape)
 
     stride = spec.sample_stride
     sampled = list(range(stride, n_steps + 1, stride))
@@ -260,9 +309,10 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
     samples = np.empty((len(times),) + c.shape, dtype=np.complex128)
     samples[0] = c
     n_done = 1
+    mags = np.empty(c.shape)
     for step in range(1, n_steps + 1):
-        c = stepper.step(c)
-        peak = float(np.max(np.abs(c)))
+        stepper.step(c)
+        peak = float(np.abs(c, out=mags).max())
         if not np.isfinite(peak) or peak > spec.blowup_threshold:
             where = ""
             if ensemble:

@@ -277,8 +277,13 @@ def _sigma_table(
 
 
 def _m_values(
-    n: int, mult: IMultiplier, grid: GridSpec, idx: tuple, cutoff: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    n: int,
+    mult: IMultiplier,
+    grid: GridSpec,
+    idx: tuple,
+    cutoff: int | None = None,
+    with_scale: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """(M_n, max |pair term|) at Gamma_n index tuples: the one cascade step.
 
     M_n = -(i/n) sum over pairs {a,b} of sigma_(n-1)(rest, k_a+k_b) (k_a+k_b),
@@ -288,18 +293,22 @@ def _m_values(
     vanishing pair sum contributes exactly 0, and so, with a lattice
     cutoff, does one above it: it is a mode absent from the K-truncated
     Galerkin system whose energy derivative this multiplier represents.
+
+    The term scale is read only by sigma_n's resonant-set check; with
+    with_scale false it is not accumulated and None stands in its place.
     """
     # rest entries reach E and pair sums 2E, but none above the cutoff counts
     E = max((int(np.max(np.abs(a))) for a in idx if a.size), default=1)
     B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
     table = _sigma_table(n - 1, mult, grid, B, cutoff)
     acc = np.zeros(idx[0].shape, dtype=table.dtype)
-    scale = np.zeros(idx[0].shape, dtype=np.float64)
+    scale = np.zeros(idx[0].shape, dtype=np.float64) if with_scale else None
     for a, b in combinations(range(n), 2):
         rest = tuple(idx[x] + B for x in range(n) if x not in (a, b))
         term = table[rest] * ((idx[a] + idx[b]) / grid.mu)
         acc = acc + term
-        scale = np.maximum(scale, np.abs(term))
+        if with_scale:
+            scale = np.maximum(scale, np.abs(term))
     return (-1j / n) * acc, scale
 
 
@@ -315,7 +324,7 @@ def _cascade_form(
 
     def w(*idx):
         if kind == "M":
-            return _m_values(n, mult, grid, idx, cutoff)[0]
+            return _m_values(n, mult, grid, idx, cutoff, with_scale=False)[0]
         return _sigma_values(n, mult, grid, idx, cutoff).astype(np.complex128)
 
     tag = tag or f"{kind}{n}"

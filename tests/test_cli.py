@@ -114,6 +114,8 @@ class TestExitCodes:
           "--T", "0.01"], "4 max(N_list)=64"),
         (["tail-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16", "--mu", "4",
           "--T", "0.01"], "4 max(N_list)=64"),
+        (["almost-cons", "--j", "1", "--K", "8", "--s", "-0.5", "--N_list", ",",
+          "--T", "0.01"], "needs N_list"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)

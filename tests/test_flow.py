@@ -1,5 +1,8 @@
 """Integrators, conservation, Jacobians and symplecticity checks."""
 
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -222,6 +225,146 @@ class TestEnsemble:
             integrate(members, spec)
         spec = FlowSpec(grid=g, dt=1e-3, T=0.1, blowup_threshold=1e3)
         assert integrate(members, spec).stats["steps"] == 400
+
+
+def allocating_rhs(grid, flavor, N):
+    """The RHS as it was before the in-place kernel: a new array per operation."""
+    P = grid.physical_points
+    mask = np.ones(grid.K, dtype=bool) if flavor == "full" else grid.frequencies <= N
+    ik = 1j * grid.frequencies
+    phys_scale = P / (2.0 * np.pi * grid.mu)
+    spec_scale = 2.0 * np.pi * grid.mu / P
+
+    def rhs(c):
+        half = np.zeros(c.shape[:-1] + (P // 2 + 1,), dtype=np.complex128)
+        half[..., 1 : grid.K + 1] = c * phys_scale
+        w = np.fft.irfft(half, n=P)
+        sq = np.fft.rfft(w * w)[..., 1 : grid.K + 1] * spec_scale
+        return np.where(mask, -0.5 * ik * sq, 0.0)
+
+    return rhs
+
+
+def allocating_step(spec, h):
+    """The ETDRK4 and Lawson steps as they were before the in-place kernel."""
+    lin = 1j * spec.grid.frequencies ** (2 * spec.grid.j + 1)
+    rhs = allocating_rhs(spec.grid, spec.flavor, spec.N)
+    e1, e2 = np.exp(h * lin), np.exp(h * lin / 2.0)
+    if spec.scheme == "etdrk4":
+        hl = h * lin
+        theta = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32 * 2.0)
+        z = hl[:, None] + theta[None, :]
+        ez = np.exp(z)
+        q = h * np.mean((np.exp(z / 2.0) - 1.0) / z, axis=1)
+        f1 = h * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z**3, axis=1)
+        f2 = h * np.mean((2.0 + z + ez * (z - 2.0)) / z**3, axis=1)
+        f3 = h * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z**3, axis=1)
+
+        def step(c):
+            n0 = rhs(c)
+            a = e2 * c + q * n0
+            na = rhs(a)
+            b = e2 * c + q * na
+            nb = rhs(b)
+            cc = e2 * a + q * (2.0 * nb - n0)
+            nc = rhs(cc)
+            return e1 * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+
+        return step
+
+    def step(c):
+        n0 = rhs(c)
+        na = rhs(e2 * (c + 0.5 * h * n0))
+        nb = rhs(e2 * c + 0.5 * h * na)
+        nc = rhs(e1 * c + h * e2 * nb)
+        return e1 * c + (h / 6.0) * (e1 * n0 + 2.0 * e2 * (na + nb) + nc)
+
+    return step
+
+
+def same_bits(a, b):
+    """Equal shape and equal bytes: also tells +0.0 from -0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def allocating_samples(c, spec):
+    """integrate's samples, computed with the allocating step."""
+    if spec.flavor == "truncated":
+        c = np.where(spec.grid.frequencies <= spec.N, c, 0.0)
+    n_steps = max(1, round(abs(spec.T) / spec.dt))
+    step = allocating_step(spec, spec.T / n_steps)
+    samples = [c]
+    for i in range(1, n_steps + 1):
+        c = step(c)
+        if i % spec.sample_stride == 0 or i == n_steps:
+            samples.append(c)
+    return np.array(samples)
+
+
+STEP_CASES = [
+    # scheme, flavor, j, mu, K, T in steps of dt: K alternates 8/16 and T changes sign
+    (scheme, flavor, j, mu, (8, 16)[i % 2], (12, -12)[(i // 2) % 2])
+    for i, (scheme, flavor, j, mu) in enumerate(
+        product(("etdrk4", "lawson_rk4"), ("full", "truncated"), (1, 2, 3), (0.5, 1.0, 2.0))
+    )
+] + [
+    (scheme, flavor, 2, 1.0, 256, 6)
+    for scheme, flavor in product(("etdrk4", "lawson_rk4"), ("full", "truncated"))
+]
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("scheme, flavor, j, mu, K, n_steps", STEP_CASES)
+    def test_samples_equal_allocating_step(self, scheme, flavor, j, mu, K, n_steps):
+        g = make_grid(j, K, mu)
+        dt = 1e-3 if K == 8 else 1e-4 if K == 16 else 2e-5
+        spec = FlowSpec(
+            grid=g, dt=dt, T=n_steps * dt, scheme=scheme, flavor=flavor,
+            N=K / (2 * mu) if flavor == "truncated" else None, sample_stride=5,
+        )
+        members = [band_limited_field(g, 200 + i, min(K, 6), norm=0.5 + i) for i in range(3)]
+        single = integrate(members[0], spec).coeffs
+        assert same_bits(single, allocating_samples(members[0].coeffs, spec))
+        batch = integrate(members, spec).coeffs
+        ref = allocating_samples(np.array([u.coeffs for u in members]), spec)
+        assert same_bits(batch, ref)
+
+    def test_guard_trips_at_the_first_crossing_step(self):
+        g = make_grid(2, 16)
+        u0 = band_limited_field(g, 21, 4, norm=3.0)
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.06)
+        peaks = np.abs(integrate(u0, spec).coeffs).max(axis=-1)
+        stride = 7
+        # a step between samples whose peak exceeds every earlier checked peak
+        crossing = next(
+            s for s in range(2, len(peaks) - 1)
+            if s % stride and peaks[s] > peaks[1:s].max()
+        )
+        threshold = 0.5 * (peaks[1:crossing].max() + peaks[crossing])
+        h = spec.T / (len(peaks) - 1)
+        with pytest.raises(FlowBlowupError, match=f"at t={crossing * h:.6g}: "):
+            integrate(u0, replace(spec, sample_stride=stride, blowup_threshold=threshold))
+
+    def test_later_solves_leave_earlier_trajectories_unchanged(self):
+        g = make_grid(2, 8)
+        u, v = band_limited_field(g, 30, 4), band_limited_field(g, 31, 4, norm=2.0)
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.02, sample_stride=4)
+        zero = FlowSpec(grid=g, dt=1e-3, T=0.0)
+        earlier = [integrate(u, spec), integrate([u, v], spec), integrate(u, zero)]
+        kept = [t.coeffs.copy() for t in earlier]
+        for data, s in ((v, spec), ([v, u], spec), (u, spec), (v, zero)):
+            integrate(data, s)
+        for t, c in zip(earlier, kept):
+            assert np.array_equal(t.coeffs, c)
+
+    @pytest.mark.parametrize("flavor, N", [("full", None), ("truncated", 3.0)])
+    def test_nonlinear_rhs_leaves_its_input(self, flavor, N):
+        g = make_grid(2, 16)
+        u = random_smooth_field(g, np.random.default_rng(40), decay=0.3)
+        kept = u.coeffs.copy()
+        out = nonlinear_rhs(u, flavor, N)
+        assert np.array_equal(u.coeffs, kept)
+        assert same_bits(out.coeffs, allocating_rhs(g, flavor, N)(kept))
 
 
 class TestConservation:
