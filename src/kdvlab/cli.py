@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -35,7 +35,7 @@ from .experiments import (
     squeeze_witness,
 )
 from .flow import FlowSpec, conservation_report, integrate
-from .imethod import IMultiplier, big_m5, lambda_n, modified_energy
+from .imethod import QUINTIC_K_CAP, IMultiplier, big_m5, lambda_n, modified_energy
 from .resonance import verify_factorization
 from .spectral import (
     load_snapshot,
@@ -303,7 +303,7 @@ def _cmd_energies(cfg: dict, out_dir: str) -> int:
     mult = _built(IMultiplier, s=cfg["s"], N=cfg["N"])
     u0 = _initial_field(cfg, grid)
     traj = integrate(u0, spec)
-    m5 = big_m5(mult, grid, lattice_cutoff=grid.K) if grid.K <= 16 else None
+    m5 = big_m5(mult, grid, lattice_cutoff=grid.K) if grid.K <= QUINTIC_K_CAP else None
     rows = []
     for t, u in zip(traj.times, traj.fields):
         row = [float(t)]
@@ -313,7 +313,7 @@ def _cmd_energies(cfg: dict, out_dir: str) -> int:
         rows.append(tuple(row))
     _write_csv(os.path.join(out_dir, "energies.csv"), ("t", "E2", "E3", "E4", "Lambda5M5"), rows)
     if m5 is None:
-        print(f"energies: K={grid.K} > 16, Lambda5M5 column skipped (quintic cap)")
+        print(f"energies: K={grid.K} > {QUINTIC_K_CAP}, Lambda5M5 column skipped (quintic cap)")
     return 0
 
 
@@ -347,24 +347,9 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> int:
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    """The experiment's configuration, with its grid and flow settings checked first."""
-    grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
-    _built(FlowSpec, grid=grid, dt=cfg["dt"], T=cfg["T"], scheme=cfg["scheme"])
-    fields = {
-        "j": cfg["j"],
-        "K": cfg["K"],
-        "mu": cfg["mu"],
-        "dt": cfg["dt"],
-        "T": cfg["T"],
-        "scheme": cfg["scheme"],
-        "seed": cfg["seed"],
-        "decay": cfg["decay"],
-    }
-    for key in ("s", "N_list", "tail_size", "k0", "z_re", "z_im", "radius",
-                "samples", "n_ascent", "amplitude", "data_kmax"):
-        if key in cfg and cfg[key] is not None:
-            fields[key] = cfg[key]
-    return _built(ExperimentConfig, **fields)
+    """The experiment's configuration from the command's keys; it checks them itself."""
+    names = (f.name for f in fields(ExperimentConfig))
+    return _built(ExperimentConfig, **{k: cfg[k] for k in names if cfg.get(k) is not None})
 
 
 def _check_monotone(result, what: str) -> None:

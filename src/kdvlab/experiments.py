@@ -60,10 +60,11 @@ FIT_RESIDUAL_THRESHOLD = 0.5
 class ExperimentConfig:
     """Shared configuration for all experiment kinds.
 
-    Every field has a reproducible default; N_list and the ball and
-    cylinder data are validated here, the rest by the experiment that
-    reads them. z = z_re + i z_im is the cylinder center, k0 its mode
-    index, (radius, center) the ball data.
+    Every field has a reproducible default; the grid, the flow settings,
+    N_list and the ball and cylinder data are validated here, the rest by
+    the experiment that reads them. K and k0 are mode indices; N_list and
+    data_kmax are frequencies (grid.modes_upto converts). z = z_re + i z_im
+    is the cylinder center, (radius, center) the ball data.
     """
 
     j: int
@@ -87,6 +88,8 @@ class ExperimentConfig:
     n_ascent: int = 200
 
     def __post_init__(self):
+        grid = self.grid
+        FlowSpec(grid=grid, dt=self.dt, T=self.T, scheme=self.scheme)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.N_list and list(self.N_list) != sorted(set(self.N_list)):
@@ -97,13 +100,18 @@ class ExperimentConfig:
             raise ValueError("ball radius must be positive")
         if self.k0 == 0:
             raise ValueError("cylinder mode k0 must be nonzero")
-        if abs(self.k0) > self.N:
+        if abs(self.k0) > grid.modes_upto(self.N):
             raise ValueError(f"cylinder mode |k0|={abs(self.k0)} exceeds N={self.N}")
 
     @property
+    def grid(self) -> GridSpec:
+        """The validated grid of (j, K, mu)."""
+        return make_grid(self.j, self.K, self.mu)
+
+    @property
     def N(self) -> float:
-        """Truncation threshold of the witness search: max(N_list), else K."""
-        return float(max(self.N_list)) if self.N_list else float(self.K)
+        """Frequency threshold of the witness search: max(N_list), else the band K/mu."""
+        return float(max(self.N_list)) if self.N_list else self.grid.band
 
     @property
     def z(self) -> complex:
@@ -173,7 +181,7 @@ def check_sweep_band(cfg: ExperimentConfig) -> None:
     """Refuse an approx or tail sweep whose reference band K/mu is below 4 max(N_list)."""
     if not cfg.N_list:
         raise ValueError("the sweep needs N_list")
-    band = cfg.K / cfg.mu
+    band = cfg.grid.band
     if band < 4 * max(cfg.N_list):
         raise ValueError(
             f"reference band K/mu={band:g} under-resolved: need K/mu >= "
@@ -189,12 +197,12 @@ def check_almost_cons(cfg: ExperimentConfig) -> None:
 
 
 def _sweep_start(cfg: ExperimentConfig) -> tuple[GridSpec, FourierField]:
-    """The checked band's grid and a datum band-limited to min(N_list)."""
+    """The checked band's grid and a datum band-limited to frequency min(N_list)."""
     check_sweep_band(cfg)
-    grid = make_grid(cfg.j, cfg.K, cfg.mu)
+    grid = cfg.grid
     u0 = random_smooth_field(
         grid, _rng_stream(cfg.seed, 0), cfg.decay,
-        kmax=min(cfg.N_list), norm_s=-0.5, norm_value=cfg.amplitude,
+        kmax=grid.modes_upto(min(cfg.N_list)), norm_s=-0.5, norm_value=cfg.amplitude,
     )
     return grid, u0
 
@@ -267,10 +275,11 @@ def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
     against N in log-log.
     """
     check_almost_cons(cfg)
-    grid = make_grid(cfg.j, cfg.K, cfg.mu)
+    grid = cfg.grid
     u0 = random_smooth_field(
         grid, _rng_stream(cfg.seed, 0), cfg.decay,
-        kmax=cfg.data_kmax, norm_s=0.0, norm_value=cfg.amplitude,
+        kmax=None if cfg.data_kmax is None else grid.modes_upto(cfg.data_kmax),
+        norm_s=0.0, norm_value=cfg.amplitude,
     )
     fields = _sampled_solve(u0, grid, cfg).fields
     rows = []
@@ -339,9 +348,9 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
     the ascent probes solved (probes_solved) and those the sequential
     order examines (probes_reached); the rest is speculative work.
     """
-    grid = make_grid(cfg.j, cfg.K, cfg.mu)
+    grid = cfg.grid
     N = cfg.N
-    n_modes = int(N * grid.mu)
+    n_modes = grid.modes_upto(N)
     center = project(
         random_smooth_field(grid, _rng_stream(cfg.seed, 10_000), cfg.decay, norm_s=-0.5),
         "le",
@@ -466,7 +475,7 @@ def scaling_check(cfg: ExperimentConfig) -> SweepResult:
     """
     mu = cfg.mu
     grid1 = make_grid(cfg.j, cfg.K, 1.0)
-    gridm = make_grid(cfg.j, cfg.K, mu)
+    gridm = cfg.grid
     u0 = random_smooth_field(
         grid1, _rng_stream(cfg.seed, 0), cfg.decay, norm_s=0.0, norm_value=cfg.amplitude
     )

@@ -74,10 +74,9 @@ class FlowSpec:
         if self.flavor == "truncated":
             if self.N is None:
                 raise ValueError("truncated flavor requires N")
-            if self.N > self.grid.K / self.grid.mu:
+            if self.N > self.grid.band:
                 raise ValueError(
-                    f"truncated N={self.N} exceeds the grid band "
-                    f"K/mu={self.grid.K / self.grid.mu:g}"
+                    f"truncated N={self.N} exceeds the grid band K/mu={self.grid.band:g}"
                 )
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
@@ -117,14 +116,6 @@ def linear_propagate(u: FourierField, t: float) -> FourierField:
     return FourierField(u.grid, u.coeffs * np.exp(_phases(u.grid) * t))
 
 
-def _band_mask(grid: GridSpec, flavor: str, N: float | None) -> np.ndarray:
-    if flavor == "full":
-        return np.ones(grid.K, dtype=bool)
-    if flavor == "truncated" and N is not None:
-        return grid.frequencies <= N
-    raise ValueError(f"unknown flavor {flavor!r} (truncated requires N)")
-
-
 def _full(table: np.ndarray, shape: tuple) -> np.ndarray:
     """A per-mode table repeated along the leading axes of shape.
 
@@ -144,11 +135,13 @@ def _rhs_function(
     rhs(c, out) writes the tendency of c into out and returns out; c is not
     changed. The zero-padded half spectrum, the physical samples and the
     spectrum of their square are held between calls, so a call creates no
-    arrays. Entries outside the band are set to +0.0.
+    arrays. Entries outside the band, a suffix, are set to +0.0.
     """
     P = grid.physical_points
     K = grid.K
-    in_band = int(np.count_nonzero(_band_mask(grid, flavor, N)))  # a prefix: frequencies ascend
+    if flavor not in ("full", "truncated") or (flavor == "truncated" and N is None):
+        raise ValueError(f"unknown flavor {flavor!r} (truncated requires N)")
+    in_band = K if flavor == "full" else grid.modes_upto(N)
     minus_half_ik = _full(-0.5 * (1j * grid.frequencies), shape)
     phys_scale = P / (2.0 * np.pi * grid.mu)
     spec_scale = 2.0 * np.pi * grid.mu / P
@@ -292,7 +285,7 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
             raise ValueError("initial data grid does not match flow grid")
     c = np.array([u.coeffs for u in members]) if ensemble else u0.coeffs.copy()
     if spec.flavor == "truncated":
-        c = np.where(_band_mask(g, "truncated", spec.N), c, 0.0)
+        c[..., g.modes_upto(spec.N) :] = 0.0
 
     if spec.T == 0.0:
         return Trajectory(times=np.array([0.0]), coeffs=c[None], spec=spec, stats={"steps": 0})
@@ -371,12 +364,13 @@ def flow_jacobian(u0: FourierField, spec: FlowSpec, h: float) -> np.ndarray:
     """Central-difference Jacobian of u0 -> S(T) u0 in real coordinates.
 
     Coordinates are (Re u_hat(k), Im u_hat(k)) for 0 < k <= N of a
-    truncated flow; dimension 2N is capped for cost. All 2·dim perturbed
-    data are advanced as one ensemble that keeps only its endpoint.
+    truncated flow, the grid's modes_upto(N) modes; the dimension is capped
+    for cost. All 2·dim perturbed data are advanced as one ensemble that
+    keeps only its endpoint.
     """
     if spec.flavor != "truncated":
         raise ValueError("flow_jacobian is defined for the truncated flavor")
-    n_modes = int(spec.N * spec.grid.mu)
+    n_modes = spec.grid.modes_upto(spec.N)
     dim = 2 * n_modes
     if dim > JACOBIAN_DIM_CAP:
         raise ValueError(f"jacobian dimension {dim} exceeds cap {JACOBIAN_DIM_CAP}")
@@ -401,7 +395,7 @@ def symplectic_matrix(grid: GridSpec, N: float) -> np.ndarray:
     Block-diagonal with antisymmetric 2x2 blocks: the form pairs Re u_hat(k)
     with Im u_hat(k) at weight 1/(pi mu k), the antiderivative's 1/k.
     """
-    n_modes = int(N * grid.mu)
+    n_modes = grid.modes_upto(N)
     w = (1.0 / grid.frequencies[:n_modes]) / (np.pi * grid.mu)
     i = np.arange(n_modes)
     omega = np.zeros((2 * n_modes, 2 * n_modes))

@@ -202,16 +202,22 @@ def _real_part(value: complex, scale: float, what: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _m2k_sum(mult: IMultiplier, mu: float, idx: tuple) -> np.ndarray:
+    """sum_i m^2(k_i) k_i at index tuples (k_i = idx_i/mu), summed left to right:
+    the numerator of the closed forms M3 and sigma3."""
+    acc = np.zeros(idx[0].shape, dtype=np.float64)
+    for a in idx:
+        k = a / mu
+        acc = acc + _m_array(mult, k) ** 2 * k
+    return acc
+
+
 def big_m3(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
     """Closed form M3 = (i/3) (m^2(k1) k1 + m^2(k2) k2 + m^2(k3) k3)."""
     mu = grid.mu
 
-    def w(i1, i2, i3):
-        acc = np.zeros(i1.shape, dtype=np.float64)
-        for a in (i1, i2, i3):
-            k = a / mu
-            acc = acc + _m_array(mult, k) ** 2 * k
-        return (1j / 3.0) * acc
+    def w(*idx):
+        return (1j / 3.0) * _m2k_sum(mult, mu, idx)
 
     return MultilinearForm(3, w, tag="M3", cache_key=("M3", mult.key, grid.j, mu))
 
@@ -240,11 +246,7 @@ def _sigma_values(
                 "alpha3 = 0 on a nonzero-entry lattice tuple: contradicts the "
                 "exact factorization of the resonance polynomial"
             )
-        num = np.zeros(idx[0].shape, dtype=np.float64)
-        for a in idx:
-            k = a / mu
-            num = num + _m_array(mult, k) ** 2 * k
-        return -(num / 3.0) / pn_freq
+        return -(_m2k_sum(mult, mu, idx) / 3.0) / pn_freq
     resonant = pn == 0
     m, scale = _m_values(n, mult, grid, idx, cutoff)
     if np.any(np.abs(m[resonant]) > RESONANT_M4_TOL * np.maximum(scale[resonant], 1e-300)):
@@ -503,7 +505,7 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     if len(traj.fields) < 3:
         raise ValueError("drift oracle needs at least 3 trajectory samples")
     spec = traj.spec
-    if spec.flavor == "truncated" and spec.N < spec.grid.K / spec.grid.mu:
+    if spec.flavor == "truncated" and spec.N < spec.grid.band:
         raise ValueError(
             "drift oracle requires the full Galerkin flow: the derivative "
             "identity holds for the K-mode system, not the N-truncated one"

@@ -99,6 +99,15 @@ class GridSpec:
         return self.modes / self.mu
 
     @property
+    def band(self) -> float:
+        """K/mu, the largest stored frequency."""
+        return self.K / self.mu
+
+    def modes_upto(self, N: float) -> int:
+        """Number of stored modes with frequency <= N, the prefix 1..modes_upto(N)."""
+        return int(np.count_nonzero(self.frequencies <= N))
+
+    @property
     def cubic_points(self) -> int:
         """Transform size making cubic integrands alias-free (>= 4K+1)."""
         return _next_fast_len(4 * self.K + 1)

@@ -116,6 +116,8 @@ class TestExitCodes:
           "--T", "0.01"], "4 max(N_list)=64"),
         (["almost-cons", "--j", "1", "--K", "8", "--s", "-0.5", "--N_list", ",",
           "--T", "0.01"], "needs N_list"),
+        (["squeeze", "--j", "2", "--K", "16", "--mu", "0.5", "--N_list", "4", "--k0", "3",
+          "--radius", "0.7", "--T", "0"], "|k0|=3 exceeds N=4"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)
@@ -247,3 +249,13 @@ class TestSqueezeCommand:
         assert status == 0
         assert (tmp_path / "witness.json").exists()
         assert (tmp_path / "squeeze.csv").exists()
+
+    def test_k0_is_an_index_at_mu2(self, tmp_path):
+        # mode 6 has frequency 3 <= N=4 at mu=2
+        status = run_cli(
+            "squeeze", "--j", "2", "--K", "16", "--mu", "2", "--N_list", "4", "--k0", "6",
+            "--radius", "0.7", "--r", "0.2", "--T", "0", "--samples", "4",
+            "--n_ascent", "8", "--out", str(tmp_path),
+        )
+        assert status == 0
+        assert (tmp_path / "squeeze.csv").read_text().splitlines()[1].startswith("6,0.7,")

@@ -69,6 +69,10 @@ def test_sweep_wide_band_accepted(sweep):
     res = sweep(cfg)
     assert [row[0] for row in res.rows] == [4.0, 8.0, 16.0]
     assert all(np.isfinite(row[1]) and row[1] >= 0 for row in res.rows)
+    # the datum is band-limited in frequency: at mu=0.5 frequency 4 is mode 2
+    grid, u0 = kdvlab.experiments._sweep_start(cfg)
+    above = grid.frequencies > min(cfg.N_list)
+    assert np.all(u0.coeffs[above] == 0) and np.all(u0.coeffs[~above] != 0)
 
 
 class TestApproxSweep:
@@ -184,6 +188,20 @@ class TestSqueezeWitness:
         res = squeeze_witness(cfg)
         assert res.value == pytest.approx(0.7, abs=1e-10)
 
+    # k0 is an index: frequency 3 (mu=1) or 6 (mu=0.5) inside N=8, and
+    # frequency 3 inside N=4 at mu=2; without N_list N is the band K/mu
+    @pytest.mark.parametrize("mu, N_list, k0", [
+        (0.5, (8,), 3), (1.0, (8,), 3), (2.0, (4,), 6), (2.0, (), 6), (0.5, (), 8),
+    ])
+    def test_t0_exact(self, mu, N_list, k0):
+        cfg = ExperimentConfig(
+            j=2, K=8, mu=mu, N_list=N_list, T=0.0, k0=k0,
+            z_re=0.1, z_im=0.2, radius=0.7, samples=8, n_ascent=40, seed=5,
+        )
+        res = squeeze_witness(cfg)
+        assert res.diagnostics["N"] == (max(N_list) if N_list else 8 / mu)
+        assert res.value == pytest.approx(0.7 + res.diagnostics["center_coord"], abs=1e-10)
+
     def test_vanishing_radius_returns_center_coordinate(self):
         grid = make_grid(2, 8)
         seeded = random_smooth_field(grid, _rng_stream(6, 10_000), 1.5, norm_s=-0.5)
@@ -217,6 +235,12 @@ class TestSqueezeWitness:
             ExperimentConfig(j=2, K=8, N_list=(4,), T=0.0, k0=6, radius=0.5)
         with pytest.raises(ValueError, match=r"\|k0\|=9 exceeds N=8"):
             ExperimentConfig(j=2, K=8, k0=-9)
+        # the band is in frequency: at mu=0.5 mode 3 is frequency 6 > 4, at
+        # mu=2 mode 6 is frequency 3 <= 4
+        with pytest.raises(ValueError, match=r"\|k0\|=3 exceeds N=4"):
+            ExperimentConfig(j=2, K=8, mu=0.5, N_list=(4,), T=0.0, k0=3, radius=0.5)
+        cfg = ExperimentConfig(j=2, K=8, mu=2.0, N_list=(4,), T=0.0, k0=6, radius=0.5)
+        assert cfg.grid.modes_upto(cfg.N) == 8
 
     def test_reported_value_is_reevaluated(self):
         cfg = ExperimentConfig(

@@ -451,6 +451,21 @@ class TestJacobian:
         assert J.flags.c_contiguous
         assert np.array_equal(J, ref)
 
+    # 21/1.4 = 15.000000000000002 > 15 and 29/1.16 <= 25 < 30/1.16: the
+    # coordinates are the modes the truncated flow keeps, not int(N*mu)
+    @pytest.mark.parametrize("mu, N", [(1.4, 15.0), (1.16, 25.0)])
+    def test_coordinates_are_the_band_modes(self, mu, N):
+        g = make_grid(1, 32, mu)
+        u0 = band_limited_field(g, 14, 32, norm=0.5, decay=0.3)
+        defects = {}
+        for n in (N - 1.0, N):
+            spec = FlowSpec(grid=g, dt=1e-3, T=0.05, flavor="truncated", N=n)
+            J = flow_jacobian(u0, spec, h=1e-5)
+            assert J.shape[0] == 2 * g.modes_upto(n) == 2 * np.count_nonzero(g.frequencies <= n)
+            assert np.all(np.any(J != 0, axis=0))
+            defects[n] = check_symplectic(J, g, n)
+        assert defects[N] <= 10 * defects[N - 1.0]
+
     def test_dimension_cap(self):
         g = make_grid(1, 64)
         u0 = band_limited_field(g, 10, 4)
