@@ -215,6 +215,27 @@ class TestSqueezeWitness:
             cylinder_coordinate(center, 2, 0.3 - 0.1j), abs=1e-7
         )
 
+    def test_witness_stays_in_the_band_modes(self):
+        # at mu=1.4 frequency 15 keeps 20 modes, while int(15 * 1.4) = 21
+        cfg = ExperimentConfig(
+            j=1, K=32, mu=1.4, N_list=(15,), T=0.0, k0=3,
+            z_re=0.1, z_im=0.2, radius=0.7, samples=8, n_ascent=40, seed=5,
+        )
+        grid = cfg.grid
+        assert grid.modes_upto(15) == 20
+        seeded = random_smooth_field(grid, _rng_stream(5, 10_000), cfg.decay, norm_s=-0.5)
+        center = project(seeded, "le", 15.0)
+        res = squeeze_witness(cfg)
+        w = (res.u0 - center).coeffs
+        assert not np.any(w[20:])
+        assert ball_norm(FourierField(grid, w), 20) == pytest.approx(0.7, rel=1e-12)
+        # at T=0 the witness is the single-mode ray; the sphere samples are
+        # the starts that show the count of modes searched
+        starts = [_sphere_point(_rng_stream(5, i), grid, 20, 0.7) for i in range(cfg.samples)]
+        assert res.start_values[1:] == [
+            cylinder_coordinate(center + FourierField(grid, s), 3, cfg.z) for s in starts
+        ]
+
     def test_center_coord_is_the_centre(self):
         # At T=0 the ray start sits exactly R outside the centre's coordinate
         grid = make_grid(2, 8)
@@ -265,7 +286,7 @@ def sequential_squeeze(cfg):
     """Reference: the witness search with one solve per start and per probe."""
     grid = make_grid(cfg.j, cfg.K, cfg.mu)
     N = float(max(cfg.N_list))
-    n_modes = int(N * grid.mu)
+    n_modes = grid.modes_upto(N)
     seeded = random_smooth_field(grid, _rng_stream(cfg.seed, 10_000), cfg.decay, norm_s=-0.5)
     center = project(seeded, "le", N)
     R, z = cfg.radius, cfg.z

@@ -16,9 +16,11 @@ from kdvlab.flow import (
     linear_propagate,
     nonlinear_rhs,
     symplectic_matrix,
+    _rhs_function,
 )
 from kdvlab.spectral import (
     FourierField,
+    GridSpec,
     harmonic,
     make_grid,
     random_smooth_field,
@@ -153,6 +155,16 @@ class TestIntegrate:
         with pytest.raises(FlowBlowupError):
             integrate(u0, spec)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("threshold", [1e12, np.inf])
+    def test_blowup_guard_trips_on_nonfinite_data(self, bad, threshold):
+        g = make_grid(2, 16)
+        c = band_limited_field(g, 41, 4).coeffs.copy()
+        c[2] = bad
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.01, blowup_threshold=threshold)
+        with np.errstate(invalid="ignore"), pytest.raises(FlowBlowupError, match=r"t=0\.001: "):
+            integrate(FourierField(g, c), spec)
+
     def test_grid_mismatch(self):
         g = make_grid(1, 8)
         u0 = harmonic(make_grid(1, 9), 1)
@@ -225,6 +237,14 @@ class TestEnsemble:
             integrate(members, spec)
         spec = FlowSpec(grid=g, dt=1e-3, T=0.1, blowup_threshold=1e3)
         assert integrate(members, spec).stats["steps"] == 400
+
+    def test_blowup_names_nan_member(self):
+        g = make_grid(2, 16)
+        members = [band_limited_field(g, 50 + i, 4).coeffs.copy() for i in range(4)]
+        members[1][5] = np.nan
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.01, blowup_threshold=np.inf)
+        with pytest.raises(FlowBlowupError, match=r"member 1 at t=0\.001: max \|coeff\| = nan"):
+            integrate([FourierField(g, c) for c in members], spec)
 
 
 def allocating_rhs(grid, flavor, N):
@@ -313,6 +333,30 @@ STEP_CASES = [
 ]
 
 
+RHS_CASES = [
+    # grid, flavor, N, members (0: one field through nonlinear_rhs)
+    pytest.param(make_grid(2, 16), "full", None, 0, id="full-None"),
+    pytest.param(make_grid(2, 16), "truncated", 3.0, 0, id="truncated-3.0"),
+] + [
+    # transform lengths P = 4, 24, 25, 54, 200: even and odd 5-smooth
+    pytest.param(g, flavor, g.band / 2 if flavor == "truncated" else None, 0,
+                 id=f"K{g.K}-P{g.physical_points}-{flavor}")
+    for g in (make_grid(2, K) for K in (1, 7, 8, 17, 64))
+    for flavor in ("full", "truncated")
+] + [
+    # prime P: pocketfft's other length path
+    pytest.param(GridSpec(j=2, K=16, physical_points=53), "full", None, 0, id="P53-full"),
+    pytest.param(GridSpec(j=2, K=16, physical_points=53), "truncated", 5.0, 0, id="P53-truncated"),
+    pytest.param(make_grid(3, 16, 1.4), "full", None, 0, id="mu1.4-full"),
+    pytest.param(make_grid(3, 16, 1.4), "truncated", 5.0, 0, id="mu1.4-truncated"),
+    # (3, K) ensembles through the held RHS
+    pytest.param(make_grid(2, 16), "full", None, 3, id="3xK16-full"),
+    pytest.param(make_grid(2, 16), "truncated", 3.0, 3, id="3xK16-truncated"),
+    pytest.param(make_grid(1, 8, 0.5), "truncated", 9.0, 3, id="3xK8-P25-mu0.5-truncated"),
+    pytest.param(GridSpec(j=1, K=16, physical_points=53), "full", None, 3, id="3xK16-P53-full"),
+]
+
+
 class TestInPlaceStep:
     @pytest.mark.parametrize("scheme, flavor, j, mu, K, n_steps", STEP_CASES)
     def test_samples_equal_allocating_step(self, scheme, flavor, j, mu, K, n_steps):
@@ -357,14 +401,25 @@ class TestInPlaceStep:
         for t, c in zip(earlier, kept):
             assert np.array_equal(t.coeffs, c)
 
-    @pytest.mark.parametrize("flavor, N", [("full", None), ("truncated", 3.0)])
-    def test_nonlinear_rhs_leaves_its_input(self, flavor, N):
-        g = make_grid(2, 16)
-        u = random_smooth_field(g, np.random.default_rng(40), decay=0.3)
-        kept = u.coeffs.copy()
-        out = nonlinear_rhs(u, flavor, N)
-        assert np.array_equal(u.coeffs, kept)
-        assert same_bits(out.coeffs, allocating_rhs(g, flavor, N)(kept))
+    @pytest.mark.parametrize("grid, flavor, N, members", RHS_CASES)
+    def test_nonlinear_rhs_leaves_its_input(self, grid, flavor, N, members):
+        rng = np.random.default_rng(40)
+        fields = [random_smooth_field(grid, rng, decay=0.3) for _ in range(members or 1)]
+        if not members:
+            u = fields[0]
+            kept = u.coeffs.copy()
+            out = nonlinear_rhs(u, flavor, N)
+            assert np.array_equal(u.coeffs, kept)
+            assert same_bits(out.coeffs, allocating_rhs(grid, flavor, N)(kept))
+            return
+        # the held RHS of one (members, K) shape, called on two data in turn
+        rhs = _rhs_function(grid, flavor, N, (members, grid.K))
+        data = np.array([u.coeffs for u in fields])
+        for c in (data, data[::-1].copy()):
+            kept = c.copy()
+            out = rhs(c, np.empty_like(c))
+            assert np.array_equal(c, kept)
+            assert same_bits(out, allocating_rhs(grid, flavor, N)(kept))
 
 
 class TestConservation:
