@@ -16,10 +16,12 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -30,14 +32,17 @@ from .experiments import (
     approx_truncated_sweep,
     check_almost_cons,
     check_sweep_band,
+    first_rise,
     high_freq_insensitivity,
     scaling_check,
     squeeze_witness,
 )
-from .flow import FlowSpec, conservation_report, integrate
+from .flow import FlowSpec, _step_count, conservation_report, integrate
 from .imethod import QUINTIC_K_CAP, IMultiplier, big_m5, lambda_n, modified_energy
 from .resonance import verify_factorization
 from .spectral import (
+    _check_same_grid,
+    _write_atomic,
     load_snapshot,
     make_grid,
     random_smooth_field,
@@ -66,16 +71,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(x) for x in text.replace(" ", "").split(",") if x)
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
+def _parse_float_list(text: str) -> tuple:
+    return tuple(_parse_float(x) for x in text.replace(" ", "").split(",") if x)
 
 
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str,
     "bool": _parse_bool,
-    "int_list": _parse_int_list,
+    "float_list": _parse_float_list,
 }
 
 # key -> (type name, required, default); schemas drive both file parsing
@@ -89,6 +101,22 @@ _COMMON_FLOW = {
     "scheme": ("str", False, "etdrk4"),
     "seed": ("int", False, 0),
     "decay": ("float", False, 1.5),
+}
+
+# sweep command -> (its keys beside the flow's and N_list, the check made
+# before the run, the sweep). The sweep is looked up by its name here when it
+# runs, so a wrapper installed on that name (perfbench/tracing.py) sees it.
+_SWEEPS = {
+    "approx-sweep": ({}, check_sweep_band, lambda cfg: approx_truncated_sweep(cfg)),
+    "tail-sweep": (
+        {"tail_size": ("float", False, 1.0)},
+        check_sweep_band, lambda cfg: high_freq_insensitivity(cfg),
+    ),
+    "almost-cons": (
+        {"s": ("float", True, None), "amplitude": ("float", False, 1.0),
+         "data_kmax": ("float", False, None)},
+        check_almost_cons, lambda cfg: almost_conservation_sweep(cfg),
+    ),
 }
 
 _SCHEMAS = {
@@ -116,25 +144,13 @@ _SCHEMAS = {
         "K4": ("int", False, None),
         "csv": ("str", False, None),
     },
-    "approx-sweep": {
-        **_COMMON_FLOW,
-        "N_list": ("int_list", True, None),
-    },
-    "tail-sweep": {
-        **_COMMON_FLOW,
-        "N_list": ("int_list", True, None),
-        "tail_size": ("float", False, 1.0),
-    },
-    "almost-cons": {
-        **_COMMON_FLOW,
-        "N_list": ("int_list", True, None),
-        "s": ("float", True, None),
-        "amplitude": ("float", False, 1.0),
-        "data_kmax": ("int", False, None),
+    **{
+        command: {**_COMMON_FLOW, "N_list": ("float_list", True, None), **keys}
+        for command, (keys, _, _) in _SWEEPS.items()
     },
     "squeeze": {
         **_COMMON_FLOW,
-        "N_list": ("int_list", True, None),
+        "N_list": ("float_list", True, None),
         "k0": ("int", True, None),
         "z_re": ("float", False, 0.0),
         "z_im": ("float", False, 0.0),
@@ -153,8 +169,8 @@ _SCHEMAS = {
 def parse_config(command: str, path: str | None, overrides: dict) -> dict:
     """Resolve file values, flag overrides and defaults against the schema.
 
-    Unknown keys, type mismatches and missing required keys raise
-    ConfigError naming the offending key.
+    Unknown keys, type mismatches (a non-finite number among them) and
+    missing required keys raise ConfigError naming the offending key.
     """
     schema = _SCHEMAS[command]
     raw: dict = {}
@@ -199,13 +215,6 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_csv(path: str, columns, rows) -> None:
     import io
 
@@ -247,10 +256,9 @@ def _built(make, *args, **kwargs):
 
 
 def _flow_spec(cfg: dict, grid, **kwargs) -> FlowSpec:
-    """The run's FlowSpec, validated before its sample stride is derived from dt."""
+    """The run's FlowSpec, validated before its sample stride is derived from its steps."""
     spec = _built(FlowSpec, grid=grid, dt=cfg["dt"], T=cfg["T"], scheme=cfg["scheme"], **kwargs)
-    steps = max(1, round(abs(cfg["T"]) / cfg["dt"]))
-    return replace(spec, sample_stride=max(1, steps // max(1, cfg["samples"])))
+    return replace(spec, sample_stride=max(1, _step_count(spec) // max(1, cfg["samples"])))
 
 
 def _initial_field(cfg: dict, grid):
@@ -259,20 +267,15 @@ def _initial_field(cfg: dict, grid):
             raise ConfigError(f"bad value for key 'input': no such file {cfg['input']!r}")
         try:
             u0 = load_snapshot(cfg["input"])
+            _check_same_grid(u0.grid, grid)
         except ValueError as exc:
             raise ConfigError(f"bad value for key 'input': {exc}") from exc
-        g = u0.grid
-        if (g.j, g.K, g.mu) != (grid.j, grid.K, grid.mu):
-            raise ConfigError(
-                f"snapshot grid (j={g.j}, K={g.K}, mu={g.mu}) does not match "
-                f"configuration (j={grid.j}, K={grid.K}, mu={grid.mu})"
-            )
         return u0
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg["seed"]))
     return random_smooth_field(grid, rng, decay=cfg["decay"], norm_value=1.0)
 
 
-def _cmd_solve(cfg: dict, out_dir: str) -> int:
+def _cmd_solve(cfg: dict, out_dir: str) -> None:
     grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
     flavor = "truncated" if cfg["N"] is not None else "full"
     spec = _flow_spec(cfg, grid, flavor=flavor, N=cfg["N"], nonlinear=cfg["nonlinear"])
@@ -291,10 +294,9 @@ def _cmd_solve(cfg: dict, out_dir: str) -> int:
         f"solve: {traj.stats['steps']} steps, drifts E={drifts['l2_energy']:.3e} "
         f"H={drifts['hamiltonian']:.3e}"
     )
-    return 0
 
 
-def _cmd_energies(cfg: dict, out_dir: str) -> int:
+def _cmd_energies(cfg: dict, out_dir: str) -> None:
     grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
     orders = sorted({int(o) for o in cfg["orders"].replace(" ", "").split(",") if o})
     if not orders or any(o not in (2, 3, 4) for o in orders):
@@ -314,10 +316,12 @@ def _cmd_energies(cfg: dict, out_dir: str) -> int:
     _write_csv(os.path.join(out_dir, "energies.csv"), ("t", "E2", "E3", "E4", "Lambda5M5"), rows)
     if m5 is None:
         print(f"energies: K={grid.K} > {QUINTIC_K_CAP}, Lambda5M5 column skipped (quintic cap)")
-    return 0
 
 
-def _cmd_resonance(cfg: dict, out_dir: str) -> int:
+def _cmd_resonance(cfg: dict, out_dir: str) -> None:
+    for key, least in (("j", 1), ("K", 2), ("K4", 2)):
+        if cfg[key] is not None and cfg[key] < least:
+            raise ConfigError(f"bad value for key {key!r}: {cfg[key]} (must be >= {least})")
     k4 = cfg["K4"] if cfg["K4"] is not None else cfg["K"]
     rep3 = verify_factorization(cfg["j"], cfg["K"], arity=3)
     rep4 = verify_factorization(cfg["j"], k4, arity=4)
@@ -343,7 +347,6 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> int:
         _write_csv(
             os.path.join(out_dir, cfg["csv"]), ("tuple", "P_n", "Q_n", "ratio"), rows
         )
-    return 0
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
@@ -352,35 +355,26 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     return _built(ExperimentConfig, **{k: cfg[k] for k in names if cfg.get(k) is not None})
 
 
-def _check_monotone(result, what: str) -> None:
-    values = [row[1] for row in result.rows]
-    for i in range(len(values) - 1):
-        if not values[i + 1] < values[i]:
-            raise RunCheckError(
-                f"{what} not strictly decreasing: N={result.rows[i][0]:g} gives "
-                f"{values[i]!r} but N={result.rows[i + 1][0]:g} gives {values[i + 1]!r}"
-            )
-
-
-def _cmd_sweep(kind: str, cfg: dict, out_dir: str) -> int:
+def _cmd_sweep(kind: str, cfg: dict, out_dir: str) -> None:
+    _, check, sweep = _SWEEPS[kind]
     ecfg = _experiment_config(cfg)
-    _built(check_almost_cons if kind == "almost-cons" else check_sweep_band, ecfg)
-    fn = {
-        "approx-sweep": approx_truncated_sweep,
-        "tail-sweep": high_freq_insensitivity,
-        "almost-cons": almost_conservation_sweep,
-    }[kind]
-    result = fn(ecfg)
+    _built(check, ecfg)
+    result = sweep(ecfg)
     _write_csv(os.path.join(out_dir, f"{kind}.csv"), result.columns, result.rows)
     print(
         f"{kind}: exponent={result.fitted_exponent} residual={result.fit_residual} "
         f"diagnostics={ {k: v for k, v in result.diagnostics.items() if k != 'envelopes'} }"
     )
-    _check_monotone(result, f"{kind} measured values")
-    return 0
+    i = first_rise(result.rows)
+    if i is not None:
+        a, b = result.rows[i], result.rows[i + 1]
+        raise RunCheckError(
+            f"{kind} measured values not strictly decreasing: N={a[0]:g} gives {a[1]!r} "
+            f"but N={b[0]:g} gives {b[1]!r}"
+        )
 
 
-def _cmd_squeeze(cfg: dict, out_dir: str) -> int:
+def _cmd_squeeze(cfg: dict, out_dir: str) -> None:
     ecfg = _experiment_config(cfg)
     r = cfg["r"]
     result = squeeze_witness(ecfg)
@@ -398,10 +392,9 @@ def _cmd_squeeze(cfg: dict, out_dir: str) -> int:
         raise RunCheckError(
             f"witness value {result.value!r} did not exceed cylinder radius r={r}"
         )
-    return 0
 
 
-def _cmd_scaling(cfg: dict, out_dir: str) -> int:
+def _cmd_scaling(cfg: dict, out_dir: str) -> None:
     ecfg = _experiment_config(cfg)
     result = scaling_check(ecfg)
     _write_csv(os.path.join(out_dir, "scaling-check.csv"), result.columns, result.rows)
@@ -410,16 +403,13 @@ def _cmd_scaling(cfg: dict, out_dir: str) -> int:
         f"scaling-check: max mismatch {d['max_mismatch']:.3e}, norm ratio error "
         f"{d['norm_ratio_rel_error']:.3e}"
     )
-    return 0
 
 
 _DISPATCH = {
     "solve": _cmd_solve,
     "energies": _cmd_energies,
     "resonance-check": _cmd_resonance,
-    "approx-sweep": lambda cfg, out: _cmd_sweep("approx-sweep", cfg, out),
-    "tail-sweep": lambda cfg, out: _cmd_sweep("tail-sweep", cfg, out),
-    "almost-cons": lambda cfg, out: _cmd_sweep("almost-cons", cfg, out),
+    **{kind: partial(_cmd_sweep, kind) for kind in _SWEEPS},
     "squeeze": _cmd_squeeze,
     "scaling-check": _cmd_scaling,
 }
@@ -460,15 +450,15 @@ def main(argv=None) -> int:
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "."
     os.makedirs(out_dir, exist_ok=True)
     manifest = _Manifest(command, config, out_dir)
+    status = 0
     try:
-        status = _DISPATCH[command](config, out_dir)
+        _DISPATCH[command](config, out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (RunCheckError, ArithmeticError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
-        manifest.finish()
-        return 1
+        status = 1
     manifest.finish()
     return status
 

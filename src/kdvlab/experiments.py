@@ -61,10 +61,10 @@ class ExperimentConfig:
     """Shared configuration for all experiment kinds.
 
     Every field has a reproducible default; the grid, the flow settings,
-    N_list and the ball and cylinder data are validated here, the rest by
-    the experiment that reads them. K and k0 are mode indices; N_list and
-    data_kmax are frequencies (grid.modes_upto converts). z = z_re + i z_im
-    is the cylinder center, (radius, center) the ball data.
+    N_list, data_kmax and the ball and cylinder data are validated here, the
+    rest by the experiment that reads them. K and k0 are mode indices;
+    N_list and data_kmax are frequencies (grid.modes_upto converts).
+    z = z_re + i z_im is the cylinder center, (radius, center) the ball data.
     """
 
     j: int
@@ -83,7 +83,7 @@ class ExperimentConfig:
     z_im: float = 0.0
     decay: float = 1.5
     amplitude: float = 1.0
-    data_kmax: int | None = None
+    data_kmax: float | None = None
     tail_size: float = 1.0
     n_ascent: int = 200
 
@@ -94,8 +94,13 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if self.N_list and list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError(f"N_list must be strictly increasing, got {self.N_list}")
-        if self.N_list and min(self.N_list) < 1:
+        if self.N_list and not min(self.N_list) > 0:
             raise ValueError(f"N_list entries must be positive, got {self.N_list}")
+        if self.data_kmax is not None and grid.modes_upto(self.data_kmax) == 0:
+            raise ValueError(
+                f"data_kmax={self.data_kmax} is below the first stored frequency "
+                f"1/mu={1 / self.mu:g}"
+            )
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
         if self.k0 == 0:
@@ -185,7 +190,7 @@ def check_sweep_band(cfg: ExperimentConfig) -> None:
     if band < 4 * max(cfg.N_list):
         raise ValueError(
             f"reference band K/mu={band:g} under-resolved: need K/mu >= "
-            f"4 max(N_list)={4 * max(cfg.N_list)}"
+            f"4 max(N_list)={4 * max(cfg.N_list):g}"
         )
 
 
@@ -215,12 +220,16 @@ def _low_errors(grid: GridSpec, a: np.ndarray, b: np.ndarray, cut: float) -> lis
     ]
 
 
+def first_rise(rows: list) -> int | None:
+    """Index i of the first rows (N, value, ...) i, i + 1 whose value does not
+    strictly fall (a NaN never falls); None when the values strictly decrease."""
+    return next((i for i in range(len(rows) - 1) if not rows[i + 1][1] < rows[i][1]), None)
+
+
 def _sweep_result(kind: str, columns: tuple, rows: list, **extra) -> SweepResult:
     """Rows (N, value, ...) with the log-log fit of value against N."""
-    values = [row[1] for row in rows]
-    slope, resid, flagged = _fit_loglog([row[0] for row in rows], values)
-    monotone = all(b < a for a, b in zip(values, values[1:]))
-    diagnostics = {"fit_flagged": flagged, "monotone": monotone, **extra}
+    slope, resid, flagged = _fit_loglog([row[0] for row in rows], [row[1] for row in rows])
+    diagnostics = {"fit_flagged": flagged, "monotone": first_rise(rows) is None, **extra}
     return SweepResult(kind, columns, rows, slope, resid, diagnostics)
 
 
@@ -257,7 +266,7 @@ def high_freq_insensitivity(cfg: ExperimentConfig) -> SweepResult:
         tail = project(profile, "gt", 2.0 * float(N))
         size = sobolev_norm(tail, -0.5)
         if size == 0:
-            raise ValueError(f"tail support above 2N={2 * N} is empty at K={cfg.K}")
+            raise ValueError(f"tail support above 2N={2 * N:g} is empty at K={cfg.K}")
         perturbed.append(u0 + tail * (cfg.tail_size / size))
     c = _sampled_solve([u0] + perturbed, grid, cfg).coeffs
     rows = [

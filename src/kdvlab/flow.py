@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .spectral import FourierField, GridSpec, conserved_quantities
+from .spectral import FourierField, GridSpec, _check_same_grid, conserved_quantities
 from .spectral import symplectic_form  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -292,8 +292,7 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
     if not members:
         raise ValueError("integrate needs at least one initial field")
     for u in members:
-        if (u.grid.j, u.grid.K, u.grid.mu) != (g.j, g.K, g.mu):
-            raise ValueError("initial data grid does not match flow grid")
+        _check_same_grid(u.grid, g)
     c = np.array([u.coeffs for u in members]) if ensemble else u0.coeffs.copy()
     if spec.flavor == "truncated":
         c[..., g.modes_upto(spec.N) :] = 0.0

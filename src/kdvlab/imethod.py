@@ -39,9 +39,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .flow import nonlinear_rhs
+from .flow import _rhs_function
 from .resonance import _cached, _hyperplane_tuples, _pn_int
-from .spectral import FourierField, GridSpec
+from .spectral import FourierField, GridSpec, _check_same_grid
 
 __all__ = [
     "IMultiplier",
@@ -89,10 +89,6 @@ class IMultiplier:
             raise ValueError(f"Sobolev index s must be <= 0, got {self.s}")
         if self.shape not in _M_SHAPES:
             raise ValueError(f"unknown multiplier shape {self.shape!r}")
-
-    @property
-    def key(self) -> tuple:
-        return (self.s, self.N, self.shape)
 
 
 def _m_array(mult: IMultiplier, k: np.ndarray) -> np.ndarray:
@@ -166,8 +162,7 @@ def _lambda_with_scale(
         raise ValueError(f"form arity {form.n} != {len(fields)} fields")
     grid = fields[0].grid
     for f in fields[1:]:
-        if (f.grid.j, f.grid.K, f.grid.mu) != (grid.j, grid.K, grid.mu):
-            raise ValueError("lambda_n requires all fields on one grid")
+        _check_same_grid(f.grid, grid)
     if form.n >= 5 and grid.K > QUINTIC_K_CAP:
         raise ValueError(
             f"quintic hyperplane sums are capped at K={QUINTIC_K_CAP}, got K={grid.K}"
@@ -219,7 +214,7 @@ def big_m3(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
     def w(*idx):
         return (1j / 3.0) * _m2k_sum(mult, mu, idx)
 
-    return MultilinearForm(3, w, tag="M3", cache_key=("M3", mult.key, grid.j, mu))
+    return MultilinearForm(3, w, tag="M3", cache_key=("M3", mult, grid.j, mu))
 
 
 def _sigma_values(
@@ -275,7 +270,7 @@ def _sigma_table(
         table[tuple(a + B for a in idx[:-1])] = values
         return table
 
-    return _cached(("sigma", n, mult.key, grid.j, grid.mu, B, cutoff), build)
+    return _cached(("sigma", n, mult, grid.j, grid.mu, B, cutoff), build)
 
 
 def _m_values(
@@ -330,7 +325,7 @@ def _cascade_form(
         return _sigma_values(n, mult, grid, idx, cutoff).astype(np.complex128)
 
     tag = tag or f"{kind}{n}"
-    return MultilinearForm(n, w, tag=tag, cache_key=(tag, mult.key, grid.j, grid.mu, cutoff))
+    return MultilinearForm(n, w, tag=tag, cache_key=(tag, mult, grid.j, grid.mu, cutoff))
 
 
 def big_m3_symmetrized(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
@@ -382,6 +377,11 @@ def _successor_form(order: int, mult: IMultiplier, grid: GridSpec) -> Multilinea
 # ---------------------------------------------------------------------------
 
 
+def _corrections(mult: IMultiplier, grid: GridSpec, order: int) -> list:
+    """The correction forms of E^order: sigma3 from order 3, then sigma4 on the K-lattice."""
+    return [sigma3(mult, grid), sigma4(mult, grid, lattice_cutoff=grid.K)][: order - 2]
+
+
 def modified_energy(u: FourierField, mult: IMultiplier, order: int) -> float:
     """E2 = ||Iu||_{L2}^2; E3 = E2 + Lambda_3(sigma3); E4 = E3 + Lambda_4(sigma4).
 
@@ -392,13 +392,9 @@ def modified_energy(u: FourierField, mult: IMultiplier, order: int) -> float:
         raise ValueError(f"order must be 2, 3 or 4, got {order}")
     m = _m_array(mult, u.grid.frequencies)
     value = 2.0 * np.sum(m * m * np.abs(u.coeffs) ** 2) / (2.0 * np.pi * u.grid.mu)
-    if order >= 3:
-        corr, scale = _lambda_with_scale(sigma3(mult, u.grid), [u] * 3)
-        value += _real_part(corr, scale, "Lambda_3 correction")
-    if order >= 4:
-        form = sigma4(mult, u.grid, lattice_cutoff=u.grid.K)
-        corr, scale = _lambda_with_scale(form, [u] * 4)
-        value += _real_part(corr, scale, "Lambda_4 correction")
+    for form in _corrections(mult, u.grid, order):
+        corr, scale = _lambda_with_scale(form, [u] * form.n)
+        value += _real_part(corr, scale, f"Lambda_{form.n} correction")
     return float(value)
 
 
@@ -419,17 +415,11 @@ def _energy_rate(
     m2 = _m_array(mult, grid.frequencies) ** 2
     value = 4.0 * float(np.sum(m2 * (np.conj(u.coeffs) * nl.coeffs).real)) / norm
     scale = 4.0 * float(np.sum(m2 * np.abs(u.coeffs) * np.abs(nl.coeffs))) / norm
-    if order >= 3:
-        F = FourierField(
-            grid, 1j * grid.frequencies ** (2 * grid.j + 1) * u.coeffs + nl.coeffs
-        )
-        corrections = [sigma3(mult, grid)]
-        if order >= 4:
-            corrections.append(sigma4(mult, grid, lattice_cutoff=grid.K))
-        for form in corrections:
-            corr, sc = _lambda_with_scale(form, [F] + [u] * (form.n - 1))
-            value += form.n * _real_part(corr, sc, f"polarized Lambda_{form.n} correction")
-            scale += form.n * sc
+    F = FourierField(grid, 1j * grid.frequencies ** (2 * grid.j + 1) * u.coeffs + nl.coeffs)
+    for form in _corrections(mult, grid, order):
+        corr, sc = _lambda_with_scale(form, [F] + [u] * (form.n - 1))
+        value += form.n * _real_part(corr, sc, f"polarized Lambda_{form.n} correction")
+        scale += form.n * sc
     return value, scale
 
 
@@ -494,7 +484,8 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
       so it is only as good as h resolves the resonance phases P_n;
     * the exact, step-free DE^order(u)[F(u)], by polarization, with
       F = i k^(2j+1) u_hat + N_hat(u) the vector field of traj.spec (its
-      nonlinear switch, flavor and N). It is limited only by round-off.
+      nonlinear switch, flavor and N). N_hat is the stepper's own RHS
+      kernel, run once over all samples. It is limited only by round-off.
 
     Relative discrepancies are measured against max |Lambda| over the
     samples each derivative covers; see _discrepancy for the vanishing
@@ -502,7 +493,8 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     """
     if order not in (2, 3, 4):
         raise ValueError(f"order must be 2, 3 or 4, got {order}")
-    if len(traj.fields) < 3:
+    fields = traj.fields
+    if len(fields) < 3:
         raise ValueError("drift oracle needs at least 3 trajectory samples")
     spec = traj.spec
     if spec.flavor == "truncated" and spec.N < spec.grid.band:
@@ -515,19 +507,18 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15):
         raise ValueError("drift oracle needs uniform sample spacing")
 
-    energies = np.array([modified_energy(u, mult, order) for u in traj.fields])
-    form = _successor_form(order, mult, traj.fields[0].grid)
-    direct_all = np.empty(len(traj.fields))
-    exact = np.empty(len(traj.fields))
+    nl = np.zeros_like(traj.coeffs)
+    if spec.nonlinear:
+        _rhs_function(spec.grid, spec.flavor, spec.N, traj.coeffs.shape)(traj.coeffs, nl)
+    energies = np.array([modified_energy(u, mult, order) for u in fields])
+    form = _successor_form(order, mult, spec.grid)
+    direct_all = np.empty(len(fields))
+    exact = np.empty(len(fields))
     exact_scale = 0.0
-    for i, u in enumerate(traj.fields):
+    for i, u in enumerate(fields):
         val, scale = _lambda_with_scale(form, [u] * form.n)
         direct_all[i] = _real_part(val, scale, f"Lambda_{form.n}({form.tag})")
-        if spec.nonlinear:
-            nl = nonlinear_rhs(u, spec.flavor, spec.N)
-        else:
-            nl = FourierField.zero(u.grid)
-        exact[i], scale = _energy_rate(u, nl, mult, order)
+        exact[i], scale = _energy_rate(u, FourierField(spec.grid, nl[i]), mult, order)
         exact_scale = max(exact_scale, scale)
     direct = direct_all[1:-1]
     fd = (energies[2:] - energies[:-2]) / (t[2:] - t[:-2])

@@ -163,15 +163,12 @@ class FourierField:
             return complex(self.coeffs[n - 1])
         return complex(np.conj(self.coeffs[-n - 1]))
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "FourierField":
-        return FourierField(self.grid, coeffs)
-
     def __add__(self, other: "FourierField") -> "FourierField":
-        _check_same_grid(self, other)
+        _check_same_grid(self.grid, other.grid)
         return FourierField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "FourierField") -> "FourierField":
-        _check_same_grid(self, other)
+        _check_same_grid(self.grid, other.grid)
         return FourierField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "FourierField":
@@ -180,10 +177,12 @@ class FourierField:
     __rmul__ = __mul__
 
 
-def _check_same_grid(u: FourierField, v: FourierField) -> None:
-    gu, gv = u.grid, v.grid
-    if (gu.j, gu.K, gu.mu) != (gv.j, gv.K, gv.mu):
-        raise ValueError(f"grid mismatch: {gu} vs {gv}")
+def _check_same_grid(a: GridSpec, b: GridSpec) -> None:
+    """Refuse two grids of different model or lattice (j, K, mu)."""
+    if (a.j, a.K, a.mu) != (b.j, b.K, b.mu):
+        raise ValueError(
+            f"grid (j={a.j}, K={a.K}, mu={a.mu}) does not match (j={b.j}, K={b.K}, mu={b.mu})"
+        )
 
 
 def _to_physical(u: FourierField, npoints: int) -> np.ndarray:
@@ -225,8 +224,8 @@ def inverse(samples: np.ndarray, grid: GridSpec) -> FourierField:
 def project(u: FourierField, band: str, N: float) -> FourierField:
     """Sharp Fourier projection.
 
-    band: "le" keeps |k| <= N, "gt" keeps |k| > N, "ge" keeps |k| >= N,
-    "dyadic" keeps N <= |k| < 2N. Frequencies are n/mu.
+    band: "le" keeps |k| <= N, "gt" keeps |k| > N, "dyadic" keeps
+    N <= |k| < 2N. Frequencies are n/mu.
     """
     if not N > 0:
         raise ValueError(f"band threshold N must be positive, got {N}")
@@ -235,8 +234,6 @@ def project(u: FourierField, band: str, N: float) -> FourierField:
         mask = k <= N
     elif band == "gt":
         mask = k > N
-    elif band == "ge":
-        mask = k >= N
     elif band == "dyadic":
         mask = (k >= N) & (k < 2 * N)
     else:
@@ -271,7 +268,7 @@ def symplectic_form(u: FourierField, v: FourierField) -> float:
     Bilinear and antisymmetric; the pairing behind the Hamiltonian
     structure on mean-zero H^{-1/2}.
     """
-    _check_same_grid(u, v)
+    _check_same_grid(u.grid, v.grid)
     k = u.grid.frequencies
     s = np.sum(np.imag(u.coeffs * np.conj(v.coeffs)) / k)
     return float(-s / (np.pi * u.grid.mu))
@@ -322,7 +319,6 @@ def random_smooth_field(
     decay: float = 1.0,
     norm_s: float = 0.0,
     norm_value: float = 1.0,
-    weight: str = "bessel",
     kmax: int | None = None,
 ) -> FourierField:
     """Random field with exponentially decaying spectrum, normalized in H^s.
@@ -336,10 +332,18 @@ def random_smooth_field(
     if kmax is not None:
         c = np.where(n <= kmax, c, 0.0)
     u = FourierField(grid, c)
-    cur = sobolev_norm(u, norm_s, weight=weight)
+    cur = sobolev_norm(u, norm_s)
     if cur == 0.0:
         raise ValueError("degenerate random field")
     return u * (norm_value / cur)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file renamed over it."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def save_snapshot(u: FourierField, path: str) -> None:
@@ -355,11 +359,7 @@ def save_snapshot(u: FourierField, path: str) -> None:
             if c != 0
         ],
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
 def load_snapshot(path: str) -> FourierField:

@@ -50,6 +50,11 @@ class TestParseConfig:
             "almost-cons", None, {"j": "1", "K": "8", "N_list": "2,4,8", "s": "-0.5"}
         )
         assert resolved["N_list"] == (2, 4, 8)
+        # N_list holds frequencies, which need not be integers
+        resolved = parse_config(
+            "almost-cons", None, {"j": "1", "K": "8", "N_list": "2.5,5", "s": "-0.5"}
+        )
+        assert resolved["N_list"] == (2.5, 5.0)
 
 
 class TestExitCodes:
@@ -118,6 +123,14 @@ class TestExitCodes:
           "--T", "0.01"], "needs N_list"),
         (["squeeze", "--j", "2", "--K", "16", "--mu", "0.5", "--N_list", "4", "--k0", "3",
           "--radius", "0.7", "--T", "0"], "|k0|=3 exceeds N=4"),
+        (["resonance-check", "--j", "1", "--K", "1"], "key 'K': 1"),
+        (["resonance-check", "--j", "1", "--K", "4", "--K4", "1"], "key 'K4': 1"),
+        (["resonance-check", "--j", "0", "--K", "4"], "key 'j': 0"),
+        (["resonance-check", "--j", "-1", "--K", "4"], "key 'j': -1"),
+        (["almost-cons", "--j", "1", "--K", "8", "--s", "-0.5", "--N_list", "4",
+          "--data_kmax", "0", "--T", "0.01"], "data_kmax=0.0 is below"),
+        (["squeeze", "--j", "2", "--K", "8", "--N_list", "4", "--k0", "2",
+          "--radius", "0.5", "--z_re", "nan"], "key 'z_re'"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)
@@ -182,7 +195,7 @@ class TestSolveOutputs:
         )
         assert s2 == 0
 
-    def test_mismatched_snapshot_grid_rejected(self, tmp_path):
+    def test_mismatched_snapshot_grid_rejected(self, tmp_path, capsys):
         run_cli(
             "solve", "--j", "1", "--K", "8", "--dt", "1e-3", "--T", "0.01",
             "--samples", "1", "--out", str(tmp_path / "a"),
@@ -192,6 +205,7 @@ class TestSolveOutputs:
             "--input", str(tmp_path / "a" / "run_0000.json"), "--out", str(tmp_path / "b"),
         )
         assert status == 2
+        assert "key 'input': grid (j=1, K=8, mu=1.0) does not match" in capsys.readouterr().err
 
 
 class TestReproducibility:
@@ -251,11 +265,13 @@ class TestSqueezeCommand:
         assert (tmp_path / "squeeze.csv").exists()
 
     def test_k0_is_an_index_at_mu2(self, tmp_path):
-        # mode 6 has frequency 3 <= N=4 at mu=2
-        status = run_cli(
-            "squeeze", "--j", "2", "--K", "16", "--mu", "2", "--N_list", "4", "--k0", "6",
-            "--radius", "0.7", "--r", "0.2", "--T", "0", "--samples", "4",
-            "--n_ascent", "8", "--out", str(tmp_path),
-        )
-        assert status == 0
-        assert (tmp_path / "squeeze.csv").read_text().splitlines()[1].startswith("6,0.7,")
+        # mode 6 has frequency 3 <= N=4 at mu=2, and mode 5 frequency 2.5 <= N=2.5
+        for n_list, k0 in (("4", "6"), ("2.5", "5")):
+            status = run_cli(
+                "squeeze", "--j", "2", "--K", "16", "--mu", "2", "--N_list", n_list,
+                "--k0", k0, "--radius", "0.7", "--r", "0.2", "--T", "0", "--samples", "4",
+                "--n_ascent", "8", "--out", str(tmp_path),
+            )
+            assert status == 0
+            row = (tmp_path / "squeeze.csv").read_text().splitlines()[1]
+            assert row.startswith(f"{k0},0.7,")

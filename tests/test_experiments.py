@@ -189,9 +189,11 @@ class TestSqueezeWitness:
         assert res.value == pytest.approx(0.7, abs=1e-10)
 
     # k0 is an index: frequency 3 (mu=1) or 6 (mu=0.5) inside N=8, and
-    # frequency 3 inside N=4 at mu=2; without N_list N is the band K/mu
+    # frequency 3 inside N=4 or 2.5 inside N=2.5 at mu=2; without N_list N
+    # is the band K/mu
     @pytest.mark.parametrize("mu, N_list, k0", [
         (0.5, (8,), 3), (1.0, (8,), 3), (2.0, (4,), 6), (2.0, (), 6), (0.5, (), 8),
+        (2.0, (2.5,), 5),
     ])
     def test_t0_exact(self, mu, N_list, k0):
         cfg = ExperimentConfig(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from kdvlab import imethod, resonance
-from kdvlab.flow import FlowSpec, integrate
+from kdvlab.flow import FlowSpec, integrate, nonlinear_rhs
 from kdvlab.imethod import (
     IMultiplier,
     MultilinearForm,
@@ -32,7 +32,7 @@ from kdvlab.imethod import (
     sigma3,
     sigma4,
 )
-from kdvlab.imethod import _hyperplane_tuples, _m_values
+from kdvlab.imethod import _energy_rate, _hyperplane_tuples, _m_values
 from kdvlab.resonance import _pn_int
 from kdvlab.spectral import (
     FourierField,
@@ -506,6 +506,32 @@ class TestExactDriftSeries:
         assert np.array_equal(rep.direct_all[1:-1], rep.direct)
         assert rep.exact_reference_scale > 0.0
         assert rep.exact_max_rel_discrepancy <= tol
+
+    # The oracle evaluates the vector field once over all samples with the
+    # stepper's kernel; every rate must equal the one taken from a
+    # single-field nonlinear_rhs, bit for bit.
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("flow", ["full", "truncated", "linear"])
+    def test_exact_is_the_per_sample_rate(self, flow, order):
+        g = make_grid(2, 6, 1.4)
+        kwargs = {"truncated": {"flavor": "truncated", "N": g.band},
+                  "linear": {"nonlinear": False}}.get(flow, {})
+        traj = integrate(
+            smooth_field(g, 31, decay=0.3, norm=4.0),
+            FlowSpec(grid=g, dt=1e-7, T=3e-7, **kwargs),
+        )
+        spec, mult = traj.spec, IMultiplier(s=-0.5, N=1.5)
+        expected = [
+            _energy_rate(
+                u,
+                nonlinear_rhs(u, spec.flavor, spec.N) if spec.nonlinear else FourierField.zero(g),
+                mult,
+                order,
+            )[0]
+            for u in traj.fields
+        ]
+        exact = drift_oracle(traj, mult, order).exact
+        assert exact.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_misscaled_multiplier_flagged(self, monkeypatch, order):

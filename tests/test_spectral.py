@@ -107,7 +107,7 @@ class TestProjection:
 
     def test_high_pass_kills_low_mode(self):
         g = make_grid(1, 8)
-        assert np.all(project(harmonic(g, 1), "ge", 3.0).coeffs == 0.0)
+        assert np.all(project(harmonic(g, 1), "gt", 3.0).coeffs == 0.0)
 
     def test_partition_of_identity(self):
         g = make_grid(1, 12)
