@@ -90,80 +90,24 @@ _PARSERS = {
     "float_list": _parse_float_list,
 }
 
-# key -> (type name, required, default); schemas drive both file parsing
-# and the auto-generated override flags.
-_COMMON_FLOW = {
-    "j": ("int", True, None),
-    "K": ("int", True, None),
-    "mu": ("float", False, 1.0),
-    "dt": ("float", False, 1e-3),
-    "T": ("float", False, 1.0),
-    "scheme": ("str", False, "etdrk4"),
-    "seed": ("int", False, 0),
-    "decay": ("float", False, 1.5),
-}
+# ExperimentConfig annotation -> CLI type name, where the two differ.
+_TYPE_NAMES = {"tuple": "float_list", "float | None": "float"}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
-# sweep command -> (its keys beside the flow's and N_list, the check made
-# before the run, the sweep). The sweep is looked up by its name here when it
-# runs, so a wrapper installed on that name (perfbench/tracing.py) sees it.
-_SWEEPS = {
-    "approx-sweep": ({}, check_sweep_band, lambda cfg: approx_truncated_sweep(cfg)),
-    "tail-sweep": (
-        {"tail_size": ("float", False, 1.0)},
-        check_sweep_band, lambda cfg: high_freq_insensitivity(cfg),
-    ),
-    "almost-cons": (
-        {"s": ("float", True, None), "amplitude": ("float", False, 1.0),
-         "data_kmax": ("float", False, None)},
-        check_almost_cons, lambda cfg: almost_conservation_sweep(cfg),
-    ),
-}
 
-_SCHEMAS = {
-    "solve": {
-        **_COMMON_FLOW,
-        "dt": ("float", True, None),
-        "T": ("float", True, None),
-        "N": ("float", False, None),
-        "input": ("str", False, None),
-        "output": ("str", False, "run"),
-        "samples": ("int", False, 8),
-        "nonlinear": ("bool", False, True),
-    },
-    "energies": {
-        **_COMMON_FLOW,
-        "s": ("float", True, None),
-        "N": ("float", True, None),
-        "input": ("str", False, None),
-        "orders": ("str", False, "2,3,4"),
-        "samples": ("int", False, 32),
-    },
-    "resonance-check": {
-        "j": ("int", True, None),
-        "K": ("int", True, None),
-        "K4": ("int", False, None),
-        "csv": ("str", False, None),
-    },
-    **{
-        command: {**_COMMON_FLOW, "N_list": ("float_list", True, None), **keys}
-        for command, (keys, _, _) in _SWEEPS.items()
-    },
-    "squeeze": {
-        **_COMMON_FLOW,
-        "N_list": ("float_list", True, None),
-        "k0": ("int", True, None),
-        "z_re": ("float", False, 0.0),
-        "z_im": ("float", False, 0.0),
-        "radius": ("float", True, None),
-        "r": ("float", False, 0.5),
-        "samples": ("int", False, 64),
-        "n_ascent": ("int", False, 200),
-    },
-    "scaling-check": {
-        **_COMMON_FLOW,
-        "s": ("float", True, None),
-    },
-}
+def _schema(command: str) -> dict:
+    """The command's keys -> (type name, required, default).
+
+    An ExperimentConfig field takes its type name and default from the
+    dataclass; the CLI's own keys carry theirs in _COMMANDS.
+    """
+    schema = {}
+    for key, spec in _COMMANDS[command][1].items():
+        if isinstance(spec, bool):
+            f = _FIELDS[key]
+            spec = (_TYPE_NAMES.get(f.type, f.type), spec, None if spec else f.default)
+        schema[key] = spec
+    return schema
 
 
 def parse_config(command: str, path: str | None, overrides: dict) -> dict:
@@ -172,7 +116,7 @@ def parse_config(command: str, path: str | None, overrides: dict) -> dict:
     Unknown keys, type mismatches (a non-finite number among them) and
     missing required keys raise ConfigError naming the offending key.
     """
-    schema = _SCHEMAS[command]
+    schema = _schema(command)
     raw: dict = {}
     if path is not None:
         if not os.path.exists(path):
@@ -255,10 +199,18 @@ def _built(make, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_at_least(cfg: dict, **least) -> None:
+    """Refuse each given key whose value is set and below its least value."""
+    for key, bound in least.items():
+        if cfg[key] is not None and cfg[key] < bound:
+            raise ConfigError(f"bad value for key {key!r}: {cfg[key]} (must be >= {bound})")
+
+
 def _flow_spec(cfg: dict, grid, **kwargs) -> FlowSpec:
     """The run's FlowSpec, validated before its sample stride is derived from its steps."""
     spec = _built(FlowSpec, grid=grid, dt=cfg["dt"], T=cfg["T"], scheme=cfg["scheme"], **kwargs)
-    return replace(spec, sample_stride=max(1, _step_count(spec) // max(1, cfg["samples"])))
+    _check_at_least(cfg, samples=1)
+    return replace(spec, sample_stride=max(1, _step_count(spec) // cfg["samples"]))
 
 
 def _initial_field(cfg: dict, grid):
@@ -319,9 +271,7 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
 
 
 def _cmd_resonance(cfg: dict, out_dir: str) -> None:
-    for key, least in (("j", 1), ("K", 2), ("K4", 2)):
-        if cfg[key] is not None and cfg[key] < least:
-            raise ConfigError(f"bad value for key {key!r}: {cfg[key]} (must be >= {least})")
+    _check_at_least(cfg, j=1, K=2, K4=2)
     k4 = cfg["K4"] if cfg["K4"] is not None else cfg["K"]
     rep3 = verify_factorization(cfg["j"], cfg["K"], arity=3)
     rep4 = verify_factorization(cfg["j"], k4, arity=4)
@@ -351,15 +301,15 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
     """The experiment's configuration from the command's keys; it checks them itself."""
-    names = (f.name for f in fields(ExperimentConfig))
-    return _built(ExperimentConfig, **{k: cfg[k] for k in names if cfg.get(k) is not None})
+    return _built(ExperimentConfig, **{k: v for k, v in cfg.items() if k in _FIELDS})
 
 
-def _cmd_sweep(kind: str, cfg: dict, out_dir: str) -> None:
-    _, check, sweep = _SWEEPS[kind]
+def _cmd_sweep(check, sweep, cfg: dict, out_dir: str) -> None:
+    """Check, then run the sweep; its CSV and its report take the sweep's kind as name."""
     ecfg = _experiment_config(cfg)
     _built(check, ecfg)
     result = sweep(ecfg)
+    kind = result.kind
     _write_csv(os.path.join(out_dir, f"{kind}.csv"), result.columns, result.rows)
     print(
         f"{kind}: exponent={result.fitted_exponent} residual={result.fit_residual} "
@@ -405,13 +355,42 @@ def _cmd_scaling(cfg: dict, out_dir: str) -> None:
     )
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "energies": _cmd_energies,
-    "resonance-check": _cmd_resonance,
-    **{kind: partial(_cmd_sweep, kind) for kind in _SWEEPS},
-    "squeeze": _cmd_squeeze,
-    "scaling-check": _cmd_scaling,
+# command -> (its run, its keys). An ExperimentConfig field's key maps to
+# whether the command requires it, the CLI's own keys to (type name,
+# required, default). A sweep is looked up by its name when it runs, so a
+# wrapper installed on that name (perfbench/tracing.py) sees it.
+_FLOW = {"j": True, "K": True, "mu": False, "dt": False, "T": False, "scheme": False,
+         "seed": False, "decay": False}
+_COMMANDS = {
+    "solve": (_cmd_solve, {
+        **_FLOW, "dt": True, "T": True, "N": ("float", False, None),
+        "input": ("str", False, None), "output": ("str", False, "run"),
+        "samples": ("int", False, 8), "nonlinear": ("bool", False, True),
+    }),
+    "energies": (_cmd_energies, {
+        **_FLOW, "s": True, "N": ("float", True, None), "input": ("str", False, None),
+        "orders": ("str", False, "2,3,4"), "samples": ("int", False, 32),
+    }),
+    "resonance-check": (_cmd_resonance, {
+        "j": True, "K": True, "K4": ("int", False, None), "csv": ("str", False, None),
+    }),
+    "approx-sweep": (
+        partial(_cmd_sweep, check_sweep_band, lambda e: approx_truncated_sweep(e)),
+        {**_FLOW, "N_list": True},
+    ),
+    "tail-sweep": (
+        partial(_cmd_sweep, check_sweep_band, lambda e: high_freq_insensitivity(e)),
+        {**_FLOW, "N_list": True, "tail_size": False},
+    ),
+    "almost-cons": (
+        partial(_cmd_sweep, check_almost_cons, lambda e: almost_conservation_sweep(e)),
+        {**_FLOW, "N_list": True, "s": True, "amplitude": False, "data_kmax": False},
+    ),
+    "squeeze": (_cmd_squeeze, {
+        **_FLOW, "N_list": True, "k0": True, "z_re": False, "z_im": False, "radius": True,
+        "samples": False, "n_ascent": False, "r": ("float", False, 0.5),
+    }),
+    "scaling-check": (_cmd_scaling, {**_FLOW, "s": True}),
 }
 
 
@@ -422,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, schema in _SCHEMAS.items():
+    for command, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument(
@@ -430,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"output directory (default ${OUT_ENV_VAR} or '.')",
         )
-        for key in schema:
+        for key in keys:
             p.add_argument(f"--{key}", default=None, help=f"override config key {key}")
     return parser
 
@@ -438,11 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = args.command
-    overrides = {
-        key: getattr(args, key) for key in _SCHEMAS[command] if hasattr(args, key)
-    }
+    run, keys = _COMMANDS[command]
     try:
-        config = parse_config(command, args.config, overrides)
+        config = parse_config(command, args.config, {key: getattr(args, key) for key in keys})
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -452,7 +429,7 @@ def main(argv=None) -> int:
     manifest = _Manifest(command, config, out_dir)
     status = 0
     try:
-        _DISPATCH[command](config, out_dir)
+        run(config, out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -60,11 +60,13 @@ FIT_RESIDUAL_THRESHOLD = 0.5
 class ExperimentConfig:
     """Shared configuration for all experiment kinds.
 
-    Every field has a reproducible default; the grid, the flow settings,
-    N_list, data_kmax and the ball and cylinder data are validated here, the
-    rest by the experiment that reads them. K and k0 are mode indices;
-    N_list and data_kmax are frequencies (grid.modes_upto converts).
-    z = z_re + i z_im is the cylinder center, (radius, center) the ball data.
+    Every field but j and K has a reproducible default, and these defaults
+    are the ones the CLI gives the same keys. The grid, the flow settings,
+    N_list, data_kmax, amplitude, tail_size and the ball and cylinder data
+    are validated here, the rest by the experiment that reads them. K and
+    k0 are mode indices; N_list and data_kmax are frequencies
+    (grid.modes_upto converts). z = z_re + i z_im is the cylinder center,
+    (radius, center) the ball data.
     """
 
     j: int
@@ -103,6 +105,9 @@ class ExperimentConfig:
             )
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
+        for key in ("amplitude", "tail_size"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.k0 == 0:
             raise ValueError("cylinder mode k0 must be nonzero")
         if abs(self.k0) > grid.modes_upto(self.N):

@@ -219,6 +219,8 @@ def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
     correctly rounded division is monotone). The comparability constants
     are reported, not asserted: the underlying claim hides its constants.
     """
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     if arity not in (3, 4):

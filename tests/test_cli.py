@@ -6,7 +6,8 @@ from itertools import product
 
 import pytest
 
-from kdvlab.cli import ConfigError, main, parse_config
+from kdvlab.cli import ConfigError, _experiment_config, main, parse_config
+from kdvlab.experiments import ExperimentConfig
 from kdvlab.resonance import p_n, prefactor, q_n
 
 
@@ -55,6 +56,21 @@ class TestParseConfig:
             "almost-cons", None, {"j": "1", "K": "8", "N_list": "2.5,5", "s": "-0.5"}
         )
         assert resolved["N_list"] == (2.5, 5.0)
+
+    # ExperimentConfig owns the defaults of its fields: a command given only
+    # its required keys configures the experiment the dataclass's defaults do.
+    @pytest.mark.parametrize("command, required", [
+        ("approx-sweep", {"j": 2, "K": 32, "N_list": (2, 4)}),
+        ("tail-sweep", {"j": 2, "K": 32, "N_list": (2, 4)}),
+        ("almost-cons", {"j": 1, "K": 8, "N_list": (2, 4), "s": -1.5}),
+        ("squeeze", {"j": 2, "K": 8, "N_list": (4,), "k0": 2, "radius": 0.5}),
+        ("scaling-check", {"j": 2, "K": 16, "s": -1.5}),
+    ])
+    def test_experiment_defaults_are_the_dataclass_defaults(self, command, required):
+        raw = {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+               for k, v in required.items()}
+        ecfg = _experiment_config(parse_config(command, None, raw))
+        assert ecfg == ExperimentConfig(**required)
 
 
 class TestExitCodes:
@@ -131,6 +147,16 @@ class TestExitCodes:
           "--data_kmax", "0", "--T", "0.01"], "data_kmax=0.0 is below"),
         (["squeeze", "--j", "2", "--K", "8", "--N_list", "4", "--k0", "2",
           "--radius", "0.5", "--z_re", "nan"], "key 'z_re'"),
+        (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--samples", "0"],
+         "key 'samples': 0"),
+        (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--samples", "-3"],
+         "key 'samples': -3"),
+        (["energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4", "--dt", "1e-3",
+          "--T", "0.01", "--samples", "0"], "key 'samples': 0"),
+        (["almost-cons", "--j", "1", "--K", "8", "--s", "-0.5", "--N_list", "4",
+          "--amplitude", "0", "--T", "0.01"], "amplitude must be positive"),
+        (["tail-sweep", "--j", "2", "--K", "64", "--N_list", "4,8", "--tail_size", "0",
+          "--T", "0.01"], "tail_size must be positive"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)

@@ -43,6 +43,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(j=1, K=8, samples=0)
 
+    @pytest.mark.parametrize("key", ["amplitude", "tail_size"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_sizes_positive(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            ExperimentConfig(j=1, K=8, **{key: value})
+
     def test_n_list_positive(self):
         with pytest.raises(ValueError, match="N_list entries must be positive"):
             ExperimentConfig(j=1, K=8, N_list=(0, 4))

@@ -128,6 +128,11 @@ class TestVerifyFactorization:
         with pytest.raises(ValueError):
             verify_factorization(1, 1)
 
+    @pytest.mark.parametrize("j", [0, -1])
+    def test_small_j_rejected(self, j):
+        with pytest.raises(ValueError, match=f"j must be >= 1, got {j}"):
+            verify_factorization(j, 4)
+
 
 def scalar_rows(j, K, arity):
     """Reference rows from nested loops and the scalar Fraction API."""
