@@ -6,10 +6,12 @@ The evolution in coefficient space is
     N = -(1/2) d_x Pi(u^2),
 
 with Pi the sharp projection to |k| <= K (full flavor) or |k| <= N
-(truncated flavor, the finite-dimensional Hamiltonian flow). The stiff
-linear phase exp(i k^(2j+1) t) is always applied exactly through
-multipliers; only the nonlinearity is stepped. The default scheme is
-ETDRK4 with contour-integral evaluation of the phi-function coefficients
+(truncated flavor, the finite-dimensional Hamiltonian flow). An ensemble
+may give each member its own N; the truncation is one mask of the
+entries above each member's threshold. The stiff linear phase
+exp(i k^(2j+1) t) is always applied exactly through multipliers; only
+the nonlinearity is stepped. The default scheme is ETDRK4 with
+contour-integral evaluation of the phi-function coefficients
 (cancellation-safe for small k); lawson_rk4 is an integrating-factor
 alternative of the same order.
 """
@@ -51,15 +53,17 @@ class FlowSpec:
     """Integration configuration.
 
     flavor "full" projects the nonlinearity to |k| <= K, "truncated" to
-    |k| <= N (requires N <= K). T may be negative (backward integration);
-    dt is a positive target step, adjusted to land exactly on T.
+    |k| <= N (requires N <= K/mu). N is one frequency threshold, or a
+    tuple with one threshold per member of the ensemble it is integrated
+    with. T may be negative (backward integration); dt is a positive
+    target step, adjusted to land exactly on T.
     """
 
     grid: GridSpec
     dt: float
     T: float
     flavor: str = "full"
-    N: float | None = None
+    N: float | tuple | None = None
     scheme: str = "etdrk4"
     nonlinear: bool = True
     sample_stride: int = 1
@@ -75,10 +79,11 @@ class FlowSpec:
         if self.flavor == "truncated":
             if self.N is None:
                 raise ValueError("truncated flavor requires N")
-            if self.N > self.grid.band:
-                raise ValueError(
-                    f"truncated N={self.N} exceeds the grid band K/mu={self.grid.band:g}"
-                )
+            for n in self.N if isinstance(self.N, tuple) else (self.N,):
+                if n > self.grid.band:
+                    raise ValueError(
+                        f"truncated N={n} exceeds the grid band K/mu={self.grid.band:g}"
+                    )
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 
@@ -128,15 +133,31 @@ def _full(table: np.ndarray, shape: tuple) -> np.ndarray:
     return full
 
 
+def _band_mask(grid: GridSpec, flavor: str, N: float | tuple | None) -> np.ndarray | None:
+    """The entries a flow zeroes: those above N, per member for a tuple N.
+
+    Shape (K,) for one threshold, (len(N), K) for a tuple; None when no
+    entry is zeroed, as in the full flavor or at N >= K/mu.
+    """
+    if flavor not in ("full", "truncated") or (flavor == "truncated" and N is None):
+        raise ValueError(f"unknown flavor {flavor!r} (truncated requires N)")
+    if flavor == "full":
+        return None
+    in_band = [grid.modes_upto(n) for n in N] if isinstance(N, tuple) else grid.modes_upto(N)
+    mask = np.arange(grid.K) >= np.array(in_band)[..., None]
+    return mask if mask.any() else None
+
+
 def _rhs_function(
-    grid: GridSpec, flavor: str, N: float | None, shape: tuple
+    grid: GridSpec, mask: np.ndarray | None, shape: tuple
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Vectorized nonlinearity -(1/2) d_x Pi(u^2) on coefficient arrays of one shape.
 
     rhs(c, out) writes the tendency of c into out and returns out; c is not
     changed. The zero-padded half spectrum, the physical samples and the
     spectrum of their square are held between calls, so a call creates no
-    arrays. Entries outside the band, a suffix, are set to +0.0.
+    arrays. Entries where the band mask (see _band_mask; broadcast to
+    shape) is True are set to +0.0.
 
     The transforms call the pocketfft gufuncs behind numpy.fft's irfft and
     rfft directly, with the factors numpy.fft passes for norm="backward"
@@ -145,9 +166,6 @@ def _rhs_function(
     """
     P = grid.physical_points
     K = grid.K
-    if flavor not in ("full", "truncated") or (flavor == "truncated" and N is None):
-        raise ValueError(f"unknown flavor {flavor!r} (truncated requires N)")
-    in_band = K if flavor == "full" else grid.modes_upto(N)
     minus_half_ik = _full(-0.5 * (1j * grid.frequencies), shape)
     phys_scale = P / (2.0 * np.pi * grid.mu)
     spec_scale = 2.0 * np.pi * grid.mu / P
@@ -159,15 +177,28 @@ def _rhs_function(
     w = np.empty(lead + (P,))
     sp = np.empty(lead + (P // 2 + 1,), dtype=np.complex128)
     half_modes, sp_modes = half[..., 1 : K + 1], sp[..., 1 : K + 1]
-    truncates = in_band < K
+    # A ufunc on a strided view of a 2-D array takes numpy's buffered
+    # iterator, which allocates; a copy does not. So an ensemble scales its
+    # modes in a held contiguous array, copied into and out of the views. A
+    # single field's views are contiguous and are scaled directly.
+    copies = len(shape) > 1
+    if copies:
+        modes_in = modes_out = np.empty(shape, dtype=np.complex128)
+    else:
+        modes_in, modes_out = half_modes, sp_modes
+    zero = np.zeros((), dtype=np.complex128)
 
     def rhs(c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(c, phys_scale, out=half_modes)
+        np.multiply(c, phys_scale, out=modes_in)
+        if copies:
+            np.copyto(half_modes, modes_in)
         irfft(half, inv_P, out=w)
         rfft(np.multiply(w, w, out=w), 1, out=sp)
-        np.multiply(minus_half_ik, np.multiply(sp_modes, spec_scale, out=out), out=out)
-        if truncates:
-            out[..., in_band:] = 0.0
+        if copies:
+            np.copyto(modes_out, sp_modes)
+        np.multiply(minus_half_ik, np.multiply(modes_out, spec_scale, out=out), out=out)
+        if mask is not None:
+            np.copyto(out, zero, where=mask)
         return out
 
     return rhs
@@ -175,7 +206,7 @@ def _rhs_function(
 
 def nonlinear_rhs(u: FourierField, flavor: str = "full", N: float | None = None) -> FourierField:
     """Nonlinear tendency -(1/2) d_x Pi(u^2) as a field (alias-free)."""
-    rhs = _rhs_function(u.grid, flavor, N, u.coeffs.shape)
+    rhs = _rhs_function(u.grid, _band_mask(u.grid, flavor, N), u.coeffs.shape)
     return FourierField(u.grid, rhs(u.coeffs, np.empty(u.coeffs.shape, dtype=np.complex128)))
 
 
@@ -215,12 +246,12 @@ class _Stepper:
     on the shape: an ensemble member equals its own solve bit for bit.
     """
 
-    def __init__(self, spec: FlowSpec, h: float, shape: tuple):
+    def __init__(self, spec: FlowSpec, h: float, mask: np.ndarray | None, shape: tuple):
         self.spec = spec
         self.h = h
         lin = _phases(spec.grid)
         if spec.nonlinear:
-            self.rhs = _rhs_function(spec.grid, spec.flavor, spec.N, shape)
+            self.rhs = _rhs_function(spec.grid, mask, shape)
         else:
             self.rhs = None
         if spec.scheme == "etdrk4" and self.rhs is not None:
@@ -280,11 +311,13 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
 
     u0 is one field or a sequence of fields (an ensemble), all advanced in
     one loop; each member's samples equal those of its own solve bit for
-    bit. Truncated-flavor data is projected onto |k| <= N rather than
-    rejected. The requested dt is adjusted to the nearest step count
-    landing exactly on T. The blow-up guard runs after every step, sampled
-    or not: a coefficient magnitude above its threshold, or a NaN, aborts,
-    and for an ensemble the error names the member.
+    bit. A tuple N gives each member of an ensemble its own threshold;
+    each member's samples equal those of its solve with that one N.
+    Truncated-flavor data is projected onto |k| <= N rather than rejected.
+    The requested dt is adjusted to the nearest step count landing exactly
+    on T. The blow-up guard runs after every step, sampled or not: a
+    coefficient magnitude above its threshold, or a NaN, aborts, and for
+    an ensemble the error names the member.
     """
     g = spec.grid
     ensemble = not isinstance(u0, FourierField)
@@ -293,16 +326,20 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
         raise ValueError("integrate needs at least one initial field")
     for u in members:
         _check_same_grid(u.grid, g)
+    if isinstance(spec.N, tuple) and (not ensemble or len(spec.N) != len(members)):
+        size = f"an ensemble of {len(members)}" if ensemble else "a single field"
+        raise ValueError(f"N has {len(spec.N)} per-member thresholds for {size}")
+    mask = _band_mask(g, spec.flavor, spec.N)
     c = np.array([u.coeffs for u in members]) if ensemble else u0.coeffs.copy()
-    if spec.flavor == "truncated":
-        c[..., g.modes_upto(spec.N) :] = 0.0
+    if mask is not None:
+        np.copyto(c, 0.0, where=mask)
 
     if spec.T == 0.0:
         return Trajectory(times=np.array([0.0]), coeffs=c[None], spec=spec, stats={"steps": 0})
 
     n_steps = _step_count(spec)
     h = spec.T / n_steps
-    stepper = _Stepper(spec, h, c.shape)
+    stepper = _Stepper(spec, h, mask, c.shape)
 
     stride = spec.sample_stride
     sampled = list(range(stride, n_steps + 1, stride))
@@ -380,6 +417,8 @@ def flow_jacobian(u0: FourierField, spec: FlowSpec, h: float) -> np.ndarray:
     """
     if spec.flavor != "truncated":
         raise ValueError("flow_jacobian is defined for the truncated flavor")
+    if isinstance(spec.N, tuple):
+        raise ValueError(f"flow_jacobian takes one threshold N, got one per member: {spec.N}")
     n_modes = spec.grid.modes_upto(spec.N)
     dim = 2 * n_modes
     if dim > JACOBIAN_DIM_CAP:

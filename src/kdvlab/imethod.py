@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .flow import _rhs_function
+from .flow import _band_mask, _rhs_function
 from .resonance import _cached, _hyperplane_tuples, _pn_int
 from .spectral import FourierField, GridSpec, _check_same_grid
 
@@ -493,11 +493,14 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     """
     if order not in (2, 3, 4):
         raise ValueError(f"order must be 2, 3 or 4, got {order}")
+    spec = traj.spec
+    if isinstance(spec.N, tuple):
+        raise ValueError(f"drift oracle needs a single-field trajectory, got N={spec.N}")
     fields = traj.fields
     if len(fields) < 3:
         raise ValueError("drift oracle needs at least 3 trajectory samples")
-    spec = traj.spec
-    if spec.flavor == "truncated" and spec.N < spec.grid.band:
+    mask = _band_mask(spec.grid, spec.flavor, spec.N)
+    if mask is not None:
         raise ValueError(
             "drift oracle requires the full Galerkin flow: the derivative "
             "identity holds for the K-mode system, not the N-truncated one"
@@ -509,7 +512,7 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
 
     nl = np.zeros_like(traj.coeffs)
     if spec.nonlinear:
-        _rhs_function(spec.grid, spec.flavor, spec.N, traj.coeffs.shape)(traj.coeffs, nl)
+        _rhs_function(spec.grid, mask, traj.coeffs.shape)(traj.coeffs, nl)
     energies = np.array([modified_energy(u, mult, order) for u in fields])
     form = _successor_form(order, mult, spec.grid)
     direct_all = np.empty(len(fields))

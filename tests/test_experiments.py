@@ -116,6 +116,39 @@ class TestApproxSweep:
         r2 = approx_truncated_sweep(cfg)
         assert r1.rows == r2.rows
 
+    @pytest.mark.parametrize("j, N_list, T", [(1, (4, 8), 0.1), (2, (2, 4, 8), 0.05)])
+    def test_one_ensemble_matches_per_n_solves(self, monkeypatch, j, N_list, T):
+        cfg = ExperimentConfig(j=j, K=32, N_list=N_list, dt=1e-3, T=T, seed=12, decay=0.4)
+        # reference: the full solve and one truncated solve per N
+        grid = make_grid(j, 32)
+        u0 = random_smooth_field(
+            grid, _rng_stream(cfg.seed, 0), cfg.decay,
+            kmax=min(N_list), norm_s=-0.5, norm_value=cfg.amplitude,
+        )
+        ref = _sampled_solve(u0, grid, cfg)
+        envelopes = {}
+        for N in N_list:
+            trunc = _sampled_solve(u0, grid, cfg, flavor="truncated", N=float(N))
+            errs = [
+                sobolev_norm(project(a - b, "le", float(np.sqrt(N))), -0.5)
+                for a, b in zip(ref.fields, trunc.fields)
+            ]
+            envelopes[float(N)] = np.maximum.accumulate(errs).tolist()
+        assert envelopes[float(N_list[0])][-1] > 0
+
+        calls = []
+        integrate = kdvlab.experiments.integrate
+
+        def counted(u, spec):
+            calls.append(1 if isinstance(u, FourierField) else len(u))
+            return integrate(u, spec)
+
+        monkeypatch.setattr(kdvlab.experiments, "integrate", counted)
+        res = approx_truncated_sweep(cfg)
+        assert res.diagnostics["envelopes"] == envelopes
+        assert res.rows == [(N, env[-1]) for N, env in envelopes.items()]
+        assert calls == [1 + len(N_list)]
+
 
 class TestTailSweep:
     def test_zero_tail_gives_zero_error(self):

@@ -1,5 +1,6 @@
 """Integrators, conservation, Jacobians and symplecticity checks."""
 
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -16,6 +17,8 @@ from kdvlab.flow import (
     linear_propagate,
     nonlinear_rhs,
     symplectic_matrix,
+    _Stepper,
+    _band_mask,
     _rhs_function,
 )
 from kdvlab.spectral import (
@@ -413,13 +416,82 @@ class TestInPlaceStep:
             assert same_bits(out.coeffs, allocating_rhs(grid, flavor, N)(kept))
             return
         # the held RHS of one (members, K) shape, called on two data in turn
-        rhs = _rhs_function(grid, flavor, N, (members, grid.K))
+        rhs = _rhs_function(grid, _band_mask(grid, flavor, N), (members, grid.K))
         data = np.array([u.coeffs for u in fields])
         for c in (data, data[::-1].copy()):
             kept = c.copy()
             out = rhs(c, np.empty_like(c))
             assert np.array_equal(c, kept)
             assert same_bits(out, allocating_rhs(grid, flavor, N)(kept))
+
+
+def step_peak_bytes(spec, shape, steps=10):
+    """tracemalloc peak over steps in-place steps of one held stepper."""
+    rng = np.random.default_rng(41)
+    c = 1e-2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    stepper = _Stepper(spec, spec.dt, _band_mask(spec.grid, spec.flavor, spec.N), shape)
+    stepper.step(c)
+    tracemalloc.start()
+    try:
+        for _ in range(steps):
+            stepper.step(c)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEnsembleAllocation:
+    # The approx and tail sweeps step (members, 256) arrays. A ufunc through
+    # a strided view of one would allocate numpy's iterator buffers, 17.6 kB.
+    @pytest.mark.parametrize(
+        "flavor, N", [("full", None), ("truncated", (256.0, 16.0, 32.0, 64.0))]
+    )
+    @pytest.mark.parametrize("scheme", ["etdrk4", "lawson_rk4"])
+    def test_ensemble_step_allocates_as_little_as_one_field(self, scheme, flavor, N):
+        g = make_grid(2, 256)
+        spec = FlowSpec(grid=g, dt=1e-5, T=1e-4, scheme=scheme, flavor=flavor, N=N)
+        single = step_peak_bytes(replace(spec, flavor="full", N=None), (g.K,))
+        assert step_peak_bytes(spec, (4, g.K)) <= single + 2048
+
+
+class TestPerMemberN:
+    @pytest.mark.parametrize("scheme", ["etdrk4", "lawson_rk4"])
+    def test_members_equal_their_own_solves(self, scheme):
+        g = make_grid(2, 16)
+        members = [band_limited_field(g, 50 + i, 8, norm=1.0 + i) for i in range(3)]
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.02, scheme=scheme, sample_stride=4)
+        batch = integrate(
+            members, replace(spec, flavor="truncated", N=(g.band, 2.0, 5.0))
+        ).coeffs
+        assert same_bits(batch[:, 0], integrate(members[0], spec).coeffs)
+        for i, N in ((1, 2.0), (2, 5.0)):
+            own = integrate(members[i], replace(spec, flavor="truncated", N=N)).coeffs
+            assert same_bits(batch[:, i], own)
+
+    def test_out_of_band_entries_are_plus_zero(self):
+        g = make_grid(2, 16)
+        rng = np.random.default_rng(52)
+        members = [random_smooth_field(g, rng, decay=0.3) for _ in range(2)]
+        assert np.any(np.signbit(members[1].coeffs[g.modes_upto(3.0) :].real))
+        traj = integrate(
+            members, FlowSpec(grid=g, dt=1e-3, T=0.01, flavor="truncated", N=(g.band, 3.0))
+        )
+        outside = traj.coeffs[:, 1, g.modes_upto(3.0) :]
+        assert np.all(outside == 0)
+        assert not np.any(np.signbit(outside.real)) and not np.any(np.signbit(outside.imag))
+
+    def test_refused_where_it_does_not_apply(self):
+        g = make_grid(2, 8)
+        u, v = band_limited_field(g, 53, 4), band_limited_field(g, 54, 4)
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.01, flavor="truncated", N=(8.0, 4.0))
+        with pytest.raises(ValueError, match="N=9.0 exceeds"):
+            replace(spec, N=(4.0, 9.0))
+        with pytest.raises(ValueError, match="N has 2 per-member thresholds for an ensemble of 3"):
+            integrate([u, v, u], spec)
+        with pytest.raises(ValueError, match="N has 2 per-member thresholds for a single field"):
+            integrate(u, spec)
+        with pytest.raises(ValueError, match="one threshold N"):
+            flow_jacobian(u, spec, h=1e-6)
 
 
 class TestConservation:

@@ -468,6 +468,13 @@ class TestDriftIdentities:
         with pytest.raises(ValueError, match="full"):
             drift_oracle(traj, IMultiplier(s=-0.5, N=2.0), 2)
 
+    def test_refuses_per_member_thresholds(self):
+        g = make_grid(2, 6)
+        us = [smooth_field(g, 11), smooth_field(g, 12)]
+        spec = FlowSpec(grid=g, dt=1e-3, T=5e-3, flavor="truncated", N=(g.band, g.band))
+        with pytest.raises(ValueError, match="single-field trajectory, got N="):
+            drift_oracle(integrate(us, spec), IMultiplier(s=-0.5, N=2.0), 2)
+
     def test_needs_three_samples(self):
         g = make_grid(2, 6)
         u0 = smooth_field(g, 10)
