@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -38,7 +39,9 @@ from .experiments import (
     squeeze_witness,
 )
 from .flow import FlowSpec, _step_count, conservation_report, integrate
-from .imethod import QUINTIC_K_CAP, IMultiplier, big_m5, lambda_n, modified_energy
+from .imethod import QUINTIC_K_CAP, IMultiplier, _lambda_with_scale, _modified_energies, big_m5
+# perfbench/tracing.py wraps lambda_n and modified_energy here
+from .imethod import lambda_n, modified_energy  # noqa: F401
 from .resonance import verify_factorization
 from .spectral import (
     _check_same_grid,
@@ -160,13 +163,12 @@ def _config_hash(config: dict) -> str:
 
 
 def _write_csv(path: str, columns, rows) -> None:
-    import io
-
+    """Header and rows (any iterable) as CSV; a float cell is written as its
+    shortest round-trip repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    writer.writerows(rows)
     _write_atomic(path, buf.getvalue())
 
 
@@ -257,14 +259,16 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
     mult = _built(IMultiplier, s=cfg["s"], N=cfg["N"])
     u0 = _initial_field(cfg, grid)
     traj = integrate(u0, spec)
+    c = traj.coeffs
+    nan = np.full(len(c), np.nan)
+    # the quintic column first: the M5 build sets the command's peak memory,
+    # and the heap that the energy contractions leave behind would raise it
     m5 = big_m5(mult, grid, lattice_cutoff=grid.K) if grid.K <= QUINTIC_K_CAP else None
-    rows = []
-    for t, u in zip(traj.times, traj.fields):
-        row = [float(t)]
-        for order in (2, 3, 4):
-            row.append(modified_energy(u, mult, order) if order in orders else float("nan"))
-        row.append(lambda_n(m5, [u] * 5).real if m5 is not None else float("nan"))
-        rows.append(tuple(row))
+    quintic = _lambda_with_scale(m5, grid, [c] * 5)[0].real if m5 is not None else nan
+    columns = [traj.times]
+    for order in (2, 3, 4):
+        columns.append(_modified_energies(grid, c, mult, order) if order in orders else nan)
+    rows = np.column_stack([*columns, quintic]).tolist()
     _write_csv(os.path.join(out_dir, "energies.csv"), ("t", "E2", "E3", "E4", "Lambda5M5"), rows)
     if m5 is None:
         print(f"energies: K={grid.K} > {QUINTIC_K_CAP}, Lambda5M5 column skipped (quintic cap)")
@@ -287,13 +291,13 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
         f"ratio in [{float(rep4.min_ratio):.6g}, {float(rep4.max_ratio):.6g}]; failures 0"
     )
     if cfg["csv"]:
-        rows = [
+        rows = (
             (" ".join(map(str, t)), p, q, ratio)
             for rep in (rep3, rep4)
             for t, p, q, ratio in zip(
                 rep.tuples.tolist(), rep.p.tolist(), rep.q.tolist(), rep.ratio.tolist()
             )
-        ]
+        )
         _write_csv(
             os.path.join(out_dir, cfg["csv"]), ("tuple", "P_n", "Q_n", "ratio"), rows
         )

@@ -80,9 +80,10 @@ class FlowSpec:
             if self.N is None:
                 raise ValueError("truncated flavor requires N")
             for n in self.N if isinstance(self.N, tuple) else (self.N,):
-                if n > self.grid.band:
+                if not n <= self.grid.band:  # also refuses NaN
                     raise ValueError(
                         f"truncated N={n} exceeds the grid band K/mu={self.grid.band:g}"
+                        if n > self.grid.band else f"truncated N={n} is not a number"
                     )
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
@@ -204,8 +205,17 @@ def _rhs_function(
     return rhs
 
 
+def _check_thresholds(N: float | tuple | None, members: int | None) -> None:
+    """Refuse a tuple N unless it holds one threshold per member of an
+    ensemble of that many; members None stands for a single field."""
+    if isinstance(N, tuple) and len(N) != members:
+        size = "a single field" if members is None else f"an ensemble of {members}"
+        raise ValueError(f"N has {len(N)} per-member thresholds for {size}")
+
+
 def nonlinear_rhs(u: FourierField, flavor: str = "full", N: float | None = None) -> FourierField:
     """Nonlinear tendency -(1/2) d_x Pi(u^2) as a field (alias-free)."""
+    _check_thresholds(N, None)
     rhs = _rhs_function(u.grid, _band_mask(u.grid, flavor, N), u.coeffs.shape)
     return FourierField(u.grid, rhs(u.coeffs, np.empty(u.coeffs.shape, dtype=np.complex128)))
 
@@ -326,9 +336,7 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
         raise ValueError("integrate needs at least one initial field")
     for u in members:
         _check_same_grid(u.grid, g)
-    if isinstance(spec.N, tuple) and (not ensemble or len(spec.N) != len(members)):
-        size = f"an ensemble of {len(members)}" if ensemble else "a single field"
-        raise ValueError(f"N has {len(spec.N)} per-member thresholds for {size}")
+    _check_thresholds(spec.N, len(members) if ensemble else None)
     mask = _band_mask(g, spec.flavor, spec.N)
     c = np.array([u.coeffs for u in members]) if ensemble else u0.coeffs.copy()
     if mask is not None:

@@ -8,8 +8,10 @@ energies are built from n-linear lattice sums
         = (2*pi*mu)^(1-n) * sum over Gamma_n of w(k_1..k_n) prod u_hat(k_i)
 
 restricted to nonzero entries with |index| <= K; with this normalization
-Lambda_3(1) equals the integral of u^3. The correction multipliers follow
-the cascade
+Lambda_3(1) equals the integral of u^3. One evaluator computes it for a
+whole stack of samples, contracting w as a dense table head sum by head
+sum (see _lambda_with_scale). The correction multipliers follow the
+cascade
 
     d/dt E2 = Lambda_3(M3),   sigma3 = -M3/alpha3,
     d/dt E3 = Lambda_4(M4),   sigma4 = -M4/alpha4,
@@ -27,8 +29,8 @@ all argument permutations; on sigma2 = m(x1) m(x2) the same step gives M3.
 sigma_(n-1) is evaluated once per lattice, as a table on Gamma_(n-1) that
 the step reads. A term whose pair sum vanishes contributes exactly 0, and
 sigma4 is defined as 0 on resonant tuples (alpha4 = 0), where a runtime
-check confirms M4 vanishes there. Tuples, form weights and sigma tables
-share the one bounded cache of the resonance module.
+check confirms M4 vanishes there. Tuples, form weight tables and sigma
+tables share the one bounded cache of the resonance module.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ __all__ = [
 ]
 
 QUINTIC_K_CAP = 16
+# Bytes a Lambda_n evaluation spends per pass on its coefficient products;
+# a longer stack of samples is evaluated in chunks that fit.
+STACK_BYTES = 1 << 26
 IMAG_RESIDUE_TOL = 1e-10
 RESONANT_M4_TOL = 1e-10
 
@@ -139,55 +144,179 @@ def constant_form(n: int, value: complex = 1.0) -> MultilinearForm:
     return MultilinearForm(n=n, weight=w, tag="constant", cache_key=("const", n, value))
 
 
-def _form_weights(form: MultilinearForm, K: int) -> np.ndarray:
-    idx = _hyperplane_tuples(form.n, K)
+def _flat(cols: Sequence[np.ndarray], K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat index, sum) of m index columns in the dense block [-K, K]^m,
+    first column outermost. With no columns both are [0]: the one empty
+    tuple, broadcast against any other column."""
+    flat, total = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for a in cols:
+        flat, total = flat * (2 * K + 1) + (a + K), total + a
+    return flat, total
+
+
+def _block_layout(n: int, K: int) -> tuple:
+    """Rows, columns and blocks of the dense weight tables on Gamma_n.
+
+    A table W covers the first n-1 entries, offset by K: the head
+    H = (k_1..k_h), h = (n-1)//2, indexes its rows and the rest
+    R = (k_(h+1)..k_(n-1)) its columns. Rows are sorted by head sum g and
+    columns by rest sum. Only the block of each g is stored: the rows of
+    head sum g and the columns whose last entry -(g + sum R) is within K,
+    which holds every tuple of Gamma_n with that head. Returns (row order,
+    column order, per block (r0, r1, c0, c1, offset in the table), the
+    table size, per block the last entry's coefficient-table index).
+    """
+
+    def build():
+        h = (n - 1) // 2
+        ks = np.arange(-K, K + 1)
+        head_sums = _flat(np.meshgrid(*[ks] * h, indexing="ij"), K)[1].reshape(-1)
+        rest_sums = _flat(np.meshgrid(*[ks] * (n - 1 - h), indexing="ij"), K)[1].reshape(-1)
+        rows = np.argsort(head_sums, kind="stable")
+        cols = np.argsort(rest_sums, kind="stable")
+        head_sums, rest_sums = head_sums[rows], rest_sums[cols]
+        g = np.arange(-h * K, h * K + 1)
+        r0, r1 = np.searchsorted(head_sums, g), np.searchsorted(head_sums, g, side="right")
+        c0 = np.searchsorted(rest_sums, -K - g)
+        c1 = np.searchsorted(rest_sums, K - g, side="right")
+        start = np.concatenate(([0], np.cumsum((r1 - r0) * (c1 - c0))))
+        bounds = np.stack([r0, r1, c0, c1, start[:-1]], axis=1)
+        lasts = [K - gi - rest_sums[a:b] for gi, a, b in zip(g, c0, c1)]
+        return rows, cols, bounds, int(start[-1]), lasts
+
+    return _cached(("blocks", n, K), build)
+
+
+def _weight_table(form: MultilinearForm, K: int) -> np.ndarray:
+    """The form's weight as the blocks of a dense table (see _block_layout),
+    one after the other in one array; 0 off Gamma_n."""
+
+    def build():
+        n = form.n
+        h = (n - 1) // 2
+        rows, cols, bounds, size, _ = _block_layout(n, K)
+        r0, _, c0, c1, start = bounds.T
+        idx = _hyperplane_tuples(n, K)
+        w = form.weight(*idx)
+        # each tuple's place in the block of its head sum
+        head, gi = _flat(idx[:h], K)
+        gi += h * K
+        pos = np.argsort(cols)[_flat(idx[h:-1], K)[0]]
+        pos += start[gi] - c0[gi]
+        pos += (np.argsort(rows)[head] - r0[gi]) * (c1 - c0)[gi]
+        table = np.zeros(size, dtype=np.complex128)
+        table[pos] = w
+        return table
+
     if form.cache_key is None:
-        return form.weight(*idx)
-    return _cached(("weights", form.cache_key, form.n, K), lambda: form.weight(*idx))
+        return build()
+    return _cached(("weights", form.cache_key, form.n, K), build)
 
 
-def _coeff_table(u: FourierField) -> np.ndarray:
-    """Lookup table over signed indices: table[idx + K] = u_hat(idx/mu)."""
-    K = u.grid.K
-    table = np.zeros(2 * K + 1, dtype=np.complex128)
-    table[K + 1 :] = u.coeffs
-    table[:K] = np.conj(u.coeffs[::-1])
+def _coeff_table(coeffs: np.ndarray) -> np.ndarray:
+    """Lookup tables over signed indices: table[..., idx + K] = u_hat(idx/mu)."""
+    K = coeffs.shape[-1]
+    table = np.zeros(coeffs.shape[:-1] + (2 * K + 1,), dtype=np.complex128)
+    table[..., K + 1 :] = coeffs
+    table[..., :K] = np.conj(coeffs[..., ::-1])
     return table
 
 
+def _outer(tables: Sequence[np.ndarray], S: int, order: np.ndarray) -> np.ndarray:
+    """Per sample, the products of one entry of each (S, L) table, flattened
+    with the first table outermost, then taken in the given order: an (S, .)
+    array in C order."""
+    out = np.ones((S, 1))
+    for t in tables:
+        out = (out[:, :, None] * t[:, None, :]).reshape(S, -1)
+    return out.take(order, axis=1)
+
+
+def _contract(tables: Sequence[np.ndarray], blocks, layout: tuple) -> np.ndarray:
+    """Per sample, the sum over head sums g of a[H_g] . (W_g @ (b * u_n)),
+    u_n read at the last entry -(g + sum R); a and b are the products of
+    the (S, 2K+1) tables over the head and the rest, W_g the blocks."""
+    rows, cols, bounds, lasts, h = layout
+    S = len(tables[0])
+    head, rest = _outer(tables[:h], S, rows), _outer(tables[h:-1], S, cols)
+    acc = np.zeros(S, dtype=tables[0].dtype)
+    for (r0, r1, c0, c1, _), last, w in zip(bounds, lasts, blocks):
+        # np.multiply, not *: on a large temporary right operand * computes
+        # in place with the operands swapped, and a complex product's bits
+        # depend on the operand order
+        v = np.multiply(rest[:, c0:c1], tables[-1].take(last, axis=1))
+        acc += np.matmul(head[:, None, r0:r1], np.matmul(w, v[:, :, None]))[:, 0, 0]
+    return acc
+
+
 def _lambda_with_scale(
-    form: MultilinearForm, fields: Sequence[FourierField]
-) -> tuple[complex, float]:
+    form: MultilinearForm, grid: GridSpec, stacks: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda_n(form; slots) and its term scale sum |terms|, per sample.
+
+    stacks holds one coefficient array of shape (S, K) per slot; sample s
+    reads row s of each. With a and b the coefficient products over the
+    head and the rest (see _block_layout), each head sum g adds
+    a[H_g] . (W[H_g] @ (b * u_n(-(g + sum R)))) and the scale the same
+    contraction on |W| and |coefficients|, run after the first so that
+    their temporaries do not meet. The samples are the batch axis of
+    every matmul and each sample's operands are contiguous (C order, by
+    take), so a sample's value has the same bits in any stack, and a
+    stack whose products would exceed STACK_BYTES is split into chunks.
+    """
+    if len(stacks) != form.n:
+        raise ValueError(f"form arity {form.n} != {len(stacks)} fields")
+    if form.n >= 5 and grid.K > QUINTIC_K_CAP:
+        raise ValueError(
+            f"quintic hyperplane sums are capped at K={QUINTIC_K_CAP}, got K={grid.K}"
+        )
+    S = len(stacks[0])
+    for c in stacks:
+        if np.shape(c) != (S, grid.K):
+            raise ValueError(f"coefficient stack shape {np.shape(c)} != ({S}, {grid.K})")
+    rows, cols, bounds, _, lasts = _block_layout(form.n, grid.K)
+    # a pass holds the head and rest products, 16 bytes per entry, and as
+    # much again while it builds them
+    chunk = max(1, STACK_BYTES // (32 * (len(rows) + len(cols))))
+    if S > chunk:
+        parts = [
+            _lambda_with_scale(form, grid, [c[i : i + chunk] for c in stacks])
+            for i in range(0, S, chunk)
+        ]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    table = _weight_table(form, grid.K)
+    bounds = bounds.tolist()
+    blocks = [
+        table[at : at + (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+        for r0, r1, c0, c1, at in bounds
+    ]
+    layout = (rows, cols, bounds, lasts, (form.n - 1) // 2)
+    tables = [_coeff_table(c) for c in stacks]
+    value = _contract(tables, blocks, layout)
+    scale = _contract([np.abs(t) for t in tables], map(np.abs, blocks), layout)
+    norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
+    return norm * value, norm * scale
+
+
+def lambda_n(form: MultilinearForm, fields: Sequence[FourierField]) -> complex:
+    """Evaluate Lambda_n(form; fields) over the truncated hyperplane lattice."""
     if len(fields) != form.n:
         raise ValueError(f"form arity {form.n} != {len(fields)} fields")
     grid = fields[0].grid
     for f in fields[1:]:
         _check_same_grid(f.grid, grid)
-    if form.n >= 5 and grid.K > QUINTIC_K_CAP:
-        raise ValueError(
-            f"quintic hyperplane sums are capped at K={QUINTIC_K_CAP}, got K={grid.K}"
-        )
-    idx = _hyperplane_tuples(form.n, grid.K)
-    w = _form_weights(form, grid.K)
-    prod = np.ones(idx[0].shape, dtype=np.complex128)
-    for a, f in zip(idx, fields):
-        prod = prod * _coeff_table(f)[a + grid.K]
-    norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
-    terms = w * prod
-    return norm * complex(np.sum(terms)), norm * float(np.sum(np.abs(terms)))
+    value, _ = _lambda_with_scale(form, grid, [f.coeffs[None] for f in fields])
+    return complex(value[0])
 
 
-def lambda_n(form: MultilinearForm, fields: Sequence[FourierField]) -> complex:
-    """Evaluate Lambda_n(form; fields) over the truncated hyperplane lattice."""
-    value, _ = _lambda_with_scale(form, fields)
-    return value
-
-
-def _real_part(value: complex, scale: float, what: str) -> float:
-    if abs(value.imag) > IMAG_RESIDUE_TOL * max(scale, 1e-300):
+def _real_part(value: np.ndarray, scale: np.ndarray, what: str) -> np.ndarray:
+    """value.real, after checking every sample's imaginary residue against its scale."""
+    bad = np.abs(value.imag) > IMAG_RESIDUE_TOL * np.maximum(scale, 1e-300)
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise ArithmeticError(
-            f"{what}: imaginary residue {value.imag:.3e} exceeds "
-            f"{IMAG_RESIDUE_TOL:.0e} x term scale {scale:.3e} (symmetrization bug?)"
+            f"{what}: imaginary residue {value.imag[i]:.3e} exceeds "
+            f"{IMAG_RESIDUE_TOL:.0e} x term scale {scale[i]:.3e} (symmetrization bug?)"
         )
     return value.real
 
@@ -382,26 +511,34 @@ def _corrections(mult: IMultiplier, grid: GridSpec, order: int) -> list:
     return [sigma3(mult, grid), sigma4(mult, grid, lattice_cutoff=grid.K)][: order - 2]
 
 
+def _modified_energies(
+    grid: GridSpec, coeffs: np.ndarray, mult: IMultiplier, order: int
+) -> np.ndarray:
+    """E^order at each sample of a coefficient stack of shape (S, K); see modified_energy."""
+    if order not in (2, 3, 4):
+        raise ValueError(f"order must be 2, 3 or 4, got {order}")
+    m = _m_array(mult, grid.frequencies)
+    value = 2.0 * np.sum(m * m * np.abs(coeffs) ** 2, axis=-1) / (2.0 * np.pi * grid.mu)
+    for form in _corrections(mult, grid, order):
+        corr, scale = _lambda_with_scale(form, grid, [coeffs] * form.n)
+        value = value + _real_part(corr, scale, f"Lambda_{form.n} correction")
+    return value
+
+
 def modified_energy(u: FourierField, mult: IMultiplier, order: int) -> float:
     """E2 = ||Iu||_{L2}^2; E3 = E2 + Lambda_3(sigma3); E4 = E3 + Lambda_4(sigma4).
 
     The quartic correction uses the K-lattice-consistent sigma4 so the
     derivative identities hold exactly for the integrated Galerkin system.
     """
-    if order not in (2, 3, 4):
-        raise ValueError(f"order must be 2, 3 or 4, got {order}")
-    m = _m_array(mult, u.grid.frequencies)
-    value = 2.0 * np.sum(m * m * np.abs(u.coeffs) ** 2) / (2.0 * np.pi * u.grid.mu)
-    for form in _corrections(mult, u.grid, order):
-        corr, scale = _lambda_with_scale(form, [u] * form.n)
-        value += _real_part(corr, scale, f"Lambda_{form.n} correction")
-    return float(value)
+    return float(_modified_energies(u.grid, u.coeffs[None], mult, order)[0])
 
 
-def _energy_rate(
-    u: FourierField, nl: FourierField, mult: IMultiplier, order: int
-) -> tuple[float, float]:
-    """(exact dE^order/dt, term scale) at u along u_t = i k^(2j+1) u_hat + nl.
+def _energy_rates(
+    grid: GridSpec, coeffs: np.ndarray, nl: np.ndarray, mult: IMultiplier, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(exact dE^order/dt, term scale) at each sample of a coefficient stack
+    (S, K) along u_t = i k^(2j+1) u_hat + nl, nl of the same shape.
 
     The derivative DE^order(u)[F] is taken by polarization with the same
     forms modified_energy uses: the symmetric corrections give
@@ -410,17 +547,24 @@ def _energy_rate(
     so its real part is exactly 0; it is left out rather than evaluated
     to round-off.
     """
-    grid = u.grid
     norm = 2.0 * np.pi * grid.mu
     m2 = _m_array(mult, grid.frequencies) ** 2
-    value = 4.0 * float(np.sum(m2 * (np.conj(u.coeffs) * nl.coeffs).real)) / norm
-    scale = 4.0 * float(np.sum(m2 * np.abs(u.coeffs) * np.abs(nl.coeffs))) / norm
-    F = FourierField(grid, 1j * grid.frequencies ** (2 * grid.j + 1) * u.coeffs + nl.coeffs)
+    value = 4.0 * np.sum(m2 * (np.conj(coeffs) * nl).real, axis=-1) / norm
+    scale = 4.0 * np.sum(m2 * np.abs(coeffs) * np.abs(nl), axis=-1) / norm
+    F = 1j * grid.frequencies ** (2 * grid.j + 1) * coeffs + nl
     for form in _corrections(mult, grid, order):
-        corr, sc = _lambda_with_scale(form, [F] + [u] * (form.n - 1))
-        value += form.n * _real_part(corr, sc, f"polarized Lambda_{form.n} correction")
-        scale += form.n * sc
+        corr, sc = _lambda_with_scale(form, grid, [F] + [coeffs] * (form.n - 1))
+        value = value + form.n * _real_part(corr, sc, f"polarized Lambda_{form.n} correction")
+        scale = scale + form.n * sc
     return value, scale
+
+
+def _energy_rate(
+    u: FourierField, nl: FourierField, mult: IMultiplier, order: int
+) -> tuple[float, float]:
+    """(exact dE^order/dt, term scale) at u along u_t = i k^(2j+1) u_hat + nl."""
+    value, scale = _energy_rates(u.grid, u.coeffs[None], nl.coeffs[None], mult, order)
+    return float(value[0]), float(scale[0])
 
 
 def _discrepancy(
@@ -494,10 +638,12 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     if order not in (2, 3, 4):
         raise ValueError(f"order must be 2, 3 or 4, got {order}")
     spec = traj.spec
-    if isinstance(spec.N, tuple):
-        raise ValueError(f"drift oracle needs a single-field trajectory, got N={spec.N}")
-    fields = traj.fields
-    if len(fields) < 3:
+    if isinstance(spec.N, tuple) or traj.coeffs.ndim != 2:
+        raise ValueError(
+            f"drift oracle needs a single-field trajectory, got N={spec.N} "
+            f"and samples of shape {traj.coeffs.shape[1:]}"
+        )
+    if len(traj.coeffs) < 3:
         raise ValueError("drift oracle needs at least 3 trajectory samples")
     mask = _band_mask(spec.grid, spec.flavor, spec.N)
     if mask is not None:
@@ -510,19 +656,16 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15):
         raise ValueError("drift oracle needs uniform sample spacing")
 
-    nl = np.zeros_like(traj.coeffs)
+    c = traj.coeffs
+    nl = np.zeros_like(c)
     if spec.nonlinear:
-        _rhs_function(spec.grid, mask, traj.coeffs.shape)(traj.coeffs, nl)
-    energies = np.array([modified_energy(u, mult, order) for u in fields])
+        _rhs_function(spec.grid, mask, c.shape)(c, nl)
+    energies = _modified_energies(spec.grid, c, mult, order)
     form = _successor_form(order, mult, spec.grid)
-    direct_all = np.empty(len(fields))
-    exact = np.empty(len(fields))
-    exact_scale = 0.0
-    for i, u in enumerate(fields):
-        val, scale = _lambda_with_scale(form, [u] * form.n)
-        direct_all[i] = _real_part(val, scale, f"Lambda_{form.n}({form.tag})")
-        exact[i], scale = _energy_rate(u, FourierField(spec.grid, nl[i]), mult, order)
-        exact_scale = max(exact_scale, scale)
+    value, scale = _lambda_with_scale(form, spec.grid, [c] * form.n)
+    direct_all = _real_part(value, scale, f"Lambda_{form.n}({form.tag})")
+    exact, scales = _energy_rates(spec.grid, c, nl, mult, order)
+    exact_scale = float(np.max(scales))
     direct = direct_all[1:-1]
     fd = (energies[2:] - energies[:-2]) / (t[2:] - t[:-2])
 

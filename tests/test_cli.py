@@ -208,6 +208,15 @@ class TestSolveOutputs:
         assert manifest["command"] == "solve"
         assert manifest["finished"] is not None
 
+    def test_conserved_csv_cells_are_plain_numbers(self, tmp_path):
+        # every cell parses as a float: an np.float64 once printed as np.float64(0.005)
+        run_cli("solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.02",
+                "--samples", "4", "--seed", "3", "--out", str(tmp_path))
+        header, *rows = (tmp_path / "run_conserved.csv").read_text().splitlines()
+        assert header == "t,mass,l2_energy,hamiltonian" and len(rows) == 5
+        for row in rows:
+            assert [repr(float(cell)) for cell in row.split(",")] == row.split(",")
+
     def test_snapshot_input_round_trip(self, tmp_path):
         s1 = run_cli(
             "solve", "--j", "1", "--K", "8", "--dt", "1e-3", "--T", "0.01",

@@ -94,6 +94,11 @@ class TestNonlinearRhs:
             with pytest.raises(ValueError, match="flavor"):
                 nonlinear_rhs(u, flavor, N)
 
+    def test_per_member_thresholds_refused_by_name(self):
+        u = harmonic(make_grid(1, 8), 1)
+        with pytest.raises(ValueError, match="N has 2 per-member thresholds for a single field"):
+            nonlinear_rhs(u, "truncated", (4.0, 8.0))
+
 
 class TestIntegrate:
     def test_linear_only_matches_propagator(self):
@@ -182,6 +187,12 @@ class TestIntegrate:
             FlowSpec(grid=g, dt=1e-3, T=0.1, flavor="truncated")  # N missing
         with pytest.raises(ValueError):
             FlowSpec(grid=g, dt=1e-3, T=0.1, flavor="truncated", N=9.0)
+
+    @pytest.mark.parametrize("N", [float("nan"), (4.0, float("nan"))])
+    def test_nan_threshold_refused(self, N):
+        # nan > band is False: without the refusal the solve zeroes every mode
+        with pytest.raises(ValueError, match="N=nan is not a number"):
+            FlowSpec(grid=make_grid(2, 8), dt=1e-3, T=1e-3, flavor="truncated", N=N)
 
 
 ENSEMBLE_CASES = [

@@ -32,7 +32,13 @@ from kdvlab.imethod import (
     sigma3,
     sigma4,
 )
-from kdvlab.imethod import _energy_rate, _hyperplane_tuples, _m_values
+from kdvlab.imethod import (
+    _energy_rate,
+    _hyperplane_tuples,
+    _lambda_with_scale,
+    _m_values,
+    _modified_energies,
+)
 from kdvlab.resonance import _pn_int
 from kdvlab.spectral import (
     FourierField,
@@ -158,6 +164,99 @@ class TestLambdaN:
         g = make_grid(1, 17)
         with pytest.raises(ValueError, match="capped"):
             lambda_n(constant_form(5), [harmonic(g, 1)] * 5)
+
+
+def tuple_sum(form, grid, coeffs):
+    """The per-tuple reference: (sum, sum of |terms|) over Gamma_n of
+    w(k) prod_i u_i(k_i), u_i the field of coefficients coeffs[i]."""
+    idx = _hyperplane_tuples(form.n, grid.K)
+    terms = form.weight(*idx)
+    for a, c in zip(idx, coeffs):
+        table = np.concatenate([np.conj(c[::-1]), [0.0], c])
+        terms = terms * table[a + grid.K]
+    norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
+    return norm * np.sum(terms), norm * np.sum(np.abs(terms))
+
+
+def skew_form(n):
+    """An uncached complex weight that tells every slot apart."""
+
+    def w(*idx):
+        phase = sum((i + 1) * a for i, a in enumerate(idx))
+        return np.exp(0.3j * phase) / (1.0 + sum(a * a for a in idx[:-1]))
+
+    return MultilinearForm(n, w)
+
+
+def evaluator_forms(grid):
+    mult = IMultiplier(s=-0.7, N=1.5 / grid.mu)
+    K = grid.K
+    return [
+        skew_form(2), skew_form(3), big_m3(mult, grid), sigma3(mult, grid), skew_form(4),
+        big_m4(mult, grid, K), sigma4(mult, grid, K), skew_form(5), big_m5(mult, grid, K),
+    ]
+
+
+class TestStackedEvaluator:
+    """_lambda_with_scale, the one Lambda_n evaluator, against the per-tuple sum.
+
+    Each slot reads its own field (the polarized case), so a slot or a
+    conjugate out of place shows. The worst measured errors are 1.4 eps x
+    scale for the value and 2 eps relative for the scale; both bounds are
+    8 eps.
+    """
+
+    @pytest.mark.parametrize("mu", [1.0, 1.4])
+    def test_matches_the_tuple_sum(self, mu):
+        g = make_grid(2, 6, mu)
+        rng = np.random.default_rng(61)
+        eps = np.finfo(float).eps
+        for form in evaluator_forms(g):
+            stacks = [
+                np.array([random_smooth_field(g, rng, 0.4).coeffs for _ in range(3)])
+                for _ in range(form.n)
+            ]
+            value, scale = _lambda_with_scale(form, g, stacks)
+            assert value.shape == scale.shape == (3,)
+            for s in range(3):
+                ref, ref_scale = tuple_sum(form, g, [c[s] for c in stacks])
+                assert ref_scale > 0.0
+                assert abs(value[s] - ref) <= 8 * eps * ref_scale, form.tag
+                assert scale[s] == pytest.approx(ref_scale, rel=8 * eps), form.tag
+
+    def test_same_bits_in_every_stack(self, monkeypatch):
+        # at K=16 the quintic contraction's temporaries are large enough that
+        # numpy computes a * b in place in b, with the operands swapped
+        g = make_grid(2, 16)
+        rng = np.random.default_rng(62)
+        c = np.array([random_smooth_field(g, rng, 0.5).coeffs for _ in range(35)])
+        form = big_m5(IMultiplier(s=-0.5, N=4.0), g, 16)
+        value, scale = _lambda_with_scale(form, g, [c] * 5)
+        for size in (1, 2):
+            for s in range(0, 35 - size + 1, 3):
+                part = c[s : s + size].copy()
+                v, sc = _lambda_with_scale(form, g, [part] * 5)
+                assert v.tobytes() == value[s : s + size].tobytes()
+                assert sc.tobytes() == scale[s : s + size].tobytes()
+        # 2178 head and rest entries: chunks of 4 samples
+        monkeypatch.setattr(imethod, "STACK_BYTES", 4 * 32 * 2178)
+        v, sc = _lambda_with_scale(form, g, [c] * 5)
+        assert v.tobytes() == value.tobytes() and sc.tobytes() == scale.tobytes()
+
+    def test_energies_of_a_stack_are_the_per_sample_energies(self):
+        g = make_grid(2, 8, 1.4)
+        rng = np.random.default_rng(63)
+        c = np.array([random_smooth_field(g, rng, 0.3, norm_value=3.0).coeffs for _ in range(5)])
+        mult = IMultiplier(s=-0.5, N=2.0)
+        for order in (2, 3, 4):
+            expected = [modified_energy(FourierField(g, row), mult, order) for row in c]
+            assert _modified_energies(g, c, mult, order).tobytes() == np.array(expected).tobytes()
+
+    def test_stack_shapes_checked(self):
+        g = make_grid(1, 6)
+        c = np.zeros((2, 6), dtype=complex)
+        with pytest.raises(ValueError, match="shape"):
+            _lambda_with_scale(constant_form(3), g, [c, c, c[:1]])
 
 
 class TestM3:

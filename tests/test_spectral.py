@@ -7,6 +7,11 @@ fine physical grid, independent of the coefficient-space code paths.
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below is then skipped
+    given = None
+
 from kdvlab.spectral import (
     FourierField,
     conserved_quantities,
@@ -293,6 +298,35 @@ class TestSnapshots:
         path.write_text('{"schema_version": 1, "j": 1, "mu": 1.0, "coeffs": []}')
         with pytest.raises(ValueError, match="K"):
             load_snapshot(str(path))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) if given else None
+
+
+if given is None:
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_snapshot_round_trip_keeps_the_bytes():
+        pass
+
+else:
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.floats(0.1, 10.0),
+        st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=8),
+    )
+    def test_snapshot_round_trip_keeps_the_bytes(tmp_path_factory, j, mu, pairs):
+        g = make_grid(j, len(pairs), mu)
+        u = FourierField(g, [complex(re, im) for re, im in pairs])
+        path = str(tmp_path_factory.mktemp("snap") / "field.json")
+        save_snapshot(u, path)
+        back = load_snapshot(path)
+        assert back.grid == g
+        # a coefficient equal to 0 is not written, so -0.0 reads back as +0.0
+        expected = np.where(u.coeffs == 0, 0j, u.coeffs)
+        assert back.coeffs.tobytes() == expected.tobytes()
 
 
 class TestImmutability:
