@@ -39,7 +39,9 @@ from .experiments import (
     squeeze_witness,
 )
 from .flow import FlowSpec, _step_count, conservation_report, integrate
-from .imethod import QUINTIC_K_CAP, IMultiplier, _lambda_with_scale, _modified_energies, big_m5
+from .imethod import (
+    QUINTIC_K_CAP, IMultiplier, _lambda_with_scale, _modified_energies, _real_part, big_m5,
+)
 # perfbench/tracing.py wraps lambda_n and modified_energy here
 from .imethod import lambda_n, modified_energy  # noqa: F401
 from .resonance import verify_factorization
@@ -210,7 +212,7 @@ def _check_at_least(cfg: dict, **least) -> None:
 
 def _flow_spec(cfg: dict, grid, **kwargs) -> FlowSpec:
     """The run's FlowSpec, validated before its sample stride is derived from its steps."""
-    spec = _built(FlowSpec, grid=grid, dt=cfg["dt"], T=cfg["T"], scheme=cfg["scheme"], **kwargs)
+    spec = _built(FlowSpec, grid=grid, dt=cfg["dt"], T=cfg["T"], **kwargs)
     _check_at_least(cfg, samples=1)
     return replace(spec, sample_stride=max(1, _step_count(spec) // cfg["samples"]))
 
@@ -264,7 +266,9 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
     # the quintic column first: the M5 build sets the command's peak memory,
     # and the heap that the energy contractions leave behind would raise it
     m5 = big_m5(mult, grid, lattice_cutoff=grid.K) if grid.K <= QUINTIC_K_CAP else None
-    quintic = _lambda_with_scale(m5, grid, [c] * 5)[0].real if m5 is not None else nan
+    quintic = nan
+    if m5 is not None:
+        quintic = _real_part(*_lambda_with_scale(m5, grid, [c] * 5), "Lambda5M5")
     columns = [traj.times]
     for order in (2, 3, 4):
         columns.append(_modified_energies(grid, c, mult, order) if order in orders else nan)
@@ -363,8 +367,8 @@ def _cmd_scaling(cfg: dict, out_dir: str) -> None:
 # whether the command requires it, the CLI's own keys to (type name,
 # required, default). A sweep is looked up by its name when it runs, so a
 # wrapper installed on that name (perfbench/tracing.py) sees it.
-_FLOW = {"j": True, "K": True, "mu": False, "dt": False, "T": False, "scheme": False,
-         "seed": False, "decay": False}
+_FLOW = {"j": True, "K": True, "mu": False, "dt": False, "T": False, "seed": False,
+         "decay": False}
 _COMMANDS = {
     "solve": (_cmd_solve, {
         **_FLOW, "dt": True, "T": True, "N": ("float", False, None),

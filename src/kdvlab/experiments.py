@@ -75,7 +75,6 @@ class ExperimentConfig:
     mu: float = 1.0
     dt: float = 1e-3
     T: float = 1.0
-    scheme: str = "etdrk4"
     s: float = -0.5
     N_list: tuple = ()
     samples: int = 64
@@ -92,7 +91,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         grid = self.grid
-        FlowSpec(grid=grid, dt=self.dt, T=self.T, scheme=self.scheme)
+        FlowSpec(grid=grid, dt=self.dt, T=self.T)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.N_list and list(self.N_list) != sorted(set(self.N_list)):
@@ -166,19 +165,16 @@ def _sampled_solve(
     T: float | None = None,
     dt: float | None = None,
 ) -> Trajectory:
-    """Integrate a field or an ensemble with SUP_INTERVALS+1 uniform samples on [0, T]."""
+    """Integrate a field or an ensemble with SUP_INTERVALS+1 uniform samples on [0, T].
+
+    At T = 0 the trajectory is the one sample of the (projected) data.
+    """
     T = cfg.T if T is None else T
     dt = cfg.dt if dt is None else dt
     per = max(1, round(abs(T) / (SUP_INTERVALS * dt)))
     steps = per * SUP_INTERVALS
     spec = FlowSpec(
-        grid=grid,
-        dt=abs(T) / steps,
-        T=T,
-        flavor=flavor,
-        N=N,
-        scheme=cfg.scheme,
-        sample_stride=per,
+        grid=grid, dt=abs(T) / steps if T else dt, T=T, flavor=flavor, N=N, sample_stride=per
     )
     return integrate(u0, spec)
 
@@ -381,8 +377,6 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
 
     def flow_map(us: list) -> list:
         """Truncated flow of every field in us, solved as one ensemble."""
-        if cfg.T == 0.0:
-            return us
         ends = _sampled_solve(us, grid, cfg, flavor="truncated", N=N).coeffs[-1]
         return [FourierField(grid, c) for c in ends]
 

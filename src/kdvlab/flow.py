@@ -10,10 +10,9 @@ with Pi the sharp projection to |k| <= K (full flavor) or |k| <= N
 may give each member its own N; the truncation is one mask of the
 entries above each member's threshold. The stiff linear phase
 exp(i k^(2j+1) t) is always applied exactly through multipliers; only
-the nonlinearity is stepped. The default scheme is ETDRK4 with
-contour-integral evaluation of the phi-function coefficients
-(cancellation-safe for small k); lawson_rk4 is an integrating-factor
-alternative of the same order.
+the nonlinearity is stepped, by ETDRK4 (Cox-Matthews) with the
+phi-function coefficients evaluated by contour averaging
+(Kassam-Trefethen), which is cancellation-safe for small k.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "check_symplectic",
 ]
 
-_SCHEMES = ("etdrk4", "lawson_rk4")
 _CONTOUR_POINTS = 32
 JACOBIAN_DIM_CAP = 64
 
@@ -52,11 +50,11 @@ class FlowBlowupError(RuntimeError):
 class FlowSpec:
     """Integration configuration.
 
-    flavor "full" projects the nonlinearity to |k| <= K, "truncated" to
-    |k| <= N (requires N <= K/mu). N is one frequency threshold, or a
-    tuple with one threshold per member of the ensemble it is integrated
-    with. T may be negative (backward integration); dt is a positive
-    target step, adjusted to land exactly on T.
+    flavor "full" projects the nonlinearity to |k| <= K and takes no N,
+    "truncated" to |k| <= N (requires N <= K/mu). N is one frequency
+    threshold, or a tuple with one threshold per member of the ensemble it
+    is integrated with. T may be negative (backward integration); dt is a
+    positive target step, adjusted to land exactly on T.
     """
 
     grid: GridSpec
@@ -64,7 +62,6 @@ class FlowSpec:
     T: float
     flavor: str = "full"
     N: float | tuple | None = None
-    scheme: str = "etdrk4"
     nonlinear: bool = True
     sample_stride: int = 1
     blowup_threshold: float = 1e12
@@ -72,19 +69,7 @@ class FlowSpec:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"time step dt must be positive, got {self.dt}")
-        if self.flavor not in ("full", "truncated"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.flavor == "truncated":
-            if self.N is None:
-                raise ValueError("truncated flavor requires N")
-            for n in self.N if isinstance(self.N, tuple) else (self.N,):
-                if not n <= self.grid.band:  # also refuses NaN
-                    raise ValueError(
-                        f"truncated N={n} exceeds the grid band K/mu={self.grid.band:g}"
-                        if n > self.grid.band else f"truncated N={n} is not a number"
-                    )
+        _check_band(self.grid, self.flavor, self.N)
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 
@@ -134,14 +119,30 @@ def _full(table: np.ndarray, shape: tuple) -> np.ndarray:
     return full
 
 
+def _check_band(grid: GridSpec, flavor: str, N: float | tuple | None) -> None:
+    """Refuse an unknown flavor, a full flow given a threshold N it would
+    ignore, and a truncated flow without N or with an N above K/mu or NaN."""
+    if flavor == "full":
+        if N is not None:
+            raise ValueError(f"the full flavor takes no threshold N, got N={N}")
+        return
+    if flavor != "truncated" or N is None:
+        raise ValueError(f"unknown flavor {flavor!r} (truncated requires N)")
+    for n in N if isinstance(N, tuple) else (N,):
+        if not n <= grid.band:  # also refuses NaN
+            raise ValueError(
+                f"truncated N={n} exceeds the grid band K/mu={grid.band:g}"
+                if n > grid.band else f"truncated N={n} is not a number"
+            )
+
+
 def _band_mask(grid: GridSpec, flavor: str, N: float | tuple | None) -> np.ndarray | None:
     """The entries a flow zeroes: those above N, per member for a tuple N.
 
     Shape (K,) for one threshold, (len(N), K) for a tuple; None when no
     entry is zeroed, as in the full flavor or at N >= K/mu.
     """
-    if flavor not in ("full", "truncated") or (flavor == "truncated" and N is None):
-        raise ValueError(f"unknown flavor {flavor!r} (truncated requires N)")
+    _check_band(grid, flavor, N)
     if flavor == "full":
         return None
     in_band = [grid.modes_upto(n) for n in N] if isinstance(N, tuple) else grid.modes_upto(N)
@@ -220,8 +221,9 @@ def nonlinear_rhs(u: FourierField, flavor: str = "full", N: float | None = None)
     return FourierField(u.grid, rhs(u.coeffs, np.empty(u.coeffs.shape, dtype=np.complex128)))
 
 
-def _etdrk4_tables(lin: np.ndarray, h: float) -> dict:
-    """Cox-Matthews coefficients via contour averaging around each h*L.
+def _etdrk4_tables(lin: np.ndarray, h: float) -> tuple:
+    """Cox-Matthews coefficients e_full, e_half, q, f1, 2 f2, f3 via contour
+    averaging around each h*L.
 
     The mean of an entire function over a unit circle centered at z equals
     its value at z to spectral accuracy, so the phi-function combinations
@@ -235,81 +237,50 @@ def _etdrk4_tables(lin: np.ndarray, h: float) -> dict:
     f1 = h * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z**3, axis=1)
     two_f2 = 2.0 * (h * np.mean((2.0 + z + ez * (z - 2.0)) / z**3, axis=1))
     f3 = h * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z**3, axis=1)
-    return {
-        "e_full": np.exp(hl),
-        "e_half": np.exp(hl / 2.0),
-        "q": q,
-        "f1": f1,
-        "two_f2": two_f2,
-        "f3": f3,
-    }
+    return np.exp(hl), np.exp(hl / 2.0), q, f1, two_f2, f3
 
 
-class _Stepper:
-    """One-step integrator with precomputed exponential tables.
+def _step_function(
+    grid: GridSpec, h: float, mask: np.ndarray | None, shape: tuple, nonlinear: bool
+) -> Callable[[np.ndarray], None]:
+    """One ETDRK4 step of length h on coefficient arrays of one shape.
 
-    Advances a coefficient array of one shape, (K,) or (members, K), in
-    place; the tables are repeated along the leading axis and the FFTs run
-    along the last. The eight stage arrays are held between steps, so a step
-    creates no arrays. Each stage evaluates the expression in its comment
-    with the same operands in the same order, so the result does not depend
-    on the shape: an ensemble member equals its own solve bit for bit.
+    step(c) advances c, of shape (K,) or (members, K), in place; the tables
+    are repeated along the leading axis and the FFTs run along the last.
+    The eight stage arrays are held between steps, so a step creates no
+    arrays. Each stage evaluates the expression in its comment with the
+    same operands in the same order, so the result does not depend on the
+    shape: an ensemble member equals its own solve bit for bit. Without
+    the nonlinearity a step is the exact phase exp(h L).
     """
+    lin = _phases(grid)
+    mul, add = np.multiply, np.add
+    if not nonlinear:
+        e_full = _full(np.exp(h * lin), shape)
 
-    def __init__(self, spec: FlowSpec, h: float, mask: np.ndarray | None, shape: tuple):
-        self.spec = spec
-        self.h = h
-        lin = _phases(spec.grid)
-        if spec.nonlinear:
-            self.rhs = _rhs_function(spec.grid, mask, shape)
-        else:
-            self.rhs = None
-        if spec.scheme == "etdrk4" and self.rhs is not None:
-            tab = _etdrk4_tables(lin, h)
-        else:
-            e_half = np.exp(h * lin / 2.0)
-            tab = {
-                "e_full": np.exp(h * lin),
-                "e_half": e_half,
-                "h_e_half": h * e_half,
-                "two_e_half": 2.0 * e_half,
-            }
-        self.tab = {name: _full(t, shape) for name, t in tab.items()}
-        self.buf = [np.empty(shape, dtype=np.complex128) for _ in range(8)]
+        def linear_step(c: np.ndarray) -> None:
+            mul(e_full, c, out=c)
 
-    def step(self, c: np.ndarray) -> None:
-        """Advance c by one step of length h, in place."""
-        t = self.tab
-        mul, add = np.multiply, np.add
-        if self.rhs is None:
-            mul(t["e_full"], c, out=c)
-            return
-        rhs = self.rhs
-        n0, na, nb, nc, a, b, ec, s = self.buf
-        if self.spec.scheme == "etdrk4":
-            e_half, q = t["e_half"], t["q"]
-            mul(e_half, c, out=ec)
-            rhs(c, n0)
-            rhs(add(ec, mul(q, n0, out=a), out=a), na)  # a = e_half*c + q*n0
-            rhs(add(ec, mul(q, na, out=b), out=b), nb)  # b = e_half*c + q*na
-            np.subtract(mul(2.0, nb, out=s), n0, out=s)
-            rhs(add(mul(e_half, a, out=b), mul(q, s, out=s), out=b), nc)  # e_half*a + q*(2nb - n0)
-            # c = e_full*c + f1*n0 + (2 f2)*(na + nb) + f3*nc, summed left to right
-            mul(t["e_full"], c, out=s)
-            add(s, mul(t["f1"], n0, out=a), out=s)
-            add(s, mul(t["two_f2"], add(na, nb, out=a), out=a), out=s)
-            add(s, mul(t["f3"], nc, out=a), out=c)
-        else:  # lawson_rk4
-            e_full, e_half, half_h = t["e_full"], t["e_half"], 0.5 * self.h
-            rhs(c, n0)
-            # na = rhs(e_half*(c + (h/2)*n0)), nb = rhs(e_half*c + (h/2)*na)
-            rhs(mul(e_half, add(c, mul(half_h, n0, out=s), out=s), out=a), na)
-            rhs(add(mul(e_half, c, out=b), mul(half_h, na, out=s), out=b), nb)
-            mul(e_full, c, out=ec)
-            rhs(add(ec, mul(t["h_e_half"], nb, out=s), out=b), nc)  # e_full*c + (h e_half)*nb
-            # c = e_full*c + (h/6)*(e_full*n0 + (2 e_half)*(na + nb) + nc)
-            add(mul(e_full, n0, out=a), mul(t["two_e_half"], add(na, nb, out=s), out=s), out=a)
-            add(ec, mul(self.h / 6.0, add(a, nc, out=a), out=a), out=c)
+        return linear_step
+
+    e_full, e_half, q, f1, two_f2, f3 = (_full(t, shape) for t in _etdrk4_tables(lin, h))
+    rhs = _rhs_function(grid, mask, shape)
+    n0, na, nb, nc, a, b, ec, s = (np.empty(shape, dtype=np.complex128) for _ in range(8))
+
+    def step(c: np.ndarray) -> None:
+        mul(e_half, c, out=ec)
+        rhs(c, n0)
+        rhs(add(ec, mul(q, n0, out=a), out=a), na)  # a = e_half*c + q*n0
+        rhs(add(ec, mul(q, na, out=b), out=b), nb)  # b = e_half*c + q*na
+        np.subtract(mul(2.0, nb, out=s), n0, out=s)
+        rhs(add(mul(e_half, a, out=b), mul(q, s, out=s), out=b), nc)  # e_half*a + q*(2nb - n0)
+        # c = e_full*c + f1*n0 + (2 f2)*(na + nb) + f3*nc, summed left to right
+        mul(e_full, c, out=s)
+        add(s, mul(f1, n0, out=a), out=s)
+        add(s, mul(two_f2, add(na, nb, out=a), out=a), out=s)
+        add(s, mul(f3, nc, out=a), out=c)
+
+    return step
 
 
 def _step_count(spec: FlowSpec) -> int:
@@ -347,7 +318,7 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
 
     n_steps = _step_count(spec)
     h = spec.T / n_steps
-    stepper = _Stepper(spec, h, mask, c.shape)
+    advance = _step_function(g, h, mask, c.shape, spec.nonlinear)
 
     stride = spec.sample_stride
     sampled = list(range(stride, n_steps + 1, stride))
@@ -359,7 +330,7 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
     n_done = 1
     mags = np.empty(c.shape)
     for step in range(1, n_steps + 1):
-        stepper.step(c)
+        advance(c)
         peak = np.abs(c, out=mags).max()
         if not peak <= spec.blowup_threshold:  # also trips on NaN
             where = ""

@@ -8,6 +8,7 @@ import pytest
 
 from kdvlab.cli import ConfigError, _experiment_config, main, parse_config
 from kdvlab.experiments import ExperimentConfig
+from kdvlab.imethod import constant_form
 from kdvlab.resonance import p_n, prefactor, q_n
 
 
@@ -121,10 +122,11 @@ class TestExitCodes:
           "--T", "0.01"], "index s"),
         (["squeeze", "--j", "2", "--K", "8", "--N_list", "4", "--k0", "5",
           "--radius", "0.5"], "|k0|=5 exceeds N=4"),
-        (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--scheme", "rk45"],
-         "scheme 'rk45'"),
-        (["approx-sweep", "--j", "2", "--K", "64", "--N_list", "4", "--T", "0.01",
-          "--scheme", "rk45"], "scheme 'rk45'"),
+        # the flow has one step, so no command takes a scheme key
+        (["solve", "--config", "scheme.cfg", "--j", "2", "--K", "8", "--dt", "1e-3",
+          "--T", "0.01"], "unknown configuration key 'scheme'"),
+        (["approx-sweep", "--config", "scheme.cfg", "--j", "2", "--K", "64", "--N_list", "4",
+          "--T", "0.01"], "unknown configuration key 'scheme'"),
         (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01",
           "--input", "missing.json"], "key 'input': no such file"),
         (["energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4", "--dt", "0",
@@ -160,6 +162,7 @@ class TestExitCodes:
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "scheme.cfg").write_text("scheme = etdrk4\n")
         status = run_cli(*argv, "--out", str(tmp_path))
         err = capsys.readouterr().err
         assert status == 2
@@ -191,6 +194,31 @@ class TestExitCodes:
         assert status == 1
         err = capsys.readouterr().err
         assert "not strictly decreasing" in err
+
+    # At T = 0 each trajectory is its one datum sample: every sweep row is
+    # 0.0, which the strict-decrease check refuses, and the scaling
+    # mismatch is 0.0. Each run ends through main's own exit statuses.
+    @pytest.mark.parametrize("argv, expected", [
+        (["approx-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16"], 1),
+        (["tail-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16"], 1),
+        (["almost-cons", "--j", "1", "--K", "8", "--s", "-0.5", "--N_list", "2,4"], 1),
+        (["scaling-check", "--j", "1", "--K", "8", "--mu", "2", "--s", "-1.5"], 0),
+    ])
+    def test_zero_horizon_sweeps_exit_through_main(self, tmp_path, capsys, argv, expected):
+        assert run_cli(*argv, "--T", "0", "--out", str(tmp_path)) == expected
+        if expected:
+            assert "not strictly decreasing: N=" in capsys.readouterr().err
+
+    def test_imaginary_quintic_energy_is_run_failure(self, tmp_path, monkeypatch, capsys):
+        # Lambda_5 of a real field against an imaginary weight is imaginary:
+        # the residue check must refuse it rather than write its real part
+        monkeypatch.setattr("kdvlab.cli.big_m5", lambda *args, **kwargs: constant_form(5, 1j))
+        status = run_cli(
+            "energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4",
+            "--dt", "1e-3", "--T", "0.01", "--samples", "2", "--out", str(tmp_path),
+        )
+        assert status == 1
+        assert "Lambda5M5: imaginary residue" in capsys.readouterr().err
 
 
 class TestSolveOutputs:

@@ -17,9 +17,9 @@ from kdvlab.flow import (
     linear_propagate,
     nonlinear_rhs,
     symplectic_matrix,
-    _Stepper,
     _band_mask,
     _rhs_function,
+    _step_function,
 )
 from kdvlab.spectral import (
     FourierField,
@@ -109,13 +109,12 @@ class TestIntegrate:
         err = np.max(np.abs(traj.fields[-1].coeffs - ref.coeffs))
         assert err <= 1e-12 * np.max(np.abs(u0.coeffs))
 
-    @pytest.mark.parametrize("scheme", ["etdrk4", "lawson_rk4"])
-    def test_fourth_order_self_convergence(self, scheme):
+    def test_fourth_order_self_convergence(self):
         g = make_grid(1, 4)
         u0 = band_limited_field(g, 3, 4, decay=0.5)
         finals = {}
         for dt in (2e-2, 1e-2, 5e-3):
-            spec = FlowSpec(grid=g, dt=dt, T=1.0, scheme=scheme, sample_stride=10**9)
+            spec = FlowSpec(grid=g, dt=dt, T=1.0, sample_stride=10**9)
             finals[dt] = integrate(u0, spec).fields[-1]
         e1 = np.linalg.norm(finals[2e-2].coeffs - finals[1e-2].coeffs)
         e2 = np.linalg.norm(finals[1e-2].coeffs - finals[5e-3].coeffs)
@@ -194,30 +193,45 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="N=nan is not a number"):
             FlowSpec(grid=make_grid(2, 8), dt=1e-3, T=1e-3, flavor="truncated", N=N)
 
+    # The full flow has no threshold, so an N given with it is refused, not ignored.
+    @pytest.mark.parametrize("call", [
+        lambda u: FlowSpec(grid=u.grid, dt=1e-3, T=0.05, N=4.0),
+        lambda u: nonlinear_rhs(u, "full", 4.0),
+        lambda u: _band_mask(u.grid, "full", (4.0, 8.0)),
+    ], ids=["FlowSpec", "nonlinear_rhs", "ensemble"])
+    def test_threshold_refused_under_full_flavor(self, call):
+        u = band_limited_field(make_grid(2, 16), 1, 8)
+        with pytest.raises(ValueError, match=r"full flavor takes no threshold N, got N=\(?4\.0"):
+            call(u)
 
-ENSEMBLE_CASES = [
-    # scheme, flavor, j, mu, K, T
-    ("etdrk4", "full", 1, 1.0, 8, 0.05),
-    ("lawson_rk4", "full", 2, 1.0, 8, 0.05),
-    ("etdrk4", "truncated", 3, 1.0, 8, 0.01),
-    ("lawson_rk4", "truncated", 1, 1.0, 8, 0.05),
-    ("etdrk4", "full", 2, 2.0, 8, 0.05),
-    ("lawson_rk4", "truncated", 2, 2.0, 8, 0.05),
-    ("etdrk4", "truncated", 2, 1.0, 8, -0.05),
-    ("lawson_rk4", "full", 3, 1.0, 8, -0.01),
-    ("etdrk4", "full", 2, 1.0, 256, 0.002),
-    ("lawson_rk4", "truncated", 2, 1.0, 256, 0.002),
-]
+
+def step_params(cases):
+    """The rows as parameters whose ids name the step they check: etdrk4-<row>."""
+    return [pytest.param(*case, id="-".join(map(str, ("etdrk4",) + case))) for case in cases]
+
+
+ENSEMBLE_CASES = step_params([
+    # flavor, j, mu, K, T
+    ("full", 1, 1.0, 8, 0.05),
+    ("full", 2, 1.0, 8, 0.05),
+    ("truncated", 3, 1.0, 8, 0.01),
+    ("truncated", 1, 1.0, 8, 0.05),
+    ("full", 2, 2.0, 8, 0.05),
+    ("truncated", 2, 2.0, 8, 0.05),
+    ("truncated", 2, 1.0, 8, -0.05),
+    ("full", 3, 1.0, 8, -0.01),
+    ("full", 2, 1.0, 256, 0.002),
+    ("truncated", 2, 1.0, 256, 0.002),
+])
 
 
 class TestEnsemble:
-    @pytest.mark.parametrize("scheme, flavor, j, mu, K, T", ENSEMBLE_CASES)
-    def test_members_match_single_solves(self, scheme, flavor, j, mu, K, T):
+    @pytest.mark.parametrize("flavor, j, mu, K, T", ENSEMBLE_CASES)
+    def test_members_match_single_solves(self, flavor, j, mu, K, T):
         g = make_grid(j, K, mu)
         N = K / (2 * mu) if flavor == "truncated" else None
         spec = FlowSpec(
-            grid=g, dt=1e-3 if K == 8 else 2e-4, T=T, flavor=flavor, N=N,
-            scheme=scheme, sample_stride=3,
+            grid=g, dt=1e-3 if K == 8 else 2e-4, T=T, flavor=flavor, N=N, sample_stride=3
         )
         members = [band_limited_field(g, 100 + i, min(K, 6), norm=0.5 + i) for i in range(4)]
         batch = integrate(members, spec)
@@ -280,38 +294,28 @@ def allocating_rhs(grid, flavor, N):
 
 
 def allocating_step(spec, h):
-    """The ETDRK4 and Lawson steps as they were before the in-place kernel."""
+    """The ETDRK4 step as it was before the in-place kernel."""
     lin = 1j * spec.grid.frequencies ** (2 * spec.grid.j + 1)
     rhs = allocating_rhs(spec.grid, spec.flavor, spec.N)
     e1, e2 = np.exp(h * lin), np.exp(h * lin / 2.0)
-    if spec.scheme == "etdrk4":
-        hl = h * lin
-        theta = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32 * 2.0)
-        z = hl[:, None] + theta[None, :]
-        ez = np.exp(z)
-        q = h * np.mean((np.exp(z / 2.0) - 1.0) / z, axis=1)
-        f1 = h * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z**3, axis=1)
-        f2 = h * np.mean((2.0 + z + ez * (z - 2.0)) / z**3, axis=1)
-        f3 = h * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z**3, axis=1)
-
-        def step(c):
-            n0 = rhs(c)
-            a = e2 * c + q * n0
-            na = rhs(a)
-            b = e2 * c + q * na
-            nb = rhs(b)
-            cc = e2 * a + q * (2.0 * nb - n0)
-            nc = rhs(cc)
-            return e1 * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-
-        return step
+    hl = h * lin
+    theta = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32 * 2.0)
+    z = hl[:, None] + theta[None, :]
+    ez = np.exp(z)
+    q = h * np.mean((np.exp(z / 2.0) - 1.0) / z, axis=1)
+    f1 = h * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z**3, axis=1)
+    f2 = h * np.mean((2.0 + z + ez * (z - 2.0)) / z**3, axis=1)
+    f3 = h * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z**3, axis=1)
 
     def step(c):
         n0 = rhs(c)
-        na = rhs(e2 * (c + 0.5 * h * n0))
-        nb = rhs(e2 * c + 0.5 * h * na)
-        nc = rhs(e1 * c + h * e2 * nb)
-        return e1 * c + (h / 6.0) * (e1 * n0 + 2.0 * e2 * (na + nb) + nc)
+        a = e2 * c + q * n0
+        na = rhs(a)
+        b = e2 * c + q * na
+        nb = rhs(b)
+        cc = e2 * a + q * (2.0 * nb - n0)
+        nc = rhs(cc)
+        return e1 * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
 
     return step
 
@@ -335,16 +339,12 @@ def allocating_samples(c, spec):
     return np.array(samples)
 
 
-STEP_CASES = [
-    # scheme, flavor, j, mu, K, T in steps of dt: K alternates 8/16 and T changes sign
-    (scheme, flavor, j, mu, (8, 16)[i % 2], (12, -12)[(i // 2) % 2])
-    for i, (scheme, flavor, j, mu) in enumerate(
-        product(("etdrk4", "lawson_rk4"), ("full", "truncated"), (1, 2, 3), (0.5, 1.0, 2.0))
-    )
-] + [
-    (scheme, flavor, 2, 1.0, 256, 6)
-    for scheme, flavor in product(("etdrk4", "lawson_rk4"), ("full", "truncated"))
-]
+STEP_CASES = step_params([
+    # flavor, j, mu, K, T in steps of dt: K alternates 8/16, each forward and backward
+    (flavor, j, mu, (8, 16)[i % 2], n_steps)
+    for i, (flavor, j, mu) in enumerate(product(("full", "truncated"), (1, 2, 3), (0.5, 1.0, 2.0)))
+    for n_steps in (12, -12)
+] + [(flavor, 2, 1.0, 256, 6) for flavor in ("full", "truncated")])
 
 
 RHS_CASES = [
@@ -372,12 +372,12 @@ RHS_CASES = [
 
 
 class TestInPlaceStep:
-    @pytest.mark.parametrize("scheme, flavor, j, mu, K, n_steps", STEP_CASES)
-    def test_samples_equal_allocating_step(self, scheme, flavor, j, mu, K, n_steps):
+    @pytest.mark.parametrize("flavor, j, mu, K, n_steps", STEP_CASES)
+    def test_samples_equal_allocating_step(self, flavor, j, mu, K, n_steps):
         g = make_grid(j, K, mu)
         dt = 1e-3 if K == 8 else 1e-4 if K == 16 else 2e-5
         spec = FlowSpec(
-            grid=g, dt=dt, T=n_steps * dt, scheme=scheme, flavor=flavor,
+            grid=g, dt=dt, T=n_steps * dt, flavor=flavor,
             N=K / (2 * mu) if flavor == "truncated" else None, sample_stride=5,
         )
         members = [band_limited_field(g, 200 + i, min(K, 6), norm=0.5 + i) for i in range(3)]
@@ -437,15 +437,16 @@ class TestInPlaceStep:
 
 
 def step_peak_bytes(spec, shape, steps=10):
-    """tracemalloc peak over steps in-place steps of one held stepper."""
+    """tracemalloc peak over steps in-place steps of one held step function."""
     rng = np.random.default_rng(41)
     c = 1e-2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    stepper = _Stepper(spec, spec.dt, _band_mask(spec.grid, spec.flavor, spec.N), shape)
-    stepper.step(c)
+    mask = _band_mask(spec.grid, spec.flavor, spec.N)
+    step = _step_function(spec.grid, spec.dt, mask, shape, spec.nonlinear)
+    step(c)
     tracemalloc.start()
     try:
         for _ in range(steps):
-            stepper.step(c)
+            step(c)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -457,20 +458,18 @@ class TestEnsembleAllocation:
     @pytest.mark.parametrize(
         "flavor, N", [("full", None), ("truncated", (256.0, 16.0, 32.0, 64.0))]
     )
-    @pytest.mark.parametrize("scheme", ["etdrk4", "lawson_rk4"])
-    def test_ensemble_step_allocates_as_little_as_one_field(self, scheme, flavor, N):
+    def test_ensemble_step_allocates_as_little_as_one_field(self, flavor, N):
         g = make_grid(2, 256)
-        spec = FlowSpec(grid=g, dt=1e-5, T=1e-4, scheme=scheme, flavor=flavor, N=N)
+        spec = FlowSpec(grid=g, dt=1e-5, T=1e-4, flavor=flavor, N=N)
         single = step_peak_bytes(replace(spec, flavor="full", N=None), (g.K,))
         assert step_peak_bytes(spec, (4, g.K)) <= single + 2048
 
 
 class TestPerMemberN:
-    @pytest.mark.parametrize("scheme", ["etdrk4", "lawson_rk4"])
-    def test_members_equal_their_own_solves(self, scheme):
+    def test_members_equal_their_own_solves(self):
         g = make_grid(2, 16)
         members = [band_limited_field(g, 50 + i, 8, norm=1.0 + i) for i in range(3)]
-        spec = FlowSpec(grid=g, dt=1e-3, T=0.02, scheme=scheme, sample_stride=4)
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.02, sample_stride=4)
         batch = integrate(
             members, replace(spec, flavor="truncated", N=(g.band, 2.0, 5.0))
         ).coeffs
