@@ -89,12 +89,18 @@ class Trajectory:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) == 0) and len(self.times) > 1:
-            raise ValueError("trajectory timestamps must be strictly monotone")
+        if len(self.times) != len(self.coeffs):
+            raise ValueError(f"trajectory has {len(self.times)} times for {len(self.coeffs)} samples")
+        steps = np.diff(self.times)
+        if np.isnan(self.times).any() or not (np.all(steps > 0) or np.all(steps < 0)):
+            raise ValueError("trajectory timestamps must be strictly monotone, with no NaN")
 
     @property
     def fields(self) -> list:
         """The samples of a single-field trajectory, built on demand."""
+        if self.coeffs.ndim == 3:
+            raise ValueError(f"fields takes a single-field trajectory; this one holds "
+                             f"{self.coeffs.shape[1]} members (coeffs shape {self.coeffs.shape})")
         return [FourierField(self.spec.grid, c) for c in self.coeffs]
 
 
@@ -164,14 +170,16 @@ def _rhs_function(
     The transforms call the pocketfft gufuncs behind numpy.fft's irfft and
     rfft directly, with the factors numpy.fft passes for norm="backward"
     (1/P inverse, 1 forward), so the output bits are numpy.fft's without
-    its per-call argument handling. The core axis is the last one.
+    its per-call argument handling. The core axis is the last one. Every
+    operand is an array of its loop's dtype and every output is passed
+    positionally, so no call converts a Python scalar or parses a keyword.
     """
     P = grid.physical_points
     K = grid.K
     minus_half_ik = _full(-0.5 * (1j * grid.frequencies), shape)
-    phys_scale = P / (2.0 * np.pi * grid.mu)
-    spec_scale = 2.0 * np.pi * grid.mu / P
-    inv_P = np.reciprocal(P, dtype=np.float64)
+    phys_scale = np.array(P / (2.0 * np.pi * grid.mu), dtype=np.complex128)
+    spec_scale = np.array(2.0 * np.pi * grid.mu / P, dtype=np.complex128)
+    inv_P, one = np.array(1.0 / P), np.array(1.0)
     irfft = _pocketfft.irfft
     rfft = _pocketfft.rfft_n_even if P % 2 == 0 else _pocketfft.rfft_n_odd
     lead = shape[:-1]
@@ -191,14 +199,14 @@ def _rhs_function(
     zero = np.zeros((), dtype=np.complex128)
 
     def rhs(c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(c, phys_scale, out=modes_in)
+        np.multiply(c, phys_scale, modes_in)
         if copies:
             np.copyto(half_modes, modes_in)
-        irfft(half, inv_P, out=w)
-        rfft(np.multiply(w, w, out=w), 1, out=sp)
+        irfft(half, inv_P, w)
+        rfft(np.multiply(w, w, w), one, sp)
         if copies:
             np.copyto(modes_out, sp_modes)
-        np.multiply(minus_half_ik, np.multiply(modes_out, spec_scale, out=out), out=out)
+        np.multiply(minus_half_ik, np.multiply(modes_out, spec_scale, out), out)
         if mask is not None:
             np.copyto(out, zero, where=mask)
         return out
@@ -251,7 +259,8 @@ def _step_function(
     arrays. Each stage evaluates the expression in its comment with the
     same operands in the same order, so the result does not depend on the
     shape: an ensemble member equals its own solve bit for bit. Without
-    the nonlinearity a step is the exact phase exp(h L).
+    the nonlinearity a step is the exact phase exp(h L). As in the RHS,
+    every operand is a complex128 array and every output is positional.
     """
     lin = _phases(grid)
     mul, add = np.multiply, np.add
@@ -259,26 +268,27 @@ def _step_function(
         e_full = _full(np.exp(h * lin), shape)
 
         def linear_step(c: np.ndarray) -> None:
-            mul(e_full, c, out=c)
+            mul(e_full, c, c)
 
         return linear_step
 
     e_full, e_half, q, f1, two_f2, f3 = (_full(t, shape) for t in _etdrk4_tables(lin, h))
     rhs = _rhs_function(grid, mask, shape)
     n0, na, nb, nc, a, b, ec, s = (np.empty(shape, dtype=np.complex128) for _ in range(8))
+    two = np.array(2.0, dtype=np.complex128)
 
     def step(c: np.ndarray) -> None:
-        mul(e_half, c, out=ec)
+        mul(e_half, c, ec)
         rhs(c, n0)
-        rhs(add(ec, mul(q, n0, out=a), out=a), na)  # a = e_half*c + q*n0
-        rhs(add(ec, mul(q, na, out=b), out=b), nb)  # b = e_half*c + q*na
-        np.subtract(mul(2.0, nb, out=s), n0, out=s)
-        rhs(add(mul(e_half, a, out=b), mul(q, s, out=s), out=b), nc)  # e_half*a + q*(2nb - n0)
+        rhs(add(ec, mul(q, n0, a), a), na)  # a = e_half*c + q*n0
+        rhs(add(ec, mul(q, na, b), b), nb)  # b = e_half*c + q*na
+        np.subtract(mul(two, nb, s), n0, s)
+        rhs(add(mul(e_half, a, b), mul(q, s, s), b), nc)  # e_half*a + q*(2nb - n0)
         # c = e_full*c + f1*n0 + (2 f2)*(na + nb) + f3*nc, summed left to right
-        mul(e_full, c, out=s)
-        add(s, mul(f1, n0, out=a), out=s)
-        add(s, mul(two_f2, add(na, nb, out=a), out=a), out=s)
-        add(s, mul(f3, nc, out=a), out=c)
+        mul(e_full, c, s)
+        add(s, mul(f1, n0, a), s)
+        add(s, mul(two_f2, add(na, nb, a), a), s)
+        add(s, mul(f3, nc, a), c)
 
     return step
 
@@ -331,7 +341,8 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
     mags = np.empty(c.shape)
     for step in range(1, n_steps + 1):
         advance(c)
-        peak = np.abs(c, out=mags).max()
+        # the ufunc reduction itself: ndarray.max goes through a Python wrapper
+        peak = np.maximum.reduce(np.absolute(c, mags), None)
         if not peak <= spec.blowup_threshold:  # also trips on NaN
             where = ""
             if ensemble:

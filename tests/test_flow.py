@@ -7,9 +7,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+import kdvlab.flow as flow_module
 from kdvlab.flow import (
     FlowBlowupError,
     FlowSpec,
+    Trajectory,
     check_symplectic,
     conservation_report,
     flow_jacobian,
@@ -435,6 +437,39 @@ class TestInPlaceStep:
             assert np.array_equal(c, kept)
             assert same_bits(out, allocating_rhs(grid, flavor, N)(kept))
 
+    @pytest.mark.parametrize("members", [0, 3], ids=["field", "3xK"])
+    @pytest.mark.parametrize("flavor, N", [("full", None), ("truncated", 5.0)])
+    def test_no_python_scalar_reaches_the_step(self, monkeypatch, flavor, N, members):
+        # numpy converts a Python scalar operand again on every call, and
+        # parses every keyword; the step passes arrays, outputs positionally
+        calls = []
+
+        def recorder(name, f):
+            def call(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return f(*args, **kwargs)
+            return call
+
+        for name in ("multiply", "add", "subtract", "copyto"):
+            monkeypatch.setattr(np, name, recorder(name, getattr(np, name)))
+        fft = flow_module._pocketfft
+        fft_recorders = type("Recorders", (), {
+            name: staticmethod(recorder(name, getattr(fft, name)))
+            for name in ("irfft", "rfft_n_even", "rfft_n_odd")
+        })
+        monkeypatch.setattr(flow_module, "_pocketfft", fft_recorders)
+        g = make_grid(3, 16)
+        shape = (members, g.K) if members else (g.K,)
+        step = _step_function(g, 1e-4, _band_mask(g, flavor, N), shape, True)
+        c = np.random.default_rng(42).standard_normal(shape) * (1e-2 + 0j)
+        calls.clear()
+        step(c)
+        names = {name for name, _, _ in calls}
+        assert {"multiply", "add", "subtract", "irfft", "rfft_n_even"} <= names
+        for name, args, kwargs in calls:
+            assert all(isinstance(a, np.ndarray) for a in args), (name, args)
+            assert set(kwargs) <= {"where"}, (name, kwargs)
+
 
 def step_peak_bytes(spec, shape, steps=10):
     """tracemalloc peak over steps in-place steps of one held step function."""
@@ -502,6 +537,37 @@ class TestPerMemberN:
             integrate(u, spec)
         with pytest.raises(ValueError, match="one threshold N"):
             flow_jacobian(u, spec, h=1e-6)
+
+
+class TestTrajectory:
+    SPEC = FlowSpec(grid=make_grid(2, 8), dt=1e-3, T=1e-3)
+
+    @pytest.mark.parametrize("times, samples, match", [
+        ([0.0, 1.0, 0.5], 3, "strictly monotone"),
+        ([0.0, -1.0, -0.5], 3, "strictly monotone"),
+        ([0.0, 1.0, 1.0], 3, "strictly monotone"),
+        ([0.0, np.nan, 2.0], 3, "strictly monotone"),
+        ([np.nan], 1, "strictly monotone"),
+        ([0.0, 1.0], 5, "2 times for 5 samples"),
+        ([0.0, 1.0, 2.0], 2, "3 times for 2 samples"),
+    ], ids=["back-step", "forward-step", "repeat", "nan", "lone-nan", "short", "long"])
+    def test_refuses_bad_times(self, times, samples, match):
+        coeffs = np.zeros((samples, 8), dtype=np.complex128)
+        with pytest.raises(ValueError, match=match):
+            Trajectory(times=np.array(times), coeffs=coeffs, spec=self.SPEC)
+
+    @pytest.mark.parametrize("T", [0.01, -0.01, 0.0])
+    def test_integrated_times_are_accepted(self, T):
+        u0 = band_limited_field(self.SPEC.grid, 3, 4)
+        traj = integrate(u0, replace(self.SPEC, T=T, sample_stride=3))
+        assert len(traj.times) == len(traj.coeffs) == len(traj.fields)
+
+    def test_fields_of_an_ensemble_names_its_members(self):
+        members = [band_limited_field(self.SPEC.grid, 60 + i, 4) for i in range(3)]
+        traj = integrate(members, self.SPEC)
+        for call in (lambda: traj.fields, lambda: conservation_report(traj)):
+            with pytest.raises(ValueError, match=r"holds 3 members \(coeffs shape \(2, 3, 8\)\)"):
+                call()
 
 
 class TestConservation:
