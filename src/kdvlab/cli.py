@@ -40,7 +40,7 @@ from .experiments import (
 )
 from .flow import FlowSpec, _step_count, conservation_report, integrate
 from .imethod import (
-    QUINTIC_K_CAP, IMultiplier, _lambda_with_scale, _modified_energies, _real_part, big_m5,
+    QUINTIC_K_CAP, IMultiplier, _modified_energies, _real_lambda, big_m5,
 )
 # perfbench/tracing.py wraps lambda_n and modified_energy here
 from .imethod import lambda_n, modified_energy  # noqa: F401
@@ -253,26 +253,19 @@ def _cmd_solve(cfg: dict, out_dir: str) -> None:
 
 
 def _cmd_energies(cfg: dict, out_dir: str) -> None:
+    """t, E2, E3, E4 and Lambda_5(M5) at each sample of one trajectory, each
+    form evaluated once over all samples."""
     grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
-    orders = sorted({int(o) for o in cfg["orders"].replace(" ", "").split(",") if o})
-    if not orders or any(o not in (2, 3, 4) for o in orders):
-        raise ConfigError(f"bad value for key 'orders': {cfg['orders']!r}")
     spec = _flow_spec(cfg, grid)
     mult = _built(IMultiplier, s=cfg["s"], N=cfg["N"])
     u0 = _initial_field(cfg, grid)
     traj = integrate(u0, spec)
     c = traj.coeffs
-    nan = np.full(len(c), np.nan)
     # the quintic column first: the M5 build sets the command's peak memory,
     # and the heap that the energy contractions leave behind would raise it
     m5 = big_m5(mult, grid, lattice_cutoff=grid.K) if grid.K <= QUINTIC_K_CAP else None
-    quintic = nan
-    if m5 is not None:
-        quintic = _real_part(*_lambda_with_scale(m5, grid, [c] * 5), "Lambda5M5")
-    columns = [traj.times]
-    for order in (2, 3, 4):
-        columns.append(_modified_energies(grid, c, mult, order) if order in orders else nan)
-    rows = np.column_stack([*columns, quintic]).tolist()
+    quintic = np.full(len(c), np.nan) if m5 is None else _real_lambda(m5, grid, c, "Lambda5M5")
+    rows = np.column_stack([traj.times, *_modified_energies(grid, c, mult, 4), quintic]).tolist()
     _write_csv(os.path.join(out_dir, "energies.csv"), ("t", "E2", "E3", "E4", "Lambda5M5"), rows)
     if m5 is None:
         print(f"energies: K={grid.K} > {QUINTIC_K_CAP}, Lambda5M5 column skipped (quintic cap)")
@@ -377,7 +370,7 @@ _COMMANDS = {
     }),
     "energies": (_cmd_energies, {
         **_FLOW, "s": True, "N": ("float", True, None), "input": ("str", False, None),
-        "orders": ("str", False, "2,3,4"), "samples": ("int", False, 32),
+        "samples": ("int", False, 32),
     }),
     "resonance-check": (_cmd_resonance, {
         "j": True, "K": True, "K4": ("int", False, None), "csv": ("str", False, None),

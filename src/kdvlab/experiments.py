@@ -301,8 +301,7 @@ def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
     rows = []
     for N in cfg.N_list:
         mult = IMultiplier(s=cfg.s, N=float(N))
-        e4 = _modified_energies(grid, c, mult, 4)
-        e2 = _modified_energies(grid, c, mult, 2)
+        e2, _, e4 = _modified_energies(grid, c, mult, 4)
         rows.append(
             (float(N), float(np.max(np.abs(e4 - e4[0]))), float(np.max(np.abs(e2 - e2[0]))))
         )

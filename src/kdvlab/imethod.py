@@ -10,8 +10,10 @@ energies are built from n-linear lattice sums
 restricted to nonzero entries with |index| <= K; with this normalization
 Lambda_3(1) equals the integral of u^3. One evaluator computes it for a
 whole stack of samples, contracting w as a dense table head sum by head
-sum (see _lambda_with_scale). The correction multipliers follow the
-cascade
+sum (see _lambda_with_scale). The modified energies are one hierarchy,
+E3 = E2 + Lambda_3(sigma3) and E4 = E3 + Lambda_4(sigma4), taken in one
+pass that evaluates each correction once per stack. The correction
+multipliers follow the cascade
 
     d/dt E2 = Lambda_3(M3),   sigma3 = -M3/alpha3,
     d/dt E3 = Lambda_4(M4),   sigma4 = -M4/alpha4,
@@ -321,6 +323,14 @@ def _real_part(value: np.ndarray, scale: np.ndarray, what: str) -> np.ndarray:
     return value.real
 
 
+def _real_lambda(
+    form: MultilinearForm, grid: GridSpec, coeffs: np.ndarray, what: str
+) -> np.ndarray:
+    """Lambda_n(form; u,..,u) at each sample of a coefficient stack (S, K),
+    as its real part once every sample's imaginary residue is checked."""
+    return _real_part(*_lambda_with_scale(form, grid, [coeffs] * form.n), what)
+
+
 # ---------------------------------------------------------------------------
 # Correction multipliers
 # ---------------------------------------------------------------------------
@@ -508,21 +518,22 @@ def _successor_form(order: int, mult: IMultiplier, grid: GridSpec) -> Multilinea
 
 def _corrections(mult: IMultiplier, grid: GridSpec, order: int) -> list:
     """The correction forms of E^order: sigma3 from order 3, then sigma4 on the K-lattice."""
+    if order not in (2, 3, 4):
+        raise ValueError(f"order must be 2, 3 or 4, got {order}")
     return [sigma3(mult, grid), sigma4(mult, grid, lattice_cutoff=grid.K)][: order - 2]
 
 
 def _modified_energies(
     grid: GridSpec, coeffs: np.ndarray, mult: IMultiplier, order: int
 ) -> np.ndarray:
-    """E^order at each sample of a coefficient stack of shape (S, K); see modified_energy."""
-    if order not in (2, 3, 4):
-        raise ValueError(f"order must be 2, 3 or 4, got {order}")
+    """E2 up to E^order at each sample of a coefficient stack (S, K), as rows
+    of an (order - 1, S) array; each row is the one before it plus its
+    correction, so every form is evaluated once. See modified_energy."""
     m = _m_array(mult, grid.frequencies)
-    value = 2.0 * np.sum(m * m * np.abs(coeffs) ** 2, axis=-1) / (2.0 * np.pi * grid.mu)
+    rows = [2.0 * np.sum(m * m * np.abs(coeffs) ** 2, axis=-1) / (2.0 * np.pi * grid.mu)]
     for form in _corrections(mult, grid, order):
-        corr, scale = _lambda_with_scale(form, grid, [coeffs] * form.n)
-        value = value + _real_part(corr, scale, f"Lambda_{form.n} correction")
-    return value
+        rows.append(rows[-1] + _real_lambda(form, grid, coeffs, f"Lambda_{form.n} correction"))
+    return np.array(rows)
 
 
 def modified_energy(u: FourierField, mult: IMultiplier, order: int) -> float:
@@ -531,7 +542,7 @@ def modified_energy(u: FourierField, mult: IMultiplier, order: int) -> float:
     The quartic correction uses the K-lattice-consistent sigma4 so the
     derivative identities hold exactly for the integrated Galerkin system.
     """
-    return float(_modified_energies(u.grid, u.coeffs[None], mult, order)[0])
+    return float(_modified_energies(u.grid, u.coeffs[None], mult, order)[-1, 0])
 
 
 def _energy_rates(
@@ -557,14 +568,6 @@ def _energy_rates(
         value = value + form.n * _real_part(corr, sc, f"polarized Lambda_{form.n} correction")
         scale = scale + form.n * sc
     return value, scale
-
-
-def _energy_rate(
-    u: FourierField, nl: FourierField, mult: IMultiplier, order: int
-) -> tuple[float, float]:
-    """(exact dE^order/dt, term scale) at u along u_t = i k^(2j+1) u_hat + nl."""
-    value, scale = _energy_rates(u.grid, u.coeffs[None], nl.coeffs[None], mult, order)
-    return float(value[0]), float(scale[0])
 
 
 def _discrepancy(
@@ -635,8 +638,6 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     samples each derivative covers; see _discrepancy for the vanishing
     case.
     """
-    if order not in (2, 3, 4):
-        raise ValueError(f"order must be 2, 3 or 4, got {order}")
     spec = traj.spec
     if isinstance(spec.N, tuple) or traj.coeffs.ndim != 2:
         raise ValueError(
@@ -660,10 +661,9 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     nl = np.zeros_like(c)
     if spec.nonlinear:
         _rhs_function(spec.grid, mask, c.shape)(c, nl)
-    energies = _modified_energies(spec.grid, c, mult, order)
+    energies = _modified_energies(spec.grid, c, mult, order)[-1]
     form = _successor_form(order, mult, spec.grid)
-    value, scale = _lambda_with_scale(form, spec.grid, [c] * form.n)
-    direct_all = _real_part(value, scale, f"Lambda_{form.n}({form.tag})")
+    direct_all = _real_lambda(form, spec.grid, c, f"Lambda_{form.n}({form.tag})")
     exact, scales = _energy_rates(spec.grid, c, nl, mult, order)
     exact_scale = float(np.max(scales))
     direct = direct_all[1:-1]

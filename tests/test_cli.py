@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from kdvlab import cli, imethod
 from kdvlab.cli import ConfigError, _experiment_config, main, parse_config
 from kdvlab.experiments import ExperimentConfig
 from kdvlab.imethod import constant_form
@@ -314,6 +315,31 @@ class TestEnergiesCommand:
         assert "quintic cap" in capsys.readouterr().out
         body = (tmp_path / "energies.csv").read_text().splitlines()[1]
         assert body.endswith("nan")
+
+    def test_orders_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "energies.cfg"
+        cfg.write_text("j = 2\nK = 8\ns = -0.5\nN = 4\norders = 2,3\n")
+        status = run_cli("energies", "--config", str(cfg), "--out", str(tmp_path))
+        assert status == 2
+        assert "unknown configuration key 'orders'" in capsys.readouterr().err
+
+    def test_each_form_evaluated_once(self, tmp_path, monkeypatch):
+        # M5, sigma3 and sigma4, each once over the whole trajectory
+        tags = []
+
+        def counting(form, *args):
+            tags.append(form.tag)
+            return real_lambda(form, *args)
+
+        real_lambda = imethod._real_lambda
+        monkeypatch.setattr(imethod, "_real_lambda", counting)
+        monkeypatch.setattr(cli, "_real_lambda", counting)
+        status = run_cli(
+            "energies", "--j", "2", "--K", "16", "--s", "-0.5", "--N", "4",
+            "--dt", "1e-3", "--T", "0.01", "--samples", "4", "--out", str(tmp_path),
+        )
+        assert status == 0
+        assert sorted(tags) == ["M5", "sigma3", "sigma4"]
 
 
 class TestSqueezeCommand:

@@ -33,7 +33,7 @@ from kdvlab.imethod import (
     sigma4,
 )
 from kdvlab.imethod import (
-    _energy_rate,
+    _energy_rates,
     _hyperplane_tuples,
     _lambda_with_scale,
     _m_values,
@@ -248,9 +248,14 @@ class TestStackedEvaluator:
         rng = np.random.default_rng(63)
         c = np.array([random_smooth_field(g, rng, 0.3, norm_value=3.0).coeffs for _ in range(5)])
         mult = IMultiplier(s=-0.5, N=2.0)
-        for order in (2, 3, 4):
-            expected = [modified_energy(FourierField(g, row), mult, order) for row in c]
-            assert _modified_energies(g, c, mult, order).tobytes() == np.array(expected).tobytes()
+        stack = _modified_energies(g, c, mult, 4)
+        assert stack.shape == (3, len(c))
+        for order, row in zip((2, 3, 4), stack):
+            expected = [modified_energy(FourierField(g, u), mult, order) for u in c]
+            assert row.tobytes() == np.array(expected).tobytes()
+        # a lower order's stack is the head of the order-4 one, bit for bit
+        for order in (2, 3):
+            assert _modified_energies(g, c, mult, order).tobytes() == stack[: order - 1].tobytes()
 
     def test_stack_shapes_checked(self):
         g = make_grid(1, 6)
@@ -504,6 +509,14 @@ class TestModifiedEnergy:
         with pytest.raises(ValueError):
             modified_energy(harmonic(g, 1), IMultiplier(s=-0.5, N=2.0), 5)
 
+    @pytest.mark.parametrize("order", [1, 5])
+    def test_rate_order_validation(self, order):
+        # order 1 must not slice the corrections down to a sigma3-polarized rate
+        g = make_grid(1, 6)
+        c = harmonic(g, 1).coeffs[None]
+        with pytest.raises(ValueError, match=f"order must be 2, 3 or 4, got {order}"):
+            _energy_rates(g, c, c, IMultiplier(s=-0.5, N=2.0), order)
+
     def test_comparability_constant_reported(self):
         # |E4 - E2| <= C (||Iu||^3 + ||Iu||^4); fit C over random fields
         g = make_grid(2, 12)
@@ -628,12 +641,14 @@ class TestExactDriftSeries:
         )
         spec, mult = traj.spec, IMultiplier(s=-0.5, N=1.5)
         expected = [
-            _energy_rate(
-                u,
-                nonlinear_rhs(u, spec.flavor, spec.N) if spec.nonlinear else FourierField.zero(g),
+            _energy_rates(
+                g,
+                u.coeffs[None],
+                (nonlinear_rhs(u, spec.flavor, spec.N) if spec.nonlinear
+                 else FourierField.zero(g)).coeffs[None],
                 mult,
                 order,
-            )[0]
+            )[0][0]
             for u in traj.fields
         ]
         exact = drift_oracle(traj, mult, order).exact
