@@ -13,16 +13,14 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -164,14 +162,34 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_csv(path: str, columns, rows) -> None:
-    """Header and rows (any iterable) as CSV; a float cell is written as its
-    shortest round-trip repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    _write_atomic(path, buf.getvalue())
+def _column_text(col) -> np.ndarray:
+    """Each cell's str() as bytes, str() taken once per distinct value.
+
+    Numbers are told apart by their bits (so -0.0 keeps its sign), an
+    object column (Python ints) by value; bytes pass through as they are.
+    """
+    a = np.asarray(col)
+    if a.dtype.kind == "S":
+        return a
+    keys = a if a.dtype == object else np.ascontiguousarray(a).view(f"u{a.itemsize}")
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array([str(v).encode() for v in a[first].tolist()], dtype=bytes)[inverse]
+
+
+def _joined(cells, sep: bytes) -> np.ndarray:
+    """Text columns joined row by row with sep."""
+    return reduce(lambda out, c: np.strings.add(np.strings.add(out, sep), c), cells)
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """Header and equal-length columns as CSV, built column by column: a cell
+    is the str() of its value (a float's shortest round-trip repr), the text
+    csv.writer writes, as no field here needs quoting."""
+    cells = [_column_text(c) for c in columns]
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"columns of unequal length: {[len(c) for c in cells]}")
+    lines = [",".join(header).encode(), *_joined(cells, b",").tolist()]
+    _write_atomic(path, (b"\n".join(lines) + b"\n").decode())
 
 
 class _Manifest:
@@ -217,6 +235,15 @@ def _flow_spec(cfg: dict, grid, **kwargs) -> FlowSpec:
     return replace(spec, sample_stride=max(1, _step_count(spec) // cfg["samples"]))
 
 
+def _output_path(cfg: dict, key: str, out_dir: str) -> str:
+    """out_dir joined with the key's value, refused unless its directory exists."""
+    path = os.path.join(out_dir, cfg[key])
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"bad value for key {key!r}: no such directory {folder!r}")
+    return path
+
+
 def _initial_field(cfg: dict, grid):
     if cfg.get("input"):
         if not os.path.isfile(cfg["input"]):
@@ -232,19 +259,19 @@ def _initial_field(cfg: dict, grid):
 
 
 def _cmd_solve(cfg: dict, out_dir: str) -> None:
+    prefix = _output_path(cfg, "output", out_dir)
     grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
     flavor = "truncated" if cfg["N"] is not None else "full"
     spec = _flow_spec(cfg, grid, flavor=flavor, N=cfg["N"], nonlinear=cfg["nonlinear"])
     u0 = _initial_field(cfg, grid)
     traj = integrate(u0, spec)
-    prefix = os.path.join(out_dir, cfg["output"])
     for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
         save_snapshot(u, f"{prefix}_{i:04d}.json")
     reports, drifts = conservation_report(traj)
     _write_csv(
         f"{prefix}_conserved.csv",
         ("t", "mass", "l2_energy", "hamiltonian"),
-        [(r.timestamp, r.mass, r.l2_energy, r.hamiltonian) for r in reports],
+        zip(*[(r.timestamp, r.mass, r.l2_energy, r.hamiltonian) for r in reports]),
     )
     print(
         f"solve: {traj.stats['steps']} steps, drifts E={drifts['l2_energy']:.3e} "
@@ -265,14 +292,17 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
     # and the heap that the energy contractions leave behind would raise it
     m5 = big_m5(mult, grid, lattice_cutoff=grid.K) if grid.K <= QUINTIC_K_CAP else None
     quintic = np.full(len(c), np.nan) if m5 is None else _real_lambda(m5, grid, c, "Lambda5M5")
-    rows = np.column_stack([traj.times, *_modified_energies(grid, c, mult, 4), quintic]).tolist()
-    _write_csv(os.path.join(out_dir, "energies.csv"), ("t", "E2", "E3", "E4", "Lambda5M5"), rows)
+    cols = (traj.times, *_modified_energies(grid, c, mult, 4), quintic)
+    _write_csv(os.path.join(out_dir, "energies.csv"), ("t", "E2", "E3", "E4", "Lambda5M5"), cols)
     if m5 is None:
         print(f"energies: K={grid.K} > {QUINTIC_K_CAP}, Lambda5M5 column skipped (quintic cap)")
 
 
 def _cmd_resonance(cfg: dict, out_dir: str) -> None:
+    """Exact factorization check on Gamma_3 and Gamma_4, with an optional
+    per-tuple CSV; its tuple column is each entry's text joined by spaces."""
     _check_at_least(cfg, j=1, K=2, K4=2)
+    path = _output_path(cfg, "csv", out_dir) if cfg["csv"] else None
     k4 = cfg["K4"] if cfg["K4"] is not None else cfg["K"]
     rep3 = verify_factorization(cfg["j"], cfg["K"], arity=3)
     rep4 = verify_factorization(cfg["j"], k4, arity=4)
@@ -287,17 +317,10 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
         f"Gamma4 K={k4} count={rep4.count} "
         f"ratio in [{float(rep4.min_ratio):.6g}, {float(rep4.max_ratio):.6g}]; failures 0"
     )
-    if cfg["csv"]:
-        rows = (
-            (" ".join(map(str, t)), p, q, ratio)
-            for rep in (rep3, rep4)
-            for t, p, q, ratio in zip(
-                rep.tuples.tolist(), rep.p.tolist(), rep.q.tolist(), rep.ratio.tolist()
-            )
-        )
-        _write_csv(
-            os.path.join(out_dir, cfg["csv"]), ("tuple", "P_n", "Q_n", "ratio"), rows
-        )
+    if path:
+        parts = [(_joined([_column_text(e) for e in r.tuples.T], b" "), r.p, r.q, r.ratio)
+                 for r in (rep3, rep4)]
+        _write_csv(path, ("tuple", "P_n", "Q_n", "ratio"), map(np.concatenate, zip(*parts)))
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
@@ -311,7 +334,7 @@ def _cmd_sweep(check, sweep, cfg: dict, out_dir: str) -> None:
     _built(check, ecfg)
     result = sweep(ecfg)
     kind = result.kind
-    _write_csv(os.path.join(out_dir, f"{kind}.csv"), result.columns, result.rows)
+    _write_csv(os.path.join(out_dir, f"{kind}.csv"), result.columns, zip(*result.rows))
     print(
         f"{kind}: exponent={result.fitted_exponent} residual={result.fit_residual} "
         f"diagnostics={ {k: v for k, v in result.diagnostics.items() if k != 'envelopes'} }"
@@ -333,7 +356,7 @@ def _cmd_squeeze(cfg: dict, out_dir: str) -> None:
     _write_csv(
         os.path.join(out_dir, "squeeze.csv"),
         ("k0", "radius", "witness_value", "threshold_r"),
-        [(ecfg.k0, ecfg.radius, result.value, r)],
+        ([ecfg.k0], [ecfg.radius], [result.value], [r]),
     )
     print(
         f"squeeze: witness value {result.value!r} (R={ecfg.radius}, r={r}, "
@@ -348,7 +371,7 @@ def _cmd_squeeze(cfg: dict, out_dir: str) -> None:
 def _cmd_scaling(cfg: dict, out_dir: str) -> None:
     ecfg = _experiment_config(cfg)
     result = scaling_check(ecfg)
-    _write_csv(os.path.join(out_dir, "scaling-check.csv"), result.columns, result.rows)
+    _write_csv(os.path.join(out_dir, "scaling-check.csv"), result.columns, zip(*result.rows))
     d = result.diagnostics
     print(
         f"scaling-check: max mismatch {d['max_mismatch']:.3e}, norm ratio error "

@@ -38,6 +38,7 @@ tables share the one bounded cache of the resonance module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -439,9 +440,14 @@ def _m_values(
     table = _sigma_table(n - 1, mult, grid, B, cutoff)
     acc = np.zeros(idx[0].shape, dtype=table.dtype)
     scale = np.zeros(idx[0].shape, dtype=np.float64) if with_scale else None
+    # sigma_(n-1) at the rest is read through one flat index of its table;
+    # the offset of B of each rest entry is added once, as one constant
+    flat_table, w = table.reshape(-1), 2 * B + 1
+    shift = B * sum(w**i for i in range(n - 2))
     for a, b in combinations(range(n), 2):
-        rest = tuple(idx[x] + B for x in range(n) if x not in (a, b))
-        term = table[rest] * ((idx[a] + idx[b]) / grid.mu)
+        rest = [idx[x] for x in range(n) if x not in (a, b)]
+        flat = reduce(lambda f, r: f * w + r, rest) + shift
+        term = flat_table.take(flat) * ((idx[a] + idx[b]) / grid.mu)
         acc = acc + term
         if with_scale:
             scale = np.maximum(scale, np.abs(term))

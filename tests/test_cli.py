@@ -1,13 +1,16 @@
 """Command-line interface: config resolution, exit codes, reproducibility."""
 
+import csv
+import io
 import json
 import os
 from itertools import product
 
+import numpy as np
 import pytest
 
 from kdvlab import cli, imethod
-from kdvlab.cli import ConfigError, _experiment_config, main, parse_config
+from kdvlab.cli import ConfigError, _experiment_config, _write_csv, main, parse_config
 from kdvlab.experiments import ExperimentConfig
 from kdvlab.imethod import constant_form
 from kdvlab.resonance import p_n, prefactor, q_n
@@ -83,24 +86,27 @@ class TestExitCodes:
         assert "ratio in [3, 3]" in out
 
     def test_resonance_csv_matches_scalar_api(self, tmp_path):
-        j, K, K4 = 2, 8, 6
-        status = run_cli(
-            "resonance-check", "--j", str(j), "--K", str(K), "--K4", str(K4),
-            "--csv", "tuples.csv", "--out", str(tmp_path),
-        )
-        assert status == 0
-        lines = ["tuple,P_n,Q_n,ratio"]
-        for arity, cutoff in ((3, K), (4, K4)):
-            rng = [k for k in range(-cutoff, cutoff + 1) if k != 0]
-            for free in product(rng, repeat=arity - 1):
-                t = free + (-sum(free),)
-                if t[-1] == 0 or abs(t[-1]) > cutoff or prefactor(t, j) == 0:
-                    continue
-                q = q_n(t, j)
-                ratio = float(abs(q) / max(abs(e) for e in t) ** (2 * j - 2))
-                lines.append(f"{' '.join(map(str, t))},{p_n(t, j)},{q},{ratio!r}")
-        expected = ("\n".join(lines) + "\n").encode()
-        assert (tmp_path / "tuples.csv").read_bytes() == expected
+        # at j=6, K=16 the Gamma3 entries reach 3*16^13 > 2^53, so Gamma3 runs
+        # on Python ints (an object column) while Gamma4 at K4=6 stays int64
+        for j, K, K4 in ((2, 8, 6), (6, 16, 6)):
+            out = tmp_path / f"j{j}"
+            status = run_cli(
+                "resonance-check", "--j", str(j), "--K", str(K), "--K4", str(K4),
+                "--csv", "tuples.csv", "--out", str(out),
+            )
+            assert status == 0
+            lines = ["tuple,P_n,Q_n,ratio"]
+            for arity, cutoff in ((3, K), (4, K4)):
+                rng = [k for k in range(-cutoff, cutoff + 1) if k != 0]
+                for free in product(rng, repeat=arity - 1):
+                    t = free + (-sum(free),)
+                    if t[-1] == 0 or abs(t[-1]) > cutoff or prefactor(t, j) == 0:
+                        continue
+                    q = q_n(t, j)
+                    ratio = float(abs(q) / max(abs(e) for e in t) ** (2 * j - 2))
+                    lines.append(f"{' '.join(map(str, t))},{p_n(t, j)},{q},{ratio!r}")
+            expected = ("\n".join(lines) + "\n").encode()
+            assert (out / "tuples.csv").read_bytes() == expected
 
     def test_solve_bad_dt_is_config_error(self, tmp_path):
         status = run_cli(
@@ -160,6 +166,11 @@ class TestExitCodes:
           "--amplitude", "0", "--T", "0.01"], "amplitude must be positive"),
         (["tail-sweep", "--j", "2", "--K", "64", "--N_list", "4,8", "--tail_size", "0",
           "--T", "0.01"], "tail_size must be positive"),
+        # an output path in a missing directory is refused before the run
+        (["resonance-check", "--j", "1", "--K", "4", "--csv", "sub/t.csv"],
+         "key 'csv': no such directory"),
+        (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--output",
+          "sub/run"], "key 'output': no such directory"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)
@@ -364,3 +375,46 @@ class TestSqueezeCommand:
             assert status == 0
             row = (tmp_path / "squeeze.csv").read_text().splitlines()[1]
             assert row.startswith(f"{k0},0.7,")
+
+
+class TestWriteCsv:
+    """_write_csv writes the bytes csv.writer writes for the same rows."""
+
+    @staticmethod
+    def oracle(header, columns) -> bytes:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+        return buf.getvalue().encode()
+
+    def test_matches_csv_writer(self, tmp_path):
+        floats = np.array(
+            [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e16, 1e-05, 5e-324, 0.1, -0.0, 1e16, 0.1]
+        )
+        n = len(floats)
+        columns = [
+            floats,
+            [float(x) for x in floats[::-1]],
+            np.arange(n, dtype=np.int64) % 3 - 1,
+            np.array([2**64 + 3 * (i % 2) for i in range(n)], dtype=object),
+            np.arange(n) % 2 == 0,
+        ]
+        header = ("f64", "py_float", "int64", "big_int", "flag")
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), header, columns)
+        assert path.read_bytes() == self.oracle(header, columns)
+        # -0.0 and 0.0 are distinct values: the sign is kept
+        assert [row.split(b",")[0] for row in path.read_bytes().split(b"\n")[1:3]] == [
+            b"-0.0", b"0.0"
+        ]
+
+    def test_zero_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        columns = [np.zeros(0), np.zeros(0, dtype=np.int64)]
+        _write_csv(str(path), ("a", "b"), columns)
+        assert path.read_bytes() == self.oracle(("a", "b"), columns) == b"a,b\n"
+
+    def test_unequal_columns_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal length"):
+            _write_csv(str(tmp_path / "t.csv"), ("a", "b"), [np.zeros(3), np.zeros(2)])

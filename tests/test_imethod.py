@@ -458,6 +458,27 @@ class TestCascadeStep:
                 big_m5(mult, g, cutoff).weight(*idx5), _ref_m5(mult, g, idx5, cutoff)
             )
 
+    @pytest.mark.parametrize("n, K, cutoff", [(3, 6, None), (4, 6, None), (4, 6, 4), (5, 8, 8)])
+    def test_flat_read_is_the_indexed_read(self, n, K, cutoff):
+        # _m_values reads sigma_(n-1) through one flat index of its table;
+        # indexing the table with the rest columns gives the same bits
+        g = make_grid(2, K)
+        mult = IMultiplier(s=-0.5, N=2.0)
+        idx = _hyperplane_tuples(n, K)
+        m, scale = _m_values(n, mult, g, idx, cutoff)
+        E = int(np.max(np.abs(idx[0])))
+        B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
+        table = imethod._sigma_table(n - 1, mult, g, B, cutoff)
+        acc = np.zeros(idx[0].shape, dtype=table.dtype)
+        ref_scale = np.zeros(idx[0].shape)
+        for a, b in combinations(range(n), 2):
+            rest = tuple(idx[x] + B for x in range(n) if x not in (a, b))
+            term = table[rest] * ((idx[a] + idx[b]) / g.mu)
+            acc = acc + term
+            ref_scale = np.maximum(ref_scale, np.abs(term))
+        assert ((-1j / n) * acc).tobytes() == m.tobytes()
+        assert ref_scale.tobytes() == scale.tobytes()
+
     def test_cache_stays_at_its_bound(self):
         resonance._CACHE.clear()
         g = make_grid(1, 6)
