@@ -235,12 +235,15 @@ def _flow_spec(cfg: dict, grid, **kwargs) -> FlowSpec:
     return replace(spec, sample_stride=max(1, _step_count(spec) // cfg["samples"]))
 
 
-def _output_path(cfg: dict, key: str, out_dir: str) -> str:
-    """out_dir joined with the key's value, refused unless its directory exists."""
+def _output_path(cfg: dict, key: str, out_dir: str, prefix: bool = False) -> str:
+    """out_dir joined with the key's value, refused unless its directory
+    exists; a file path (not a prefix) is refused if it names a directory."""
     path = os.path.join(out_dir, cfg[key])
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise ConfigError(f"bad value for key {key!r}: no such directory {folder!r}")
+    if not prefix and os.path.isdir(path):
+        raise ConfigError(f"bad value for key {key!r}: directory {path!r} is not a file")
     return path
 
 
@@ -259,7 +262,7 @@ def _initial_field(cfg: dict, grid):
 
 
 def _cmd_solve(cfg: dict, out_dir: str) -> None:
-    prefix = _output_path(cfg, "output", out_dir)
+    prefix = _output_path(cfg, "output", out_dir, prefix=True)
     grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
     flavor = "truncated" if cfg["N"] is not None else "full"
     spec = _flow_spec(cfg, grid, flavor=flavor, N=cfg["N"], nonlinear=cfg["nonlinear"])

@@ -70,6 +70,9 @@ QUINTIC_K_CAP = 16
 # Bytes a Lambda_n evaluation spends per pass on its coefficient products;
 # a longer stack of samples is evaluated in chunks that fit.
 STACK_BYTES = 1 << 26
+# Tuples per slice of the cascade step: a slice's index and complex
+# temporaries, a few hundred kB, stay in a core's L2 cache.
+CASCADE_SLICE = 1 << 14
 IMAG_RESIDUE_TOL = 1e-10
 RESONANT_M4_TOL = 1e-10
 
@@ -253,8 +256,11 @@ def _contract(tables: Sequence[np.ndarray], blocks, layout: tuple) -> np.ndarray
 
 
 def _lambda_with_scale(
-    form: MultilinearForm, grid: GridSpec, stacks: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+    form: MultilinearForm,
+    grid: GridSpec,
+    stacks: Sequence[np.ndarray],
+    with_scale: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Lambda_n(form; slots) and its term scale sum |terms|, per sample.
 
     stacks holds one coefficient array of shape (S, K) per slot; sample s
@@ -266,6 +272,8 @@ def _lambda_with_scale(
     every matmul and each sample's operands are contiguous (C order, by
     take), so a sample's value has the same bits in any stack, and a
     stack whose products would exceed STACK_BYTES is split into chunks.
+    With with_scale false the scale is not contracted and None stands in
+    its place.
     """
     if len(stacks) != form.n:
         raise ValueError(f"form arity {form.n} != {len(stacks)} fields")
@@ -283,10 +291,11 @@ def _lambda_with_scale(
     chunk = max(1, STACK_BYTES // (32 * (len(rows) + len(cols))))
     if S > chunk:
         parts = [
-            _lambda_with_scale(form, grid, [c[i : i + chunk] for c in stacks])
+            _lambda_with_scale(form, grid, [c[i : i + chunk] for c in stacks], with_scale)
             for i in range(0, S, chunk)
         ]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        value, scale = zip(*parts)
+        return np.concatenate(value), np.concatenate(scale) if with_scale else None
     table = _weight_table(form, grid.K)
     bounds = bounds.tolist()
     blocks = [
@@ -295,10 +304,11 @@ def _lambda_with_scale(
     ]
     layout = (rows, cols, bounds, lasts, (form.n - 1) // 2)
     tables = [_coeff_table(c) for c in stacks]
-    value = _contract(tables, blocks, layout)
-    scale = _contract([np.abs(t) for t in tables], map(np.abs, blocks), layout)
     norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
-    return norm * value, norm * scale
+    value = norm * _contract(tables, blocks, layout)
+    if not with_scale:
+        return value, None
+    return value, norm * _contract([np.abs(t) for t in tables], map(np.abs, blocks), layout)
 
 
 def lambda_n(form: MultilinearForm, fields: Sequence[FourierField]) -> complex:
@@ -308,7 +318,7 @@ def lambda_n(form: MultilinearForm, fields: Sequence[FourierField]) -> complex:
     grid = fields[0].grid
     for f in fields[1:]:
         _check_same_grid(f.grid, grid)
-    value, _ = _lambda_with_scale(form, grid, [f.coeffs[None] for f in fields])
+    value, _ = _lambda_with_scale(form, grid, [f.coeffs[None] for f in fields], with_scale=False)
     return complex(value[0])
 
 
@@ -438,20 +448,27 @@ def _m_values(
     E = max((int(np.max(np.abs(a))) for a in idx if a.size), default=1)
     B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
     table = _sigma_table(n - 1, mult, grid, B, cutoff)
-    acc = np.zeros(idx[0].shape, dtype=table.dtype)
+    m = np.empty(idx[0].shape, dtype=np.complex128)
     scale = np.zeros(idx[0].shape, dtype=np.float64) if with_scale else None
     # sigma_(n-1) at the rest is read through one flat index of its table;
     # the offset of B of each rest entry is added once, as one constant
     flat_table, w = table.reshape(-1), 2 * B + 1
     shift = B * sum(w**i for i in range(n - 2))
-    for a, b in combinations(range(n), 2):
-        rest = [idx[x] for x in range(n) if x not in (a, b)]
-        flat = reduce(lambda f, r: f * w + r, rest) + shift
-        term = flat_table.take(flat) * ((idx[a] + idx[b]) / grid.mu)
-        acc = acc + term
-        if with_scale:
-            scale = np.maximum(scale, np.abs(term))
-    return (-1j / n) * acc, scale
+    # slice by slice, so that a slice's temporaries stay in cache; each
+    # tuple still adds its pair terms in the same order
+    for i in range(0, len(m), CASCADE_SLICE):
+        part = [a[i : i + CASCADE_SLICE] for a in idx]
+        acc = np.zeros(part[0].shape, dtype=table.dtype)
+        part_scale = scale[i : i + CASCADE_SLICE] if with_scale else None
+        for a, b in combinations(range(n), 2):
+            rest = [part[x] for x in range(n) if x not in (a, b)]
+            flat = reduce(lambda f, r: f * w + r, rest) + shift
+            term = flat_table.take(flat) * ((part[a] + part[b]) / grid.mu)
+            acc += term
+            if with_scale:
+                np.maximum(part_scale, np.abs(term), out=part_scale)
+        np.multiply(-1j / n, acc, out=m[i : i + CASCADE_SLICE])
+    return m, scale
 
 
 def _cascade_form(

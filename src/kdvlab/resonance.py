@@ -171,7 +171,10 @@ def _hyperplane_tuples(n: int, K: int) -> tuple:
     """Integer index tuples on Gamma_n with nonzero entries, |index| <= K.
 
     One read-only int64 array per slot, in nested-loop order (first slot
-    outermost).
+    outermost). Only the first n-2 slots form a dense grid: for a head of
+    sum g the (n-1)-th entries with |g + entry| <= K are one contiguous run
+    of the sorted values, so each head's rows are that run, minus the one
+    entry -g that would make the last slot 0.
     """
 
     def build():
@@ -179,11 +182,18 @@ def _hyperplane_tuples(n: int, K: int) -> tuple:
         if n == 2:
             out = (vals.copy(), -vals)
         else:
-            grids = np.meshgrid(*([vals] * (n - 1)), indexing="ij")
-            free = [g.reshape(-1) for g in grids]
-            last = -sum(free)
-            mask = (last != 0) & (np.abs(last) <= K)
-            out = tuple(a[mask] for a in free) + (last[mask],)
+            head = [x.reshape(-1) for x in np.meshgrid(*([vals] * (n - 2)), indexing="ij")]
+            g = sum(head)
+            lo = np.searchsorted(vals, -K - g)
+            counts = np.searchsorted(vals, K - g, side="right") - lo
+            row = np.repeat(np.arange(len(g)), counts)
+            # each row's place in vals: its head's first, plus its rank in the run
+            at = np.arange(len(row)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            nxt = vals[at]
+            last = -(g[row] + nxt)
+            keep = last != 0
+            row = row[keep]
+            out = tuple(a[row] for a in head) + (nxt[keep], last[keep])
         for a in out:
             a.flags.writeable = False
         return out

@@ -171,6 +171,8 @@ class TestExitCodes:
          "key 'csv': no such directory"),
         (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--output",
           "sub/run"], "key 'output': no such directory"),
+        # the CSV path names a file, so an existing directory is refused
+        (["resonance-check", "--j", "1", "--K", "4", "--csv", "."], "key 'csv': directory"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)

@@ -165,6 +165,21 @@ class TestLambdaN:
         with pytest.raises(ValueError, match="capped"):
             lambda_n(constant_form(5), [harmonic(g, 1)] * 5)
 
+    def test_value_without_the_scale_pass(self, monkeypatch):
+        # lambda_n reads only the value, so the term-scale contraction is skipped
+        g = make_grid(2, 8, 1.4)
+        fields = [smooth_field(g, seed) for seed in (4, 5, 6, 7)]
+        form = sigma4(IMultiplier(s=-0.5, N=2.0), g, 8)
+        expected = _lambda_with_scale(form, g, [u.coeffs[None] for u in fields])[0]
+        calls = []
+        true_contract = imethod._contract
+        monkeypatch.setattr(
+            imethod, "_contract", lambda *a: calls.append(1) or true_contract(*a)
+        )
+        value = lambda_n(form, fields)
+        assert len(calls) == 1
+        assert np.array([value]).tobytes() == expected.tobytes()
+
 
 def tuple_sum(form, grid, coeffs):
     """The per-tuple reference: (sum, sum of |terms|) over Gamma_n of
@@ -478,6 +493,33 @@ class TestCascadeStep:
             ref_scale = np.maximum(ref_scale, np.abs(term))
         assert ((-1j / n) * acc).tobytes() == m.tobytes()
         assert ref_scale.tobytes() == scale.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [None, 4])
+    def test_same_bits_in_every_slice(self, monkeypatch, cutoff):
+        # the pair loop runs over slices of CASCADE_SLICE tuples; one tuple
+        # per slice, 7, and one slice for all give M4, M5 and their scales
+        # bit for bit, and each sigma table is still built once (without a
+        # cutoff M5 reads sigma4 on a wider lattice, so two sigma3 tables)
+        g = make_grid(2, 4, 1.4)
+        mult = IMultiplier(s=-0.6, N=1.5)
+        idx = {n: _hyperplane_tuples(n, 4) for n in (4, 5)}
+        built = []
+        true_sigma = imethod._sigma_values
+        monkeypatch.setattr(
+            imethod, "_sigma_values", lambda n, *a: built.append(n) or true_sigma(n, *a)
+        )
+        results = []
+        for size in (idx[5][0].size + 1, 1, 7):
+            monkeypatch.setattr(imethod, "CASCADE_SLICE", size)
+            resonance._CACHE.clear()
+            built.clear()
+            got = [part.tobytes() for n in (4, 5) for part in _m_values(n, mult, g, idx[n], cutoff)]
+            # one build per table: as many as the cache holds
+            assert set(built) == {3, 4}
+            assert len(built) == sum(key[0] == "sigma" for key in resonance._CACHE)
+            results.append(got)
+        resonance._CACHE.clear()
+        assert results[1] == results[0] and results[2] == results[0]
 
     def test_cache_stays_at_its_bound(self):
         resonance._CACHE.clear()

@@ -1,5 +1,6 @@
 """Exact resonance-polynomial algebra and factorization enumeration."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -195,3 +196,42 @@ def test_pn_int_equals_scalar_p_n_across_the_switch(n, j, K):
         expected = [p_n(tuple(row), j) for row in np.stack(cols, axis=1).tolist()]
         assert [int(v) for v in p] == expected
 
+
+def meshgrid_tuples(n, K):
+    """Gamma_n by the dense (2K)^(n-1) grid of the free slots, filtered on
+    the last: the reference order of the tuple enumerator."""
+    vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
+    if n == 2:
+        return (vals.copy(), -vals)
+    free = [g.reshape(-1) for g in np.meshgrid(*([vals] * (n - 1)), indexing="ij")]
+    last = -sum(free)
+    mask = (last != 0) & (np.abs(last) <= K)
+    return tuple(a[mask] for a in free) + (last[mask],)
+
+
+class TestHyperplaneTuples:
+    @pytest.mark.parametrize(
+        "n, K",
+        [(2, 1), (2, 7), (3, 1), (3, 2), (3, 9), (4, 1), (4, 3), (4, 8), (4, 24),
+         (5, 1), (5, 2), (5, 6), (5, 11)],
+    )
+    def test_equals_the_meshgrid_enumeration(self, n, K):
+        resonance._CACHE.clear()
+        got, ref = resonance._hyperplane_tuples(n, K), meshgrid_tuples(n, K)
+        assert len(got) == n
+        for a, b in zip(got, ref):
+            assert a.dtype == np.int64 and not a.flags.writeable
+            assert a.tobytes() == b.tobytes()
+        resonance._CACHE.clear()
+
+    def test_memory_peak_below_the_dense_grid(self):
+        # the dense grid of the four free slots peaked at 63.8 MiB (tracemalloc)
+        resonance._CACHE.clear()
+        tracemalloc.start()
+        try:
+            resonance._hyperplane_tuples(5, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            resonance._CACHE.clear()
+        assert peak < 63.8 * 2**20
