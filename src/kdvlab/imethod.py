@@ -31,8 +31,10 @@ all argument permutations; on sigma2 = m(x1) m(x2) the same step gives M3.
 sigma_(n-1) is evaluated once per lattice, as a table on Gamma_(n-1) that
 the step reads. A term whose pair sum vanishes contributes exactly 0, and
 sigma4 is defined as 0 on resonant tuples (alpha4 = 0), where a runtime
-check confirms M4 vanishes there. Tuples, form weight tables and sigma
-tables share the one bounded cache of the resonance module.
+check confirms M4 vanishes there. A form's weight table reads Gamma_n
+piece by piece from the one enumerator; the table, the sigma tables and
+the Gamma_(n-1) tuples they are built on share the one bounded cache of
+the resonance module.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .flow import _band_mask, _rhs_function
-from .resonance import _cached, _hyperplane_tuples, _pn_int
+from . import resonance
+from .resonance import _cached, _hyperplane_chunks, _hyperplane_tuples, _pn_int
 from .spectral import FourierField, GridSpec, _check_same_grid
 
 __all__ = [
@@ -70,9 +73,6 @@ QUINTIC_K_CAP = 16
 # Bytes a Lambda_n evaluation spends per pass on its coefficient products;
 # a longer stack of samples is evaluated in chunks that fit.
 STACK_BYTES = 1 << 26
-# Tuples per slice of the cascade step: a slice's index and complex
-# temporaries, a few hundred kB, stay in a core's L2 cache.
-CASCADE_SLICE = 1 << 14
 IMAG_RESIDUE_TOL = 1e-10
 RESONANT_M4_TOL = 1e-10
 
@@ -195,23 +195,28 @@ def _block_layout(n: int, K: int) -> tuple:
 
 def _weight_table(form: MultilinearForm, K: int) -> np.ndarray:
     """The form's weight as the blocks of a dense table (see _block_layout),
-    one after the other in one array; 0 off Gamma_n."""
+    one after the other in one array; 0 off Gamma_n.
+
+    Gamma_n is read piece by piece from its enumerator: each piece's
+    weights are scattered to their places before the next piece is
+    enumerated, so the build holds the table and one piece.
+    """
 
     def build():
         n = form.n
         h = (n - 1) // 2
         rows, cols, bounds, size, _ = _block_layout(n, K)
         r0, _, c0, c1, start = bounds.T
-        idx = _hyperplane_tuples(n, K)
-        w = form.weight(*idx)
-        # each tuple's place in the block of its head sum
-        head, gi = _flat(idx[:h], K)
-        gi += h * K
-        pos = np.argsort(cols)[_flat(idx[h:-1], K)[0]]
-        pos += start[gi] - c0[gi]
-        pos += (np.argsort(rows)[head] - r0[gi]) * (c1 - c0)[gi]
+        row_rank, col_rank = np.argsort(rows), np.argsort(cols)
         table = np.zeros(size, dtype=np.complex128)
-        table[pos] = w
+        for idx in _hyperplane_chunks(n, K):
+            # each tuple's place in the block of its head sum
+            head, gi = _flat(idx[:h], K)
+            gi += h * K
+            pos = col_rank[_flat(idx[h:-1], K)[0]]
+            pos += start[gi] - c0[gi]
+            pos += (row_rank[head] - r0[gi]) * (c1 - c0)[gi]
+            table[pos] = form.weight(*idx)
         return table
 
     if form.cache_key is None:
@@ -368,9 +373,15 @@ def big_m3(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
 
 
 def _sigma_values(
-    n: int, mult: IMultiplier, grid: GridSpec, idx: tuple, cutoff: int | None = None
+    n: int,
+    mult: IMultiplier,
+    grid: GridSpec,
+    idx: tuple,
+    cutoff: int | None = None,
+    bound: int | None = None,
 ) -> np.ndarray:
-    """sigma_n at Gamma_n index tuples.
+    """sigma_n at Gamma_n index tuples with entries within bound (grid.K
+    unless given).
 
     sigma2 = m(k1) m(k2) seeds the cascade. sigma3 = -M3/alpha3 is the
     real closed form: alpha3 = i mu^-(2j+1) P3 never vanishes on nonzero
@@ -393,7 +404,7 @@ def _sigma_values(
             )
         return -(_m2k_sum(mult, mu, idx) / 3.0) / pn_freq
     resonant = pn == 0
-    m, scale = _m_values(n, mult, grid, idx, cutoff)
+    m, scale = _m_values(n, mult, grid, idx, cutoff, bound=bound)
     if np.any(np.abs(m[resonant]) > RESONANT_M4_TOL * np.maximum(scale[resonant], 1e-300)):
         worst = float(np.max(np.abs(m[resonant])))
         raise ArithmeticError(
@@ -415,7 +426,7 @@ def _sigma_table(
         if cutoff is not None:
             keep = np.abs(idx[-1]) <= cutoff
             idx = tuple(a[keep] for a in idx)
-        values = _sigma_values(n, mult, grid, idx, cutoff)
+        values = _sigma_values(n, mult, grid, idx, cutoff, B)
         table = np.zeros((2 * B + 1,) * (n - 1), dtype=values.dtype)
         table[tuple(a + B for a in idx[:-1])] = values
         return table
@@ -430,6 +441,7 @@ def _m_values(
     idx: tuple,
     cutoff: int | None = None,
     with_scale: bool = True,
+    bound: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(M_n, max |pair term|) at Gamma_n index tuples: the one cascade step.
 
@@ -441,11 +453,16 @@ def _m_values(
     cutoff, does one above it: it is a mode absent from the K-truncated
     Galerkin system whose energy derivative this multiplier represents.
 
-    The term scale is read only by sigma_n's resonant-set check; with
-    with_scale false it is not accumulated and None stands in its place.
+    The table is sized from the lattice bound, grid.K unless bound is
+    given, not from the entries of idx: every piece of one lattice reads
+    the one table, and an entry beyond the bound is refused. The term
+    scale is read only by sigma_n's resonant-set check; with with_scale
+    false it is not accumulated and None stands in its place.
     """
+    E = grid.K if bound is None else bound
+    if any(a.size and (a.max() > E or a.min() < -E) for a in idx):
+        raise ValueError(f"index tuples reach beyond the lattice bound {E}")
     # rest entries reach E and pair sums 2E, but none above the cutoff counts
-    E = max((int(np.max(np.abs(a))) for a in idx if a.size), default=1)
     B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
     table = _sigma_table(n - 1, mult, grid, B, cutoff)
     m = np.empty(idx[0].shape, dtype=np.complex128)
@@ -454,12 +471,13 @@ def _m_values(
     # the offset of B of each rest entry is added once, as one constant
     flat_table, w = table.reshape(-1), 2 * B + 1
     shift = B * sum(w**i for i in range(n - 2))
-    # slice by slice, so that a slice's temporaries stay in cache; each
+    # piece by piece, so that a piece's temporaries stay in cache; each
     # tuple still adds its pair terms in the same order
-    for i in range(0, len(m), CASCADE_SLICE):
-        part = [a[i : i + CASCADE_SLICE] for a in idx]
+    step = resonance.PIECE_TUPLES
+    for i in range(0, len(m), step):
+        part = [a[i : i + step] for a in idx]
         acc = np.zeros(part[0].shape, dtype=table.dtype)
-        part_scale = scale[i : i + CASCADE_SLICE] if with_scale else None
+        part_scale = scale[i : i + step] if with_scale else None
         for a, b in combinations(range(n), 2):
             rest = [part[x] for x in range(n) if x not in (a, b)]
             flat = reduce(lambda f, r: f * w + r, rest) + shift
@@ -467,7 +485,7 @@ def _m_values(
             acc += term
             if with_scale:
                 np.maximum(part_scale, np.abs(term), out=part_scale)
-        np.multiply(-1j / n, acc, out=m[i : i + CASCADE_SLICE])
+        np.multiply(-1j / n, acc, out=m[i : i + step])
     return m, scale
 
 

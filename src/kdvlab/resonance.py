@@ -151,6 +151,9 @@ class FactorizationReport:
 
 
 CACHE_ENTRIES = 32
+# Tuples per piece of Gamma_n: a piece's index columns and the temporaries
+# computed from them, a few hundred kB, stay in a core's L2 cache.
+PIECE_TUPLES = 1 << 14
 # The package's one cache: lattice tuples, form weights and sigma tables
 # share it, least recently used out first, so one bound caps their memory.
 _CACHE: OrderedDict = OrderedDict()
@@ -167,33 +170,53 @@ def _cached(key, build):
     return value
 
 
-def _hyperplane_tuples(n: int, K: int) -> tuple:
-    """Integer index tuples on Gamma_n with nonzero entries, |index| <= K.
+def _hyperplane_chunks(n: int, K: int):
+    """Integer index tuples on Gamma_n with nonzero entries, |index| <= K,
+    in pieces.
 
-    One read-only int64 array per slot, in nested-loop order (first slot
-    outermost). Only the first n-2 slots form a dense grid: for a head of
-    sum g the (n-1)-th entries with |g + entry| <= K are one contiguous run
-    of the sorted values, so each head's rows are that run, minus the one
-    entry -g that would make the last slot 0.
+    Yields one int64 array per slot for each piece, in nested-loop order
+    (first slot outermost). Only the first n-2 slots form a dense grid:
+    for a head of sum g the (n-1)-th entries with |g + entry| <= K are one
+    contiguous run of the sorted values, so each head's rows are that run,
+    minus the one entry -g that would make the last slot 0. A piece is a
+    run of consecutive whole heads of at most PIECE_TUPLES rows, or one
+    head where a head alone holds more; no piece is empty unless Gamma_n
+    is, and then it is the one piece.
     """
+    vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
+    if n == 2:
+        yield vals.copy(), -vals
+        return
+    head = [x.reshape(-1) for x in np.meshgrid(*([vals] * (n - 2)), indexing="ij")]
+    g = sum(head)
+    lo = np.searchsorted(vals, -K - g)
+    counts = np.searchsorted(vals, K - g, side="right") - lo
+    # rows kept up to each head: its run less -g, where -g is a value
+    ends = np.cumsum(counts - ((g != 0) & (np.abs(g) <= K)))
+    first = start = 0
+    while first < len(g):
+        # whole heads, as many as end within one piece but at least up to the
+        # next head with rows; past the last row, every head that is left
+        nxt_end = ends[min(np.searchsorted(ends, start, side="right"), len(g) - 1)]
+        stop = int(np.searchsorted(ends, max(start + PIECE_TUPLES, nxt_end), side="right"))
+        cnt = counts[first:stop]
+        row = np.repeat(np.arange(first, stop), cnt)
+        # each row's place in vals: its head's first, plus its rank in the run
+        at = np.arange(len(row)) + np.repeat(lo[first:stop] - (np.cumsum(cnt) - cnt), cnt)
+        nxt = vals[at]
+        last = -(g[row] + nxt)
+        keep = last != 0
+        row = row[keep]
+        yield tuple(a[row] for a in head) + (nxt[keep], last[keep])
+        first, start = stop, ends[stop - 1]
+
+
+def _hyperplane_tuples(n: int, K: int) -> tuple:
+    """All of Gamma_n at once: the pieces of _hyperplane_chunks joined, one
+    read-only int64 array per slot, cached."""
 
     def build():
-        vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
-        if n == 2:
-            out = (vals.copy(), -vals)
-        else:
-            head = [x.reshape(-1) for x in np.meshgrid(*([vals] * (n - 2)), indexing="ij")]
-            g = sum(head)
-            lo = np.searchsorted(vals, -K - g)
-            counts = np.searchsorted(vals, K - g, side="right") - lo
-            row = np.repeat(np.arange(len(g)), counts)
-            # each row's place in vals: its head's first, plus its rank in the run
-            at = np.arange(len(row)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-            nxt = vals[at]
-            last = -(g[row] + nxt)
-            keep = last != 0
-            row = row[keep]
-            out = tuple(a[row] for a in head) + (nxt[keep], last[keep])
+        out = tuple(np.concatenate(cols) for cols in zip(*_hyperplane_chunks(n, K)))
         for a in out:
             a.flags.writeable = False
         return out

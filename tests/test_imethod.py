@@ -9,6 +9,7 @@ series holds to round-off at any step. Both pin every constant (in
 particular the 1/n! in the symmetrizations).
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -496,8 +497,8 @@ class TestCascadeStep:
 
     @pytest.mark.parametrize("cutoff", [None, 4])
     def test_same_bits_in_every_slice(self, monkeypatch, cutoff):
-        # the pair loop runs over slices of CASCADE_SLICE tuples; one tuple
-        # per slice, 7, and one slice for all give M4, M5 and their scales
+        # the pair loop runs over pieces of PIECE_TUPLES tuples; one tuple
+        # per piece, 7, and one piece for all give M4, M5 and their scales
         # bit for bit, and each sigma table is still built once (without a
         # cutoff M5 reads sigma4 on a wider lattice, so two sigma3 tables)
         g = make_grid(2, 4, 1.4)
@@ -510,7 +511,7 @@ class TestCascadeStep:
         )
         results = []
         for size in (idx[5][0].size + 1, 1, 7):
-            monkeypatch.setattr(imethod, "CASCADE_SLICE", size)
+            monkeypatch.setattr(resonance, "PIECE_TUPLES", size)
             resonance._CACHE.clear()
             built.clear()
             got = [part.tobytes() for n in (4, 5) for part in _m_values(n, mult, g, idx[n], cutoff)]
@@ -525,13 +526,13 @@ class TestCascadeStep:
         resonance._CACHE.clear()
         g = make_grid(1, 6)
         u = smooth_field(g, 3)
-        tuples = _hyperplane_tuples(4, 6)
+        layout = imethod._block_layout(4, 6)
         for i in range(40):
             lambda_n(sigma4(IMultiplier(s=-0.5, N=1.0 + 0.1 * i), g, 6), [u] * 4)
             assert len(resonance._CACHE) <= resonance.CACHE_ENTRIES
         assert len(resonance._CACHE) == resonance.CACHE_ENTRIES
-        # least recently used out first: the tuples every form reads stay
-        assert _hyperplane_tuples(4, 6) is tuples
+        # least recently used out first: the block layout every sigma4 table reads stays
+        assert imethod._block_layout(4, 6) is layout
 
     def test_odd_multiplier_breaks_the_resonant_set_check(self, monkeypatch):
         # an m that is not even: M4 no longer cancels on the resonant tuples
@@ -550,6 +551,115 @@ class TestCascadeStep:
                 big_m5(mult, g, 6).weight(*_hyperplane_tuples(5, 6))
         finally:
             resonance._CACHE.clear()
+
+
+def reference_table(form, K):
+    """The weight table as one scatter of the whole lattice: the weight
+    at every tuple of Gamma_n at once, placed by the argsort ranks."""
+    n, h = form.n, (form.n - 1) // 2
+    rows, cols, bounds, size, _ = imethod._block_layout(n, K)
+    r0, _, c0, c1, start = bounds.T
+    idx = _hyperplane_tuples(n, K)
+    w = form.weight(*idx)
+    head, gi = imethod._flat(idx[:h], K)
+    gi += h * K
+    pos = np.argsort(cols)[imethod._flat(idx[h:-1], K)[0]]
+    pos += start[gi] - c0[gi]
+    pos += (np.argsort(rows)[head] - r0[gi]) * (c1 - c0)[gi]
+    table = np.zeros(size, dtype=np.complex128)
+    table[pos] = w
+    return table
+
+
+def built_table(form, K):
+    """_weight_table from a cleared cache."""
+    resonance._CACHE.clear()
+    try:
+        return imethod._weight_table(form, K)
+    finally:
+        resonance._CACHE.clear()
+
+
+class TestWeightTable:
+    """_weight_table reads Gamma_n piece by piece; each table has the bits
+    of the one scatter of the whole lattice."""
+
+    @staticmethod
+    def forms(mult, g):
+        K = g.K
+        return [
+            big_m3(mult, g), big_m3_symmetrized(mult, g), sigma3(mult, g),
+            big_m4(mult, g, K), big_m4(mult, g), sigma4(mult, g, K), sigma4(mult, g),
+            big_m5(mult, g, K), big_m5(mult, g), skew_form(2), constant_form(4, 0.5 - 0.25j),
+        ]
+
+    @pytest.mark.parametrize("mu", [1.0, 1.5])
+    @pytest.mark.parametrize("shape", ["clipped_power", "smooth_log"])
+    @pytest.mark.parametrize("K", [3, 6])
+    def test_equals_the_whole_lattice_scatter(self, K, shape, mu):
+        g = make_grid(2, K, mu)
+        mult = IMultiplier(s=-0.7, N=1.0, shape=shape)
+        for form in self.forms(mult, g):
+            ref = reference_table(form, K)
+            assert np.any(ref != 0), form.tag
+            assert built_table(form, K).tobytes() == ref.tobytes(), form.tag
+
+    def test_quintic_table_at_16(self):
+        g = make_grid(2, 16)
+        form = big_m5(IMultiplier(s=-0.5, N=4.0), g, 16)
+        ref = reference_table(form, 16)
+        assert built_table(form, 16).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("piece", [1, 7, None])
+    def test_one_sigma_table_at_every_piece_size(self, monkeypatch, piece):
+        # a piece of one head, of 7 tuples, and one piece for all (None):
+        # every table keeps its bits and each sigma table, keyed by its
+        # arity and bound, is built once
+        K = 4
+        g = make_grid(2, K, 1.5)
+        mult = IMultiplier(s=-0.6, N=1.0)
+        cases = [
+            (big_m4(mult, g, K), {(3, K)}), (big_m4(mult, g), {(3, 2 * K)}),
+            (sigma4(mult, g, K), {(3, K)}), (sigma4(mult, g), {(3, 2 * K)}),
+            (big_m5(mult, g, K), {(4, K), (3, K)}), (big_m5(mult, g), {(4, 2 * K), (3, 4 * K)}),
+        ]
+        refs = [reference_table(form, K) for form, _ in cases]
+        size = piece or _hyperplane_tuples(5, K)[0].size + 1
+        monkeypatch.setattr(resonance, "PIECE_TUPLES", size)
+        builds = []
+        true_cached = imethod._cached
+
+        def counted(key, build):
+            return true_cached(key, lambda: builds.append(key) or build())
+
+        monkeypatch.setattr(imethod, "_cached", counted)
+        for (form, tables), ref in zip(cases, refs):
+            builds.clear()
+            assert built_table(form, K).tobytes() == ref.tobytes(), form.tag
+            sigma = [(key[1], key[5]) for key in builds if key[0] == "sigma"]
+            assert sorted(sigma) == sorted(tables), form.tag
+
+    def test_quintic_build_holds_no_quintic_tuples(self):
+        # the whole-lattice build held all 598,600 tuples of Gamma_5 and
+        # peaked at 60.9 MiB (tracemalloc); the pieces build peaks at 17.5 MiB
+        g = make_grid(2, 16)
+        form = big_m5(IMultiplier(s=-0.5, N=4.0), g, 16)
+        resonance._CACHE.clear()
+        tracemalloc.start()
+        try:
+            imethod._weight_table(form, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert ("tuples", 5, 16) not in resonance._CACHE
+        finally:
+            tracemalloc.stop()
+            resonance._CACHE.clear()
+        assert peak < 32 * 2**20
+
+    def test_entries_beyond_the_lattice_bound_refused(self):
+        g = make_grid(2, 6)
+        idx = _hyperplane_tuples(4, 8)
+        with pytest.raises(ValueError, match="beyond the lattice bound 6"):
+            big_m4(IMultiplier(s=-0.5, N=2.0), g, 6).weight(*idx)
 
 
 class TestModifiedEnergy:

@@ -224,6 +224,25 @@ class TestHyperplaneTuples:
             assert a.tobytes() == b.tobytes()
         resonance._CACHE.clear()
 
+    @pytest.mark.parametrize("piece", [1, 7, 100, 10**6])
+    @pytest.mark.parametrize("n, K", [(2, 3), (3, 5), (4, 4), (5, 3)])
+    def test_pieces_are_runs_of_whole_heads(self, monkeypatch, n, K, piece):
+        # joined, the pieces are the meshgrid enumeration; no head (the
+        # first n-2 entries) is split between two pieces, and a piece holds
+        # more than the piece size only when it is one head
+        monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
+        pieces = list(resonance._hyperplane_chunks(n, K))
+        for a, b in zip(zip(*pieces), meshgrid_tuples(n, K)):
+            assert np.concatenate(a).tobytes() == b.tobytes()
+        if n == 2:
+            assert len(pieces) == 1
+            return
+        heads = [np.stack(p[: n - 2], axis=1) for p in pieces]
+        for h in heads:
+            assert 0 < len(h) <= piece or len(np.unique(h, axis=0)) == 1
+        for h0, h1 in zip(heads, heads[1:]):
+            assert not np.array_equal(h0[-1], h1[0])
+
     def test_memory_peak_below_the_dense_grid(self):
         # the dense grid of the four free slots peaked at 63.8 MiB (tracemalloc)
         resonance._CACHE.clear()
