@@ -24,7 +24,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from . import __version__
+from . import __version__, resonance
 from .experiments import (
     ExperimentConfig,
     almost_conservation_sweep,
@@ -181,15 +181,26 @@ def _joined(cells, sep: bytes) -> np.ndarray:
     return reduce(lambda out, c: np.strings.add(np.strings.add(out, sep), c), cells)
 
 
-def _write_csv(path: str, header, columns) -> None:
-    """Header and equal-length columns as CSV, built column by column: a cell
-    is the str() of its value (a float's shortest round-trip repr), the text
-    csv.writer writes, as no field here needs quoting."""
-    cells = [_column_text(c) for c in columns]
-    if len({len(c) for c in cells}) > 1:
-        raise ValueError(f"columns of unequal length: {[len(c) for c in cells]}")
-    lines = [",".join(header).encode(), *_joined(cells, b",").tolist()]
-    _write_atomic(path, (b"\n".join(lines) + b"\n").decode())
+def _write_csv(path: str, header, pieces) -> None:
+    """Header, then the rows of each piece, as CSV. A piece is a sequence of
+    equal-length columns, built column by column: a cell is the str() of
+    its value (a float's shortest round-trip repr), the text csv.writer
+    writes, as no field here needs quoting. Each piece is formatted and
+    written before the next is taken from pieces, so a generator of pieces
+    is held one at a time; a failure leaves no file (see _write_atomic)."""
+
+    def text():
+        yield ",".join(header).encode() + b"\n"
+        for columns in pieces:
+            cells = [_column_text(c) for c in columns]
+            if len({len(c) for c in cells}) > 1:
+                raise ValueError(f"columns of unequal length: {[len(c) for c in cells]}")
+            rows = _joined(cells, b",").tolist()
+            if rows:
+                rows.append(b"")
+                yield b"\n".join(rows)
+
+    _write_atomic(path, text())
 
 
 class _Manifest:
@@ -207,7 +218,7 @@ class _Manifest:
 
     def finish(self) -> None:
         self.data["finished"] = datetime.now(timezone.utc).isoformat()
-        _write_atomic(self.path, json.dumps(self.data, indent=1) + "\n")
+        _write_atomic(self.path, [(json.dumps(self.data, indent=1) + "\n").encode()])
 
 
 def _built(make, *args, **kwargs):
@@ -274,7 +285,7 @@ def _cmd_solve(cfg: dict, out_dir: str) -> None:
     _write_csv(
         f"{prefix}_conserved.csv",
         ("t", "mass", "l2_energy", "hamiltonian"),
-        zip(*[(r.timestamp, r.mass, r.l2_energy, r.hamiltonian) for r in reports]),
+        [zip(*[(r.timestamp, r.mass, r.l2_energy, r.hamiltonian) for r in reports])],
     )
     print(
         f"solve: {traj.stats['steps']} steps, drifts E={drifts['l2_energy']:.3e} "
@@ -296,7 +307,8 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
     m5 = big_m5(mult, grid, lattice_cutoff=grid.K) if grid.K <= QUINTIC_K_CAP else None
     quintic = np.full(len(c), np.nan) if m5 is None else _real_lambda(m5, grid, c, "Lambda5M5")
     cols = (traj.times, *_modified_energies(grid, c, mult, 4), quintic)
-    _write_csv(os.path.join(out_dir, "energies.csv"), ("t", "E2", "E3", "E4", "Lambda5M5"), cols)
+    header = ("t", "E2", "E3", "E4", "Lambda5M5")
+    _write_csv(os.path.join(out_dir, "energies.csv"), header, [cols])
     if m5 is None:
         print(f"energies: K={grid.K} > {QUINTIC_K_CAP}, Lambda5M5 column skipped (quintic cap)")
 
@@ -321,9 +333,15 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
         f"ratio in [{float(rep4.min_ratio):.6g}, {float(rep4.max_ratio):.6g}]; failures 0"
     )
     if path:
-        parts = [(_joined([_column_text(e) for e in r.tuples.T], b" "), r.p, r.q, r.ratio)
-                 for r in (rep3, rep4)]
-        _write_csv(path, ("tuple", "P_n", "Q_n", "ratio"), map(np.concatenate, zip(*parts)))
+        # Gamma3's rows, then Gamma4's, each piece's tuple text formed with it
+        step = resonance.PIECE_TUPLES
+        pieces = (
+            (_joined([_column_text(e) for e in r.tuples[i : i + step].T], b" "),
+             r.p[i : i + step], r.q[i : i + step], r.ratio[i : i + step])
+            for r in (rep3, rep4)
+            for i in range(0, len(r.tuples), step)
+        )
+        _write_csv(path, ("tuple", "P_n", "Q_n", "ratio"), pieces)
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
@@ -337,7 +355,7 @@ def _cmd_sweep(check, sweep, cfg: dict, out_dir: str) -> None:
     _built(check, ecfg)
     result = sweep(ecfg)
     kind = result.kind
-    _write_csv(os.path.join(out_dir, f"{kind}.csv"), result.columns, zip(*result.rows))
+    _write_csv(os.path.join(out_dir, f"{kind}.csv"), result.columns, [zip(*result.rows)])
     print(
         f"{kind}: exponent={result.fitted_exponent} residual={result.fit_residual} "
         f"diagnostics={ {k: v for k, v in result.diagnostics.items() if k != 'envelopes'} }"
@@ -359,7 +377,7 @@ def _cmd_squeeze(cfg: dict, out_dir: str) -> None:
     _write_csv(
         os.path.join(out_dir, "squeeze.csv"),
         ("k0", "radius", "witness_value", "threshold_r"),
-        ([ecfg.k0], [ecfg.radius], [result.value], [r]),
+        [([ecfg.k0], [ecfg.radius], [result.value], [r])],
     )
     print(
         f"squeeze: witness value {result.value!r} (R={ecfg.radius}, r={r}, "
@@ -374,7 +392,9 @@ def _cmd_squeeze(cfg: dict, out_dir: str) -> None:
 def _cmd_scaling(cfg: dict, out_dir: str) -> None:
     ecfg = _experiment_config(cfg)
     result = scaling_check(ecfg)
-    _write_csv(os.path.join(out_dir, "scaling-check.csv"), result.columns, zip(*result.rows))
+    _write_csv(
+        os.path.join(out_dir, "scaling-check.csv"), result.columns, [zip(*result.rows)]
+    )
     d = result.diagnostics
     print(
         f"scaling-check: max mismatch {d['max_mismatch']:.3e}, norm ratio error "

@@ -28,13 +28,15 @@ of a symmetrization:
 so M4 = -(3i/2) [sigma3(x1,x2,x3+x4) (x3+x4)]_sym and
 M5 = -2i [sigma4(x1,x2,x3,x4+x5) (x4+x5)]_sym, with [.]_sym the mean over
 all argument permutations; on sigma2 = m(x1) m(x2) the same step gives M3.
-sigma_(n-1) is evaluated once per lattice, as a table on Gamma_(n-1) that
-the step reads. A term whose pair sum vanishes contributes exactly 0, and
-sigma4 is defined as 0 on resonant tuples (alpha4 = 0), where a runtime
-check confirms M4 vanishes there. A form's weight table reads Gamma_n
-piece by piece from the one enumerator; the table, the sigma tables and
-the Gamma_(n-1) tuples they are built on share the one bounded cache of
-the resonance module.
+sigma_(n-1) is evaluated once per lattice, as a table on Gamma_(n-1). On
+Gamma_n the rest of a pair fixes its sum, so each pair term is computed
+once per entry of that table, as a pair-term table that the step reads.
+A term whose pair sum vanishes contributes exactly 0, and sigma4 is
+defined as 0 on resonant tuples (alpha4 = 0), where a runtime check
+confirms M4 vanishes there. A form's weight table reads Gamma_n piece by
+piece from the one enumerator; the table, the sigma and pair-term tables
+and the Gamma_(n-1) tuples they are built on share the one bounded cache
+of the resonance module.
 """
 
 from __future__ import annotations
@@ -434,6 +436,21 @@ def _sigma_table(
     return _cached(("sigma", n, mult, grid.j, grid.mu, B, cutoff), build)
 
 
+def _pair_terms(
+    n: int, mult: IMultiplier, grid: GridSpec, B: int, cutoff: int | None
+) -> np.ndarray:
+    """sigma_n(rest, p) p/mu at every rest of the flat table of sigma_n (see
+    _sigma_table), with p = -(sum of the rest): on Gamma_(n+1) the rest of
+    a pair fixes its sum p, so each pair term of the cascade step is one
+    entry here."""
+
+    def build():
+        pair = -reduce(np.add.outer, [np.arange(-B, B + 1)] * (n - 1)).reshape(-1)
+        return _sigma_table(n, mult, grid, B, cutoff).reshape(-1) * (pair / grid.mu)
+
+    return _cached(("pairs", n, mult, grid.j, grid.mu, B, cutoff), build)
+
+
 def _m_values(
     n: int,
     mult: IMultiplier,
@@ -447,41 +464,44 @@ def _m_values(
 
     M_n = -(i/n) sum over pairs {a,b} of sigma_(n-1)(rest, k_a+k_b) (k_a+k_b),
     the pair reduction of the mean over all argument permutations. On
-    Gamma_n the rest fixes the pair sum, so sigma_(n-1) is read from its
-    table on Gamma_(n-1), which covers every entry and pair sum here. A
-    vanishing pair sum contributes exactly 0, and so, with a lattice
-    cutoff, does one above it: it is a mode absent from the K-truncated
-    Galerkin system whose energy derivative this multiplier represents.
+    Gamma_n the rest fixes the pair sum, so each pair term is one read of
+    the pair-term table of sigma_(n-1) (see _pair_terms), built once per
+    sigma table on Gamma_(n-1), which covers every entry and pair sum
+    here. A vanishing pair sum contributes exactly 0, and so, with a
+    lattice cutoff, does one above it: it is a mode absent from the
+    K-truncated Galerkin system whose energy derivative this multiplier
+    represents.
 
     The table is sized from the lattice bound, grid.K unless bound is
     given, not from the entries of idx: every piece of one lattice reads
-    the one table, and an entry beyond the bound is refused. The term
-    scale is read only by sigma_n's resonant-set check; with with_scale
-    false it is not accumulated and None stands in its place.
+    the one table, and an entry beyond the bound is refused. Each term is
+    the product the indexed read sigma_(n-1)[rest] * ((k_a+k_b)/mu) gives,
+    bit for bit. The term scale is read only by sigma_n's resonant-set
+    check; with with_scale false it is not accumulated and None stands in
+    its place.
     """
     E = grid.K if bound is None else bound
     if any(a.size and (a.max() > E or a.min() < -E) for a in idx):
         raise ValueError(f"index tuples reach beyond the lattice bound {E}")
     # rest entries reach E and pair sums 2E, but none above the cutoff counts
     B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
-    table = _sigma_table(n - 1, mult, grid, B, cutoff)
+    terms = _pair_terms(n - 1, mult, grid, B, cutoff)
     m = np.empty(idx[0].shape, dtype=np.complex128)
     scale = np.zeros(idx[0].shape, dtype=np.float64) if with_scale else None
-    # sigma_(n-1) at the rest is read through one flat index of its table;
-    # the offset of B of each rest entry is added once, as one constant
-    flat_table, w = table.reshape(-1), 2 * B + 1
+    # a pair term is read at the rest through one flat index; the offset
+    # of B of each rest entry is added once, as one constant
+    w = 2 * B + 1
     shift = B * sum(w**i for i in range(n - 2))
     # piece by piece, so that a piece's temporaries stay in cache; each
     # tuple still adds its pair terms in the same order
     step = resonance.PIECE_TUPLES
     for i in range(0, len(m), step):
         part = [a[i : i + step] for a in idx]
-        acc = np.zeros(part[0].shape, dtype=table.dtype)
+        acc = np.zeros(part[0].shape, dtype=terms.dtype)
         part_scale = scale[i : i + step] if with_scale else None
         for a, b in combinations(range(n), 2):
             rest = [part[x] for x in range(n) if x not in (a, b)]
-            flat = reduce(lambda f, r: f * w + r, rest) + shift
-            term = flat_table.take(flat) * ((part[a] + part[b]) / grid.mu)
+            term = terms.take(reduce(lambda f, r: f * w + r, rest) + shift)
             acc += term
             if with_scale:
                 np.maximum(part_scale, np.abs(term), out=part_scale)

@@ -154,8 +154,9 @@ CACHE_ENTRIES = 32
 # Tuples per piece of Gamma_n: a piece's index columns and the temporaries
 # computed from them, a few hundred kB, stay in a core's L2 cache.
 PIECE_TUPLES = 1 << 14
-# The package's one cache: lattice tuples, form weights and sigma tables
-# share it, least recently used out first, so one bound caps their memory.
+# The package's one cache: lattice tuples, form weights, sigma tables and
+# their pair-term tables share it, least recently used out first, so one
+# bound caps their memory.
 _CACHE: OrderedDict = OrderedDict()
 
 

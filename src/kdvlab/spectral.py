@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -338,12 +339,22 @@ def random_smooth_field(
     return u * (norm_value / cur)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to path through a temporary file renamed over it."""
+def _write_atomic(path: str, pieces: Iterable[bytes]) -> None:
+    """Write the pieces, in order, to path through a temporary file renamed
+    over it. Each piece is written before the next is formed, so a
+    generator of pieces is held one at a time; if forming or writing any
+    piece raises, the temporary file is removed and path is left as it
+    was."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            for piece in pieces:
+                fh.write(piece)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def save_snapshot(u: FourierField, path: str) -> None:
@@ -359,7 +370,7 @@ def save_snapshot(u: FourierField, path: str) -> None:
             if c != 0
         ],
     }
-    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
+    _write_atomic(path, [(json.dumps(payload, indent=1) + "\n").encode()])
 
 
 def load_snapshot(path: str) -> FourierField:

@@ -4,16 +4,17 @@ import csv
 import io
 import json
 import os
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from kdvlab import cli, imethod
+from kdvlab import cli, imethod, resonance
 from kdvlab.cli import ConfigError, _experiment_config, _write_csv, main, parse_config
 from kdvlab.experiments import ExperimentConfig
 from kdvlab.imethod import constant_form
-from kdvlab.resonance import p_n, prefactor, q_n
+from kdvlab.resonance import p_n, prefactor, q_n, verify_factorization
 
 
 def run_cli(*args):
@@ -107,6 +108,46 @@ class TestExitCodes:
                     lines.append(f"{' '.join(map(str, t))},{p_n(t, j)},{q},{ratio!r}")
             expected = ("\n".join(lines) + "\n").encode()
             assert (out / "tuples.csv").read_bytes() == expected
+
+    # the README example's CSV, and Gamma3 on Python ints (j=6)
+    @pytest.mark.parametrize("j, K, K4", [(2, 64, 24), (6, 16, 6)])
+    def test_resonance_csv_in_pieces(self, tmp_path, monkeypatch, j, K, K4):
+        # pieces of 1 and 7 rows, the default size, and one piece for all
+        # rows give the same bytes
+        def csv_at(piece):
+            if piece is not None:
+                monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
+            out = tmp_path / f"p{piece}"
+            argv = ("--j", str(j), "--K", str(K), "--K4", str(K4), "--csv", "t.csv")
+            assert run_cli("resonance-check", *argv, "--out", str(out)) == 0
+            return (out / "t.csv").read_bytes()
+
+        whole = csv_at(10**9)
+        assert whole.count(b"\n") - 1 == sum(
+            verify_factorization(j, k, arity).count for k, arity in ((K, 3), (K4, 4))
+        )
+        for piece in (1, 7, None):
+            assert csv_at(piece) == whole, piece
+
+    def test_resonance_csv_write_peak(self, tmp_path, monkeypatch):
+        # the README example's 3.2 MB CSV: the whole-file write held the
+        # text of every row at once and peaked at about 18 MiB above what was
+        # held before it (tracemalloc); the write in pieces holds one piece
+        peaks = []
+        true_write = cli._write_csv
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                true_write(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_write_csv", traced)
+        argv = ("--j", "2", "--K", "64", "--K4", "24", "--csv", "t.csv")
+        assert run_cli("resonance-check", *argv, "--out", str(tmp_path)) == 0
+        assert len(peaks) == 1 and peaks[0] < 8 * 2**20
 
     def test_solve_bad_dt_is_config_error(self, tmp_path):
         status = run_cli(
@@ -390,21 +431,26 @@ class TestWriteCsv:
         writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
         return buf.getvalue().encode()
 
-    def test_matches_csv_writer(self, tmp_path):
+    HEADER = ("f64", "py_float", "int64", "big_int", "flag")
+
+    @staticmethod
+    def mixed_columns():
         floats = np.array(
             [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e16, 1e-05, 5e-324, 0.1, -0.0, 1e16, 0.1]
         )
         n = len(floats)
-        columns = [
+        return [
             floats,
             [float(x) for x in floats[::-1]],
             np.arange(n, dtype=np.int64) % 3 - 1,
             np.array([2**64 + 3 * (i % 2) for i in range(n)], dtype=object),
             np.arange(n) % 2 == 0,
         ]
-        header = ("f64", "py_float", "int64", "big_int", "flag")
+
+    def test_matches_csv_writer(self, tmp_path):
+        columns, header = self.mixed_columns(), self.HEADER
         path = tmp_path / "t.csv"
-        _write_csv(str(path), header, columns)
+        _write_csv(str(path), header, [columns])
         assert path.read_bytes() == self.oracle(header, columns)
         # -0.0 and 0.0 are distinct values: the sign is kept
         assert [row.split(b",")[0] for row in path.read_bytes().split(b"\n")[1:3]] == [
@@ -414,9 +460,33 @@ class TestWriteCsv:
     def test_zero_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         columns = [np.zeros(0), np.zeros(0, dtype=np.int64)]
-        _write_csv(str(path), ("a", "b"), columns)
+        _write_csv(str(path), ("a", "b"), [columns])
         assert path.read_bytes() == self.oracle(("a", "b"), columns) == b"a,b\n"
 
     def test_unequal_columns_refused(self, tmp_path):
         with pytest.raises(ValueError, match="unequal length"):
-            _write_csv(str(tmp_path / "t.csv"), ("a", "b"), [np.zeros(3), np.zeros(2)])
+            _write_csv(str(tmp_path / "t.csv"), ("a", "b"), [[np.zeros(3), np.zeros(2)]])
+
+    @pytest.mark.parametrize("size", [1, 5, 12, 13])
+    def test_pieces_give_the_one_piece_bytes(self, tmp_path, size):
+        # rows split into pieces of size rows (the last one shorter, and
+        # empty pieces between them) give the bytes of one piece
+        columns, header = self.mixed_columns(), self.HEADER
+        pieces = []
+        for i in range(0, len(columns[0]), size):
+            pieces += [[c[i : i + size] for c in columns], [c[:0] for c in columns]]
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), header, iter(pieces))
+        assert path.read_bytes() == self.oracle(header, columns)
+
+    def test_failure_in_a_later_piece_keeps_the_old_file(self, tmp_path):
+        # the first piece is written to the temporary file before the second
+        # is formatted; the second fails, so the temporary file is removed
+        # and the file it would have replaced keeps its bytes
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old\n")
+        pieces = [[np.zeros(2), np.ones(2)], [np.zeros(3), np.zeros(2)]]
+        with pytest.raises(ValueError, match="unequal length"):
+            _write_csv(str(path), ("a", "b"), iter(pieces))
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["t.csv"]

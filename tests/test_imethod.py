@@ -522,6 +522,39 @@ class TestCascadeStep:
         resonance._CACHE.clear()
         assert results[1] == results[0] and results[2] == results[0]
 
+    @pytest.mark.parametrize("piece", [1, 7, None])
+    @pytest.mark.parametrize("cutoff", [None, 4])
+    def test_one_pair_term_table_per_sigma_table(self, monkeypatch, cutoff, piece):
+        # M3sym, M4 and M5, twice, with pieces of 1 and 7 tuples and one
+        # piece for all (None): each pair-term table is built once per
+        # (n, mult, j, mu, B, cutoff), one for each sigma table, the bounds
+        # the lattice and the cutoff give (M5 reads sigma3 through sigma4)
+        g = make_grid(2, 4, 1.4)
+        mult = IMultiplier(s=-0.6, N=1.5)
+        idx = {n: _hyperplane_tuples(n, 4) for n in (3, 4, 5)}
+        monkeypatch.setattr(resonance, "PIECE_TUPLES", piece or idx[5][0].size + 1)
+        builds = []
+        true_cached = imethod._cached
+
+        def counted(key, build):
+            return true_cached(key, lambda: builds.append(key) or build())
+
+        monkeypatch.setattr(imethod, "_cached", counted)
+        resonance._CACHE.clear()
+        try:
+            for _ in range(2):
+                for n in (3, 4, 5):
+                    _m_values(n, mult, g, idx[n], cutoff)
+        finally:
+            resonance._CACHE.clear()
+        pairs = [key[1:] for key in builds if key[0] == "pairs"]
+        sigma = [key[1:] for key in builds if key[0] == "sigma"]
+        assert len(set(pairs)) == len(pairs) and set(pairs) == set(sigma)
+        assert len(set(sigma)) == len(sigma)
+        assert all(key[1:4] == (mult, 2, 1.4) and key[5] == cutoff for key in pairs)
+        bounds = {(2, 8), (3, 8), (4, 8), (3, 16)} if cutoff is None else {(2, 4), (3, 4), (4, 4)}
+        assert {(key[0], key[4]) for key in pairs} == bounds
+
     def test_cache_stays_at_its_bound(self):
         resonance._CACHE.clear()
         g = make_grid(1, 6)

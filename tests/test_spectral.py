@@ -4,6 +4,8 @@ Derived expected values are cross-checked against direct quadrature on a
 fine physical grid, independent of the coefficient-space code paths.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ except ImportError:  # the property test below is then skipped
 
 from kdvlab.spectral import (
     FourierField,
+    _write_atomic,
     conserved_quantities,
     derivative,
     harmonic,
@@ -298,6 +301,22 @@ class TestSnapshots:
         path.write_text('{"schema_version": 1, "j": 1, "mu": 1.0, "coeffs": []}')
         with pytest.raises(ValueError, match="K"):
             load_snapshot(str(path))
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # a write that raises in its second piece removes its temporary
+        # file and leaves the snapshot it would have replaced as it was
+        path = tmp_path / "field.json"
+        save_snapshot(harmonic(make_grid(1, 4), 2), str(path))
+        old = path.read_bytes()
+
+        def pieces():
+            yield b"{"
+            raise RuntimeError("second piece")
+
+        with pytest.raises(RuntimeError, match="second piece"):
+            _write_atomic(str(path), pieces())
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["field.json"]
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False) if given else None
