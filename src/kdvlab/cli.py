@@ -268,6 +268,7 @@ def _initial_field(cfg: dict, grid):
         except ValueError as exc:
             raise ConfigError(f"bad value for key 'input': {exc}") from exc
         return u0
+    _check_at_least(cfg, seed=0)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg["seed"]))
     return random_smooth_field(grid, rng, decay=cfg["decay"], norm_value=1.0)
 

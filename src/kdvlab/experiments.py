@@ -92,8 +92,9 @@ class ExperimentConfig:
     def __post_init__(self):
         grid = self.grid
         FlowSpec(grid=grid, dt=self.dt, T=self.T)
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        for key, least in (("samples", 1), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.N_list and list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError(f"N_list must be strictly increasing, got {self.N_list}")
         if self.N_list and not min(self.N_list) > 0:

@@ -28,19 +28,20 @@ of a symmetrization:
 so M4 = -(3i/2) [sigma3(x1,x2,x3+x4) (x3+x4)]_sym and
 M5 = -2i [sigma4(x1,x2,x3,x4+x5) (x4+x5)]_sym, with [.]_sym the mean over
 all argument permutations; on sigma2 = m(x1) m(x2) the same step gives M3.
-sigma_(n-1) is evaluated once per lattice, as a table on Gamma_(n-1). On
-Gamma_n the rest of a pair fixes its sum, so each pair term is computed
-once per entry of that table, as a pair-term table that the step reads.
-A term whose pair sum vanishes contributes exactly 0, and sigma4 is
-defined as 0 on resonant tuples (alpha4 = 0), where a runtime check
-confirms M4 vanishes there. A form's weight table reads Gamma_n piece by
-piece from the one enumerator; the table, the sigma and pair-term tables
-and the Gamma_(n-1) tuples they are built on share the one bounded cache
-of the resonance module.
+Each level has one table: on Gamma_n the rest of a pair fixes its sum, so
+the step reads each pair term sigma_(n-1)(rest, p) p from a pair-term
+table of sigma_(n-1), filled piece by piece from Gamma_(n-1) (sigma_(n-1)
+itself is never stored). A term whose pair sum vanishes contributes
+exactly 0, and sigma4 is defined as 0 on resonant tuples (alpha4 = 0),
+where a runtime check confirms M4 vanishes there. A form's weight table
+also reads Gamma_n piece by piece from the one enumerator, so no whole
+lattice is held. Block layouts, weight tables and pair-term tables share
+this module's one bounded cache.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .flow import _band_mask, _rhs_function
 from . import resonance
-from .resonance import _cached, _hyperplane_chunks, _hyperplane_tuples, _pn_int
+from .resonance import _hyperplane_chunks, _pn_int
 from .spectral import FourierField, GridSpec, _check_same_grid
 
 __all__ = [
@@ -77,8 +78,23 @@ QUINTIC_K_CAP = 16
 STACK_BYTES = 1 << 26
 IMAG_RESIDUE_TOL = 1e-10
 RESONANT_M4_TOL = 1e-10
+CACHE_ENTRIES = 32
 
 _M_SHAPES = ("clipped_power", "smooth_log")
+# The one cache: block layouts, form weights and pair-term tables share it,
+# least recently used out first, so one bound caps their memory.
+_CACHE: OrderedDict = OrderedDict()
+
+
+def _cached(key, build):
+    """The value stored under key; build() computes and stores it on a miss."""
+    if key in _CACHE:
+        _CACHE.move_to_end(key)
+        return _CACHE[key]
+    value = _CACHE[key] = build()
+    if len(_CACHE) > CACHE_ENTRIES:
+        _CACHE.popitem(last=False)
+    return value
 
 
 @dataclass(frozen=True)
@@ -417,36 +433,25 @@ def _sigma_values(
     return np.where(resonant, 0.0, -m / alpha)
 
 
-def _sigma_table(
-    n: int, mult: IMultiplier, grid: GridSpec, B: int, cutoff: int | None
-) -> np.ndarray:
-    """sigma_n on Gamma_n with |entries| <= B and |last| <= cutoff, dense
-    over the first n-1 entries (offset by B); 0 off that set."""
-
-    def build():
-        idx = _hyperplane_tuples(n, B)
-        if cutoff is not None:
-            keep = np.abs(idx[-1]) <= cutoff
-            idx = tuple(a[keep] for a in idx)
-        values = _sigma_values(n, mult, grid, idx, cutoff, B)
-        table = np.zeros((2 * B + 1,) * (n - 1), dtype=values.dtype)
-        table[tuple(a + B for a in idx[:-1])] = values
-        return table
-
-    return _cached(("sigma", n, mult, grid.j, grid.mu, B, cutoff), build)
-
-
 def _pair_terms(
     n: int, mult: IMultiplier, grid: GridSpec, B: int, cutoff: int | None
 ) -> np.ndarray:
-    """sigma_n(rest, p) p/mu at every rest of the flat table of sigma_n (see
-    _sigma_table), with p = -(sum of the rest): on Gamma_(n+1) the rest of
-    a pair fixes its sum p, so each pair term of the cascade step is one
-    entry here."""
+    """sigma_n(rest, p) p/mu on Gamma_n with |entries| <= B and |p| <= cutoff,
+    p the last entry, as a flat table dense over the rest (the first n-1
+    entries, offset by B, first outermost); 0 off that set. On Gamma_(n+1)
+    the rest of a pair fixes its sum p, so each pair term of the cascade
+    step is one entry here. Gamma_n is read piece by piece."""
 
     def build():
-        pair = -reduce(np.add.outer, [np.arange(-B, B + 1)] * (n - 1)).reshape(-1)
-        return _sigma_table(n, mult, grid, B, cutoff).reshape(-1) * (pair / grid.mu)
+        # sigma2 and sigma3 are real
+        table = np.zeros((2 * B + 1) ** (n - 1), dtype=np.float64 if n < 4 else np.complex128)
+        for idx in _hyperplane_chunks(n, B):
+            if cutoff is not None:
+                keep = np.abs(idx[-1]) <= cutoff
+                idx = tuple(a[keep] for a in idx)
+            values = _sigma_values(n, mult, grid, idx, cutoff, B)
+            table[_flat(idx[:-1], B)[0]] = values * (idx[-1] / grid.mu)
+        return table
 
     return _cached(("pairs", n, mult, grid.j, grid.mu, B, cutoff), build)
 
@@ -465,12 +470,11 @@ def _m_values(
     M_n = -(i/n) sum over pairs {a,b} of sigma_(n-1)(rest, k_a+k_b) (k_a+k_b),
     the pair reduction of the mean over all argument permutations. On
     Gamma_n the rest fixes the pair sum, so each pair term is one read of
-    the pair-term table of sigma_(n-1) (see _pair_terms), built once per
-    sigma table on Gamma_(n-1), which covers every entry and pair sum
-    here. A vanishing pair sum contributes exactly 0, and so, with a
-    lattice cutoff, does one above it: it is a mode absent from the
-    K-truncated Galerkin system whose energy derivative this multiplier
-    represents.
+    the pair-term table of sigma_(n-1) (see _pair_terms), built once on
+    Gamma_(n-1), which covers every entry and pair sum here. A vanishing
+    pair sum contributes exactly 0, and so, with a lattice cutoff, does one
+    above it: it is a mode absent from the K-truncated Galerkin system
+    whose energy derivative this multiplier represents.
 
     The table is sized from the lattice bound, grid.K unless bound is
     given, not from the entries of idx: every piece of one lattice reads

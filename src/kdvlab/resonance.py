@@ -6,14 +6,13 @@ On Gamma_3 it factors as x*y*z*Q_3 and on Gamma_4 as
 module evaluates the polynomials and cofactors in exact integer/rational
 arithmetic (floats are deliberately rejected: the identities are exact,
 and k^(2j+1) overflows fixed-width types quickly), owns the one lattice
-enumerator of the zero-sum tuples, the one array evaluator of P_n and the
-package's one bounded cache, and verifies the factorization and
-comparability claims over the tuples as exact integer array arithmetic.
+enumerator of the zero-sum tuples and the one array evaluator of P_n, and
+verifies the factorization and comparability claims over the tuples as
+exact integer array arithmetic.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -150,25 +149,9 @@ class FactorizationReport:
         return not self.failures and self.count > 0
 
 
-CACHE_ENTRIES = 32
 # Tuples per piece of Gamma_n: a piece's index columns and the temporaries
 # computed from them, a few hundred kB, stay in a core's L2 cache.
 PIECE_TUPLES = 1 << 14
-# The package's one cache: lattice tuples, form weights, sigma tables and
-# their pair-term tables share it, least recently used out first, so one
-# bound caps their memory.
-_CACHE: OrderedDict = OrderedDict()
-
-
-def _cached(key, build):
-    """The value stored under key; build() computes and stores it on a miss."""
-    if key in _CACHE:
-        _CACHE.move_to_end(key)
-        return _CACHE[key]
-    value = _CACHE[key] = build()
-    if len(_CACHE) > CACHE_ENTRIES:
-        _CACHE.popitem(last=False)
-    return value
 
 
 def _hyperplane_chunks(n: int, K: int):
@@ -214,15 +197,11 @@ def _hyperplane_chunks(n: int, K: int):
 
 def _hyperplane_tuples(n: int, K: int) -> tuple:
     """All of Gamma_n at once: the pieces of _hyperplane_chunks joined, one
-    read-only int64 array per slot, cached."""
-
-    def build():
-        out = tuple(np.concatenate(cols) for cols in zip(*_hyperplane_chunks(n, K)))
-        for a in out:
-            a.flags.writeable = False
-        return out
-
-    return _cached(("tuples", n, K), build)
+    read-only int64 array per slot."""
+    out = tuple(np.concatenate(cols) for cols in zip(*_hyperplane_chunks(n, K)))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _exact_dtype(n: int, max_abs: int, j: int):

@@ -373,27 +373,40 @@ def save_snapshot(u: FourierField, path: str) -> None:
     _write_atomic(path, [(json.dumps(payload, indent=1) + "\n").encode()])
 
 
+def _snapshot_number(value, what: str):
+    """value if it is a JSON number (not a boolean); else a ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"snapshot {what} is not a number: {value!r}")
+    return value
+
+
 def load_snapshot(path: str) -> FourierField:
     """Read a snapshot; rejects malformed files.
 
-    Rejected: k_index 0 or negative (would break the positive-half storage
-    that guarantees conjugate symmetry), duplicates, indices above K,
-    non-finite values, unknown schema version.
+    Rejected: anything but an object with numbers j, K, mu and a list of
+    [k_index, re, im] number lists; k_index 0 or negative (would break the
+    positive-half storage that guarantees conjugate symmetry), duplicates,
+    indices above K, non-finite values, unknown schema version.
     """
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"snapshot is not a JSON object: {payload!r}")
     for key in ("schema_version", "j", "mu", "K", "coeffs"):
         if key not in payload:
             raise ValueError(f"snapshot missing key {key!r}")
     if payload["schema_version"] != SNAPSHOT_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {payload['schema_version']}")
-    grid = make_grid(int(payload["j"]), int(payload["K"]), float(payload["mu"]))
+    j, K, mu = (_snapshot_number(payload[key], key) for key in ("j", "K", "mu"))
+    grid = make_grid(int(j), int(K), float(mu))
+    if not isinstance(payload["coeffs"], list):
+        raise ValueError(f"snapshot coeffs is not a list: {payload['coeffs']!r}")
     c = np.zeros(grid.K, dtype=np.complex128)
     seen = set()
     for entry in payload["coeffs"]:
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError(f"malformed coeff entry {entry!r}")
-        n, re, im = entry
+        n, re, im = (_snapshot_number(v, "coeff entry") for v in entry)
         n = int(n)
         if n <= 0:
             raise ValueError(f"snapshot contains k_index {n} <= 0")

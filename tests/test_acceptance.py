@@ -32,11 +32,10 @@ from kdvlab.flow import (
 )
 from kdvlab.imethod import (
     IMultiplier,
-    _hyperplane_tuples,
     _m_values,
     drift_oracle,
 )
-from kdvlab.resonance import _pn_int, verify_factorization
+from kdvlab.resonance import _hyperplane_tuples, _pn_int, verify_factorization
 from kdvlab.spectral import (
     FourierField,
     harmonic,

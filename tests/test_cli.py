@@ -113,7 +113,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("j, K, K4", [(2, 64, 24), (6, 16, 6)])
     def test_resonance_csv_in_pieces(self, tmp_path, monkeypatch, j, K, K4):
         # pieces of 1 and 7 rows, the default size, and one piece for all
-        # rows give the same bytes
+        # rows give the same bytes; pieces of 1 row on the small lattice
+        # only, as the README lattice would write 76,864 of them
         def csv_at(piece):
             if piece is not None:
                 monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
@@ -126,7 +127,7 @@ class TestExitCodes:
         assert whole.count(b"\n") - 1 == sum(
             verify_factorization(j, k, arity).count for k, arity in ((K, 3), (K4, 4))
         )
-        for piece in (1, 7, None):
+        for piece in (1, 7, None) if K < 64 else (7, None):
             assert csv_at(piece) == whole, piece
 
     def test_resonance_csv_write_peak(self, tmp_path, monkeypatch):
@@ -214,6 +215,15 @@ class TestExitCodes:
           "sub/run"], "key 'output': no such directory"),
         # the CSV path names a file, so an existing directory is refused
         (["resonance-check", "--j", "1", "--K", "4", "--csv", "."], "key 'csv': directory"),
+        # a negative seed is refused before any draw
+        (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--seed", "-1"],
+         "key 'seed': -1"),
+        (["energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4", "--dt", "1e-3",
+          "--T", "0.01", "--seed", "-1"], "key 'seed': -1"),
+        (["squeeze", "--j", "2", "--K", "8", "--N_list", "4", "--k0", "2", "--radius", "0.5",
+          "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["approx-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16", "--T", "0.01",
+          "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)
@@ -233,6 +243,25 @@ class TestExitCodes:
         )
         assert status == 2
         assert "key 'input': snapshot missing key 'j'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, what", [
+        ("7", "not a JSON object"),
+        ('{"schema_version": 1, "j": 2, "mu": 1.0, "K": 8, "coeffs": 5}', "not a list"),
+        ('{"schema_version": 1, "j": 2, "mu": 1.0, "K": 8, "coeffs": [1]}', "malformed coeff"),
+        ('{"schema_version": 1, "j": 2, "mu": 1.0, "K": 8, "coeffs": [[1, "x", 0.0]]}',
+         "not a number: 'x'"),
+    ], ids=["int", "int-coeffs", "int-entry", "str-value"])
+    def test_malformed_snapshot_payload_is_config_error(self, tmp_path, capsys, payload, what):
+        snap = tmp_path / "bad.json"
+        snap.write_text(payload)
+        status = run_cli(
+            "solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01",
+            "--input", str(snap), "--out", str(tmp_path),
+        )
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("configuration error: bad value for key 'input'") and what in err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_missing_required_is_config_error(self, tmp_path):
         status = run_cli("solve", "--j", "2", "--out", str(tmp_path))

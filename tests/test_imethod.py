@@ -35,12 +35,11 @@ from kdvlab.imethod import (
 )
 from kdvlab.imethod import (
     _energy_rates,
-    _hyperplane_tuples,
     _lambda_with_scale,
     _m_values,
     _modified_energies,
 )
-from kdvlab.resonance import _pn_int
+from kdvlab.resonance import _hyperplane_tuples, _pn_int
 from kdvlab.spectral import (
     FourierField,
     harmonic,
@@ -451,6 +450,16 @@ def _ref_m5(mult, grid, idx, cutoff):
     return (-1j / 5.0) * acc
 
 
+def recorded_builds(monkeypatch):
+    """The keys under which imethod builds a table (a cache miss), as they happen."""
+    builds = []
+    true_cached = imethod._cached
+    monkeypatch.setattr(
+        imethod, "_cached", lambda key, build: true_cached(key, lambda: builds.append(key) or build())
+    )
+    return builds
+
+
 class TestCascadeStep:
     @pytest.mark.parametrize("shape", ["clipped_power", "smooth_log"])
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
@@ -476,15 +485,22 @@ class TestCascadeStep:
 
     @pytest.mark.parametrize("n, K, cutoff", [(3, 6, None), (4, 6, None), (4, 6, 4), (5, 8, 8)])
     def test_flat_read_is_the_indexed_read(self, n, K, cutoff):
-        # _m_values reads sigma_(n-1) through one flat index of its table;
-        # indexing the table with the rest columns gives the same bits
+        # _m_values reads each pair term through one flat index of its
+        # pair-term table; sigma_(n-1) scattered from the whole lattice at
+        # once, indexed with the rest columns, gives the same bits
         g = make_grid(2, K)
         mult = IMultiplier(s=-0.5, N=2.0)
         idx = _hyperplane_tuples(n, K)
         m, scale = _m_values(n, mult, g, idx, cutoff)
         E = int(np.max(np.abs(idx[0])))
         B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
-        table = imethod._sigma_table(n - 1, mult, g, B, cutoff)
+        lattice = _hyperplane_tuples(n - 1, B)
+        if cutoff is not None:
+            keep = np.abs(lattice[-1]) <= cutoff
+            lattice = tuple(a[keep] for a in lattice)
+        values = imethod._sigma_values(n - 1, mult, g, lattice, cutoff, B)
+        table = np.zeros((2 * B + 1,) * (n - 2), dtype=values.dtype)
+        table[tuple(a + B for a in lattice[:-1])] = values
         acc = np.zeros(idx[0].shape, dtype=table.dtype)
         ref_scale = np.zeros(idx[0].shape)
         for a, b in combinations(range(n), 2):
@@ -497,73 +513,86 @@ class TestCascadeStep:
 
     @pytest.mark.parametrize("cutoff", [None, 4])
     def test_same_bits_in_every_slice(self, monkeypatch, cutoff):
-        # the pair loop runs over pieces of PIECE_TUPLES tuples; one tuple
-        # per piece, 7, and one piece for all give M4, M5 and their scales
-        # bit for bit, and each sigma table is still built once (without a
-        # cutoff M5 reads sigma4 on a wider lattice, so two sigma3 tables)
+        # the pair loop and the pair-term tables run over pieces of
+        # PIECE_TUPLES tuples; one tuple per piece, 7, and one piece for all
+        # give M4, M5 and their scales bit for bit, and each pair-term table
+        # is still built once (without a cutoff M5 reads sigma4 on a wider
+        # lattice, so two sigma3 tables)
         g = make_grid(2, 4, 1.4)
         mult = IMultiplier(s=-0.6, N=1.5)
         idx = {n: _hyperplane_tuples(n, 4) for n in (4, 5)}
-        built = []
-        true_sigma = imethod._sigma_values
-        monkeypatch.setattr(
-            imethod, "_sigma_values", lambda n, *a: built.append(n) or true_sigma(n, *a)
-        )
+        builds = recorded_builds(monkeypatch)
         results = []
         for size in (idx[5][0].size + 1, 1, 7):
             monkeypatch.setattr(resonance, "PIECE_TUPLES", size)
-            resonance._CACHE.clear()
-            built.clear()
+            imethod._CACHE.clear()
+            builds.clear()
             got = [part.tobytes() for n in (4, 5) for part in _m_values(n, mult, g, idx[n], cutoff)]
             # one build per table: as many as the cache holds
-            assert set(built) == {3, 4}
-            assert len(built) == sum(key[0] == "sigma" for key in resonance._CACHE)
+            assert {key[1] for key in builds} == {3, 4}
+            assert sorted(builds, key=repr) == sorted(imethod._CACHE, key=repr)
             results.append(got)
-        resonance._CACHE.clear()
+        imethod._CACHE.clear()
         assert results[1] == results[0] and results[2] == results[0]
 
     @pytest.mark.parametrize("piece", [1, 7, None])
     @pytest.mark.parametrize("cutoff", [None, 4])
     def test_one_pair_term_table_per_sigma_table(self, monkeypatch, cutoff, piece):
         # M3sym, M4 and M5, twice, with pieces of 1 and 7 tuples and one
-        # piece for all (None): each pair-term table is built once per
-        # (n, mult, j, mu, B, cutoff), one for each sigma table, the bounds
-        # the lattice and the cutoff give (M5 reads sigma3 through sigma4)
+        # piece for all (None): sigma_n has one table, its pair-term table,
+        # built once per (n, mult, j, mu, B, cutoff) at the bounds the
+        # lattice and the cutoff give (M5 reads sigma3 through sigma4)
         g = make_grid(2, 4, 1.4)
         mult = IMultiplier(s=-0.6, N=1.5)
         idx = {n: _hyperplane_tuples(n, 4) for n in (3, 4, 5)}
         monkeypatch.setattr(resonance, "PIECE_TUPLES", piece or idx[5][0].size + 1)
-        builds = []
-        true_cached = imethod._cached
-
-        def counted(key, build):
-            return true_cached(key, lambda: builds.append(key) or build())
-
-        monkeypatch.setattr(imethod, "_cached", counted)
-        resonance._CACHE.clear()
+        builds = recorded_builds(monkeypatch)
+        imethod._CACHE.clear()
         try:
             for _ in range(2):
                 for n in (3, 4, 5):
                     _m_values(n, mult, g, idx[n], cutoff)
         finally:
-            resonance._CACHE.clear()
-        pairs = [key[1:] for key in builds if key[0] == "pairs"]
-        sigma = [key[1:] for key in builds if key[0] == "sigma"]
-        assert len(set(pairs)) == len(pairs) and set(pairs) == set(sigma)
-        assert len(set(sigma)) == len(sigma)
+            imethod._CACHE.clear()
+        assert all(key[0] == "pairs" for key in builds)
+        pairs = [key[1:] for key in builds]
+        assert len(set(pairs)) == len(pairs)
         assert all(key[1:4] == (mult, 2, 1.4) and key[5] == cutoff for key in pairs)
         bounds = {(2, 8), (3, 8), (4, 8), (3, 16)} if cutoff is None else {(2, 4), (3, 4), (4, 4)}
         assert {(key[0], key[4]) for key in pairs} == bounds
 
+    def test_cache_holds_imethod_tables_only(self, monkeypatch):
+        # the energy hierarchy, the drift oracle with its quintic M5 at
+        # K=16, M3sym and the continuum M4 and sigma4 read no whole lattice,
+        # and the cache holds block layouts, weight and pair-term tables only
+        def refuse(n, K):
+            raise AssertionError(f"whole Gamma_{n} read at K={K}")
+
+        monkeypatch.setattr(resonance, "_hyperplane_tuples", refuse)
+        g = make_grid(2, 16)
+        mult = IMultiplier(s=-0.5, N=4.0)
+        u = smooth_field(g, 4)
+        traj = integrate(u, FlowSpec(grid=g, dt=1e-4, T=3e-4))
+        imethod._CACHE.clear()
+        try:
+            _modified_energies(g, traj.coeffs, mult, 4)
+            drift_oracle(traj, mult, 4)
+            for form in (big_m3_symmetrized(mult, g), big_m4(mult, g), sigma4(mult, g)):
+                lambda_n(form, [u] * form.n)
+            kinds = {key[0] for key in imethod._CACHE}
+        finally:
+            imethod._CACHE.clear()
+        assert kinds == {"blocks", "weights", "pairs"}
+
     def test_cache_stays_at_its_bound(self):
-        resonance._CACHE.clear()
+        imethod._CACHE.clear()
         g = make_grid(1, 6)
         u = smooth_field(g, 3)
         layout = imethod._block_layout(4, 6)
         for i in range(40):
             lambda_n(sigma4(IMultiplier(s=-0.5, N=1.0 + 0.1 * i), g, 6), [u] * 4)
-            assert len(resonance._CACHE) <= resonance.CACHE_ENTRIES
-        assert len(resonance._CACHE) == resonance.CACHE_ENTRIES
+            assert len(imethod._CACHE) <= imethod.CACHE_ENTRIES
+        assert len(imethod._CACHE) == imethod.CACHE_ENTRIES
         # least recently used out first: the block layout every sigma4 table reads stays
         assert imethod._block_layout(4, 6) is layout
 
@@ -576,14 +605,14 @@ class TestCascadeStep:
         )
         g = make_grid(2, 6)
         mult = IMultiplier(s=-0.5, N=2.0)
-        resonance._CACHE.clear()
+        imethod._CACHE.clear()
         try:
             with pytest.raises(ArithmeticError, match="M4 does not vanish on a resonant tuple"):
                 sigma4(mult, g, 6).weight(*_hyperplane_tuples(4, 6))
             with pytest.raises(ArithmeticError, match="M4 does not vanish on a resonant tuple"):
                 big_m5(mult, g, 6).weight(*_hyperplane_tuples(5, 6))
         finally:
-            resonance._CACHE.clear()
+            imethod._CACHE.clear()
 
 
 def reference_table(form, K):
@@ -606,11 +635,11 @@ def reference_table(form, K):
 
 def built_table(form, K):
     """_weight_table from a cleared cache."""
-    resonance._CACHE.clear()
+    imethod._CACHE.clear()
     try:
         return imethod._weight_table(form, K)
     finally:
-        resonance._CACHE.clear()
+        imethod._CACHE.clear()
 
 
 class TestWeightTable:
@@ -646,8 +675,8 @@ class TestWeightTable:
     @pytest.mark.parametrize("piece", [1, 7, None])
     def test_one_sigma_table_at_every_piece_size(self, monkeypatch, piece):
         # a piece of one head, of 7 tuples, and one piece for all (None):
-        # every table keeps its bits and each sigma table, keyed by its
-        # arity and bound, is built once
+        # every table keeps its bits and each pair-term table of sigma_n,
+        # keyed by its arity and bound, is built once
         K = 4
         g = make_grid(2, K, 1.5)
         mult = IMultiplier(s=-0.6, N=1.0)
@@ -659,33 +688,26 @@ class TestWeightTable:
         refs = [reference_table(form, K) for form, _ in cases]
         size = piece or _hyperplane_tuples(5, K)[0].size + 1
         monkeypatch.setattr(resonance, "PIECE_TUPLES", size)
-        builds = []
-        true_cached = imethod._cached
-
-        def counted(key, build):
-            return true_cached(key, lambda: builds.append(key) or build())
-
-        monkeypatch.setattr(imethod, "_cached", counted)
+        builds = recorded_builds(monkeypatch)
         for (form, tables), ref in zip(cases, refs):
             builds.clear()
             assert built_table(form, K).tobytes() == ref.tobytes(), form.tag
-            sigma = [(key[1], key[5]) for key in builds if key[0] == "sigma"]
-            assert sorted(sigma) == sorted(tables), form.tag
+            pairs = [(key[1], key[5]) for key in builds if key[0] == "pairs"]
+            assert sorted(pairs) == sorted(tables), form.tag
 
     def test_quintic_build_holds_no_quintic_tuples(self):
         # the whole-lattice build held all 598,600 tuples of Gamma_5 and
         # peaked at 60.9 MiB (tracemalloc); the pieces build peaks at 17.5 MiB
         g = make_grid(2, 16)
         form = big_m5(IMultiplier(s=-0.5, N=4.0), g, 16)
-        resonance._CACHE.clear()
+        imethod._CACHE.clear()
         tracemalloc.start()
         try:
             imethod._weight_table(form, 16)
             peak = tracemalloc.get_traced_memory()[1]
-            assert ("tuples", 5, 16) not in resonance._CACHE
         finally:
             tracemalloc.stop()
-            resonance._CACHE.clear()
+            imethod._CACHE.clear()
         assert peak < 32 * 2**20
 
     def test_entries_beyond_the_lattice_bound_refused(self):

@@ -216,13 +216,11 @@ class TestHyperplaneTuples:
          (5, 1), (5, 2), (5, 6), (5, 11)],
     )
     def test_equals_the_meshgrid_enumeration(self, n, K):
-        resonance._CACHE.clear()
         got, ref = resonance._hyperplane_tuples(n, K), meshgrid_tuples(n, K)
         assert len(got) == n
         for a, b in zip(got, ref):
             assert a.dtype == np.int64 and not a.flags.writeable
             assert a.tobytes() == b.tobytes()
-        resonance._CACHE.clear()
 
     @pytest.mark.parametrize("piece", [1, 7, 100, 10**6])
     @pytest.mark.parametrize("n, K", [(2, 3), (3, 5), (4, 4), (5, 3)])
@@ -245,12 +243,10 @@ class TestHyperplaneTuples:
 
     def test_memory_peak_below_the_dense_grid(self):
         # the dense grid of the four free slots peaked at 63.8 MiB (tracemalloc)
-        resonance._CACHE.clear()
         tracemalloc.start()
         try:
             resonance._hyperplane_tuples(5, 16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            resonance._CACHE.clear()
         assert peak < 63.8 * 2**20

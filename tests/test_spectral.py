@@ -296,6 +296,26 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             load_snapshot(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "7",                                   # not an object
+            '{"schema_version": 1, "j": 1, "mu": 1.0, "K": 4, "coeffs": 5}',
+            '{"schema_version": 1, "j": 1, "mu": 1.0, "K": 4, "coeffs": [1]}',
+            '{"schema_version": 1, "j": 1, "mu": 1.0, "K": 4, "coeffs": [[1, "x", 0.0]]}',
+            '{"schema_version": 1, "j": 1, "mu": 1.0, "K": 4, "coeffs": [[1, 0.5, null]]}',
+            '{"schema_version": 1, "j": [1], "mu": 1.0, "K": 4, "coeffs": []}',
+        ],
+        ids=["int", "int-coeffs", "int-entry", "str-value", "null-value", "list-j"],
+    )
+    def test_rejects_malformed_payload(self, tmp_path, text):
+        # each was a TypeError; a ValueError is what the CLI reports as a
+        # configuration error
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="snapshot|coeff entry"):
+            load_snapshot(str(path))
+
     def test_rejects_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, "j": 1, "mu": 1.0, "coeffs": []}')
