@@ -37,9 +37,7 @@ from .experiments import (
     squeeze_witness,
 )
 from .flow import FlowSpec, _step_count, conservation_report, integrate
-from .imethod import (
-    QUINTIC_K_CAP, IMultiplier, _modified_energies, _real_lambda, big_m5,
-)
+from .imethod import IMultiplier, _check_table, _modified_energies, _real_lambda, big_m5
 # perfbench/tracing.py wraps lambda_n and modified_energy here
 from .imethod import lambda_n, modified_energy  # noqa: F401
 from .resonance import verify_factorization
@@ -295,23 +293,27 @@ def _cmd_solve(cfg: dict, out_dir: str) -> None:
 
 
 def _cmd_energies(cfg: dict, out_dir: str) -> None:
-    """t, E2, E3, E4 and Lambda_5(M5) at each sample of one trajectory, each
-    form evaluated once over all samples."""
+    """t, E2, E3, E4 and Lambda_5(M5) (nan if its table cannot fit) at each
+    sample of one trajectory, each form evaluated once over all samples."""
     grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
     spec = _flow_spec(cfg, grid)
     mult = _built(IMultiplier, s=cfg["s"], N=cfg["N"])
+    _built(_check_table, 4, grid.K)
     u0 = _initial_field(cfg, grid)
     traj = integrate(u0, spec)
     c = traj.coeffs
     # the quintic column first: the M5 build sets the command's peak memory,
     # and the heap that the energy contractions leave behind would raise it
-    m5 = big_m5(mult, grid, lattice_cutoff=grid.K) if grid.K <= QUINTIC_K_CAP else None
-    quintic = np.full(len(c), np.nan) if m5 is None else _real_lambda(m5, grid, c, "Lambda5M5")
+    try:
+        _check_table(5, grid.K)
+    except ValueError as exc:
+        print(f"energies: Lambda5M5 column skipped: {exc}")
+        quintic = np.full(len(c), np.nan)
+    else:
+        quintic = _real_lambda(big_m5(mult, grid, lattice_cutoff=grid.K), grid, c, "Lambda5M5")
     cols = (traj.times, *_modified_energies(grid, c, mult, 4), quintic)
     header = ("t", "E2", "E3", "E4", "Lambda5M5")
     _write_csv(os.path.join(out_dir, "energies.csv"), header, [cols])
-    if m5 is None:
-        print(f"energies: K={grid.K} > {QUINTIC_K_CAP}, Lambda5M5 column skipped (quintic cap)")
 
 
 def _cmd_resonance(cfg: dict, out_dir: str) -> None:

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .flow import FlowSpec, Trajectory, integrate
-from .imethod import IMultiplier, _modified_energies
+from .imethod import IMultiplier, _check_table, _modified_energies
 from .imethod import modified_energy  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .spectral import (
     FourierField,
@@ -198,10 +198,11 @@ def check_sweep_band(cfg: ExperimentConfig) -> None:
 
 
 def check_almost_cons(cfg: ExperimentConfig) -> None:
-    """Refuse an almost-cons sweep without N_list or with an index s the multiplier rejects."""
+    """Refuse an almost-cons sweep lacking N_list, with a rejected s or oversize sigma4 table."""
     if not cfg.N_list:
         raise ValueError("the sweep needs N_list")
     IMultiplier(s=cfg.s, N=float(max(cfg.N_list)))
+    _check_table(4, cfg.K)
 
 
 def _sweep_start(cfg: ExperimentConfig) -> tuple[GridSpec, FourierField]:

@@ -36,7 +36,7 @@ exactly 0, and sigma4 is defined as 0 on resonant tuples (alpha4 = 0),
 where a runtime check confirms M4 vanishes there. A form's weight table
 also reads Gamma_n piece by piece from the one enumerator, so no whole
 lattice is held. Block layouts, weight tables and pair-term tables share
-this module's one bounded cache.
+this module's one cache; TABLE_BYTES bounds it and each table's size.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .flow import _band_mask, _rhs_function
-from . import resonance
 from .resonance import _hyperplane_chunks, _pn_int
 from .spectral import FourierField, GridSpec, _check_same_grid
 
@@ -72,18 +71,25 @@ __all__ = [
     "drift_oracle",
 ]
 
-QUINTIC_K_CAP = 16
 # Bytes a Lambda_n evaluation spends per pass on its coefficient products;
 # a longer stack of samples is evaluated in chunks that fit.
 STACK_BYTES = 1 << 26
+# Bytes of one lattice table at most, and of all that the cache holds
+TABLE_BYTES = 1 << 30
 IMAG_RESIDUE_TOL = 1e-10
 RESONANT_M4_TOL = 1e-10
-CACHE_ENTRIES = 32
 
 _M_SHAPES = ("clipped_power", "smooth_log")
 # The one cache: block layouts, form weights and pair-term tables share it,
-# least recently used out first, so one bound caps their memory.
+# least recently used out first while it holds over TABLE_BYTES.
 _CACHE: OrderedDict = OrderedDict()
+
+
+def _nbytes(value) -> int:
+    """Bytes of the arrays in a cached value: an array, or a tuple or list of them."""
+    if isinstance(value, (tuple, list)):
+        return sum(map(_nbytes, value))
+    return getattr(value, "nbytes", 0)
 
 
 def _cached(key, build):
@@ -92,9 +98,17 @@ def _cached(key, build):
         _CACHE.move_to_end(key)
         return _CACHE[key]
     value = _CACHE[key] = build()
-    if len(_CACHE) > CACHE_ENTRIES:
+    while _CACHE and sum(map(_nbytes, _CACHE.values())) > TABLE_BYTES:
         _CACHE.popitem(last=False)
     return value
+
+
+def _check_table(n: int, K: int, bound: int | None = None) -> None:
+    """Refuse a table over the first n-1 entries of Gamma_n at the lattice bound
+    (K unless given) whose dense size, never below its own, exceeds TABLE_BYTES."""
+    size = 16 * (2 * (K if bound is None else bound) + 1) ** (n - 1)
+    if size > TABLE_BYTES:
+        raise ValueError(f"K={K} needs a Gamma_{n} table of {size} bytes > TABLE_BYTES")
 
 
 @dataclass(frozen=True)
@@ -282,8 +296,7 @@ def _lambda_with_scale(
     form: MultilinearForm,
     grid: GridSpec,
     stacks: Sequence[np.ndarray],
-    with_scale: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lambda_n(form; slots) and its term scale sum |terms|, per sample.
 
     stacks holds one coefficient array of shape (S, K) per slot; sample s
@@ -295,15 +308,10 @@ def _lambda_with_scale(
     every matmul and each sample's operands are contiguous (C order, by
     take), so a sample's value has the same bits in any stack, and a
     stack whose products would exceed STACK_BYTES is split into chunks.
-    With with_scale false the scale is not contracted and None stands in
-    its place.
     """
     if len(stacks) != form.n:
         raise ValueError(f"form arity {form.n} != {len(stacks)} fields")
-    if form.n >= 5 and grid.K > QUINTIC_K_CAP:
-        raise ValueError(
-            f"quintic hyperplane sums are capped at K={QUINTIC_K_CAP}, got K={grid.K}"
-        )
+    _check_table(form.n, grid.K)
     S = len(stacks[0])
     for c in stacks:
         if np.shape(c) != (S, grid.K):
@@ -314,11 +322,10 @@ def _lambda_with_scale(
     chunk = max(1, STACK_BYTES // (32 * (len(rows) + len(cols))))
     if S > chunk:
         parts = [
-            _lambda_with_scale(form, grid, [c[i : i + chunk] for c in stacks], with_scale)
+            _lambda_with_scale(form, grid, [c[i : i + chunk] for c in stacks])
             for i in range(0, S, chunk)
         ]
-        value, scale = zip(*parts)
-        return np.concatenate(value), np.concatenate(scale) if with_scale else None
+        return tuple(map(np.concatenate, zip(*parts)))
     table = _weight_table(form, grid.K)
     bounds = bounds.tolist()
     blocks = [
@@ -329,19 +336,15 @@ def _lambda_with_scale(
     tables = [_coeff_table(c) for c in stacks]
     norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
     value = norm * _contract(tables, blocks, layout)
-    if not with_scale:
-        return value, None
     return value, norm * _contract([np.abs(t) for t in tables], map(np.abs, blocks), layout)
 
 
 def lambda_n(form: MultilinearForm, fields: Sequence[FourierField]) -> complex:
     """Evaluate Lambda_n(form; fields) over the truncated hyperplane lattice."""
-    if len(fields) != form.n:
-        raise ValueError(f"form arity {form.n} != {len(fields)} fields")
     grid = fields[0].grid
     for f in fields[1:]:
         _check_same_grid(f.grid, grid)
-    value, _ = _lambda_with_scale(form, grid, [f.coeffs[None] for f in fields], with_scale=False)
+    value, _ = _lambda_with_scale(form, grid, [f.coeffs[None] for f in fields])
     return complex(value[0])
 
 
@@ -441,6 +444,7 @@ def _pair_terms(
     entries, offset by B, first outermost); 0 off that set. On Gamma_(n+1)
     the rest of a pair fixes its sum p, so each pair term of the cascade
     step is one entry here. Gamma_n is read piece by piece."""
+    _check_table(n, grid.K, B)
 
     def build():
         # sigma2 and sigma3 are real
@@ -490,27 +494,19 @@ def _m_values(
     # rest entries reach E and pair sums 2E, but none above the cutoff counts
     B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
     terms = _pair_terms(n - 1, mult, grid, B, cutoff)
-    m = np.empty(idx[0].shape, dtype=np.complex128)
     scale = np.zeros(idx[0].shape, dtype=np.float64) if with_scale else None
     # a pair term is read at the rest through one flat index; the offset
     # of B of each rest entry is added once, as one constant
     w = 2 * B + 1
     shift = B * sum(w**i for i in range(n - 2))
-    # piece by piece, so that a piece's temporaries stay in cache; each
-    # tuple still adds its pair terms in the same order
-    step = resonance.PIECE_TUPLES
-    for i in range(0, len(m), step):
-        part = [a[i : i + step] for a in idx]
-        acc = np.zeros(part[0].shape, dtype=terms.dtype)
-        part_scale = scale[i : i + step] if with_scale else None
-        for a, b in combinations(range(n), 2):
-            rest = [part[x] for x in range(n) if x not in (a, b)]
-            term = terms.take(reduce(lambda f, r: f * w + r, rest) + shift)
-            acc += term
-            if with_scale:
-                np.maximum(part_scale, np.abs(term), out=part_scale)
-        np.multiply(-1j / n, acc, out=m[i : i + step])
-    return m, scale
+    acc = np.zeros(idx[0].shape, dtype=terms.dtype)
+    for a, b in combinations(range(n), 2):
+        rest = [idx[x] for x in range(n) if x not in (a, b)]
+        term = terms.take(reduce(lambda f, r: f * w + r, rest) + shift)
+        acc += term
+        if with_scale:
+            np.maximum(scale, np.abs(term), out=scale)
+    return (-1j / n) * acc, scale
 
 
 def _cascade_form(

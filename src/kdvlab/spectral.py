@@ -373,11 +373,13 @@ def save_snapshot(u: FourierField, path: str) -> None:
     _write_atomic(path, [(json.dumps(payload, indent=1) + "\n").encode()])
 
 
-def _snapshot_number(value, what: str):
-    """value if it is a JSON number (not a boolean); else a ValueError naming what."""
+def _snapshot_number(value, what: str, integral: bool = False):
+    """value if it is a JSON number (not a boolean), and if integral an integer, as int."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"snapshot {what} is not a number: {value!r}")
-    return value
+    if integral and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"snapshot {what} is not an integer: {value!r}")
+    return int(value) if integral else value
 
 
 def load_snapshot(path: str) -> FourierField:
@@ -397,8 +399,8 @@ def load_snapshot(path: str) -> FourierField:
             raise ValueError(f"snapshot missing key {key!r}")
     if payload["schema_version"] != SNAPSHOT_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {payload['schema_version']}")
-    j, K, mu = (_snapshot_number(payload[key], key) for key in ("j", "K", "mu"))
-    grid = make_grid(int(j), int(K), float(mu))
+    j, K, mu = (_snapshot_number(payload[key], key, key != "mu") for key in ("j", "K", "mu"))
+    grid = make_grid(j, K, float(mu))
     if not isinstance(payload["coeffs"], list):
         raise ValueError(f"snapshot coeffs is not a list: {payload['coeffs']!r}")
     c = np.zeros(grid.K, dtype=np.complex128)
@@ -406,8 +408,7 @@ def load_snapshot(path: str) -> FourierField:
     for entry in payload["coeffs"]:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError(f"malformed coeff entry {entry!r}")
-        n, re, im = (_snapshot_number(v, "coeff entry") for v in entry)
-        n = int(n)
+        n, re, im = (_snapshot_number(v, "coeff entry", i == 0) for i, v in enumerate(entry))
         if n <= 0:
             raise ValueError(f"snapshot contains k_index {n} <= 0")
         if n > grid.K:

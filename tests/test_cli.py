@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from kdvlab import cli, imethod, resonance
+from kdvlab import cli, experiments, imethod, resonance
 from kdvlab.cli import ConfigError, _experiment_config, _write_csv, main, parse_config
 from kdvlab.experiments import ExperimentConfig
 from kdvlab.imethod import constant_form
@@ -250,7 +250,14 @@ class TestExitCodes:
         ('{"schema_version": 1, "j": 2, "mu": 1.0, "K": 8, "coeffs": [1]}', "malformed coeff"),
         ('{"schema_version": 1, "j": 2, "mu": 1.0, "K": 8, "coeffs": [[1, "x", 0.0]]}',
          "not a number: 'x'"),
-    ], ids=["int", "int-coeffs", "int-entry", "str-value"])
+        # an index is a finite integer: 1.5 is not mode 1, 8.7 not K=8
+        ('{"schema_version": 1, "j": 2, "mu": 1.0, "K": 8, "coeffs": [[1.5, 1.0, 0.0]]}',
+         "coeff entry is not an integer: 1.5"),
+        ('{"schema_version": 1, "j": 2, "mu": 1.0, "K": 8.7, "coeffs": []}',
+         "K is not an integer: 8.7"),
+        ('{"schema_version": 1, "j": 2, "mu": 1.0, "K": 1e400, "coeffs": []}',
+         "K is not an integer: inf"),
+    ], ids=["int", "int-coeffs", "int-entry", "str-value", "frac-index", "frac-K", "inf-K"])
     def test_malformed_snapshot_payload_is_config_error(self, tmp_path, capsys, payload, what):
         snap = tmp_path / "bad.json"
         snap.write_text(payload)
@@ -389,15 +396,74 @@ class TestEnergiesCommand:
         header = (tmp_path / "energies.csv").read_text().splitlines()[0]
         assert header == "t,E2,E3,E4,Lambda5M5"
 
-    def test_quintic_cap_skips_column(self, tmp_path, capsys):
+    def test_quintic_column_above_16(self, tmp_path, monkeypatch):
+        # the M5 table at K=20 fits in TABLE_BYTES: the column is the
+        # quintic series of the trajectory the command integrated
+        trajs = []
+
+        def recording(*args):
+            trajs.append(integrate(*args))
+            return trajs[-1]
+
+        integrate = cli.integrate
+        monkeypatch.setattr(cli, "integrate", recording)
         status = run_cli(
             "energies", "--j", "1", "--K", "20", "--s", "-0.5", "--N", "4",
             "--dt", "1e-3", "--T", "0.01", "--samples", "2", "--out", str(tmp_path),
         )
         assert status == 0
-        assert "quintic cap" in capsys.readouterr().out
-        body = (tmp_path / "energies.csv").read_text().splitlines()[1]
-        assert body.endswith("nan")
+        rows = (tmp_path / "energies.csv").read_text().splitlines()[1:]
+        column = np.array([float(row.split(",")[-1]) for row in rows])
+        grid = trajs[0].spec.grid
+        m5 = imethod.big_m5(imethod.IMultiplier(s=-0.5, N=4.0), grid, lattice_cutoff=20)
+        expected = imethod._real_lambda(m5, grid, trajs[0].coeffs, "M5")
+        assert np.all(np.isfinite(column)) and column.tobytes() == expected.tobytes()
+
+    def test_quintic_column_over_the_byte_bound(self, tmp_path, monkeypatch, capsys):
+        # under a bound the K=8 sigma4 table meets and the M5 table exceeds,
+        # the column is nan, the bytes are named, and E2..E4 keep their bits
+        argv = ("energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4", "--dt", "1e-3",
+                "--T", "0.01", "--samples", "4")
+        assert run_cli(*argv, "--out", str(tmp_path / "a")) == 0
+        monkeypatch.setattr(imethod, "TABLE_BYTES", 16 * 17**3)
+        assert run_cli(*argv, "--out", str(tmp_path / "b")) == 0
+        out = capsys.readouterr().out
+        assert "Lambda5M5 column skipped: K=8 needs a Gamma_5 table of 1336336 bytes" in out
+        full, bounded = (
+            [r.rsplit(",", 1) for r in (tmp_path / d / "energies.csv").read_text().splitlines()]
+            for d in "ab"
+        )
+        assert [row[0] for row in bounded] == [row[0] for row in full]
+        assert all(row[1] == "nan" for row in bounded[1:])
+        assert all(row[1] != "nan" for row in full[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ("energies", "--j", "2", "--K", "512", "--s", "-0.5", "--N", "4", "--dt", "1e-4",
+         "--T", "1e-3"),
+        ("almost-cons", "--j", "2", "--K", "512", "--s", "-0.5", "--N_list", "4", "--dt", "1e-4",
+         "--T", "1e-3"),
+    ], ids=["energies", "almost-cons"])
+    def test_sigma4_table_over_the_bound_refused_before_the_flow(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # the sigma4 table at K=512 would take 17 GB: refused, naming K,
+        # before the flow runs and before any table is allocated
+        def refuse(*args):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(cli, "integrate", refuse)
+        monkeypatch.setattr(experiments, "integrate", refuse)
+        tracemalloc.start()
+        try:
+            status = run_cli(*argv, "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("configuration error: K=512 needs a Gamma_4 table")
+        assert not (tmp_path / "manifest.json").exists()
+        assert peak < 4 * 2**20
 
     def test_orders_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "energies.cfg"

@@ -160,25 +160,23 @@ class TestLambdaN:
         with pytest.raises(ValueError):
             lambda_n(constant_form(2), [u, harmonic(make_grid(1, 9), 1)])
 
-    def test_quintic_cap(self):
-        g = make_grid(1, 17)
-        with pytest.raises(ValueError, match="capped"):
-            lambda_n(constant_form(5), [harmonic(g, 1)] * 5)
-
-    def test_value_without_the_scale_pass(self, monkeypatch):
-        # lambda_n reads only the value, so the term-scale contraction is skipped
-        g = make_grid(2, 8, 1.4)
-        fields = [smooth_field(g, seed) for seed in (4, 5, 6, 7)]
-        form = sigma4(IMultiplier(s=-0.5, N=2.0), g, 8)
-        expected = _lambda_with_scale(form, g, [u.coeffs[None] for u in fields])[0]
-        calls = []
-        true_contract = imethod._contract
-        monkeypatch.setattr(
-            imethod, "_contract", lambda *a: calls.append(1) or true_contract(*a)
-        )
-        value = lambda_n(form, fields)
-        assert len(calls) == 1
-        assert np.array([value]).tobytes() == expected.tobytes()
+    def test_table_byte_bound(self):
+        # a table over Gamma_n at K takes at most 16 (2K+1)^(n-1) bytes; under
+        # 1 GiB the M5 table fits up to K=44, sigma4's to 202 and sigma3's to 4095
+        for n, K in ((5, 44), (4, 202), (3, 4095)):
+            imethod._check_table(n, K)
+            with pytest.raises(ValueError, match=f"K={K + 1} needs a Gamma_{n} table"):
+                imethod._check_table(n, K + 1)
+        # refused before its block layout or weight table is built
+        g = make_grid(1, 45)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="K=45 needs a Gamma_5 table of 1097199376"):
+                lambda_n(constant_form(5), [harmonic(g, 1)] * 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and not imethod._CACHE
 
 
 def tuple_sum(form, grid, coeffs):
@@ -584,17 +582,40 @@ class TestCascadeStep:
             imethod._CACHE.clear()
         assert kinds == {"blocks", "weights", "pairs"}
 
-    def test_cache_stays_at_its_bound(self):
-        imethod._CACHE.clear()
+    def test_cache_stays_at_its_bound(self, monkeypatch):
+        # 40 sigma4 tables at K=6 under a bound of about four of them: after
+        # every call the arrays the cache holds take at most TABLE_BYTES
+        def held():
+            return sum(
+                v.nbytes if isinstance(v, np.ndarray) else sum(a.nbytes for a in (*v[:3], *v[-1]))
+                for v in imethod._CACHE.values()
+            )
+
+        monkeypatch.setattr(imethod, "TABLE_BYTES", 4 * 16 * 13**3)
         g = make_grid(1, 6)
         u = smooth_field(g, 3)
         layout = imethod._block_layout(4, 6)
-        for i in range(40):
-            lambda_n(sigma4(IMultiplier(s=-0.5, N=1.0 + 0.1 * i), g, 6), [u] * 4)
-            assert len(imethod._CACHE) <= imethod.CACHE_ENTRIES
-        assert len(imethod._CACHE) == imethod.CACHE_ENTRIES
+        forms = [sigma4(IMultiplier(s=-0.5, N=1.0 + 0.1 * i), g, 6) for i in range(40)]
+        for form in forms:
+            lambda_n(form, [u] * 4)
+            assert held() <= imethod.TABLE_BYTES
+        weights = [key[1] for key in imethod._CACHE if key[0] == "weights"]
+        assert forms[0].cache_key not in weights and forms[-1].cache_key in weights
         # least recently used out first: the block layout every sigma4 table reads stays
         assert imethod._block_layout(4, 6) is layout
+
+    def test_pair_terms_refuse_an_oversize_table_before_allocating(self):
+        # the sigma4 pair-term table at bound 203 would take 16 * 407^3 bytes,
+        # just over 1 GiB: refused before np.zeros, and nothing is cached
+        g = make_grid(2, 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="K=8 needs a Gamma_4 table of 1078706288"):
+                imethod._pair_terms(4, IMultiplier(s=-0.5, N=2.0), g, 203, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and not imethod._CACHE
 
     def test_odd_multiplier_breaks_the_resonant_set_check(self, monkeypatch):
         # an m that is not even: M4 no longer cancels on the resonant tuples
