@@ -9,11 +9,11 @@ energies are built from n-linear lattice sums
 
 restricted to nonzero entries with |index| <= K; with this normalization
 Lambda_3(1) equals the integral of u^3. One evaluator computes it for a
-whole stack of samples, contracting w as a dense table head sum by head
-sum (see _lambda_with_scale). The modified energies are one hierarchy,
-E3 = E2 + Lambda_3(sigma3) and E4 = E3 + Lambda_4(sigma4), taken in one
-pass that evaluates each correction once per stack. The correction
-multipliers follow the cascade
+whole stack of samples, contracting w as dense blocks, one per head sum,
+walked in pieces (see _lambda_with_scale). The modified energies are one
+hierarchy, E3 = E2 + Lambda_3(sigma3) and E4 = E3 + Lambda_4(sigma4),
+taken in one pass that evaluates each correction once per stack. The
+correction multipliers follow the cascade
 
     d/dt E2 = Lambda_3(M3),   sigma3 = -M3/alpha3,
     d/dt E3 = Lambda_4(M4),   sigma4 = -M4/alpha4,
@@ -33,10 +33,11 @@ the step reads each pair term sigma_(n-1)(rest, p) p from a pair-term
 table of sigma_(n-1), filled piece by piece from Gamma_(n-1) (sigma_(n-1)
 itself is never stored). A term whose pair sum vanishes contributes
 exactly 0, and sigma4 is defined as 0 on resonant tuples (alpha4 = 0),
-where a runtime check confirms M4 vanishes there. A form's weight table
-also reads Gamma_n piece by piece from the one enumerator, so no whole
-lattice is held. Block layouts, weight tables and pair-term tables share
-this module's one cache; TABLE_BYTES bounds it and each table's size.
+where a runtime check confirms M4 vanishes there. A form's weights are
+never stored: the evaluator reads Gamma_n off the block layout a piece at
+a time and contracts each piece's weights before it forms the next. Block
+layouts and pair-term tables share this module's one cache; TABLE_BYTES
+bounds it, each table's size and the lattice an evaluation walks.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .flow import _band_mask, _rhs_function
+from . import resonance
 from .resonance import _hyperplane_chunks, _pn_int
 from .spectral import FourierField, GridSpec, _check_same_grid
 
@@ -74,13 +76,14 @@ __all__ = [
 # Bytes a Lambda_n evaluation spends per pass on its coefficient products;
 # a longer stack of samples is evaluated in chunks that fit.
 STACK_BYTES = 1 << 26
-# Bytes of one lattice table at most, and of all that the cache holds
+# Bytes of one lattice table at most, of the dense lattice a Lambda_n
+# evaluation walks, and of all that the cache holds
 TABLE_BYTES = 1 << 30
 IMAG_RESIDUE_TOL = 1e-10
 RESONANT_M4_TOL = 1e-10
 
 _M_SHAPES = ("clipped_power", "smooth_log")
-# The one cache: block layouts, form weights and pair-term tables share it,
+# The one cache: block layouts and pair-term tables share it,
 # least recently used out first while it holds over TABLE_BYTES.
 _CACHE: OrderedDict = OrderedDict()
 
@@ -105,7 +108,9 @@ def _cached(key, build):
 
 def _check_table(n: int, K: int, bound: int | None = None) -> None:
     """Refuse a table over the first n-1 entries of Gamma_n at the lattice bound
-    (K unless given) whose dense size, never below its own, exceeds TABLE_BYTES."""
+    (K unless given) whose dense size, never below its own, exceeds TABLE_BYTES.
+    For Lambda_n this caps the lattice walked, 16 bytes an entry, not a
+    table held."""
     size = 16 * (2 * (K if bound is None else bound) + 1) ** (n - 1)
     if size > TABLE_BYTES:
         raise ValueError(f"K={K} needs a Gamma_{n} table of {size} bytes > TABLE_BYTES")
@@ -165,21 +170,19 @@ class MultilinearForm:
     """n-point frequency multiplier evaluated over the hyperplane Gamma_n.
 
     weight maps n integer-index arrays (frequencies are index/mu) to a
-    complex array. cache_key, when set, lets evaluators reuse weight
-    tables across calls on the same lattice.
+    complex array, entry by entry.
     """
 
     n: int
     weight: Callable[..., np.ndarray]
     tag: str = "custom"
-    cache_key: tuple | None = None
 
 
 def constant_form(n: int, value: complex = 1.0) -> MultilinearForm:
     def w(*idx):
         return np.full(idx[0].shape, value, dtype=np.complex128)
 
-    return MultilinearForm(n=n, weight=w, tag="constant", cache_key=("const", n, value))
+    return MultilinearForm(n=n, weight=w, tag="constant")
 
 
 def _flat(cols: Sequence[np.ndarray], K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,67 +196,87 @@ def _flat(cols: Sequence[np.ndarray], K: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_layout(n: int, K: int) -> tuple:
-    """Rows, columns and blocks of the dense weight tables on Gamma_n.
+    """Rows, columns and blocks of a dense weight W on Gamma_n.
 
-    A table W covers the first n-1 entries, offset by K: the head
-    H = (k_1..k_h), h = (n-1)//2, indexes its rows and the rest
-    R = (k_(h+1)..k_(n-1)) its columns. Rows are sorted by head sum g and
-    columns by rest sum. Only the block of each g is stored: the rows of
-    head sum g and the columns whose last entry -(g + sum R) is within K,
-    which holds every tuple of Gamma_n with that head. Returns (row order,
-    column order, per block (r0, r1, c0, c1, offset in the table), the
-    table size, per block the last entry's coefficient-table index).
+    W covers the first n-1 entries: the head H = (k_1..k_h), h = (n-1)//2,
+    indexes its rows and the rest R = (k_(h+1)..k_(n-1)) its columns, each
+    over [-K, K] in nested-loop order, then sorted (stably) by head sum g
+    and by rest sum. Only the block of each g is walked: the rows of head
+    sum g and the columns whose last entry -(g + sum R) is within K, which
+    holds every tuple of Gamma_n with that head. Returns (per head slot its
+    coefficient-table index, entry + K, along the rows; the same per rest
+    slot along the columns; per block (r0, r1, c0, c1); per block the last
+    entry's table index along its columns).
     """
 
     def build():
         h = (n - 1) // 2
-        ks = np.arange(-K, K + 1)
-        head_sums = _flat(np.meshgrid(*[ks] * h, indexing="ij"), K)[1].reshape(-1)
-        rest_sums = _flat(np.meshgrid(*[ks] * (n - 1 - h), indexing="ij"), K)[1].reshape(-1)
-        rows = np.argsort(head_sums, kind="stable")
-        cols = np.argsort(rest_sums, kind="stable")
-        head_sums, rest_sums = head_sums[rows], rest_sums[cols]
+        grids = []
+        for m in (h, n - 1 - h):
+            axes = [a.reshape(-1) for a in np.meshgrid(*[np.arange(2 * K + 1)] * m, indexing="ij")]
+            sums = sum(axes, np.full(1, -m * K))
+            order = np.argsort(sums, kind="stable")
+            grids.append(([a[order] for a in axes], sums[order]))
+        (head, head_sums), (rest, rest_sums) = grids
         g = np.arange(-h * K, h * K + 1)
         r0, r1 = np.searchsorted(head_sums, g), np.searchsorted(head_sums, g, side="right")
         c0 = np.searchsorted(rest_sums, -K - g)
         c1 = np.searchsorted(rest_sums, K - g, side="right")
-        start = np.concatenate(([0], np.cumsum((r1 - r0) * (c1 - c0))))
-        bounds = np.stack([r0, r1, c0, c1, start[:-1]], axis=1)
         lasts = [K - gi - rest_sums[a:b] for gi, a, b in zip(g, c0, c1)]
-        return rows, cols, bounds, int(start[-1]), lasts
+        return head, rest, np.stack([r0, r1, c0, c1], axis=1), lasts
 
     return _cached(("blocks", n, K), build)
 
 
-def _weight_table(form: MultilinearForm, K: int) -> np.ndarray:
-    """The form's weight as the blocks of a dense table (see _block_layout),
-    one after the other in one array; 0 off Gamma_n.
+def _pieces(bounds: np.ndarray):
+    """(first, stop) of runs of whole blocks of about resonance.PIECE_TUPLES
+    entries each, or of one block where a block alone holds more."""
+    ends = np.cumsum((bounds[:, 1] - bounds[:, 0]) * (bounds[:, 3] - bounds[:, 2]))
+    first = 0
+    while first < len(bounds):
+        start = ends[first - 1] if first else 0
+        stop = max(first + 1, int(np.searchsorted(ends, start + resonance.PIECE_TUPLES, "right")))
+        yield first, stop
+        first = stop
 
-    Gamma_n is read piece by piece from its enumerator: each piece's
-    weights are scattered to their places before the next piece is
-    enumerated, so the build holds the table and one piece.
+
+def _piece_weights(form: MultilinearForm, K: int, bounds: list, lasts: list, head, rest) -> list:
+    """The form's weight on the blocks of one piece of the layout (see
+    _block_layout, whose parts these are), one (rows, columns) array per
+    block; 0 off Gamma_n.
+
+    The tuples are read off the layout: in each block, the rows whose head
+    entries are nonzero times the columns whose rest and last entries are.
+    form.weight is evaluated once on each, in runs of whole rows of about
+    resonance.PIECE_TUPLES tuples, so that a large block's temporaries
+    stay small.
     """
-
-    def build():
-        n = form.n
-        h = (n - 1) // 2
-        rows, cols, bounds, size, _ = _block_layout(n, K)
-        r0, _, c0, c1, start = bounds.T
-        row_rank, col_rank = np.argsort(rows), np.argsort(cols)
-        table = np.zeros(size, dtype=np.complex128)
-        for idx in _hyperplane_chunks(n, K):
-            # each tuple's place in the block of its head sum
-            head, gi = _flat(idx[:h], K)
-            gi += h * K
-            pos = col_rank[_flat(idx[h:-1], K)[0]]
-            pos += start[gi] - c0[gi]
-            pos += (row_rank[head] - r0[gi]) * (c1 - c0)[gi]
-            table[pos] = form.weight(*idx)
-        return table
-
-    if form.cache_key is None:
-        return build()
-    return _cached(("weights", form.cache_key, form.n, K), build)
+    blocks, runs, size = [], [[]], 0
+    for (r0, r1, c0, c1), last in zip(bounds, lasts):
+        by_row, by_col = [d[r0:r1] for d in head], [d[c0:c1] for d in rest] + [last]
+        # with no head slot (n = 2) np.all gives True: the one row is kept
+        a, b = (np.flatnonzero(np.all([d != K for d in x], axis=0)) for x in (by_row, by_col))
+        blocks.append(np.zeros((r1 - r0, c1 - c0), dtype=np.complex128))
+        cols = [d[b] - K for d in by_col]
+        step = max(1, resonance.PIECE_TUPLES // max(1, b.size))
+        for rows in np.split(a, range(step, a.size, step)):
+            if size and size + rows.size * b.size > resonance.PIECE_TUPLES:
+                runs.append([])
+                size = 0
+            runs[-1].append((blocks[-1], rows, b, [d[rows, None] - K for d in by_row] + cols))
+            size += rows.size * b.size
+    for run in runs:
+        total = sum(rows.size * b.size for _, rows, b, _ in run)
+        idx, at = [np.empty(total, np.int64) for _ in range(form.n)], 0
+        for _, rows, b, entries in run:
+            for col, e in zip(idx, entries):
+                col[at : at + rows.size * b.size].reshape(rows.size, b.size)[...] = e
+            at += rows.size * b.size
+        values, at = form.weight(*idx), 0
+        for w, rows, b, _ in run:
+            w[np.ix_(rows, b)] = values[at : at + rows.size * b.size].reshape(rows.size, b.size)
+            at += rows.size * b.size
+    return blocks
 
 
 def _coeff_table(coeffs: np.ndarray) -> np.ndarray:
@@ -265,31 +288,34 @@ def _coeff_table(coeffs: np.ndarray) -> np.ndarray:
     return table
 
 
-def _outer(tables: Sequence[np.ndarray], S: int, order: np.ndarray) -> np.ndarray:
-    """Per sample, the products of one entry of each (S, L) table, flattened
-    with the first table outermost, then taken in the given order: an (S, .)
-    array in C order."""
+def _outer(tables: Sequence[np.ndarray], S: int, indices: Sequence[np.ndarray]) -> np.ndarray:
+    """Per sample, the product of one entry of each (S, L) table, taken left
+    to right at the given table indices: an (S, .) array in C order."""
     out = np.ones((S, 1))
-    for t in tables:
-        out = (out[:, :, None] * t[:, None, :]).reshape(S, -1)
-    return out.take(order, axis=1)
+    if tables:
+        # the first product, 1 * entry, is taken on the table itself
+        out = (out * tables[0]).take(indices[0], axis=1)
+    for t, d in zip(tables[1:], indices[1:]):
+        np.multiply(out, t.take(d, axis=1), out=out)
+    return out
 
 
-def _contract(tables: Sequence[np.ndarray], blocks, layout: tuple) -> np.ndarray:
-    """Per sample, the sum over head sums g of a[H_g] . (W_g @ (b * u_n)),
+def _contract(acc: np.ndarray, tables: Sequence[np.ndarray], blocks, bounds: list, lasts: list,
+              head, rest) -> None:
+    """Add to acc, per sample and block by block, a[H_g] . (W_g @ (b * u_n)),
     u_n read at the last entry -(g + sum R); a and b are the products of
-    the (S, 2K+1) tables over the head and the rest, W_g the blocks."""
-    rows, cols, bounds, lasts, h = layout
-    S = len(tables[0])
-    head, rest = _outer(tables[:h], S, rows), _outer(tables[h:-1], S, cols)
-    acc = np.zeros(S, dtype=tables[0].dtype)
-    for (r0, r1, c0, c1, _), last, w in zip(bounds, lasts, blocks):
+    the (S, 2K+1) tables over the head rows and rest columns of a piece of
+    the layout, W_g its blocks."""
+    r_lo, c_lo = bounds[0][0], min(c0 for _, _, c0, _ in bounds)
+    c_hi = max(c1 for _, _, _, c1 in bounds)
+    a = _outer(tables[: len(head)], len(acc), [d[r_lo : bounds[-1][1]] for d in head])
+    b = _outer(tables[len(head) : -1], len(acc), [d[c_lo:c_hi] for d in rest])
+    for (r0, r1, c0, c1), last, w in zip(bounds, lasts, blocks):
         # np.multiply, not *: on a large temporary right operand * computes
         # in place with the operands swapped, and a complex product's bits
         # depend on the operand order
-        v = np.multiply(rest[:, c0:c1], tables[-1].take(last, axis=1))
-        acc += np.matmul(head[:, None, r0:r1], np.matmul(w, v[:, :, None]))[:, 0, 0]
-    return acc
+        v = np.multiply(b[:, c0 - c_lo : c1 - c_lo], tables[-1].take(last, axis=1))
+        acc += np.matmul(a[:, None, r0 - r_lo : r1 - r_lo], np.matmul(w, v[:, :, None]))[:, 0, 0]
 
 
 def _lambda_with_scale(
@@ -303,11 +329,13 @@ def _lambda_with_scale(
     reads row s of each. With a and b the coefficient products over the
     head and the rest (see _block_layout), each head sum g adds
     a[H_g] . (W[H_g] @ (b * u_n(-(g + sum R)))) and the scale the same
-    contraction on |W| and |coefficients|, run after the first so that
-    their temporaries do not meet. The samples are the batch axis of
-    every matmul and each sample's operands are contiguous (C order, by
-    take), so a sample's value has the same bits in any stack, and a
-    stack whose products would exceed STACK_BYTES is split into chunks.
+    contraction on |W| and |coefficients|. The layout is walked in pieces
+    of whole blocks: each piece's weights are evaluated once, and both of
+    its contractions added, before the next piece is formed, so no weight
+    table is held. The samples are the batch axis of every matmul and
+    each sample's operands are contiguous (C order, by take), so a sample's
+    value has the same bits in any stack, and a stack whose products would
+    exceed STACK_BYTES is contracted in chunks.
     """
     if len(stacks) != form.n:
         raise ValueError(f"form arity {form.n} != {len(stacks)} fields")
@@ -316,27 +344,24 @@ def _lambda_with_scale(
     for c in stacks:
         if np.shape(c) != (S, grid.K):
             raise ValueError(f"coefficient stack shape {np.shape(c)} != ({S}, {grid.K})")
-    rows, cols, bounds, _, lasts = _block_layout(form.n, grid.K)
+    head, rest, bounds, lasts = _block_layout(form.n, grid.K)
     # a pass holds the head and rest products, 16 bytes per entry, and as
     # much again while it builds them
-    chunk = max(1, STACK_BYTES // (32 * (len(rows) + len(cols))))
-    if S > chunk:
-        parts = [
-            _lambda_with_scale(form, grid, [c[i : i + chunk] for c in stacks])
-            for i in range(0, S, chunk)
-        ]
-        return tuple(map(np.concatenate, zip(*parts)))
-    table = _weight_table(form, grid.K)
-    bounds = bounds.tolist()
-    blocks = [
-        table[at : at + (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
-        for r0, r1, c0, c1, at in bounds
-    ]
-    layout = (rows, cols, bounds, lasts, (form.n - 1) // 2)
-    tables = [_coeff_table(c) for c in stacks]
+    L = 2 * grid.K + 1
+    chunk = max(1, STACK_BYTES // (32 * (L ** len(head) + L ** len(rest))))
+    chunks = []
+    for i in range(0, S, chunk):
+        tables = [_coeff_table(c[i : i + chunk]) for c in stacks]
+        chunks.append((slice(i, i + chunk), tables, [np.abs(t) for t in tables]))
+    value, scale = np.zeros(S, dtype=np.complex128), np.zeros(S)
+    for first, stop in _pieces(bounds):
+        part = (bounds[first:stop].tolist(), lasts[first:stop], head, rest)
+        blocks = _piece_weights(form, grid.K, *part)
+        for at, tables, moduli in chunks:
+            _contract(value[at], tables, blocks, *part)
+            _contract(scale[at], moduli, map(np.abs, blocks), *part)
     norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
-    value = norm * _contract(tables, blocks, layout)
-    return value, norm * _contract([np.abs(t) for t in tables], map(np.abs, blocks), layout)
+    return norm * value, norm * scale
 
 
 def lambda_n(form: MultilinearForm, fields: Sequence[FourierField]) -> complex:
@@ -390,7 +415,7 @@ def big_m3(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
     def w(*idx):
         return (1j / 3.0) * _m2k_sum(mult, mu, idx)
 
-    return MultilinearForm(3, w, tag="M3", cache_key=("M3", mult, grid.j, mu))
+    return MultilinearForm(3, w, tag="M3")
 
 
 def _sigma_values(
@@ -524,8 +549,7 @@ def _cascade_form(
             return _m_values(n, mult, grid, idx, cutoff, with_scale=False)[0]
         return _sigma_values(n, mult, grid, idx, cutoff).astype(np.complex128)
 
-    tag = tag or f"{kind}{n}"
-    return MultilinearForm(n, w, tag=tag, cache_key=(tag, mult, grid.j, grid.mu, cutoff))
+    return MultilinearForm(n, w, tag=tag or f"{kind}{n}")
 
 
 def big_m3_symmetrized(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:

@@ -46,15 +46,20 @@ SNAPSHOT_SCHEMA_VERSION = 1
 
 
 def _next_fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n (fast FFT size)."""
+    """Smallest 5-smooth integer >= n (fast FFT size): over the products of
+    powers of 5 and 3 up to the first at or above n, the least of each
+    times the least power of 2 that reaches n."""
+    best, p5 = 2 * n, 1
     while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
+        p = p5
+        while True:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            if p >= n:
+                break
+            p *= 3
+        if p5 >= n:
+            return best
+        p5 *= 5
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,11 @@ class GridSpec:
         if self.physical_points < 3 * self.K + 1:
             raise ValueError(
                 f"physical_points={self.physical_points} < 3K+1={3 * self.K + 1}"
+            )
+        if 16 * self.physical_points > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"mode cutoff K={self.K} needs {self.physical_points} physical points, "
+                "more than numpy can index"
             )
 
     @property

@@ -224,6 +224,9 @@ class TestExitCodes:
           "--seed", "-1"], "seed must be >= 0, got -1"),
         (["approx-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16", "--T", "0.01",
           "--seed", "-1"], "seed must be >= 0, got -1"),
+        # a physical grid numpy cannot index is refused before any array
+        (["solve", "--j", "2", "--K", "1000000000000000000000", "--dt", "1e-3", "--T", "0.01"],
+         "K=1000000000000000000000 needs 3001892705939982420000 physical points"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)

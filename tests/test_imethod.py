@@ -256,6 +256,22 @@ class TestStackedEvaluator:
         v, sc = _lambda_with_scale(form, g, [c] * 5)
         assert v.tobytes() == value.tobytes() and sc.tobytes() == scale.tobytes()
 
+    def test_each_tuple_weighed_once_in_chunks(self, monkeypatch):
+        # 578 head and rest entries at K=8: chunks of 4 samples, so 10
+        # samples take 3 chunks, and still every tuple of Gamma_5 is
+        # weighed once in the call
+        g = make_grid(2, 8)
+        form, records = weighed(big_m5(IMultiplier(s=-0.5, N=2.0), g, 8))
+        stacks = slot_stacks(g, 5, 10, 64)
+        whole = _lambda_with_scale(form, g, stacks)
+        records.clear()
+        monkeypatch.setattr(imethod, "STACK_BYTES", 4 * 32 * 578)
+        assert_same_bits(_lambda_with_scale(form, g, stacks), whole, "chunks")
+        got = np.concatenate(records, axis=1).T
+        ref = np.stack(_hyperplane_tuples(5, 8), axis=1)
+        assert len(records) > 1 and got.shape == ref.shape
+        assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
+
     def test_energies_of_a_stack_are_the_per_sample_energies(self):
         g = make_grid(2, 8, 1.4)
         rng = np.random.default_rng(63)
@@ -562,7 +578,8 @@ class TestCascadeStep:
     def test_cache_holds_imethod_tables_only(self, monkeypatch):
         # the energy hierarchy, the drift oracle with its quintic M5 at
         # K=16, M3sym and the continuum M4 and sigma4 read no whole lattice,
-        # and the cache holds block layouts, weight and pair-term tables only
+        # and the cache holds block layouts and pair-term tables only: no
+        # weights
         def refuse(n, K):
             raise AssertionError(f"whole Gamma_{n} read at K={K}")
 
@@ -580,29 +597,35 @@ class TestCascadeStep:
             kinds = {key[0] for key in imethod._CACHE}
         finally:
             imethod._CACHE.clear()
-        assert kinds == {"blocks", "weights", "pairs"}
+        assert kinds == {"blocks", "pairs"}
 
     def test_cache_stays_at_its_bound(self, monkeypatch):
-        # 40 sigma4 tables at K=6 under a bound of about four of them: after
+        # 40 quintic evaluations at K=6, each with its own multiplier and so
+        # its own sigma4 and sigma3 pair-term tables, under the least bound
+        # that admits the quintic lattice, about a dozen sigma4 tables: after
         # every call the arrays the cache holds take at most TABLE_BYTES
         def held():
+            # a pair-term table, or a layout: head and rest columns, bounds, lasts
             return sum(
-                v.nbytes if isinstance(v, np.ndarray) else sum(a.nbytes for a in (*v[:3], *v[-1]))
+                v.nbytes if isinstance(v, np.ndarray)
+                else sum(a.nbytes for a in (*v[0], *v[1], v[2], *v[3]))
                 for v in imethod._CACHE.values()
             )
 
-        monkeypatch.setattr(imethod, "TABLE_BYTES", 4 * 16 * 13**3)
+        def pairs(mult):
+            return ("pairs", 4, mult, 1, 1.0, 6, 6)
+
+        monkeypatch.setattr(imethod, "TABLE_BYTES", 16 * 13**4)
         g = make_grid(1, 6)
         u = smooth_field(g, 3)
-        layout = imethod._block_layout(4, 6)
-        forms = [sigma4(IMultiplier(s=-0.5, N=1.0 + 0.1 * i), g, 6) for i in range(40)]
-        for form in forms:
-            lambda_n(form, [u] * 4)
-            assert held() <= imethod.TABLE_BYTES
-        weights = [key[1] for key in imethod._CACHE if key[0] == "weights"]
-        assert forms[0].cache_key not in weights and forms[-1].cache_key in weights
-        # least recently used out first: the block layout every sigma4 table reads stays
-        assert imethod._block_layout(4, 6) is layout
+        layout = imethod._block_layout(5, 6)
+        mults = [IMultiplier(s=-0.5, N=1.0 + 0.1 * i) for i in range(40)]
+        for mult in mults:
+            lambda_n(big_m5(mult, g, 6), [u] * 5)
+            assert pairs(mult) in imethod._CACHE and held() <= imethod.TABLE_BYTES
+        assert pairs(mults[0]) not in imethod._CACHE
+        # least recently used out first: the block layout every evaluation reads stays
+        assert imethod._block_layout(5, 6) is layout
 
     def test_pair_terms_refuse_an_oversize_table_before_allocating(self):
         # the sigma4 pair-term table at bound 203 would take 16 * 407^3 bytes,
@@ -636,12 +659,22 @@ class TestCascadeStep:
             imethod._CACHE.clear()
 
 
+def layout_orders(n, K):
+    """(row order, column order, blocks) of the block layout: each row's
+    and column's flat index in the dense block over its entries."""
+    head, rest, bounds, _ = imethod._block_layout(n, K)
+    flat = [imethod._flat([d - K for d in part], K)[0] for part in (head, rest)]
+    return flat[0], flat[1], bounds
+
+
 def reference_table(form, K):
     """The weight table as one scatter of the whole lattice: the weight
-    at every tuple of Gamma_n at once, placed by the argsort ranks."""
+    at every tuple of Gamma_n at once, placed by the argsort ranks, the
+    blocks of the layout one after the other."""
     n, h = form.n, (form.n - 1) // 2
-    rows, cols, bounds, size, _ = imethod._block_layout(n, K)
-    r0, _, c0, c1, start = bounds.T
+    rows, cols, bounds = layout_orders(n, K)
+    r0, r1, c0, c1 = bounds.T
+    start = np.concatenate(([0], np.cumsum((r1 - r0) * (c1 - c0))))
     idx = _hyperplane_tuples(n, K)
     w = form.weight(*idx)
     head, gi = imethod._flat(idx[:h], K)
@@ -649,23 +682,89 @@ def reference_table(form, K):
     pos = np.argsort(cols)[imethod._flat(idx[h:-1], K)[0]]
     pos += start[gi] - c0[gi]
     pos += (np.argsort(rows)[head] - r0[gi]) * (c1 - c0)[gi]
-    table = np.zeros(size, dtype=np.complex128)
+    table = np.zeros(start[-1], dtype=np.complex128)
     table[pos] = w
     return table
 
 
-def built_table(form, K):
-    """_weight_table from a cleared cache."""
+def reference_contract(tables, blocks, layout):
+    """The whole-table contraction: per sample, the sum over head sums g of
+    a[H_g] . (W_g @ (b * u_n)), the products a and b over every head row
+    and rest column formed at once."""
+    rows, cols, bounds, lasts, h = layout
+    S = len(tables[0])
+
+    def outer(parts, order):
+        out = np.ones((S, 1))
+        for t in parts:
+            out = (out[:, :, None] * t[:, None, :]).reshape(S, -1)
+        return out.take(order, axis=1)
+
+    head, rest = outer(tables[:h], rows), outer(tables[h:-1], cols)
+    acc = np.zeros(S, dtype=tables[0].dtype)
+    for (r0, r1, c0, c1), last, w in zip(bounds, lasts, blocks):
+        v = np.multiply(rest[:, c0:c1], tables[-1].take(last, axis=1))
+        acc += np.matmul(head[:, None, r0:r1], np.matmul(w, v[:, :, None]))[:, 0, 0]
+    return acc
+
+
+def reference_lambda(form, grid, stacks):
+    """(value, scale) of _lambda_with_scale from the whole weight table,
+    contracted block by block in one pass for the value and one for the scale."""
+    rows, cols, bounds = layout_orders(form.n, grid.K)
+    lasts = imethod._block_layout(form.n, grid.K)[3]
+    table = reference_table(form, grid.K)
+    blocks, at = [], 0
+    for r0, r1, c0, c1 in bounds.tolist():
+        blocks.append(table[at : at + (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0))
+        at += (r1 - r0) * (c1 - c0)
+    layout = (rows, cols, bounds.tolist(), lasts, (form.n - 1) // 2)
+    tables = [imethod._coeff_table(c) for c in stacks]
+    norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
+    value = norm * reference_contract(tables, blocks, layout)
+    moduli = [np.abs(t) for t in tables]
+    return value, norm * reference_contract(moduli, map(np.abs, blocks), layout)
+
+
+def slot_stacks(grid, n, samples, seed):
+    """One stack of smooth coefficient rows per slot, each slot its own fields."""
+    rng = np.random.default_rng(seed)
+    return [
+        np.array([random_smooth_field(grid, rng, 0.5).coeffs for _ in range(samples)])
+        for _ in range(n)
+    ]
+
+
+def streamed(form, grid, stacks):
+    """_lambda_with_scale from a cleared cache."""
     imethod._CACHE.clear()
     try:
-        return imethod._weight_table(form, K)
+        return _lambda_with_scale(form, grid, stacks)
     finally:
         imethod._CACHE.clear()
 
 
+def assert_same_bits(got, ref, what):
+    assert got[0].tobytes() == ref[0].tobytes(), what
+    assert got[1].tobytes() == ref[1].tobytes(), what
+
+
+def weighed(form):
+    """The form with its weight wrapped to record each index tuple it is
+    given; returns (form, records), one (n, count) array per call."""
+    records = []
+
+    def w(*idx):
+        records.append(np.stack(idx))
+        return form.weight(*idx)
+
+    return MultilinearForm(form.n, w, form.tag), records
+
+
 class TestWeightTable:
-    """_weight_table reads Gamma_n piece by piece; each table has the bits
-    of the one scatter of the whole lattice."""
+    """The weights W, evaluated piece by piece off the block layout and
+    contracted as each piece is formed, give the bits of the whole weight
+    table scattered at once and contracted block by block."""
 
     @staticmethod
     def forms(mult, g):
@@ -679,24 +778,29 @@ class TestWeightTable:
     @pytest.mark.parametrize("mu", [1.0, 1.5])
     @pytest.mark.parametrize("shape", ["clipped_power", "smooth_log"])
     @pytest.mark.parametrize("K", [3, 6])
-    def test_equals_the_whole_lattice_scatter(self, K, shape, mu):
+    def test_equals_the_whole_lattice_scatter(self, monkeypatch, K, shape, mu):
+        # pieces of one block, of at most 7 entries (or one block), and one
+        # piece for the whole lattice
         g = make_grid(2, K, mu)
         mult = IMultiplier(s=-0.7, N=1.0, shape=shape)
         for form in self.forms(mult, g):
-            ref = reference_table(form, K)
-            assert np.any(ref != 0), form.tag
-            assert built_table(form, K).tobytes() == ref.tobytes(), form.tag
+            stacks = slot_stacks(g, form.n, 3, 71)
+            ref = reference_lambda(form, g, stacks)
+            assert np.all(ref[1] > 0), form.tag
+            for piece in (1, 7, 2**40):
+                monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
+                assert_same_bits(streamed(form, g, stacks), ref, (form.tag, piece))
 
     def test_quintic_table_at_16(self):
         g = make_grid(2, 16)
         form = big_m5(IMultiplier(s=-0.5, N=4.0), g, 16)
-        ref = reference_table(form, 16)
-        assert built_table(form, 16).tobytes() == ref.tobytes()
+        stacks = [slot_stacks(g, 1, 33, 72)[0]] * 5
+        assert_same_bits(streamed(form, g, stacks), reference_lambda(form, g, stacks), "M5")
 
     @pytest.mark.parametrize("piece", [1, 7, None])
     def test_one_sigma_table_at_every_piece_size(self, monkeypatch, piece):
-        # a piece of one head, of 7 tuples, and one piece for all (None):
-        # every table keeps its bits and each pair-term table of sigma_n,
+        # a piece of one block, of 7 entries, and one piece for all (None):
+        # every value keeps its bits and each pair-term table of sigma_n,
         # keyed by its arity and bound, is built once
         K = 4
         g = make_grid(2, K, 1.5)
@@ -706,30 +810,49 @@ class TestWeightTable:
             (sigma4(mult, g, K), {(3, K)}), (sigma4(mult, g), {(3, 2 * K)}),
             (big_m5(mult, g, K), {(4, K), (3, K)}), (big_m5(mult, g), {(4, 2 * K), (3, 4 * K)}),
         ]
-        refs = [reference_table(form, K) for form, _ in cases]
-        size = piece or _hyperplane_tuples(5, K)[0].size + 1
-        monkeypatch.setattr(resonance, "PIECE_TUPLES", size)
+        stacks = {n: slot_stacks(g, n, 2, 73) for n in (4, 5)}
+        refs = [reference_lambda(form, g, stacks[form.n]) for form, _ in cases]
+        monkeypatch.setattr(resonance, "PIECE_TUPLES", piece or 2**40)
         builds = recorded_builds(monkeypatch)
         for (form, tables), ref in zip(cases, refs):
             builds.clear()
-            assert built_table(form, K).tobytes() == ref.tobytes(), form.tag
+            assert_same_bits(streamed(form, g, stacks[form.n]), ref, form.tag)
             pairs = [(key[1], key[5]) for key in builds if key[0] == "pairs"]
             assert sorted(pairs) == sorted(tables), form.tag
 
     def test_quintic_build_holds_no_quintic_tuples(self):
-        # the whole-lattice build held all 598,600 tuples of Gamma_5 and
-        # peaked at 60.9 MiB (tracemalloc); the pieces build peaks at 17.5 MiB
+        # with the sigma4 pair-term table and the layout warm, the whole
+        # weight table (10.9 MiB) was scattered and held: the evaluation
+        # peaked at 15.0 MiB (tracemalloc); walked piece by piece off the
+        # layout it holds one piece's tuples and weights, and nothing after
         g = make_grid(2, 16)
-        form = big_m5(IMultiplier(s=-0.5, N=4.0), g, 16)
-        imethod._CACHE.clear()
+        mult = IMultiplier(s=-0.5, N=4.0)
+        form = big_m5(mult, g, 16)
+        stacks = [slot_stacks(g, 1, 33, 74)[0]] * 5
+        imethod._pair_terms(4, mult, g, 16, 16)
+        imethod._block_layout(5, 16)
+        warm = set(imethod._CACHE)
         tracemalloc.start()
         try:
-            imethod._weight_table(form, 16)
-            peak = tracemalloc.get_traced_memory()[1]
+            _lambda_with_scale(form, g, stacks)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            imethod._CACHE.clear()
-        assert peak < 32 * 2**20
+        assert peak < 10 * 2**20
+        assert held < 2**16 and set(imethod._CACHE) == warm
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_tuples_read_off_the_layout(self, monkeypatch, n, K):
+        # the nonzero-entry tuples of the layout's blocks are Gamma_n, each once
+        g = make_grid(1, K)
+        form, records = weighed(constant_form(n))
+        monkeypatch.setattr(resonance, "PIECE_TUPLES", 7)
+        streamed(form, g, [np.ones((1, K), dtype=complex)] * n)
+        got = np.concatenate(records, axis=1).T
+        ref = np.stack(_hyperplane_tuples(n, K), axis=1)
+        assert got.shape == ref.shape
+        assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
 
     def test_entries_beyond_the_lattice_bound_refused(self):
         g = make_grid(2, 6)

@@ -16,6 +16,8 @@ except ImportError:  # the property test below is then skipped
 
 from kdvlab.spectral import (
     FourierField,
+    GridSpec,
+    _next_fast_len,
     _write_atomic,
     conserved_quantities,
     derivative,
@@ -57,9 +59,31 @@ class TestGrid:
     def test_rejects_underpadded_points(self):
         with pytest.raises(ValueError):
             # direct construction bypassing the rule must still validate
-            from kdvlab.spectral import GridSpec
-
             GridSpec(j=1, K=8, physical_points=16)
+
+    def test_fast_len_is_the_integer_walk(self):
+        def walk(n):
+            while True:
+                m = n
+                for p in (2, 3, 5):
+                    while m % p == 0:
+                        m //= p
+                if m == 1:
+                    return n
+                n += 1
+
+        assert [_next_fast_len(n) for n in range(1, 20001)] == [walk(n) for n in range(1, 20001)]
+        # the walk over powers of 5 and 3 returns at once where one integer
+        # at a time would not
+        assert _next_fast_len(3 * 10**21 + 1) == 3001892705939982420000
+
+    def test_rejects_a_grid_numpy_cannot_index(self):
+        points = np.iinfo(np.intp).max // 16
+        GridSpec(j=1, K=points // 4, physical_points=points)
+        with pytest.raises(ValueError, match=f"K={points // 3} needs {points + 1} physical"):
+            GridSpec(j=1, K=points // 3, physical_points=points + 1)
+        with pytest.raises(ValueError, match="K=10000000000000000000000 needs"):
+            make_grid(2, 10**22)
 
 
 class TestTransforms:
