@@ -303,8 +303,8 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
     traj = integrate(u0, spec)
     c = traj.coeffs
     # the quintic column first: at K=16 the command then peaks lower (max
-    # RSS at --dt 1e-4 --T 0.05: 41.5-41.6 MB, against 41.6-41.9 MB with
-    # the energies first); at K=32 the two orders tie at 56.4-56.7 MB
+    # RSS at --dt 1e-4 --T 0.05: 40.4-40.5 MB, against 40.6-40.8 MB with
+    # the energies first); at K=32 it peaks 0.2 MB higher (46.9-47.0 MB)
     try:
         _check_table(5, grid.K)
     except ValueError as exc:

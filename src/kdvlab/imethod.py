@@ -8,12 +8,16 @@ energies are built from n-linear lattice sums
         = (2*pi*mu)^(1-n) * sum over Gamma_n of w(k_1..k_n) prod u_hat(k_i)
 
 restricted to nonzero entries with |index| <= K; with this normalization
-Lambda_3(1) equals the integral of u^3. One evaluator computes it for a
-whole stack of samples, contracting w as dense blocks, one per head sum,
-walked in pieces (see _lambda_with_scale). The modified energies are one
-hierarchy, E3 = E2 + Lambda_3(sigma3) and E4 = E3 + Lambda_4(sigma4),
-taken in one pass that evaluates each correction once per stack. The
-correction multipliers follow the cascade
+Lambda_3(1) equals the integral of u^3. Every form is symmetric under
+permutations of its arguments: the lab builds each one so, and the
+evaluator checks it and refuses a form that is not. One evaluator computes
+Lambda_n for a whole stack of samples. It weighs each permutation orbit of
+Gamma_n once, at one representative, walked in pieces, and adds the
+orbit's coefficient products by gathers, multiplies and row sums (see
+_lambda_with_scale); no BLAS call, so no BLAS kernel moves a bit. The
+modified energies are one hierarchy, E3 = E2 + Lambda_3(sigma3) and
+E4 = E3 + Lambda_4(sigma4), taken in one pass that evaluates each
+correction once per stack. The correction multipliers follow the cascade
 
     d/dt E2 = Lambda_3(M3),   sigma3 = -M3/alpha3,
     d/dt E3 = Lambda_4(M4),   sigma4 = -M4/alpha4,
@@ -34,10 +38,9 @@ table of sigma_(n-1), filled piece by piece from Gamma_(n-1) (sigma_(n-1)
 itself is never stored). A term whose pair sum vanishes contributes
 exactly 0, and sigma4 is defined as 0 on resonant tuples (alpha4 = 0),
 where a runtime check confirms M4 vanishes there. A form's weights are
-never stored: the evaluator reads Gamma_n off the block layout a piece at
-a time and contracts each piece's weights before it forms the next. Block
-layouts and pair-term tables share this module's one cache; TABLE_BYTES
-bounds it, each table's size and the lattice an evaluation walks.
+never stored: each piece of orbits is weighed and contracted before the
+next is formed. Pair-term tables are this module's one cache; TABLE_BYTES
+bounds it, each table's size and the dense lattice that admits a Lambda_n.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,26 +77,20 @@ __all__ = [
     "drift_oracle",
 ]
 
-# Bytes a Lambda_n evaluation spends per pass on its coefficient products;
-# a longer stack of samples is evaluated in chunks that fit.
-STACK_BYTES = 1 << 26
-# Bytes of one lattice table at most, of the dense lattice a Lambda_n
-# evaluation walks, and of all that the cache holds
+# Bytes a Lambda_n evaluation spends per pass on its coefficient products,
+# one complex entry for each of resonance.PIECE_TUPLES orbits; a piece's
+# samples are taken in passes that fit.
+STACK_BYTES = 1 << 18
+# Bytes of one lattice table at most, of the dense lattice that admits a
+# Lambda_n evaluation, and of all that the cache holds
 TABLE_BYTES = 1 << 30
 IMAG_RESIDUE_TOL = 1e-10
 RESONANT_M4_TOL = 1e-10
 
 _M_SHAPES = ("clipped_power", "smooth_log")
-# The one cache: block layouts and pair-term tables share it,
-# least recently used out first while it holds over TABLE_BYTES.
+# The one cache, of pair-term tables: least recently used out first while
+# it holds over TABLE_BYTES.
 _CACHE: OrderedDict = OrderedDict()
-
-
-def _nbytes(value) -> int:
-    """Bytes of the arrays in a cached value: an array, or a tuple or list of them."""
-    if isinstance(value, (tuple, list)):
-        return sum(map(_nbytes, value))
-    return getattr(value, "nbytes", 0)
 
 
 def _cached(key, build):
@@ -101,7 +99,7 @@ def _cached(key, build):
         _CACHE.move_to_end(key)
         return _CACHE[key]
     value = _CACHE[key] = build()
-    while _CACHE and sum(map(_nbytes, _CACHE.values())) > TABLE_BYTES:
+    while _CACHE and sum(v.nbytes for v in _CACHE.values()) > TABLE_BYTES:
         _CACHE.popitem(last=False)
     return value
 
@@ -109,8 +107,8 @@ def _cached(key, build):
 def _check_table(n: int, K: int, bound: int | None = None) -> None:
     """Refuse a table over the first n-1 entries of Gamma_n at the lattice bound
     (K unless given) whose dense size, never below its own, exceeds TABLE_BYTES.
-    For Lambda_n this caps the lattice walked, 16 bytes an entry, not a
-    table held."""
+    For Lambda_n no table is held and the orbits walked are about n! fewer
+    than the tuples: the dense size is kept as the rule that admits it."""
     size = 16 * (2 * (K if bound is None else bound) + 1) ** (n - 1)
     if size > TABLE_BYTES:
         raise ValueError(f"K={K} needs a Gamma_{n} table of {size} bytes > TABLE_BYTES")
@@ -170,7 +168,9 @@ class MultilinearForm:
     """n-point frequency multiplier evaluated over the hyperplane Gamma_n.
 
     weight maps n integer-index arrays (frequencies are index/mu) to a
-    complex array, entry by entry.
+    complex array, entry by entry. It must be symmetric: the same at every
+    permutation of its arguments. Lambda_n weighs each permutation orbit
+    once and refuses a weight that moves when its arguments are permuted.
     """
 
     n: int
@@ -185,98 +185,13 @@ def constant_form(n: int, value: complex = 1.0) -> MultilinearForm:
     return MultilinearForm(n=n, weight=w, tag="constant")
 
 
-def _flat(cols: Sequence[np.ndarray], K: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flat index, sum) of m index columns in the dense block [-K, K]^m,
-    first column outermost. With no columns both are [0]: the one empty
-    tuple, broadcast against any other column."""
-    flat, total = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+def _flat(cols: Sequence[np.ndarray], K: int) -> np.ndarray:
+    """Flat index of m index columns in the dense block [-K, K]^m, first
+    column outermost."""
+    flat = np.zeros(1, dtype=np.int64)
     for a in cols:
-        flat, total = flat * (2 * K + 1) + (a + K), total + a
-    return flat, total
-
-
-def _block_layout(n: int, K: int) -> tuple:
-    """Rows, columns and blocks of a dense weight W on Gamma_n.
-
-    W covers the first n-1 entries: the head H = (k_1..k_h), h = (n-1)//2,
-    indexes its rows and the rest R = (k_(h+1)..k_(n-1)) its columns, each
-    over [-K, K] in nested-loop order, then sorted (stably) by head sum g
-    and by rest sum. Only the block of each g is walked: the rows of head
-    sum g and the columns whose last entry -(g + sum R) is within K, which
-    holds every tuple of Gamma_n with that head. Returns (per head slot its
-    coefficient-table index, entry + K, along the rows; the same per rest
-    slot along the columns; per block (r0, r1, c0, c1); per block the last
-    entry's table index along its columns).
-    """
-
-    def build():
-        h = (n - 1) // 2
-        grids = []
-        for m in (h, n - 1 - h):
-            axes = [a.reshape(-1) for a in np.meshgrid(*[np.arange(2 * K + 1)] * m, indexing="ij")]
-            sums = sum(axes, np.full(1, -m * K))
-            order = np.argsort(sums, kind="stable")
-            grids.append(([a[order] for a in axes], sums[order]))
-        (head, head_sums), (rest, rest_sums) = grids
-        g = np.arange(-h * K, h * K + 1)
-        r0, r1 = np.searchsorted(head_sums, g), np.searchsorted(head_sums, g, side="right")
-        c0 = np.searchsorted(rest_sums, -K - g)
-        c1 = np.searchsorted(rest_sums, K - g, side="right")
-        lasts = [K - gi - rest_sums[a:b] for gi, a, b in zip(g, c0, c1)]
-        return head, rest, np.stack([r0, r1, c0, c1], axis=1), lasts
-
-    return _cached(("blocks", n, K), build)
-
-
-def _pieces(bounds: np.ndarray):
-    """(first, stop) of runs of whole blocks of about resonance.PIECE_TUPLES
-    entries each, or of one block where a block alone holds more."""
-    ends = np.cumsum((bounds[:, 1] - bounds[:, 0]) * (bounds[:, 3] - bounds[:, 2]))
-    first = 0
-    while first < len(bounds):
-        start = ends[first - 1] if first else 0
-        stop = max(first + 1, int(np.searchsorted(ends, start + resonance.PIECE_TUPLES, "right")))
-        yield first, stop
-        first = stop
-
-
-def _piece_weights(form: MultilinearForm, K: int, bounds: list, lasts: list, head, rest) -> list:
-    """The form's weight on the blocks of one piece of the layout (see
-    _block_layout, whose parts these are), one (rows, columns) array per
-    block; 0 off Gamma_n.
-
-    The tuples are read off the layout: in each block, the rows whose head
-    entries are nonzero times the columns whose rest and last entries are.
-    form.weight is evaluated once on each, in runs of whole rows of about
-    resonance.PIECE_TUPLES tuples, so that a large block's temporaries
-    stay small.
-    """
-    blocks, runs, size = [], [[]], 0
-    for (r0, r1, c0, c1), last in zip(bounds, lasts):
-        by_row, by_col = [d[r0:r1] for d in head], [d[c0:c1] for d in rest] + [last]
-        # with no head slot (n = 2) np.all gives True: the one row is kept
-        a, b = (np.flatnonzero(np.all([d != K for d in x], axis=0)) for x in (by_row, by_col))
-        blocks.append(np.zeros((r1 - r0, c1 - c0), dtype=np.complex128))
-        cols = [d[b] - K for d in by_col]
-        step = max(1, resonance.PIECE_TUPLES // max(1, b.size))
-        for rows in np.split(a, range(step, a.size, step)):
-            if size and size + rows.size * b.size > resonance.PIECE_TUPLES:
-                runs.append([])
-                size = 0
-            runs[-1].append((blocks[-1], rows, b, [d[rows, None] - K for d in by_row] + cols))
-            size += rows.size * b.size
-    for run in runs:
-        total = sum(rows.size * b.size for _, rows, b, _ in run)
-        idx, at = [np.empty(total, np.int64) for _ in range(form.n)], 0
-        for _, rows, b, entries in run:
-            for col, e in zip(idx, entries):
-                col[at : at + rows.size * b.size].reshape(rows.size, b.size)[...] = e
-            at += rows.size * b.size
-        values, at = form.weight(*idx), 0
-        for w, rows, b, _ in run:
-            w[np.ix_(rows, b)] = values[at : at + rows.size * b.size].reshape(rows.size, b.size)
-            at += rows.size * b.size
-    return blocks
+        flat = flat * (2 * K + 1) + (a + K)
+    return flat
 
 
 def _coeff_table(coeffs: np.ndarray) -> np.ndarray:
@@ -288,34 +203,26 @@ def _coeff_table(coeffs: np.ndarray) -> np.ndarray:
     return table
 
 
-def _outer(tables: Sequence[np.ndarray], S: int, indices: Sequence[np.ndarray]) -> np.ndarray:
-    """Per sample, the product of one entry of each (S, L) table, taken left
-    to right at the given table indices: an (S, .) array in C order."""
-    out = np.ones((S, 1))
-    if tables:
-        # the first product, 1 * entry, is taken on the table itself
-        out = (out * tables[0]).take(indices[0], axis=1)
-    for t, d in zip(tables[1:], indices[1:]):
-        np.multiply(out, t.take(d, axis=1), out=out)
-    return out
+def _orbit_weights(form: MultilinearForm, t: list) -> tuple[np.ndarray, float]:
+    """form.weight at a piece of orbit representatives, and the most it
+    moves there under one transposition and one cyclic shift of them."""
+    w = form.weight(*t)
+    n = form.n
+    perms = dict.fromkeys([(1, 0, *range(2, n)), (*range(1, n), 0)])
+    return w, max(np.max(np.abs(form.weight(*[t[i] for i in p]) - w)) for p in perms)
 
 
-def _contract(acc: np.ndarray, tables: Sequence[np.ndarray], blocks, bounds: list, lasts: list,
-              head, rest) -> None:
-    """Add to acc, per sample and block by block, a[H_g] . (W_g @ (b * u_n)),
-    u_n read at the last entry -(g + sum R); a and b are the products of
-    the (S, 2K+1) tables over the head rows and rest columns of a piece of
-    the layout, W_g its blocks."""
-    r_lo, c_lo = bounds[0][0], min(c0 for _, _, c0, _ in bounds)
-    c_hi = max(c1 for _, _, _, c1 in bounds)
-    a = _outer(tables[: len(head)], len(acc), [d[r_lo : bounds[-1][1]] for d in head])
-    b = _outer(tables[len(head) : -1], len(acc), [d[c_lo:c_hi] for d in rest])
-    for (r0, r1, c0, c1), last, w in zip(bounds, lasts, blocks):
-        # np.multiply, not *: on a large temporary right operand * computes
-        # in place with the operands swapped, and a complex product's bits
-        # depend on the operand order
-        v = np.multiply(b[:, c0 - c_lo : c1 - c_lo], tables[-1].take(last, axis=1))
-        acc += np.matmul(a[:, None, r0 - r_lo : r1 - r_lo], np.matmul(w, v[:, :, None]))[:, 0, 0]
+def _assigned(tables: Sequence[np.ndarray], at: list, assignments: list) -> np.ndarray:
+    """Per sample of the (S, 2K+1) tables, the sum over the assignments a of
+    the product over positions of tables[a[pos]] read at at[pos], taken
+    left to right."""
+    total = None
+    for a in assignments:
+        term = tables[a[0]].take(at[0], axis=1)
+        for pos in range(1, len(a)):
+            np.multiply(term, tables[a[pos]].take(at[pos], axis=1), out=term)
+        total = term if total is None else np.add(total, term, out=total)
+    return total
 
 
 def _lambda_with_scale(
@@ -326,41 +233,63 @@ def _lambda_with_scale(
     """Lambda_n(form; slots) and its term scale sum |terms|, per sample.
 
     stacks holds one coefficient array of shape (S, K) per slot; sample s
-    reads row s of each. With a and b the coefficient products over the
-    head and the rest (see _block_layout), each head sum g adds
-    a[H_g] . (W[H_g] @ (b * u_n(-(g + sum R)))) and the scale the same
-    contraction on |W| and |coefficients|. The layout is walked in pieces
-    of whole blocks: each piece's weights are evaluated once, and both of
-    its contractions added, before the next piece is formed, so no weight
-    table is held. The samples are the batch axis of every matmul and
-    each sample's operands are contiguous (C order, by take), so a sample's
-    value has the same bits in any stack, and a stack whose products would
-    exceed STACK_BYTES is contracted in chunks.
+    reads row s of each. The form is symmetric, so the tuples of one
+    permutation orbit of Gamma_n share its weight, and the walk visits each
+    orbit once, at a representative t with its size mult (sorted, or its
+    negation's negated; see resonance._orbit_chunks). The slots that hold
+    one stack are a group, of g_j slots; the orbit adds w(t) mult
+    prod_j g_j!/n! times the sum over the n!/prod g_j! assignments of t's
+    positions to groups of prod_pos u_group(t_pos): one assignment for
+    [u]*n, n for [F]+[u]*(n-1). The scale is the same sum on |w| and
+    |coefficients|. A piece's weights are evaluated once, and the form is
+    refused if they move when its arguments are permuted (see
+    _orbit_weights) by more than IMAG_RESIDUE_TOL x the largest |w|, or x
+    the largest frequency K/mu where that is larger. A piece's samples are
+    taken in passes whose products fit STACK_BYTES, by gathers, multiplies
+    and one row-wise sum per pass, so a sample's value has the same bits
+    in any stack, and no BLAS kernel moves them.
     """
-    if len(stacks) != form.n:
-        raise ValueError(f"form arity {form.n} != {len(stacks)} fields")
-    _check_table(form.n, grid.K)
+    n = form.n
+    if len(stacks) != n:
+        raise ValueError(f"form arity {n} != {len(stacks)} fields")
+    _check_table(n, grid.K)
     S = len(stacks[0])
     for c in stacks:
         if np.shape(c) != (S, grid.K):
             raise ValueError(f"coefficient stack shape {np.shape(c)} != ({S}, {grid.K})")
-    head, rest, bounds, lasts = _block_layout(form.n, grid.K)
-    # a pass holds the head and rest products, 16 bytes per entry, and as
-    # much again while it builds them
-    L = 2 * grid.K + 1
-    chunk = max(1, STACK_BYTES // (32 * (L ** len(head) + L ** len(rest))))
-    chunks = []
-    for i in range(0, S, chunk):
-        tables = [_coeff_table(c[i : i + chunk]) for c in stacks]
-        chunks.append((slice(i, i + chunk), tables, [np.abs(t) for t in tables]))
+    # the slots that hold one stack are a group; labels[pos] is its group
+    distinct = list({id(c): c for c in stacks}.values())
+    labels = [next(i for i, d in enumerate(distinct) if d is c) for c in stacks]
+    assignments = sorted(set(permutations(labels)))
+    within = prod(factorial(labels.count(i)) for i in range(len(distinct)))
+    tables = [_coeff_table(c) for c in distinct]
+    moduli = [np.abs(t) for t in tables]
     value, scale = np.zeros(S, dtype=np.complex128), np.zeros(S)
-    for first, stop in _pieces(bounds):
-        part = (bounds[first:stop].tolist(), lasts[first:stop], head, rest)
-        blocks = _piece_weights(form, grid.K, *part)
-        for at, tables, moduli in chunks:
-            _contract(value[at], tables, blocks, *part)
-            _contract(scale[at], moduli, map(np.abs, blocks), *part)
-    norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
+    moved = largest = 0.0
+    for t, mult in resonance._orbit_chunks(n, grid.K):
+        w, piece_moved = _orbit_weights(form, t)
+        modulus = np.abs(w)
+        moved, largest = max(moved, piece_moved), max(largest, modulus.max())
+        size = mult * within / factorial(n)
+        w, modulus = w * size, np.multiply(modulus, size, out=modulus)
+        parts = ((value, tables, w), (scale, moduli, modulus))
+        # a table index is entry + K: non-negative, take's fast path
+        at = [a + grid.K for a in t]
+        chunk = max(1, STACK_BYTES // (16 * len(w)))
+        for i in range(0, S, chunk):
+            for acc, tabs, weights in parts:
+                terms = _assigned([tab[i : i + chunk] for tab in tabs], at, assignments)
+                acc[i : i + chunk] += np.add.reduce(np.multiply(terms, weights, out=terms), axis=1)
+    # a lab weight that cancels to 0 (m = 1 on the whole lattice at mu != 1)
+    # moves by the round-off of a sum of frequencies: floor at the largest
+    largest = max(largest, grid.band)
+    if moved > IMAG_RESIDUE_TOL * largest:
+        raise ValueError(
+            f"form {form.tag!r} is not permutation-symmetric: its weight moves by "
+            f"{moved:.3e} when its arguments are permuted, over {IMAG_RESIDUE_TOL:.0e} "
+            f"x {largest:.3e}, its largest or the largest frequency"
+        )
+    norm = (2.0 * np.pi * grid.mu) ** (1 - n)
     return norm * value, norm * scale
 
 
@@ -369,7 +298,9 @@ def lambda_n(form: MultilinearForm, fields: Sequence[FourierField]) -> complex:
     grid = fields[0].grid
     for f in fields[1:]:
         _check_same_grid(f.grid, grid)
-    value, _ = _lambda_with_scale(form, grid, [f.coeffs[None] for f in fields])
+    # one stack per distinct field, so that a repeated field is one group
+    rows = {id(f): f.coeffs[None] for f in fields}
+    value, _ = _lambda_with_scale(form, grid, [rows[id(f)] for f in fields])
     return complex(value[0])
 
 
@@ -479,7 +410,7 @@ def _pair_terms(
                 keep = np.abs(idx[-1]) <= cutoff
                 idx = tuple(a[keep] for a in idx)
             values = _sigma_values(n, mult, grid, idx, cutoff, B)
-            table[_flat(idx[:-1], B)[0]] = values * (idx[-1] / grid.mu)
+            table[_flat(idx[:-1], B)] = values * (idx[-1] / grid.mu)
         return table
 
     return _cached(("pairs", n, mult, grid.j, grid.mu, B, cutoff), build)

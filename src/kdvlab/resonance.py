@@ -13,6 +13,7 @@ exact integer array arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -193,6 +194,72 @@ def _hyperplane_chunks(n: int, K: int):
         row = row[keep]
         yield tuple(a[row] for a in head) + (nxt[keep], last[keep])
         first, start = stop, ends[stop - 1]
+
+
+def _orbit_chunks(n: int, K: int):
+    """The permutation orbits of Gamma_n (nonzero entries, |index| <= K) as
+    their sorted representatives k_1 <= .. <= k_n, in pieces of PIECE_TUPLES
+    orbits.
+
+    Yields (one int64 array per slot, each orbit's size n!/prod c_v!, c_v
+    the count of each value), in nested-loop order. With r entries left
+    and a sum g so far, the next entry v runs from the last one on, with
+    r v <= -g and v >= -g - (r-1) K so that the rest can complete the sum:
+    one contiguous run of the sorted values. The heads k_1..k_(n-2) are
+    built slot by slot; each head's k_(n-1) are its run, taken a piece at
+    a time. k_n = -(g + k_(n-1)), the largest entry of a zero sum, is
+    positive, so never 0.
+
+    Of an orbit and its negation, one is written in descending order
+    instead, as the other's representative negated entry by entry, and an
+    orbit that is its own negation is written both ways, each with half
+    its size. A weight that negating its arguments conjugates then gives
+    terms on real fields that are exact conjugates in pairs, as on the
+    whole lattice, bit for bit.
+    """
+    vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
+
+    def run(at, g, r):
+        lo = np.maximum(at, np.searchsorted(vals, -g - (r - 1) * K))
+        return lo, np.maximum(lo, np.searchsorted(vals, -g // r, side="right")) - lo
+
+    heads, at, g = [], np.zeros(1, np.int64), np.zeros(1, np.int64)
+    for r in range(n, 2, -1):
+        lo, cnt = run(at, g, r)
+        row = np.repeat(np.arange(len(g)), cnt)
+        at = lo[row] + np.arange(len(row)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        heads = [h[row] for h in heads] + [vals[at]]
+        g = g[row] + vals[at]
+    lo, cnt = run(at, g, 2)
+    ends = np.cumsum(cnt)
+
+    def piece(r):
+        h = np.searchsorted(ends, r, side="right")
+        nxt = vals[lo[h] + r - (ends[h] - cnt[h])]
+        t = [a[h] for a in heads] + [nxt, -(g[h] + nxt)]
+        # prod c_v! as the product of each entry's rank in its run of equal values
+        rank, den = np.ones(len(r), np.int64), np.ones(len(r), np.int64)
+        for a, b in zip(t, t[1:]):
+            rank = np.where(a == b, rank + 1, 1)
+            den *= rank
+        mult = math.factorial(n) // den
+        # of an orbit and its negation, the one whose first nonzero
+        # k_i + k_(n+1-i) is positive is written as the other's
+        # representative negated (its own reversed); one that is its own
+        # negation is written both ways, with half its size each
+        side = np.zeros(len(r), np.int64)
+        for a, b in reversed(list(zip(t, t[::-1]))[: n // 2]):
+            side = np.where(a + b != 0, np.sign(a + b), side)
+        t = [np.where(side > 0, b, a) for a, b in zip(t, t[::-1])]
+        both = side == 0
+        if both.any():
+            t = [np.concatenate([a, b[both]]) for a, b in zip(t, t[::-1])]
+            mult = np.concatenate([np.where(both, mult // 2, mult), mult[both] // 2])
+        return t, mult
+
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, PIECE_TUPLES):
+        yield piece(np.arange(start, min(start + PIECE_TUPLES, total)))
 
 
 def _hyperplane_tuples(n: int, K: int) -> tuple:

@@ -10,7 +10,7 @@ particular the 1/n! in the symmetrizations).
 """
 
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -167,7 +167,7 @@ class TestLambdaN:
             imethod._check_table(n, K)
             with pytest.raises(ValueError, match=f"K={K + 1} needs a Gamma_{n} table"):
                 imethod._check_table(n, K + 1)
-        # refused before its block layout or weight table is built
+        # refused before any orbit is walked or weighed
         g = make_grid(1, 45)
         tracemalloc.start()
         try:
@@ -179,67 +179,121 @@ class TestLambdaN:
         assert peak < 2**20 and not imethod._CACHE
 
 
-def tuple_sum(form, grid, coeffs):
-    """The per-tuple reference: (sum, sum of |terms|) over Gamma_n of
-    w(k) prod_i u_i(k_i), u_i the field of coefficients coeffs[i]."""
+def tuple_sum(form, grid, stacks):
+    """The per-tuple reference: per sample, (sum, sum of |terms|) over all of
+    Gamma_n of w(k) prod_i u_i(k_i), u_i read from row s of stacks[i]; the
+    weight is evaluated once, at every tuple."""
     idx = _hyperplane_tuples(form.n, grid.K)
-    terms = form.weight(*idx)
-    for a, c in zip(idx, coeffs):
-        table = np.concatenate([np.conj(c[::-1]), [0.0], c])
-        terms = terms * table[a + grid.K]
+    weights = form.weight(*idx)
     norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
-    return norm * np.sum(terms), norm * np.sum(np.abs(terms))
+    out = []
+    for rows in zip(*stacks):
+        terms = weights
+        for a, c in zip(idx, rows):
+            table = np.concatenate([np.conj(c[::-1]), [0.0], c])
+            terms = terms * table[a + grid.K]
+        out.append((norm * np.sum(terms), norm * np.sum(np.abs(terms))))
+    return np.array(out).T
 
 
 def skew_form(n):
-    """An uncached complex weight that tells every slot apart."""
+    """A complex weight that tells every slot apart: not a symmetric form."""
 
     def w(*idx):
         phase = sum((i + 1) * a for i, a in enumerate(idx))
         return np.exp(0.3j * phase) / (1.0 + sum(a * a for a in idx[:-1]))
 
-    return MultilinearForm(n, w)
+    return MultilinearForm(n, w, tag="skew")
 
 
-def evaluator_forms(grid):
-    mult = IMultiplier(s=-0.7, N=1.5 / grid.mu)
+def lab_forms(grid, mult):
+    """Every form of the lab at grid's lattice: M3, M3sym, sigma3, M4 and
+    sigma4 and M5 on the lattice and in the continuum, and a constant."""
     K = grid.K
     return [
-        skew_form(2), skew_form(3), big_m3(mult, grid), sigma3(mult, grid), skew_form(4),
-        big_m4(mult, grid, K), sigma4(mult, grid, K), skew_form(5), big_m5(mult, grid, K),
+        big_m3(mult, grid), big_m3_symmetrized(mult, grid), sigma3(mult, grid),
+        big_m4(mult, grid, K), big_m4(mult, grid), sigma4(mult, grid, K), sigma4(mult, grid),
+        big_m5(mult, grid, K), big_m5(mult, grid), constant_form(4, 0.5 - 0.25j),
     ]
+
+
+def slot_patterns(grid, n, samples, rng):
+    """Stacks of the three slot patterns: [u]*n, [F]+[u]*(n-1) and a field
+    of its own per slot."""
+    u, F, *own = (
+        np.array([random_smooth_field(grid, rng, 0.4).coeffs for _ in range(samples)])
+        for _ in range(n + 2)
+    )
+    return {"[u]*n": [u] * n, "[F]+[u]*(n-1)": [F] + [u] * (n - 1), "distinct": own}
+
+
+def assert_near(got, ref, what):
+    """value within 8 eps x the reference's scale, and scale within 8 eps relative."""
+    eps = np.finfo(float).eps
+    assert np.all(ref[1] > 0.0), what
+    assert np.all(np.abs(got[0] - ref[0]) <= 8 * eps * ref[1].real), what
+    assert np.all(np.abs(got[1] - ref[1].real) <= 8 * eps * ref[1].real), what
 
 
 class TestStackedEvaluator:
     """_lambda_with_scale, the one Lambda_n evaluator, against the per-tuple sum.
 
-    Each slot reads its own field (the polarized case), so a slot or a
-    conjugate out of place shows. The worst measured errors are 1.4 eps x
-    scale for the value and 2 eps relative for the scale; both bounds are
-    8 eps.
+    Every lab form, at each slot pattern: all slots one field (the
+    energies), one polarized slot (the energy rates) and a field of its own
+    per slot, so that a slot, a conjugate or an orbit's count out of place
+    shows. The worst measured errors are 1.3 eps x scale for the value and
+    3.9 eps relative for the scale; both bounds are 8 eps.
     """
 
     @pytest.mark.parametrize("mu", [1.0, 1.4])
     def test_matches_the_tuple_sum(self, mu):
         g = make_grid(2, 6, mu)
         rng = np.random.default_rng(61)
-        eps = np.finfo(float).eps
-        for form in evaluator_forms(g):
-            stacks = [
-                np.array([random_smooth_field(g, rng, 0.4).coeffs for _ in range(3)])
-                for _ in range(form.n)
-            ]
-            value, scale = _lambda_with_scale(form, g, stacks)
-            assert value.shape == scale.shape == (3,)
-            for s in range(3):
-                ref, ref_scale = tuple_sum(form, g, [c[s] for c in stacks])
-                assert ref_scale > 0.0
-                assert abs(value[s] - ref) <= 8 * eps * ref_scale, form.tag
-                assert scale[s] == pytest.approx(ref_scale, rel=8 * eps), form.tag
+        for form in lab_forms(g, IMultiplier(s=-0.7, N=1.5 / mu)):
+            for pattern, stacks in slot_patterns(g, form.n, 3, rng).items():
+                got = _lambda_with_scale(form, g, stacks)
+                assert got[0].shape == got[1].shape == (3,)
+                assert_near(got, tuple_sum(form, g, stacks), (form.tag, pattern))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_a_form_that_is_not_symmetric_is_refused(self, n):
+        g = make_grid(2, 4)
+        c = np.array([random_smooth_field(g, np.random.default_rng(n), 0.4).coeffs])
+        with pytest.raises(ValueError, match="form 'skew' is not permutation-symmetric"):
+            _lambda_with_scale(skew_form(n), g, [c] * n)
+
+    @pytest.mark.parametrize("mu", [0.7, 1.4, 2.3])
+    def test_cancelling_forms_are_evaluated(self, mu):
+        # with m = 1 on the whole lattice every lab weight cancels to 0 and
+        # holds round-off only, which moves when the arguments are permuted:
+        # no form is refused, and every series passes its imaginary residue
+        # check (the orbit of -t is weighed at -t's entries, negated in place)
+        g = make_grid(2, 8, mu)
+        mult = IMultiplier(s=-0.5, N=100.0)
+        c = slot_stacks(g, 1, 4, 66)[0]
+        energies = _modified_energies(g, c, mult, 4)
+        assert np.all(np.abs(energies - energies[0]) <= 1e-12 * energies[0])
+        for form in lab_forms(g, mult)[:-1]:
+            assert np.all(np.isfinite(imethod._real_lambda(form, g, c, form.tag)))
+
+    def test_no_blas_call(self, monkeypatch):
+        # the contraction is gathers, multiplies and row sums: no matmul,
+        # dot or einsum, so its bits do not depend on the BLAS kernel
+        def refuse(*args, **kwargs):
+            raise AssertionError("BLAS call in Lambda_n")
+
+        g = make_grid(2, 6)
+        mult = IMultiplier(s=-0.5, N=2.0)
+        rng = np.random.default_rng(65)
+        for name in ("matmul", "dot", "einsum"):
+            monkeypatch.setattr(np, name, refuse)
+        for form in lab_forms(g, mult):
+            for stacks in slot_patterns(g, form.n, 2, rng).values():
+                _lambda_with_scale(form, g, stacks)
 
     def test_same_bits_in_every_stack(self, monkeypatch):
-        # at K=16 the quintic contraction's temporaries are large enough that
-        # numpy computes a * b in place in b, with the operands swapped
+        # at K=16 the 6340 orbits of Gamma_5 are one piece, taken 2 samples a
+        # pass, so stacks of 1 and 2 split the passes of the 35 differently
         g = make_grid(2, 16)
         rng = np.random.default_rng(62)
         c = np.array([random_smooth_field(g, rng, 0.5).coeffs for _ in range(35)])
@@ -251,26 +305,28 @@ class TestStackedEvaluator:
                 v, sc = _lambda_with_scale(form, g, [part] * 5)
                 assert v.tobytes() == value[s : s + size].tobytes()
                 assert sc.tobytes() == scale[s : s + size].tobytes()
-        # 2178 head and rest entries: chunks of 4 samples
+        # a byte bound that also gives passes of 2 samples
         monkeypatch.setattr(imethod, "STACK_BYTES", 4 * 32 * 2178)
         v, sc = _lambda_with_scale(form, g, [c] * 5)
         assert v.tobytes() == value.tobytes() and sc.tobytes() == scale.tobytes()
 
     def test_each_tuple_weighed_once_in_chunks(self, monkeypatch):
-        # 578 head and rest entries at K=8: chunks of 4 samples, so 10
-        # samples take 3 chunks, and still every tuple of Gamma_5 is
-        # weighed once in the call
+        # pieces of 100 orbits at K=8, taken 4 samples a pass, so 10 samples
+        # take 3 passes a piece, and still each piece is weighed once at its
+        # representatives, one per orbit (and once at each of two
+        # permutations of them)
         g = make_grid(2, 8)
         form, records = weighed(big_m5(IMultiplier(s=-0.5, N=2.0), g, 8))
         stacks = slot_stacks(g, 5, 10, 64)
+        monkeypatch.setattr(resonance, "PIECE_TUPLES", 100)
         whole = _lambda_with_scale(form, g, stacks)
         records.clear()
-        monkeypatch.setattr(imethod, "STACK_BYTES", 4 * 32 * 578)
+        monkeypatch.setattr(imethod, "STACK_BYTES", 16 * 4 * 100)
         assert_same_bits(_lambda_with_scale(form, g, stacks), whole, "chunks")
-        got = np.concatenate(records, axis=1).T
-        ref = np.stack(_hyperplane_tuples(5, 8), axis=1)
-        assert len(records) > 1 and got.shape == ref.shape
-        assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
+        got = np.sort(np.concatenate(records[::3], axis=1).T, axis=1)
+        ref = np.unique(np.sort(np.stack(_hyperplane_tuples(5, 8), axis=1), axis=1), axis=0)
+        assert len(records) == 3 * -(-len(ref) // 100)
+        assert len(got) == len(ref) and np.array_equal(np.unique(got, axis=0), ref)
 
     def test_energies_of_a_stack_are_the_per_sample_energies(self):
         g = make_grid(2, 8, 1.4)
@@ -578,8 +634,7 @@ class TestCascadeStep:
     def test_cache_holds_imethod_tables_only(self, monkeypatch):
         # the energy hierarchy, the drift oracle with its quintic M5 at
         # K=16, M3sym and the continuum M4 and sigma4 read no whole lattice,
-        # and the cache holds block layouts and pair-term tables only: no
-        # weights
+        # and the cache holds pair-term tables only: no weights and no walk
         def refuse(n, K):
             raise AssertionError(f"whole Gamma_{n} read at K={K}")
 
@@ -597,7 +652,7 @@ class TestCascadeStep:
             kinds = {key[0] for key in imethod._CACHE}
         finally:
             imethod._CACHE.clear()
-        assert kinds == {"blocks", "pairs"}
+        assert kinds == {"pairs"}
 
     def test_cache_stays_at_its_bound(self, monkeypatch):
         # 40 quintic evaluations at K=6, each with its own multiplier and so
@@ -605,12 +660,7 @@ class TestCascadeStep:
         # that admits the quintic lattice, about a dozen sigma4 tables: after
         # every call the arrays the cache holds take at most TABLE_BYTES
         def held():
-            # a pair-term table, or a layout: head and rest columns, bounds, lasts
-            return sum(
-                v.nbytes if isinstance(v, np.ndarray)
-                else sum(a.nbytes for a in (*v[0], *v[1], v[2], *v[3]))
-                for v in imethod._CACHE.values()
-            )
+            return sum(v.nbytes for v in imethod._CACHE.values())
 
         def pairs(mult):
             return ("pairs", 4, mult, 1, 1.0, 6, 6)
@@ -618,14 +668,12 @@ class TestCascadeStep:
         monkeypatch.setattr(imethod, "TABLE_BYTES", 16 * 13**4)
         g = make_grid(1, 6)
         u = smooth_field(g, 3)
-        layout = imethod._block_layout(5, 6)
         mults = [IMultiplier(s=-0.5, N=1.0 + 0.1 * i) for i in range(40)]
         for mult in mults:
             lambda_n(big_m5(mult, g, 6), [u] * 5)
             assert pairs(mult) in imethod._CACHE and held() <= imethod.TABLE_BYTES
+        # least recently used out first
         assert pairs(mults[0]) not in imethod._CACHE
-        # least recently used out first: the block layout every evaluation reads stays
-        assert imethod._block_layout(5, 6) is layout
 
     def test_pair_terms_refuse_an_oversize_table_before_allocating(self):
         # the sigma4 pair-term table at bound 203 would take 16 * 407^3 bytes,
@@ -657,73 +705,6 @@ class TestCascadeStep:
                 big_m5(mult, g, 6).weight(*_hyperplane_tuples(5, 6))
         finally:
             imethod._CACHE.clear()
-
-
-def layout_orders(n, K):
-    """(row order, column order, blocks) of the block layout: each row's
-    and column's flat index in the dense block over its entries."""
-    head, rest, bounds, _ = imethod._block_layout(n, K)
-    flat = [imethod._flat([d - K for d in part], K)[0] for part in (head, rest)]
-    return flat[0], flat[1], bounds
-
-
-def reference_table(form, K):
-    """The weight table as one scatter of the whole lattice: the weight
-    at every tuple of Gamma_n at once, placed by the argsort ranks, the
-    blocks of the layout one after the other."""
-    n, h = form.n, (form.n - 1) // 2
-    rows, cols, bounds = layout_orders(n, K)
-    r0, r1, c0, c1 = bounds.T
-    start = np.concatenate(([0], np.cumsum((r1 - r0) * (c1 - c0))))
-    idx = _hyperplane_tuples(n, K)
-    w = form.weight(*idx)
-    head, gi = imethod._flat(idx[:h], K)
-    gi += h * K
-    pos = np.argsort(cols)[imethod._flat(idx[h:-1], K)[0]]
-    pos += start[gi] - c0[gi]
-    pos += (np.argsort(rows)[head] - r0[gi]) * (c1 - c0)[gi]
-    table = np.zeros(start[-1], dtype=np.complex128)
-    table[pos] = w
-    return table
-
-
-def reference_contract(tables, blocks, layout):
-    """The whole-table contraction: per sample, the sum over head sums g of
-    a[H_g] . (W_g @ (b * u_n)), the products a and b over every head row
-    and rest column formed at once."""
-    rows, cols, bounds, lasts, h = layout
-    S = len(tables[0])
-
-    def outer(parts, order):
-        out = np.ones((S, 1))
-        for t in parts:
-            out = (out[:, :, None] * t[:, None, :]).reshape(S, -1)
-        return out.take(order, axis=1)
-
-    head, rest = outer(tables[:h], rows), outer(tables[h:-1], cols)
-    acc = np.zeros(S, dtype=tables[0].dtype)
-    for (r0, r1, c0, c1), last, w in zip(bounds, lasts, blocks):
-        v = np.multiply(rest[:, c0:c1], tables[-1].take(last, axis=1))
-        acc += np.matmul(head[:, None, r0:r1], np.matmul(w, v[:, :, None]))[:, 0, 0]
-    return acc
-
-
-def reference_lambda(form, grid, stacks):
-    """(value, scale) of _lambda_with_scale from the whole weight table,
-    contracted block by block in one pass for the value and one for the scale."""
-    rows, cols, bounds = layout_orders(form.n, grid.K)
-    lasts = imethod._block_layout(form.n, grid.K)[3]
-    table = reference_table(form, grid.K)
-    blocks, at = [], 0
-    for r0, r1, c0, c1 in bounds.tolist():
-        blocks.append(table[at : at + (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0))
-        at += (r1 - r0) * (c1 - c0)
-    layout = (rows, cols, bounds.tolist(), lasts, (form.n - 1) // 2)
-    tables = [imethod._coeff_table(c) for c in stacks]
-    norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
-    value = norm * reference_contract(tables, blocks, layout)
-    moduli = [np.abs(t) for t in tables]
-    return value, norm * reference_contract(moduli, map(np.abs, blocks), layout)
 
 
 def slot_stacks(grid, n, samples, seed):
@@ -761,47 +742,99 @@ def weighed(form):
     return MultilinearForm(form.n, w, form.tag), records
 
 
-class TestWeightTable:
-    """The weights W, evaluated piece by piece off the block layout and
-    contracted as each piece is formed, give the bits of the whole weight
-    table scattered at once and contracted block by block."""
+def orbit_pieces(n, K):
+    """(representatives as rows, multiplicities, rows per piece, orbits per
+    piece) of the orbit walk."""
+    pieces = [np.stack(t, axis=1) for t, _ in resonance._orbit_chunks(n, K)]
+    reps = np.concatenate(pieces or [np.zeros((0, n), int)])
+    mult = np.concatenate([m for _, m in resonance._orbit_chunks(n, K)] or [np.zeros(0, int)])
+    orbits = [len(np.unique(np.sort(p, axis=1), axis=0)) for p in pieces]
+    return reps, mult, [len(p) for p in pieces], orbits
 
-    @staticmethod
-    def forms(mult, g):
-        K = g.K
-        return [
-            big_m3(mult, g), big_m3_symmetrized(mult, g), sigma3(mult, g),
-            big_m4(mult, g, K), big_m4(mult, g), sigma4(mult, g, K), sigma4(mult, g),
-            big_m5(mult, g, K), big_m5(mult, g), skew_form(2), constant_form(4, 0.5 - 0.25j),
-        ]
+
+class TestWeightTable:
+    """The weights W: no table of them is held. Lambda_n walks the
+    permutation orbits of Gamma_n, once each, at their sorted
+    representatives, and weighs and contracts each piece of them before it
+    forms the next."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 6, 9])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_tuples_read_off_the_layout(self, monkeypatch, n, K):
+        # in pieces of 7 orbits and in one piece: the multiplicities count
+        # Gamma_n; each orbit is written once, sorted, or in descending order
+        # as the negation of its negation's representative, or, when it is its
+        # own negation, both ways with half its size each; their
+        # permutations are Gamma_n; and the weight is read at the
+        # representatives (then at a transposition and, from n = 3, a
+        # cyclic shift of them), a piece a call
+        lattice = np.stack(_hyperplane_tuples(n, K), axis=1)
+        for piece in (7, 2**40):
+            monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
+            reps, mult, sizes, orbits = orbit_pieces(n, K)
+            assert mult.sum() == len(lattice)
+            assert all(count == piece for count in orbits[:-1])
+            rows = {tuple(row) for row in reps.tolist()}
+            assert len(rows) == len(reps)
+            for row, m in zip(reps.tolist(), mult):
+                up, own = sorted(row), sorted(-a for a in row) == sorted(row)
+                assert row == up or (row == up[::-1] and tuple(-a for a in row) in rows)
+                assert m * (2 if own else 1) == len(set(permutations(row)))
+            perms = np.concatenate([reps[:, p] for p in permutations(range(n))])
+            assert np.array_equal(np.unique(perms, axis=0), np.unique(lattice, axis=0))
+            form, records = weighed(constant_form(n))
+            streamed(form, make_grid(1, K), [np.ones((1, K), dtype=complex)] * n)
+            got = [r.T for r in records[:: 2 if n == 2 else 3]]
+            assert np.array_equal(np.concatenate(got or [np.zeros((0, n), int)]), reps)
+            assert [len(r) for r in got] == sizes
+
+    def test_gamma3_at_1_is_empty(self):
+        # three entries of +-1 never sum to 0: no orbit, and Lambda_3 is exactly 0
+        g = make_grid(1, 1)
+        assert orbit_pieces(3, 1)[2] == []
+        value, scale = _lambda_with_scale(constant_form(3), g, [np.ones((2, 1), complex)] * 3)
+        assert value.tobytes() == np.zeros(2, complex).tobytes() and np.all(scale == 0.0)
+
+    @pytest.mark.parametrize("n, K", [(3, 6), (4, 6), (5, 8)])
+    def test_pieces_do_not_depend_on_the_stack(self, monkeypatch, n, K):
+        # the weight calls, and so the pieces, are the same for 1 sample and 7
+        g = make_grid(2, K)
+        mult = IMultiplier(s=-0.5, N=2.0)
+        form, records = weighed({3: sigma3(mult, g), 4: sigma4(mult, g, K), 5: big_m5(mult, g, K)}[n])
+        monkeypatch.setattr(resonance, "PIECE_TUPLES", 7)
+        calls = []
+        for samples in (1, 7):
+            records.clear()
+            _lambda_with_scale(form, g, slot_stacks(g, n, samples, 75))
+            calls.append([r.tobytes() for r in records])
+        assert len(calls[0]) > 3 and calls[0] == calls[1]
 
     @pytest.mark.parametrize("mu", [1.0, 1.5])
     @pytest.mark.parametrize("shape", ["clipped_power", "smooth_log"])
     @pytest.mark.parametrize("K", [3, 6])
     def test_equals_the_whole_lattice_scatter(self, monkeypatch, K, shape, mu):
-        # pieces of one block, of at most 7 entries (or one block), and one
-        # piece for the whole lattice
+        # the tuple sum weighs the whole lattice at once; the walk, in pieces
+        # of one orbit, of 7 orbits and in one piece, agrees with it
         g = make_grid(2, K, mu)
         mult = IMultiplier(s=-0.7, N=1.0, shape=shape)
-        for form in self.forms(mult, g):
+        for form in lab_forms(g, mult):
             stacks = slot_stacks(g, form.n, 3, 71)
-            ref = reference_lambda(form, g, stacks)
-            assert np.all(ref[1] > 0), form.tag
+            ref = tuple_sum(form, g, stacks)
             for piece in (1, 7, 2**40):
                 monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
-                assert_same_bits(streamed(form, g, stacks), ref, (form.tag, piece))
+                assert_near(streamed(form, g, stacks), ref, (form.tag, piece))
 
     def test_quintic_table_at_16(self):
         g = make_grid(2, 16)
         form = big_m5(IMultiplier(s=-0.5, N=4.0), g, 16)
         stacks = [slot_stacks(g, 1, 33, 72)[0]] * 5
-        assert_same_bits(streamed(form, g, stacks), reference_lambda(form, g, stacks), "M5")
+        assert_near(streamed(form, g, stacks), tuple_sum(form, g, stacks), "M5")
 
     @pytest.mark.parametrize("piece", [1, 7, None])
     def test_one_sigma_table_at_every_piece_size(self, monkeypatch, piece):
-        # a piece of one block, of 7 entries, and one piece for all (None):
-        # every value keeps its bits and each pair-term table of sigma_n,
-        # keyed by its arity and bound, is built once
+        # a piece of one orbit, of 7 orbits, and one piece for all (None):
+        # every value is near the tuple sum and each pair-term table of
+        # sigma_n, keyed by its arity and bound, is built once
         K = 4
         g = make_grid(2, K, 1.5)
         mult = IMultiplier(s=-0.6, N=1.0)
@@ -811,26 +844,24 @@ class TestWeightTable:
             (big_m5(mult, g, K), {(4, K), (3, K)}), (big_m5(mult, g), {(4, 2 * K), (3, 4 * K)}),
         ]
         stacks = {n: slot_stacks(g, n, 2, 73) for n in (4, 5)}
-        refs = [reference_lambda(form, g, stacks[form.n]) for form, _ in cases]
+        refs = [tuple_sum(form, g, stacks[form.n]) for form, _ in cases]
         monkeypatch.setattr(resonance, "PIECE_TUPLES", piece or 2**40)
         builds = recorded_builds(monkeypatch)
         for (form, tables), ref in zip(cases, refs):
             builds.clear()
-            assert_same_bits(streamed(form, g, stacks[form.n]), ref, form.tag)
+            assert_near(streamed(form, g, stacks[form.n]), ref, form.tag)
             pairs = [(key[1], key[5]) for key in builds if key[0] == "pairs"]
             assert sorted(pairs) == sorted(tables), form.tag
 
-    def test_quintic_build_holds_no_quintic_tuples(self):
-        # with the sigma4 pair-term table and the layout warm, the whole
-        # weight table (10.9 MiB) was scattered and held: the evaluation
-        # peaked at 15.0 MiB (tracemalloc); walked piece by piece off the
-        # layout it holds one piece's tuples and weights, and nothing after
-        g = make_grid(2, 16)
+    @staticmethod
+    def quintic_peak(K):
+        """(tracemalloc peak, bytes held after) of a cold Lambda_5(M5) on 33
+        samples with the sigma4 pair-term table warm; it caches nothing."""
+        g = make_grid(2, K)
         mult = IMultiplier(s=-0.5, N=4.0)
-        form = big_m5(mult, g, 16)
+        form = big_m5(mult, g, K)
         stacks = [slot_stacks(g, 1, 33, 74)[0]] * 5
-        imethod._pair_terms(4, mult, g, 16, 16)
-        imethod._block_layout(5, 16)
+        imethod._pair_terms(4, mult, g, K, K)
         warm = set(imethod._CACHE)
         tracemalloc.start()
         try:
@@ -838,21 +869,18 @@ class TestWeightTable:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
-        assert held < 2**16 and set(imethod._CACHE) == warm
+        assert set(imethod._CACHE) == warm
+        return peak, held
 
-    @pytest.mark.parametrize("K", [1, 2, 3, 6])
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_tuples_read_off_the_layout(self, monkeypatch, n, K):
-        # the nonzero-entry tuples of the layout's blocks are Gamma_n, each once
-        g = make_grid(1, K)
-        form, records = weighed(constant_form(n))
-        monkeypatch.setattr(resonance, "PIECE_TUPLES", 7)
-        streamed(form, g, [np.ones((1, K), dtype=complex)] * n)
-        got = np.concatenate(records, axis=1).T
-        ref = np.stack(_hyperplane_tuples(n, K), axis=1)
-        assert got.shape == ref.shape
-        assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
+    def test_quintic_build_holds_no_quintic_tuples(self):
+        # the dense block walk peaked at 2.4 MiB; the orbit walk at 1.3 MiB
+        peak, held = self.quintic_peak(16)
+        assert peak <= 2.4 * 2**20 and held < 2**16
+
+    def test_quintic_peak_at_32(self):
+        # the dense block walk peaked at 8.2 MiB; the orbit walk at 4.8 MiB
+        peak, held = self.quintic_peak(32)
+        assert peak <= 8.2 * 2**20 and held < 2**16
 
     def test_entries_beyond_the_lattice_bound_refused(self):
         g = make_grid(2, 6)
