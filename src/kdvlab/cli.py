@@ -24,7 +24,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from . import __version__, resonance
+from . import __version__, imethod, resonance
 from .experiments import (
     ExperimentConfig,
     almost_conservation_sweep,
@@ -323,6 +323,18 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
     _check_at_least(cfg, j=1, K=2, K4=2)
     path = _output_path(cfg, "csv", out_dir) if cfg["csv"] else None
     k4 = cfg["K4"] if cfg["K4"] is not None else cfg["K"]
+    # refused before the walk: a report has at most (2K)^(n-1) rows, each
+    # n entries, P_n and Q_n at their dtype (a Python int is a pointer and
+    # an object) and a float64 ratio
+    for key, K, n in (("K", cfg["K"], 3), ("K4" if cfg["K4"] is not None else "K", k4, 4)):
+        dtype = resonance._exact_dtype(n, K, cfg["j"])
+        cell = 8 if dtype is np.int64 else 8 + sys.getsizeof(n * K ** (2 * cfg["j"] + 1))
+        size = (2 * K) ** (n - 1) * ((n + 2) * cell + 8)
+        if size > imethod.TABLE_BYTES:
+            raise ConfigError(
+                f"bad value for key {key!r}: {K} needs a Gamma_{n} report of up to "
+                f"{size} bytes > TABLE_BYTES"
+            )
     rep3 = verify_factorization(cfg["j"], cfg["K"], arity=3)
     rep4 = verify_factorization(cfg["j"], k4, arity=4)
     for rep in (rep3, rep4):

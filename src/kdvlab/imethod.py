@@ -35,19 +35,21 @@ all argument permutations; on sigma2 = m(x1) m(x2) the same step gives M3.
 Each level has one table: on Gamma_n the rest of a pair fixes its sum, so
 the step reads each pair term sigma_(n-1)(rest, p) p from a pair-term
 table of sigma_(n-1), filled piece by piece from Gamma_(n-1) (sigma_(n-1)
-itself is never stored). A term whose pair sum vanishes contributes
-exactly 0, and sigma4 is defined as 0 on resonant tuples (alpha4 = 0),
-where a runtime check confirms M4 vanishes there. A form's weights are
-never stored: each piece of orbits is weighed and contracted before the
-next is formed. Pair-term tables are this module's one cache; TABLE_BYTES
-bounds it, each table's size and the dense lattice that admits a Lambda_n.
+itself is never stored). One walk of the lattice, resonance's
+_hyperplane_chunks, gives both the pieces of Gamma_(n-1) that fill a
+table and, sorted, the orbit representatives that Lambda_n weighs. A term
+whose pair sum vanishes contributes exactly 0, and sigma4 is defined as
+0 on resonant tuples (alpha4 = 0), where a runtime check confirms M4
+vanishes there. A form's weights are never stored: each piece of orbits
+is weighed and contracted before the next is formed. Pair-term tables are
+this module's one cache; TABLE_BYTES bounds it, each table's size and the
+dense lattice that admits a Lambda_n.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, permutations
 from math import factorial, prod
 from typing import Callable, Sequence
@@ -56,7 +58,7 @@ import numpy as np
 
 from .flow import _band_mask, _rhs_function
 from . import resonance
-from .resonance import _hyperplane_chunks, _pn_int
+from .resonance import _pn_int
 from .spectral import FourierField, GridSpec, _check_same_grid
 
 __all__ = [
@@ -186,12 +188,14 @@ def constant_form(n: int, value: complex = 1.0) -> MultilinearForm:
 
 
 def _flat(cols: Sequence[np.ndarray], K: int) -> np.ndarray:
-    """Flat index of m index columns in the dense block [-K, K]^m, first
-    column outermost."""
-    flat = np.zeros(1, dtype=np.int64)
-    for a in cols:
-        flat = flat * (2 * K + 1) + (a + K)
-    return flat
+    """Flat index of m >= 1 index columns in the dense block [-K, K]^m,
+    first column outermost; the offset K of each column is added once, as
+    one constant."""
+    w = 2 * K + 1
+    flat = cols[0]
+    for a in cols[1:]:
+        flat = flat * w + a
+    return flat + K * sum(w**i for i in range(len(cols)))
 
 
 def _coeff_table(coeffs: np.ndarray) -> np.ndarray:
@@ -399,13 +403,14 @@ def _pair_terms(
     p the last entry, as a flat table dense over the rest (the first n-1
     entries, offset by B, first outermost); 0 off that set. On Gamma_(n+1)
     the rest of a pair fixes its sum p, so each pair term of the cascade
-    step is one entry here. Gamma_n is read piece by piece."""
+    step is one entry here. Gamma_n is read piece by piece off the one
+    lattice walk, resonance._hyperplane_chunks."""
     _check_table(n, grid.K, B)
 
     def build():
         # sigma2 and sigma3 are real
         table = np.zeros((2 * B + 1) ** (n - 1), dtype=np.float64 if n < 4 else np.complex128)
-        for idx in _hyperplane_chunks(n, B):
+        for idx in resonance._hyperplane_chunks(n, B):
             if cutoff is not None:
                 keep = np.abs(idx[-1]) <= cutoff
                 idx = tuple(a[keep] for a in idx)
@@ -451,14 +456,9 @@ def _m_values(
     B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
     terms = _pair_terms(n - 1, mult, grid, B, cutoff)
     scale = np.zeros(idx[0].shape, dtype=np.float64) if with_scale else None
-    # a pair term is read at the rest through one flat index; the offset
-    # of B of each rest entry is added once, as one constant
-    w = 2 * B + 1
-    shift = B * sum(w**i for i in range(n - 2))
     acc = np.zeros(idx[0].shape, dtype=terms.dtype)
     for a, b in combinations(range(n), 2):
-        rest = [idx[x] for x in range(n) if x not in (a, b)]
-        term = terms.take(reduce(lambda f, r: f * w + r, rest) + shift)
+        term = terms.take(_flat([idx[x] for x in range(n) if x not in (a, b)], B))
         acc += term
         if with_scale:
             np.maximum(scale, np.abs(term), out=scale)

@@ -5,10 +5,11 @@ On Gamma_3 it factors as x*y*z*Q_3 and on Gamma_4 as
 (x+y)(x+z)(x+w)*Q_4, with |Q_n| comparable to max|entry|^(2j-2). This
 module evaluates the polynomials and cofactors in exact integer/rational
 arithmetic (floats are deliberately rejected: the identities are exact,
-and k^(2j+1) overflows fixed-width types quickly), owns the one lattice
-enumerator of the zero-sum tuples and the one array evaluator of P_n, and
-verifies the factorization and comparability claims over the tuples as
-exact integer array arithmetic.
+and k^(2j+1) overflows fixed-width types quickly), owns the one walk of
+the zero-sum tuples (every tuple, or the sorted ones, one per permutation
+orbit) and the one array evaluator of P_n, and verifies the factorization
+and comparability claims over the tuples as exact integer array
+arithmetic.
 """
 
 from __future__ import annotations
@@ -155,90 +156,69 @@ class FactorizationReport:
 PIECE_TUPLES = 1 << 14
 
 
-def _hyperplane_chunks(n: int, K: int):
+def _hyperplane_chunks(n: int, K: int, orbits: bool = False):
     """Integer index tuples on Gamma_n with nonzero entries, |index| <= K,
-    in pieces.
+    in pieces; with orbits, only the sorted ones k_1 <= .. <= k_n, one
+    representative for each permutation orbit.
 
     Yields one int64 array per slot for each piece, in nested-loop order
-    (first slot outermost). Only the first n-2 slots form a dense grid:
-    for a head of sum g the (n-1)-th entries with |g + entry| <= K are one
-    contiguous run of the sorted values, so each head's rows are that run,
-    minus the one entry -g that would make the last slot 0. A piece is a
-    run of consecutive whole heads of at most PIECE_TUPLES rows, or one
-    head where a head alone holds more; no piece is empty unless Gamma_n
-    is, and then it is the one piece.
+    (first slot outermost). The heads k_1..k_(n-2) are built slot by slot:
+    with r entries left after a sum g, the next entry v runs over the
+    values with |g + v| <= (r-1) K, after which the rest can still
+    complete the sum, and for sorted tuples also from the last entry on up
+    to -g/r, as the rest are no smaller: one contiguous run of the sorted
+    values. Each head's k_(n-1) are its run, taken PIECE_TUPLES rows a
+    piece, and k_n = -(g + k_(n-1)); the one row with k_n = 0 is dropped
+    (sorted, k_n is the largest entry of a zero sum, so it never is 0). An
+    empty Gamma_n yields no piece.
     """
     vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
-    if n == 2:
-        yield vals.copy(), -vals
-        return
-    head = [x.reshape(-1) for x in np.meshgrid(*([vals] * (n - 2)), indexing="ij")]
-    g = sum(head)
-    lo = np.searchsorted(vals, -K - g)
-    counts = np.searchsorted(vals, K - g, side="right") - lo
-    # rows kept up to each head: its run less -g, where -g is a value
-    ends = np.cumsum(counts - ((g != 0) & (np.abs(g) <= K)))
-    first = start = 0
-    while first < len(g):
-        # whole heads, as many as end within one piece but at least up to the
-        # next head with rows; past the last row, every head that is left
-        nxt_end = ends[min(np.searchsorted(ends, start, side="right"), len(g) - 1)]
-        stop = int(np.searchsorted(ends, max(start + PIECE_TUPLES, nxt_end), side="right"))
-        cnt = counts[first:stop]
-        row = np.repeat(np.arange(first, stop), cnt)
-        # each row's place in vals: its head's first, plus its rank in the run
-        at = np.arange(len(row)) + np.repeat(lo[first:stop] - (np.cumsum(cnt) - cnt), cnt)
+
+    def place(start, stop):
+        # rows start..stop of the runs of this slot: each row's head, and
+        # its place in vals (its head's first, plus its rank in the run)
+        h0, h1 = np.searchsorted(ends, [start, stop - 1], side="right") + [0, 1]
+        part = np.minimum(ends[h0:h1], stop) - np.maximum(ends[h0:h1] - cnt[h0:h1], start)
+        h = np.repeat(np.arange(h0, h1), part)
+        return h, first[h] + np.arange(start, stop)
+
+    heads, at, g = [], np.zeros(1, np.int64), np.zeros(1, np.int64)
+    for r in range(n, 1, -1):
+        lo = np.searchsorted(vals, -g - (r - 1) * K)
+        hi = np.searchsorted(vals, (r - 1) * K - g, side="right")
+        if orbits:
+            lo, hi = np.maximum(lo, at), np.searchsorted(vals, -g // r, side="right")
+        cnt = np.maximum(hi - lo, 0)
+        ends, total = np.cumsum(cnt), int(cnt.sum())
+        first = lo - (ends - cnt)
+        if r > 2:
+            h, at = place(0, total)
+            heads, g = [a[h] for a in heads] + [vals[at]], g[h] + vals[at]
+    for start in range(0, total, PIECE_TUPLES):
+        h, at = place(start, min(start + PIECE_TUPLES, total))
         nxt = vals[at]
-        last = -(g[row] + nxt)
+        last = -(g[h] + nxt)
         keep = last != 0
-        row = row[keep]
-        yield tuple(a[row] for a in head) + (nxt[keep], last[keep])
-        first, start = stop, ends[stop - 1]
+        h = h[keep]
+        yield tuple(a[h] for a in heads) + (nxt[keep], last[keep])
 
 
 def _orbit_chunks(n: int, K: int):
     """The permutation orbits of Gamma_n (nonzero entries, |index| <= K) as
-    their sorted representatives k_1 <= .. <= k_n, in pieces of PIECE_TUPLES
-    orbits.
+    their sorted representatives from _hyperplane_chunks, in its pieces of
+    PIECE_TUPLES orbits.
 
     Yields (one int64 array per slot, each orbit's size n!/prod c_v!, c_v
-    the count of each value), in nested-loop order. With r entries left
-    and a sum g so far, the next entry v runs from the last one on, with
-    r v <= -g and v >= -g - (r-1) K so that the rest can complete the sum:
-    one contiguous run of the sorted values. The heads k_1..k_(n-2) are
-    built slot by slot; each head's k_(n-1) are its run, taken a piece at
-    a time. k_n = -(g + k_(n-1)), the largest entry of a zero sum, is
-    positive, so never 0.
-
-    Of an orbit and its negation, one is written in descending order
-    instead, as the other's representative negated entry by entry, and an
-    orbit that is its own negation is written both ways, each with half
-    its size. A weight that negating its arguments conjugates then gives
-    terms on real fields that are exact conjugates in pairs, as on the
-    whole lattice, bit for bit.
+    the count of each value). Of an orbit and its negation, one is written
+    in descending order instead, as the other's representative negated
+    entry by entry, and an orbit that is its own negation is written both
+    ways, each with half its size. A weight that negating its arguments
+    conjugates then gives terms on real fields that are exact conjugates
+    in pairs, as on the whole lattice, bit for bit.
     """
-    vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
-
-    def run(at, g, r):
-        lo = np.maximum(at, np.searchsorted(vals, -g - (r - 1) * K))
-        return lo, np.maximum(lo, np.searchsorted(vals, -g // r, side="right")) - lo
-
-    heads, at, g = [], np.zeros(1, np.int64), np.zeros(1, np.int64)
-    for r in range(n, 2, -1):
-        lo, cnt = run(at, g, r)
-        row = np.repeat(np.arange(len(g)), cnt)
-        at = lo[row] + np.arange(len(row)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        heads = [h[row] for h in heads] + [vals[at]]
-        g = g[row] + vals[at]
-    lo, cnt = run(at, g, 2)
-    ends = np.cumsum(cnt)
-
-    def piece(r):
-        h = np.searchsorted(ends, r, side="right")
-        nxt = vals[lo[h] + r - (ends[h] - cnt[h])]
-        t = [a[h] for a in heads] + [nxt, -(g[h] + nxt)]
+    for t in _hyperplane_chunks(n, K, orbits=True):
         # prod c_v! as the product of each entry's rank in its run of equal values
-        rank, den = np.ones(len(r), np.int64), np.ones(len(r), np.int64)
+        rank, den = np.ones(len(t[0]), np.int64), np.ones(len(t[0]), np.int64)
         for a, b in zip(t, t[1:]):
             rank = np.where(a == b, rank + 1, 1)
             den *= rank
@@ -247,7 +227,7 @@ def _orbit_chunks(n: int, K: int):
         # k_i + k_(n+1-i) is positive is written as the other's
         # representative negated (its own reversed); one that is its own
         # negation is written both ways, with half its size each
-        side = np.zeros(len(r), np.int64)
+        side = np.zeros(len(t[0]), np.int64)
         for a, b in reversed(list(zip(t, t[::-1]))[: n // 2]):
             side = np.where(a + b != 0, np.sign(a + b), side)
         t = [np.where(side > 0, b, a) for a, b in zip(t, t[::-1])]
@@ -255,17 +235,14 @@ def _orbit_chunks(n: int, K: int):
         if both.any():
             t = [np.concatenate([a, b[both]]) for a, b in zip(t, t[::-1])]
             mult = np.concatenate([np.where(both, mult // 2, mult), mult[both] // 2])
-        return t, mult
-
-    total = int(ends[-1]) if len(ends) else 0
-    for start in range(0, total, PIECE_TUPLES):
-        yield piece(np.arange(start, min(start + PIECE_TUPLES, total)))
+        yield t, mult
 
 
 def _hyperplane_tuples(n: int, K: int) -> tuple:
     """All of Gamma_n at once: the pieces of _hyperplane_chunks joined, one
-    read-only int64 array per slot."""
-    out = tuple(np.concatenate(cols) for cols in zip(*_hyperplane_chunks(n, K)))
+    read-only int64 array per slot (empty when Gamma_n is)."""
+    empty = [np.zeros(0, np.int64)] * n
+    out = tuple(np.concatenate(cols) for cols in zip(empty, *_hyperplane_chunks(n, K)))
     for a in out:
         a.flags.writeable = False
     return out

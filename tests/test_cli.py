@@ -150,6 +150,27 @@ class TestExitCodes:
         assert run_cli("resonance-check", *argv, "--out", str(tmp_path)) == 0
         assert len(peaks) == 1 and peaks[0] < 8 * 2**20
 
+    @pytest.mark.parametrize("argv, key", [
+        (("--K", "20000"), "key 'K': 20000"),
+        (("--K", "16", "--K4", "20000"), "key 'K4': 20000"),
+    ], ids=["K", "K4"])
+    def test_oversized_resonance_check_refused_before_the_walk(
+        self, tmp_path, capsys, argv, key
+    ):
+        # a report on Gamma_3 at K=20000, or on Gamma_4 at K4=20000, would
+        # far exceed TABLE_BYTES: refused, naming the key, before the walk
+        tracemalloc.start()
+        try:
+            status = run_cli("resonance-check", "--j", "1", *argv, "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith(f"configuration error: bad value for {key} needs a Gamma_")
+        assert not (tmp_path / "manifest.json").exists()
+        assert peak < 2**20
+
     def test_solve_bad_dt_is_config_error(self, tmp_path):
         status = run_cli(
             "solve", "--j", "2", "--K", "8", "--dt", "-0.1", "--T", "0.1",

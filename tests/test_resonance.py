@@ -1,5 +1,6 @@
 """Exact resonance-polynomial algebra and factorization enumeration."""
 
+import inspect
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from kdvlab import resonance
+from kdvlab import imethod, resonance
+from kdvlab.imethod import IMultiplier
 from kdvlab.resonance import (
     FreqTuple,
     ResonantTupleError,
@@ -17,6 +19,7 @@ from kdvlab.resonance import (
     q_n,
     verify_factorization,
 )
+from kdvlab.spectral import make_grid
 
 
 class TestPn:
@@ -225,21 +228,20 @@ class TestHyperplaneTuples:
     @pytest.mark.parametrize("piece", [1, 7, 100, 10**6])
     @pytest.mark.parametrize("n, K", [(2, 3), (3, 5), (4, 4), (5, 3)])
     def test_pieces_are_runs_of_whole_heads(self, monkeypatch, n, K, piece):
-        # joined, the pieces are the meshgrid enumeration; no head (the
-        # first n-2 entries) is split between two pieces, and a piece holds
-        # more than the piece size only when it is one head
+        # joined, the pieces are the meshgrid enumeration; a piece is cut
+        # at the piece size, not at a head's end: it holds at most the
+        # piece size of tuples, and every orbit piece but the last holds
+        # exactly the piece size of orbits
         monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
         pieces = list(resonance._hyperplane_chunks(n, K))
         for a, b in zip(zip(*pieces), meshgrid_tuples(n, K)):
             assert np.concatenate(a).tobytes() == b.tobytes()
-        if n == 2:
-            assert len(pieces) == 1
-            return
-        heads = [np.stack(p[: n - 2], axis=1) for p in pieces]
-        for h in heads:
-            assert 0 < len(h) <= piece or len(np.unique(h, axis=0)) == 1
-        for h0, h1 in zip(heads, heads[1:]):
-            assert not np.array_equal(h0[-1], h1[0])
+        assert all(len(p[0]) <= piece for p in pieces)
+        orbits = [
+            len(np.unique(np.sort(np.stack(t, axis=1), axis=1), axis=0))
+            for t, _ in resonance._orbit_chunks(n, K)
+        ]
+        assert orbits and all(c == piece for c in orbits[:-1]) and orbits[-1] <= piece
 
     def test_memory_peak_below_the_dense_grid(self):
         # the dense grid of the four free slots peaked at 63.8 MiB (tracemalloc)
@@ -250,3 +252,25 @@ class TestHyperplaneTuples:
         finally:
             tracemalloc.stop()
         assert peak < 63.8 * 2**20
+
+    def test_both_outputs_come_from_the_one_walk(self, monkeypatch):
+        # the dense lattice, a pair-term table and the orbits all walk
+        # Gamma_n through _hyperplane_chunks, and no other function of the
+        # module computes a run of entries
+        walk, calls = resonance._hyperplane_chunks, []
+
+        def counted(n, K, orbits=False):
+            calls.append((n, K, orbits))
+            return walk(n, K, orbits)
+
+        monkeypatch.setattr(resonance, "_hyperplane_chunks", counted)
+        resonance._hyperplane_tuples(4, 3)
+        list(resonance._orbit_chunks(5, 3))
+        imethod._CACHE.clear()
+        try:
+            imethod._pair_terms(3, IMultiplier(s=-0.5, N=2.0), make_grid(2, 4), 4, None)
+        finally:
+            imethod._CACHE.clear()
+        assert calls == [(4, 3, False), (5, 3, True), (3, 4, False)]
+        src = inspect.getsource(resonance)
+        assert src.count("searchsorted") == inspect.getsource(walk).count("searchsorted") > 0
