@@ -24,7 +24,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from . import __version__, imethod, resonance
+from . import __version__, resonance
 from .experiments import (
     ExperimentConfig,
     almost_conservation_sweep,
@@ -42,6 +42,7 @@ from .imethod import IMultiplier, _check_table, _modified_energies, _real_lambda
 from .imethod import lambda_n, modified_energy  # noqa: F401
 from .resonance import verify_factorization
 from .spectral import (
+    _check_bytes,
     _check_same_grid,
     _write_atomic,
     load_snapshot,
@@ -222,7 +223,8 @@ class _Manifest:
 def _built(make, *args, **kwargs):
     """make(*args, **kwargs) on configuration values; a ValueError is a ConfigError.
 
-    Each configuration object's error message names its offending key.
+    Each configuration object's error message names its offending key, as
+    does a flow's refusal of an array over spectral.BUDGET_BYTES.
     """
     try:
         return make(*args, **kwargs)
@@ -277,7 +279,7 @@ def _cmd_solve(cfg: dict, out_dir: str) -> None:
     flavor = "truncated" if cfg["N"] is not None else "full"
     spec = _flow_spec(cfg, grid, flavor=flavor, N=cfg["N"], nonlinear=cfg["nonlinear"])
     u0 = _initial_field(cfg, grid)
-    traj = integrate(u0, spec)
+    traj = _built(integrate, u0, spec)
     for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
         save_snapshot(u, f"{prefix}_{i:04d}.json")
     reports, drifts = conservation_report(traj)
@@ -293,25 +295,20 @@ def _cmd_solve(cfg: dict, out_dir: str) -> None:
 
 
 def _cmd_energies(cfg: dict, out_dir: str) -> None:
-    """t, E2, E3, E4 and Lambda_5(M5) (nan if its table cannot fit) at each
-    sample of one trajectory, each form evaluated once over all samples."""
+    """t, E2, E3, E4 and Lambda_5(M5) at each sample of one trajectory, each
+    form evaluated once over all samples; refused if sigma4's table, which
+    M5 reads, cannot fit."""
     grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
     spec = _flow_spec(cfg, grid)
     mult = _built(IMultiplier, s=cfg["s"], N=cfg["N"])
     _built(_check_table, 4, grid.K)
     u0 = _initial_field(cfg, grid)
-    traj = integrate(u0, spec)
+    traj = _built(integrate, u0, spec)
     c = traj.coeffs
     # the quintic column first: at K=16 the command then peaks lower (max
     # RSS at --dt 1e-4 --T 0.05: 40.4-40.5 MB, against 40.6-40.8 MB with
     # the energies first); at K=32 it peaks 0.2 MB higher (46.9-47.0 MB)
-    try:
-        _check_table(5, grid.K)
-    except ValueError as exc:
-        print(f"energies: Lambda5M5 column skipped: {exc}")
-        quintic = np.full(len(c), np.nan)
-    else:
-        quintic = _real_lambda(big_m5(mult, grid, lattice_cutoff=grid.K), grid, c, "Lambda5M5")
+    quintic = _real_lambda(big_m5(mult, grid, lattice_cutoff=grid.K), grid, c, "Lambda5M5")
     cols = (traj.times, *_modified_energies(grid, c, mult, 4), quintic)
     header = ("t", "E2", "E3", "E4", "Lambda5M5")
     _write_csv(os.path.join(out_dir, "energies.csv"), header, [cols])
@@ -330,11 +327,7 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
         dtype = resonance._exact_dtype(n, K, cfg["j"])
         cell = 8 if dtype is np.int64 else 8 + sys.getsizeof(n * K ** (2 * cfg["j"] + 1))
         size = (2 * K) ** (n - 1) * ((n + 2) * cell + 8)
-        if size > imethod.TABLE_BYTES:
-            raise ConfigError(
-                f"bad value for key {key!r}: {K} needs a Gamma_{n} report of up to "
-                f"{size} bytes > TABLE_BYTES"
-            )
+        _built(_check_bytes, size, f"bad value for key {key!r}: {K} needs a Gamma_{n} report")
     rep3 = verify_factorization(cfg["j"], cfg["K"], arity=3)
     rep4 = verify_factorization(cfg["j"], k4, arity=4)
     for rep in (rep3, rep4):
@@ -369,7 +362,7 @@ def _cmd_sweep(check, sweep, cfg: dict, out_dir: str) -> None:
     """Check, then run the sweep; its CSV and its report take the sweep's kind as name."""
     ecfg = _experiment_config(cfg)
     _built(check, ecfg)
-    result = sweep(ecfg)
+    result = _built(sweep, ecfg)
     kind = result.kind
     _write_csv(os.path.join(out_dir, f"{kind}.csv"), result.columns, [zip(*result.rows)])
     print(
@@ -388,7 +381,7 @@ def _cmd_sweep(check, sweep, cfg: dict, out_dir: str) -> None:
 def _cmd_squeeze(cfg: dict, out_dir: str) -> None:
     ecfg = _experiment_config(cfg)
     r = cfg["r"]
-    result = squeeze_witness(ecfg)
+    result = _built(squeeze_witness, ecfg)
     save_snapshot(result.u0, os.path.join(out_dir, "witness.json"))
     _write_csv(
         os.path.join(out_dir, "squeeze.csv"),
@@ -407,7 +400,7 @@ def _cmd_squeeze(cfg: dict, out_dir: str) -> None:
 
 def _cmd_scaling(cfg: dict, out_dir: str) -> None:
     ecfg = _experiment_config(cfg)
-    result = scaling_check(ecfg)
+    result = _built(scaling_check, ecfg)
     _write_csv(
         os.path.join(out_dir, "scaling-check.csv"), result.columns, [zip(*result.rows)]
     )

@@ -198,11 +198,11 @@ def check_sweep_band(cfg: ExperimentConfig) -> None:
 
 
 def check_almost_cons(cfg: ExperimentConfig) -> None:
-    """Refuse an almost-cons sweep lacking N_list, with a rejected s or oversize sigma4 table."""
+    """Refuse an almost-cons sweep lacking N_list, with a rejected s or oversize sigma3 table."""
     if not cfg.N_list:
         raise ValueError("the sweep needs N_list")
     IMultiplier(s=cfg.s, N=float(max(cfg.N_list)))
-    _check_table(4, cfg.K)
+    _check_table(3, cfg.K)
 
 
 def _sweep_start(cfg: ExperimentConfig) -> tuple[GridSpec, FourierField]:

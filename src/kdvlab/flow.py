@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .spectral import FourierField, GridSpec, _check_same_grid, conserved_quantities
+from .spectral import FourierField, GridSpec, _check_bytes, _check_same_grid, conserved_quantities
 from .spectral import symplectic_form  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _CONTOUR_POINTS = 32
-JACOBIAN_DIM_CAP = 64
 
 
 class FlowBlowupError(RuntimeError):
@@ -319,6 +318,11 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
         _check_same_grid(u.grid, g)
     _check_thresholds(spec.N, len(members) if ensemble else None)
     mask = _band_mask(g, spec.flavor, spec.N)
+    # every stride-th step and the last are sampled, after the datum
+    n_steps, stride = (_step_count(spec) if spec.T else 0), spec.sample_stride
+    n_samples = 1 + -(-n_steps // stride)
+    _check_bytes(16 * n_samples * len(members) * g.K,
+                 f"K={g.K} in {n_samples} samples of {len(members)} members needs a trajectory")
     c = np.array([u.coeffs for u in members]) if ensemble else u0.coeffs.copy()
     if mask is not None:
         np.copyto(c, 0.0, where=mask)
@@ -326,16 +330,13 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
     if spec.T == 0.0:
         return Trajectory(times=np.array([0.0]), coeffs=c[None], spec=spec, stats={"steps": 0})
 
-    n_steps = _step_count(spec)
     h = spec.T / n_steps
     advance = _step_function(g, h, mask, c.shape, spec.nonlinear)
 
-    stride = spec.sample_stride
-    sampled = list(range(stride, n_steps + 1, stride))
-    if sampled[-1:] != [n_steps]:
-        sampled.append(n_steps)
-    times = np.array([0.0] + [s * h for s in sampled])
-    samples = np.empty((len(times),) + c.shape, dtype=np.complex128)
+    times = np.zeros(n_samples)
+    times[1:n_samples - 1] = np.arange(stride, n_steps, stride) * h
+    times[-1] = n_steps * h
+    samples = np.empty((n_samples,) + c.shape, dtype=np.complex128)
     samples[0] = c
     n_done = 1
     mags = np.empty(c.shape)
@@ -401,9 +402,10 @@ def flow_jacobian(u0: FourierField, spec: FlowSpec, h: float) -> np.ndarray:
     """Central-difference Jacobian of u0 -> S(T) u0 in real coordinates.
 
     Coordinates are (Re u_hat(k), Im u_hat(k)) for 0 < k <= N of a
-    truncated flow, the grid's modes_upto(N) modes; the dimension is capped
-    for cost. All 2·dim perturbed data are advanced as one ensemble that
-    keeps only its endpoint.
+    truncated flow, the grid's modes_upto(N) modes. All 2·dim perturbed
+    data are advanced as one ensemble that keeps only its endpoint; it is
+    refused, before a probe is built, if its two samples exceed
+    spectral.BUDGET_BYTES.
     """
     if spec.flavor != "truncated":
         raise ValueError("flow_jacobian is defined for the truncated flavor")
@@ -411,8 +413,8 @@ def flow_jacobian(u0: FourierField, spec: FlowSpec, h: float) -> np.ndarray:
         raise ValueError(f"flow_jacobian takes one threshold N, got one per member: {spec.N}")
     n_modes = spec.grid.modes_upto(spec.N)
     dim = 2 * n_modes
-    if dim > JACOBIAN_DIM_CAP:
-        raise ValueError(f"jacobian dimension {dim} exceeds cap {JACOBIAN_DIM_CAP}")
+    _check_bytes(16 * 2 * 2 * dim * spec.grid.K,
+                 f"N={spec.N} needs {2 * dim} Jacobian probes at K={spec.grid.K}, a trajectory")
     if not h > 0:
         raise ValueError("finite-difference step must be positive")
 

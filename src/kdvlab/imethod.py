@@ -42,8 +42,7 @@ whose pair sum vanishes contributes exactly 0, and sigma4 is defined as
 0 on resonant tuples (alpha4 = 0), where a runtime check confirms M4
 vanishes there. A form's weights are never stored: each piece of orbits
 is weighed and contracted before the next is formed. Pair-term tables are
-this module's one cache; TABLE_BYTES bounds it, each table's size and the
-dense lattice that admits a Lambda_n.
+this module's one cache; spectral.BUDGET_BYTES bounds it and each table.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .flow import _band_mask, _rhs_function
-from . import resonance
+from . import resonance, spectral
 from .resonance import _pn_int
-from .spectral import FourierField, GridSpec, _check_same_grid
+from .spectral import FourierField, GridSpec, _check_bytes, _check_same_grid
 
 __all__ = [
     "IMultiplier",
@@ -83,15 +82,12 @@ __all__ = [
 # one complex entry for each of resonance.PIECE_TUPLES orbits; a piece's
 # samples are taken in passes that fit.
 STACK_BYTES = 1 << 18
-# Bytes of one lattice table at most, of the dense lattice that admits a
-# Lambda_n evaluation, and of all that the cache holds
-TABLE_BYTES = 1 << 30
 IMAG_RESIDUE_TOL = 1e-10
 RESONANT_M4_TOL = 1e-10
 
 _M_SHAPES = ("clipped_power", "smooth_log")
 # The one cache, of pair-term tables: least recently used out first while
-# it holds over TABLE_BYTES.
+# it holds over spectral.BUDGET_BYTES.
 _CACHE: OrderedDict = OrderedDict()
 
 
@@ -101,19 +97,16 @@ def _cached(key, build):
         _CACHE.move_to_end(key)
         return _CACHE[key]
     value = _CACHE[key] = build()
-    while _CACHE and sum(v.nbytes for v in _CACHE.values()) > TABLE_BYTES:
+    while _CACHE and sum(v.nbytes for v in _CACHE.values()) > spectral.BUDGET_BYTES:
         _CACHE.popitem(last=False)
     return value
 
 
 def _check_table(n: int, K: int, bound: int | None = None) -> None:
     """Refuse a table over the first n-1 entries of Gamma_n at the lattice bound
-    (K unless given) whose dense size, never below its own, exceeds TABLE_BYTES.
-    For Lambda_n no table is held and the orbits walked are about n! fewer
-    than the tuples: the dense size is kept as the rule that admits it."""
-    size = 16 * (2 * (K if bound is None else bound) + 1) ** (n - 1)
-    if size > TABLE_BYTES:
-        raise ValueError(f"K={K} needs a Gamma_{n} table of {size} bytes > TABLE_BYTES")
+    (K unless given) whose dense size, never below its own, exceeds the budget."""
+    _check_bytes(16 * (2 * (K if bound is None else bound) + 1) ** (n - 1),
+                 f"K={K} needs a Gamma_{n} table")
 
 
 @dataclass(frozen=True)
@@ -256,7 +249,6 @@ def _lambda_with_scale(
     n = form.n
     if len(stacks) != n:
         raise ValueError(f"form arity {n} != {len(stacks)} fields")
-    _check_table(n, grid.K)
     S = len(stacks[0])
     for c in stacks:
         if np.shape(c) != (S, grid.K):
@@ -370,7 +362,7 @@ def _sigma_values(
     n = 4 on, sigma_n = -M_n/alpha_n off the resonant set and 0 on it
     (alpha_n = 0, exact integer test), where the pointwise envelope forces
     M_n = 0; that is asserted at RESONANT_M4_TOL relative to the largest
-    pair term.
+    pair term, and a failure names the tuple where M_n is furthest over it.
     """
     mu = grid.mu
     if n == 2:
@@ -386,10 +378,13 @@ def _sigma_values(
         return -(_m2k_sum(mult, mu, idx) / 3.0) / pn_freq
     resonant = pn == 0
     m, scale = _m_values(n, mult, grid, idx, cutoff, bound=bound)
-    if np.any(np.abs(m[resonant]) > RESONANT_M4_TOL * np.maximum(scale[resonant], 1e-300)):
-        worst = float(np.max(np.abs(m[resonant])))
+    on = np.flatnonzero(resonant)
+    excess = np.abs(m[on]) / np.maximum(scale[on], 1e-300)
+    if np.any(excess > RESONANT_M4_TOL):
+        i, worst = on[np.argmax(excess)], np.max(excess)
         raise ArithmeticError(
-            f"M{n} does not vanish on a resonant tuple (|M{n}| up to {worst:.3e}); "
+            f"M{n} does not vanish on a resonant tuple: |M{n}| = {abs(m[i]):.3e}, "
+            f"{worst:.3e} x its largest pair term, at {tuple(int(a[i]) for a in idx)}; "
             "contradicts the resonant-set envelope"
         )
     alpha = 1j * np.where(resonant, 1.0, pn_freq)

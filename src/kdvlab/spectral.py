@@ -43,6 +43,17 @@ __all__ = [
 ]
 
 SNAPSHOT_SCHEMA_VERSION = 1
+# The one memory budget, in bytes, read here at call time: a grid's samples,
+# a flow's trajectory, a Jacobian's probes, a lattice table or report over it
+# are refused before they are allocated, and imethod's cache evicts to it.
+BUDGET_BYTES = 1 << 30
+
+
+def _check_bytes(size: int, what: str) -> None:
+    """Refuse, before it is allocated, an array of size bytes over
+    BUDGET_BYTES; what names the request and its key."""
+    if size > BUDGET_BYTES:
+        raise ValueError(f"{what} of {size} bytes > BUDGET_BYTES ({BUDGET_BYTES})")
 
 
 def _next_fast_len(n: int) -> int:
@@ -89,11 +100,8 @@ class GridSpec:
             raise ValueError(
                 f"physical_points={self.physical_points} < 3K+1={3 * self.K + 1}"
             )
-        if 16 * self.physical_points > np.iinfo(np.intp).max:
-            raise ValueError(
-                f"mode cutoff K={self.K} needs {self.physical_points} physical points, "
-                "more than numpy can index"
-            )
+        P = self.physical_points
+        _check_bytes(16 * P, f"mode cutoff K={self.K} needs {P} physical points, an array")
 
     @property
     def circumference(self) -> float:

@@ -1,0 +1,67 @@
+"""The one memory budget: spectral.BUDGET_BYTES, read by every layer at call time."""
+
+import pytest
+
+from kdvlab import imethod, spectral
+from kdvlab.cli import main
+from kdvlab.flow import FlowSpec, flow_jacobian, integrate
+from kdvlab.imethod import IMultiplier
+from kdvlab.spectral import harmonic, make_grid
+
+
+def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
+    # each request below fits the default budget and exceeds 4096 bytes:
+    # one monkeypatch of spectral.BUDGET_BYTES refuses every one of them and
+    # bounds the cache, so no layer holds a copy of the constant
+    g = make_grid(2, 8)
+    u = harmonic(g, 1, 0.1)
+    mult = IMultiplier(s=-0.5, N=2.0)
+    refusals = {
+        # 320 physical points, 16 bytes each
+        "K=100 needs 320 physical points": lambda: make_grid(1, 100),
+        # 33 samples of 8 modes
+        "needs a trajectory of 4224 bytes": lambda: integrate(
+            u, FlowSpec(grid=g, dt=1e-3, T=0.032)),
+        # 32 probes of 8 modes at 2 samples
+        "needs 32 Jacobian probes at K=8, a trajectory of 8192 bytes": lambda: flow_jacobian(
+            u, FlowSpec(grid=g, dt=1e-3, T=1e-3, flavor="truncated", N=8.0), 1e-6),
+        # sigma3's pair-term table at bound 8, 16 * 17^2 bytes
+        "needs a Gamma_3 table of 4624 bytes": lambda: imethod._pair_terms(3, mult, g, 8, 8),
+    }
+    solve = ("solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.032", "--samples", "32")
+    # the reference and three truncated flows at 33 samples of 64 modes
+    sweep = ("approx-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16", "--T", "0.01")
+    # a report on Gamma_4 at K=4: up to 8^3 rows of 56 bytes
+    check = ("resonance-check", "--j", "1", "--K", "4")
+    # seven sigma3 tables at bound 4, 648 bytes each: 4536 bytes in all
+    tables = [("pairs", 3, IMultiplier(s=-0.5, N=1.0 + 0.1 * i), 2, 1.0, 4, 4) for i in range(7)]
+
+    def fill_cache():
+        for key in tables:
+            imethod._pair_terms(3, key[2], g, 4, 4)
+        return [key in imethod._CACHE for key in tables]
+
+    for call in refusals.values():
+        call()
+    assert main([*solve, "--out", str(tmp_path / "a")]) == 0
+    assert main([*sweep, "--out", str(tmp_path / "a")]) in (0, 1)
+    assert main([*check, "--out", str(tmp_path / "a")]) == 0
+    assert all(fill_cache())
+    imethod._CACHE.clear()
+
+    monkeypatch.setattr(spectral, "BUDGET_BYTES", 4096)
+    for match, call in refusals.items():
+        with pytest.raises(ValueError, match=match):
+            call()
+    capsys.readouterr()
+    assert main([*solve, "--out", str(tmp_path / "b")]) == 2
+    assert main([*sweep, "--out", str(tmp_path / "b")]) == 2
+    assert main([*check, "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "needs a trajectory of 4224 bytes > BUDGET_BYTES (4096)" in err
+    assert "K=64 in 33 samples of 4 members needs a trajectory of 135168 bytes" in err
+    assert "key 'K': 4 needs a Gamma_4 report of 28672 bytes > BUDGET_BYTES (4096)" in err
+    assert not (tmp_path / "b" / "manifest.json").exists()
+    held = fill_cache()
+    assert not held[0] and held[-1]
+    assert sum(v.nbytes for v in imethod._CACHE.values()) <= 4096

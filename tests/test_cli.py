@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from kdvlab import cli, experiments, imethod, resonance
+from kdvlab import cli, experiments, imethod, resonance, spectral
 from kdvlab.cli import ConfigError, _experiment_config, _write_csv, main, parse_config
 from kdvlab.experiments import ExperimentConfig
 from kdvlab.imethod import constant_form
@@ -158,7 +158,7 @@ class TestExitCodes:
         self, tmp_path, capsys, argv, key
     ):
         # a report on Gamma_3 at K=20000, or on Gamma_4 at K4=20000, would
-        # far exceed TABLE_BYTES: refused, naming the key, before the walk
+        # far exceed BUDGET_BYTES: refused, naming the key, before the walk
         tracemalloc.start()
         try:
             status = run_cli("resonance-check", "--j", "1", *argv, "--out", str(tmp_path))
@@ -168,6 +168,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert status == 2
         assert err.startswith(f"configuration error: bad value for {key} needs a Gamma_")
+        assert not (tmp_path / "manifest.json").exists()
+        assert peak < 2**20
+
+    def test_oversize_grid_refused_before_any_array(self, tmp_path, capsys):
+        # K=10^12 needs 3e12 physical points, 48 TB of samples: exit 2 naming
+        # K before the grid, the datum or the flow allocates
+        tracemalloc.start()
+        try:
+            status = run_cli("solve", "--j", "2", "--K", "1000000000000", "--dt", "1e-3",
+                             "--T", "0.01", "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("configuration error: mode cutoff K=1000000000000 needs ")
         assert not (tmp_path / "manifest.json").exists()
         assert peak < 2**20
 
@@ -245,7 +261,7 @@ class TestExitCodes:
           "--seed", "-1"], "seed must be >= 0, got -1"),
         (["approx-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16", "--T", "0.01",
           "--seed", "-1"], "seed must be >= 0, got -1"),
-        # a physical grid numpy cannot index is refused before any array
+        # a physical grid over the budget is refused before any array
         (["solve", "--j", "2", "--K", "1000000000000000000000", "--dt", "1e-3", "--T", "0.01"],
          "K=1000000000000000000000 needs 3001892705939982420000 physical points"),
     ])
@@ -420,9 +436,10 @@ class TestEnergiesCommand:
         header = (tmp_path / "energies.csv").read_text().splitlines()[0]
         assert header == "t,E2,E3,E4,Lambda5M5"
 
-    def test_quintic_column_above_16(self, tmp_path, monkeypatch):
-        # the M5 table at K=20 fits in TABLE_BYTES: the column is the
-        # quintic series of the trajectory the command integrated
+    @staticmethod
+    def assert_quintic_column(tmp_path, monkeypatch, *argv):
+        """The energies run's Lambda5M5 column is finite and, bit for bit,
+        the quintic series of the trajectory the command integrated."""
         trajs = []
 
         def recording(*args):
@@ -431,47 +448,55 @@ class TestEnergiesCommand:
 
         integrate = cli.integrate
         monkeypatch.setattr(cli, "integrate", recording)
-        status = run_cli(
-            "energies", "--j", "1", "--K", "20", "--s", "-0.5", "--N", "4",
-            "--dt", "1e-3", "--T", "0.01", "--samples", "2", "--out", str(tmp_path),
-        )
-        assert status == 0
+        assert run_cli("energies", *argv, "--out", str(tmp_path)) == 0
         rows = (tmp_path / "energies.csv").read_text().splitlines()[1:]
         column = np.array([float(row.split(",")[-1]) for row in rows])
         grid = trajs[0].spec.grid
-        m5 = imethod.big_m5(imethod.IMultiplier(s=-0.5, N=4.0), grid, lattice_cutoff=20)
+        m5 = imethod.big_m5(imethod.IMultiplier(s=-0.5, N=4.0), grid, lattice_cutoff=grid.K)
         expected = imethod._real_lambda(m5, grid, trajs[0].coeffs, "M5")
         assert np.all(np.isfinite(column)) and column.tobytes() == expected.tobytes()
 
+    def test_quintic_column_above_16(self, tmp_path, monkeypatch):
+        self.assert_quintic_column(
+            tmp_path, monkeypatch, "--j", "1", "--K", "20", "--s", "-0.5", "--N", "4",
+            "--dt", "1e-3", "--T", "0.01", "--samples", "2",
+        )
+
+    def test_quintic_column_at_45(self, tmp_path, monkeypatch):
+        # the dense size 16 * 91^4 bytes of Gamma_5 is over the budget, but
+        # nothing of that size is held: sigma4's table, 16 * 91^3 bytes, fits
+        self.assert_quintic_column(
+            tmp_path, monkeypatch, "--j", "2", "--K", "45", "--s", "-0.5", "--N", "4",
+            "--dt", "1e-4", "--T", "0.002",
+        )
+
     def test_quintic_column_over_the_byte_bound(self, tmp_path, monkeypatch, capsys):
-        # under a bound the K=8 sigma4 table meets and the M5 table exceeds,
-        # the column is nan, the bytes are named, and E2..E4 keep their bits
+        # under a budget the K=8 sigma4 table meets, 16 * 17^3 bytes, and the
+        # dense size of Gamma_5, 16 * 17^4, exceeds, the run writes the bytes
+        # it writes under the default budget, every Lambda5M5 cell finite
         argv = ("energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4", "--dt", "1e-3",
                 "--T", "0.01", "--samples", "4")
         assert run_cli(*argv, "--out", str(tmp_path / "a")) == 0
-        monkeypatch.setattr(imethod, "TABLE_BYTES", 16 * 17**3)
+        monkeypatch.setattr(spectral, "BUDGET_BYTES", 16 * 17**3)
         assert run_cli(*argv, "--out", str(tmp_path / "b")) == 0
-        out = capsys.readouterr().out
-        assert "Lambda5M5 column skipped: K=8 needs a Gamma_5 table of 1336336 bytes" in out
-        full, bounded = (
-            [r.rsplit(",", 1) for r in (tmp_path / d / "energies.csv").read_text().splitlines()]
-            for d in "ab"
-        )
-        assert [row[0] for row in bounded] == [row[0] for row in full]
-        assert all(row[1] == "nan" for row in bounded[1:])
-        assert all(row[1] != "nan" for row in full[1:])
+        assert capsys.readouterr().out == ""
+        full, bounded = ((tmp_path / d / "energies.csv").read_bytes() for d in "ab")
+        assert bounded == full
+        assert all(np.isfinite(float(r.rsplit(b",", 1)[1])) for r in full.splitlines()[1:])
 
-    @pytest.mark.parametrize("argv", [
-        ("energies", "--j", "2", "--K", "512", "--s", "-0.5", "--N", "4", "--dt", "1e-4",
-         "--T", "1e-3"),
-        ("almost-cons", "--j", "2", "--K", "512", "--s", "-0.5", "--N_list", "4", "--dt", "1e-4",
-         "--T", "1e-3"),
+    @pytest.mark.parametrize("argv, table", [
+        (("energies", "--j", "2", "--K", "512", "--s", "-0.5", "--N", "4", "--dt", "1e-4",
+          "--T", "1e-3"), "K=512 needs a Gamma_4 table"),
+        (("almost-cons", "--j", "2", "--K", "4096", "--s", "-0.5", "--N_list", "4",
+          "--dt", "1e-4", "--T", "1e-3"), "K=4096 needs a Gamma_3 table"),
     ], ids=["energies", "almost-cons"])
     def test_sigma4_table_over_the_bound_refused_before_the_flow(
-        self, tmp_path, monkeypatch, capsys, argv
+        self, tmp_path, monkeypatch, capsys, argv, table
     ):
-        # the sigma4 table at K=512 would take 17 GB: refused, naming K,
-        # before the flow runs and before any table is allocated
+        # the sigma4 table that Lambda5M5 reads would take 17 GB at K=512,
+        # and the sigma3 table, the one E4 reads, just over 1 GiB at K=4096:
+        # refused, naming K, before the flow runs and before any table is
+        # allocated
         def refuse(*args):
             raise AssertionError("the flow ran")
 
@@ -485,7 +510,7 @@ class TestEnergiesCommand:
             tracemalloc.stop()
         err = capsys.readouterr().err
         assert status == 2
-        assert err.startswith("configuration error: K=512 needs a Gamma_4 table")
+        assert err.startswith(f"configuration error: {table}")
         assert not (tmp_path / "manifest.json").exists()
         assert peak < 4 * 2**20
 

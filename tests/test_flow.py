@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kdvlab.flow as flow_module
+from kdvlab import spectral
 from kdvlab.flow import (
     FlowBlowupError,
     FlowSpec,
@@ -156,6 +157,41 @@ class TestIntegrate:
         u0 = harmonic(g, 1)
         traj = integrate(u0, FlowSpec(grid=g, dt=1e-3, T=0.0))
         assert len(traj.fields) == 1 and traj.times[0] == 0.0
+
+    @pytest.mark.parametrize("T, dt, stride", [
+        (0.05, 1e-3, 1), (0.05, 1e-3, 7), (0.05, 1e-3, 10), (-0.05, 1e-3, 7), (0.05, 1e-3, 99),
+        (1e-3, 1e-3, 1), (0.3, 7e-3, 5),
+    ])
+    def test_times_are_every_stride_and_the_last(self, T, dt, stride):
+        # t = 0, then s h at every stride-th step s and at the last step,
+        # each the product of the step count and h, with the bits of that
+        # product in Python
+        g = make_grid(1, 4)
+        spec = FlowSpec(grid=g, dt=dt, T=T, nonlinear=False, sample_stride=stride)
+        n = max(1, round(abs(T) / dt))
+        steps = sorted(set(range(stride, n + 1, stride)) | {n})
+        expected = np.array([0.0] + [s * (T / n) for s in steps])
+        traj = integrate(harmonic(g, 1), spec)
+        assert traj.times.tobytes() == expected.tobytes() and len(traj.coeffs) == len(expected)
+
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_trajectory_over_the_budget_refused_before_allocating(self, monkeypatch, members):
+        # 1,000,001 samples of K=8 modes take 128,000,016 bytes a member:
+        # refused under a 1 MiB budget before the samples or their times exist
+        g = make_grid(2, 8)
+        u0 = band_limited_field(g, 3, 4)
+        spec = FlowSpec(grid=g, dt=1e-9, T=1e-3)
+        monkeypatch.setattr(spectral, "BUDGET_BYTES", 2**20)
+        size = 16 * 1_000_001 * (members or 1) * 8
+        what = f"K=8 in 1000001 samples of {members or 1} members needs a trajectory of {size}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=what):
+                integrate(u0 if members is None else [u0] * members, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_blowup_guard(self):
         g = make_grid(1, 8)
@@ -669,12 +705,27 @@ class TestJacobian:
             defects[n] = check_symplectic(J, g, n)
         assert defects[N] <= 10 * defects[N - 1.0]
 
-    def test_dimension_cap(self):
+    def test_over_the_budget_refused(self, monkeypatch):
+        # dimension 80 (160 probes of K=64 modes at 2 samples) computes in a
+        # budget of exactly its probes' bytes, and one byte under it is
+        # refused before a probe is built
         g = make_grid(1, 64)
         u0 = band_limited_field(g, 10, 4)
         spec = FlowSpec(grid=g, dt=1e-3, T=0.1, flavor="truncated", N=40.0)
-        with pytest.raises(ValueError, match="cap"):
-            flow_jacobian(u0, spec, h=1e-6)
+        size = 16 * 2 * 160 * 64
+        monkeypatch.setattr(spectral, "BUDGET_BYTES", size)
+        J = flow_jacobian(u0, spec, h=1e-6)
+        assert J.shape == (80, 80) and np.all(np.isfinite(J))
+        monkeypatch.setattr(spectral, "BUDGET_BYTES", size - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"N=40.0 needs 160 Jacobian probes at K=64, "
+                                                 f"a trajectory of {size} bytes"):
+                flow_jacobian(u0, spec, h=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 10
 
 
 class TestSymplectic:

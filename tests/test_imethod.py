@@ -9,13 +9,14 @@ series holds to round-off at any step. Both pin every constant (in
 particular the 1/n! in the symmetrizations).
 """
 
+import re
 import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from kdvlab import imethod, resonance
+from kdvlab import imethod, resonance, spectral
 from kdvlab.flow import FlowSpec, integrate, nonlinear_rhs
 from kdvlab.imethod import (
     IMultiplier,
@@ -161,22 +162,46 @@ class TestLambdaN:
             lambda_n(constant_form(2), [u, harmonic(make_grid(1, 9), 1)])
 
     def test_table_byte_bound(self):
-        # a table over Gamma_n at K takes at most 16 (2K+1)^(n-1) bytes; under
-        # 1 GiB the M5 table fits up to K=44, sigma4's to 202 and sigma3's to 4095
-        for n, K in ((5, 44), (4, 202), (3, 4095)):
+        # a pair-term table over Gamma_n at K takes at most 16 (2K+1)^(n-1)
+        # bytes; under 1 GiB sigma4's fits up to K=202 and sigma3's to 4095
+        for n, K in ((4, 202), (3, 4095)):
             imethod._check_table(n, K)
             with pytest.raises(ValueError, match=f"K={K + 1} needs a Gamma_{n} table"):
                 imethod._check_table(n, K + 1)
-        # refused before any orbit is walked or weighed
-        g = make_grid(1, 45)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="K=45 needs a Gamma_5 table of 1097199376"):
-                lambda_n(constant_form(5), [harmonic(g, 1)] * 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20 and not imethod._CACHE
+
+    def test_sextic_form_at_20(self):
+        # Lambda_6(M6) holds sigma5's pair-term table, 16 * 41^4 bytes, and
+        # no Gamma_6 table (the dense size 16 * 41^5 is over 1 GiB); it is
+        # dE5/dt, the E4 rate plus 5 Lambda_5(sigma5; F, u, u, u, u), to
+        # round-off of the rate's term scale
+        g = make_grid(2, 20)
+        mult = IMultiplier(s=-1.0, N=4.0)
+        rng = np.random.default_rng(5)
+        c = np.array([random_smooth_field(g, rng, 0.4).coeffs for _ in range(3)])
+        m6, s5 = (imethod._cascade_form(k, n, mult, g, 20) for k, n in (("M", 6), ("sigma", 5)))
+        direct = imethod._real_lambda(m6, g, c, "Lambda_6(M6)")
+        nl = np.array([nonlinear_rhs(FourierField(g, row)).coeffs for row in c])
+        rate, scale = _energy_rates(g, c, nl, mult, 4)
+        F = 1j * g.frequencies**5 * c + nl
+        value, sc = _lambda_with_scale(s5, g, [F] + [c] * 4)
+        rate, scale = rate + 5 * value.real, scale + 5 * sc
+        assert np.all(np.isfinite(direct)) and np.all(direct != 0.0)
+        assert np.all(np.abs(direct - rate) <= 2 * np.finfo(float).eps * scale)
+        assert ("pairs", 5, mult, 2, 1.0, 20, 20) in imethod._CACHE
+
+    def test_resonant_set_failure_names_its_tuple(self):
+        # at j=1, K=24 the lattice M5 does not vanish on two resonant orbits of
+        # Gamma_5: sigma5 refuses, naming the worst, (-22, -6, -5, 12, 21)
+        g = make_grid(1, 24)
+        mult = IMultiplier(s=-0.5, N=2.0)
+        with pytest.raises(ArithmeticError, match="M5 does not vanish") as err:
+            lambda_n(imethod._cascade_form("sigma", 5, mult, g, 24), [harmonic(g, 1)] * 5)
+        named = [int(a) for a in re.search(r"at \(([-\d, ]+)\)", str(err.value))[1].split(",")]
+        idx = tuple(np.array([a]) for a in named)
+        m, scale = _m_values(5, mult, g, idx, 24)
+        assert sum(named) == 0 and _pn_int(idx, 1)[0] == 0
+        assert abs(m[0]) > imethod.RESONANT_M4_TOL * scale[0]
+        assert sorted(named) == [-22, -6, -5, 12, 21]
 
 
 def tuple_sum(form, grid, stacks):
@@ -310,7 +335,7 @@ class TestStackedEvaluator:
         v, sc = _lambda_with_scale(form, g, [c] * 5)
         assert v.tobytes() == value.tobytes() and sc.tobytes() == scale.tobytes()
 
-    def test_each_tuple_weighed_once_in_chunks(self, monkeypatch):
+    def test_each_orbit_weighed_once_in_passes(self, monkeypatch):
         # pieces of 100 orbits at K=8, taken 4 samples a pass, so 10 samples
         # take 3 passes a piece, and still each piece is weighed once at its
         # representatives, one per orbit (and once at each of two
@@ -656,22 +681,22 @@ class TestCascadeStep:
 
     def test_cache_stays_at_its_bound(self, monkeypatch):
         # 40 quintic evaluations at K=6, each with its own multiplier and so
-        # its own sigma4 and sigma3 pair-term tables, under the least bound
-        # that admits the quintic lattice, about a dozen sigma4 tables: after
-        # every call the arrays the cache holds take at most TABLE_BYTES
+        # its own sigma4 and sigma3 pair-term tables, under a budget of
+        # 16 * 13^4 bytes, about a dozen sigma4 tables: after every call the
+        # arrays the cache holds take at most spectral.BUDGET_BYTES
         def held():
             return sum(v.nbytes for v in imethod._CACHE.values())
 
         def pairs(mult):
             return ("pairs", 4, mult, 1, 1.0, 6, 6)
 
-        monkeypatch.setattr(imethod, "TABLE_BYTES", 16 * 13**4)
+        monkeypatch.setattr(spectral, "BUDGET_BYTES", 16 * 13**4)
         g = make_grid(1, 6)
         u = smooth_field(g, 3)
         mults = [IMultiplier(s=-0.5, N=1.0 + 0.1 * i) for i in range(40)]
         for mult in mults:
             lambda_n(big_m5(mult, g, 6), [u] * 5)
-            assert pairs(mult) in imethod._CACHE and held() <= imethod.TABLE_BYTES
+            assert pairs(mult) in imethod._CACHE and held() <= spectral.BUDGET_BYTES
         # least recently used out first
         assert pairs(mults[0]) not in imethod._CACHE
 
@@ -824,7 +849,7 @@ class TestWeightTable:
                 monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
                 assert_near(streamed(form, g, stacks), ref, (form.tag, piece))
 
-    def test_quintic_table_at_16(self):
+    def test_quintic_orbits_at_16(self):
         g = make_grid(2, 16)
         form = big_m5(IMultiplier(s=-0.5, N=4.0), g, 16)
         stacks = [slot_stacks(g, 1, 33, 72)[0]] * 5
@@ -872,7 +897,7 @@ class TestWeightTable:
         assert set(imethod._CACHE) == warm
         return peak, held
 
-    def test_quintic_build_holds_no_quintic_tuples(self):
+    def test_quintic_peak_at_16(self):
         # the dense block walk peaked at 2.4 MiB; the orbit walk at 1.3 MiB
         peak, held = self.quintic_peak(16)
         assert peak <= 2.4 * 2**20 and held < 2**16

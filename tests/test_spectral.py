@@ -14,6 +14,7 @@ try:
 except ImportError:  # the property test below is then skipped
     given = None
 
+from kdvlab import spectral
 from kdvlab.spectral import (
     FourierField,
     GridSpec,
@@ -77,8 +78,9 @@ class TestGrid:
         # at a time would not
         assert _next_fast_len(3 * 10**21 + 1) == 3001892705939982420000
 
-    def test_rejects_a_grid_numpy_cannot_index(self):
-        points = np.iinfo(np.intp).max // 16
+    def test_rejects_a_grid_over_the_budget(self):
+        # 16 bytes a physical point: the budget's points are accepted, one more refused
+        points = spectral.BUDGET_BYTES // 16
         GridSpec(j=1, K=points // 4, physical_points=points)
         with pytest.raises(ValueError, match=f"K={points // 3} needs {points + 1} physical"):
             GridSpec(j=1, K=points // 3, physical_points=points + 1)
