@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -162,31 +162,51 @@ def _config_hash(config: dict) -> str:
 
 
 def _column_text(col) -> np.ndarray:
-    """Each cell's str() as bytes, str() taken once per distinct value.
+    """Each cell's str() as NUL-padded bytes, str() taken once per distinct value.
 
-    Numbers are told apart by their bits (so -0.0 keeps its sign), an
-    object column (Python ints) by value; bytes pass through as they are.
+    Values are told apart by a key: a number's bits (so -0.0 keeps its
+    sign), an object column's (Python ints') own values. The distinct keys
+    are read back as values through the key view; bytes pass through as
+    they are.
     """
     a = np.asarray(col)
     if a.dtype.kind == "S":
         return a
     keys = a if a.dtype == object else np.ascontiguousarray(a).view(f"u{a.itemsize}")
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.array([str(v).encode() for v in a[first].tolist()], dtype=bytes)[inverse]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = [str(v).encode() for v in distinct.view(a.dtype).tolist()]
+    return np.array(text, dtype=bytes)[inverse]
 
 
-def _joined(cells, sep: bytes) -> np.ndarray:
-    """Text columns joined row by row with sep."""
-    return reduce(lambda out, c: np.strings.add(np.strings.add(out, sep), c), cells)
+def _joined(cells, sep: bytes, end: bytes = b"") -> np.ndarray:
+    """Text columns of equal length joined row by row, as one bytes column.
+
+    The rows are one NUL-padded uint8 matrix: each column's bytes in its
+    own width, a sep column between two columns and an end column after
+    the last, viewed as one bytes cell a row. A row's text is its bytes
+    other than NUL, which no cell's text holds.
+    """
+    n = len(cells[0])
+
+    def block(text):
+        if isinstance(text, bytes):
+            return np.broadcast_to(np.frombuffer(text, np.uint8), (n, len(text)))
+        return np.ascontiguousarray(text).view(np.uint8).reshape(n, text.itemsize)
+
+    parts = [part for c in cells for part in (c, sep)][:-1] + [end]
+    rows = np.concatenate([block(part) for part in parts], axis=1)
+    return rows.view(f"S{rows.shape[1]}")[:, 0]
 
 
 def _write_csv(path: str, header, pieces) -> None:
     """Header, then the rows of each piece, as CSV. A piece is a sequence of
-    equal-length columns, built column by column: a cell is the str() of
-    its value (a float's shortest round-trip repr), the text csv.writer
-    writes, as no field here needs quoting. Each piece is formatted and
-    written before the next is taken from pieces, so a generator of pieces
-    is held one at a time; a failure leaves no file (see _write_atomic)."""
+    equal-length columns: a cell is the str() of its value (a float's
+    shortest round-trip repr), the text csv.writer writes, as no field here
+    needs quoting. A piece's rows are one byte matrix (see _joined), cells
+    joined by "," and ended by a newline, written as its bytes other than
+    NUL. Each piece is formatted and written before the next is taken from
+    pieces, so a generator of pieces is held one at a time; a failure
+    leaves no file (see _write_atomic)."""
 
     def text():
         yield ",".join(header).encode() + b"\n"
@@ -194,10 +214,8 @@ def _write_csv(path: str, header, pieces) -> None:
             cells = [_column_text(c) for c in columns]
             if len({len(c) for c in cells}) > 1:
                 raise ValueError(f"columns of unequal length: {[len(c) for c in cells]}")
-            rows = _joined(cells, b",").tolist()
-            if rows:
-                rows.append(b"")
-                yield b"\n".join(rows)
+            rows = _joined(cells, b",", b"\n").view(np.uint8)
+            yield rows[rows != 0].tobytes()
 
     _write_atomic(path, text())
 

@@ -296,6 +296,30 @@ def _step_count(spec: FlowSpec) -> int:
     return max(1, round(abs(spec.T) / spec.dt))
 
 
+def _run_bytes(grid: GridSpec, shape: tuple, n_samples: int, nonlinear: bool) -> int:
+    """Bytes of the arrays integrate allocates for a run of n_samples on
+    coefficient arrays of shape (K,) or (members, K).
+
+    The run holds its working copy, band mask, samples, times and
+    magnitudes; a step's tables (one without the nonlinearity, else six)
+    and eight stage arrays; and the RHS's half spectrum, physical samples,
+    squared spectrum, -ik/2 table and, for an ensemble, its mode copy.
+    While the tables are formed, the per-mode phases and their exponential
+    (three complex arrays of K) or, with the nonlinearity, the contour
+    averaging (at most six (K, 32) complex arrays at once) are held too.
+    All are summed, so the count bounds the run's peak from above.
+    """
+    K, P = grid.K, grid.physical_points
+    size = int(np.prod(shape))
+    # samples and working copy, band mask, times, magnitudes
+    held = 16 * size * (n_samples + 1) + size + 8 * n_samples + 8 * size
+    if not nonlinear:
+        return held + 16 * size + 3 * 16 * K
+    # -ik/2 and an ensemble's mode copy; per member two half spectra and P samples
+    rhs = 16 * size * (1 + (len(shape) > 1)) + size // K * (2 * 16 * (P // 2 + 1) + 8 * P)
+    return held + 16 * size * (6 + 8) + rhs + 6 * 16 * _CONTOUR_POINTS * K
+
+
 def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Trajectory:
     """Run the flow from u0 over [0, T]; samples every sample_stride steps.
 
@@ -307,7 +331,8 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
     The requested dt is adjusted to the nearest step count landing exactly
     on T. The blow-up guard runs after every step, sampled or not: a
     coefficient magnitude above its threshold, or a NaN, aborts, and for
-    an ensemble the error names the member.
+    an ensemble the error names the member. A run whose arrays (see
+    _run_bytes) exceed spectral.BUDGET_BYTES is refused before any exists.
     """
     g = spec.grid
     ensemble = not isinstance(u0, FourierField)
@@ -321,8 +346,9 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
     # every stride-th step and the last are sampled, after the datum
     n_steps, stride = (_step_count(spec) if spec.T else 0), spec.sample_stride
     n_samples = 1 + -(-n_steps // stride)
-    _check_bytes(16 * n_samples * len(members) * g.K,
-                 f"K={g.K} in {n_samples} samples of {len(members)} members needs a trajectory")
+    shape = (len(members), g.K) if ensemble else (g.K,)
+    _check_bytes(_run_bytes(g, shape, n_samples, spec.nonlinear),
+                 f"K={g.K} in {n_samples} samples of {len(members)} members needs a run")
     c = np.array([u.coeffs for u in members]) if ensemble else u0.coeffs.copy()
     if mask is not None:
         np.copyto(c, 0.0, where=mask)
@@ -404,8 +430,8 @@ def flow_jacobian(u0: FourierField, spec: FlowSpec, h: float) -> np.ndarray:
     Coordinates are (Re u_hat(k), Im u_hat(k)) for 0 < k <= N of a
     truncated flow, the grid's modes_upto(N) modes. All 2·dim perturbed
     data are advanced as one ensemble that keeps only its endpoint; it is
-    refused, before a probe is built, if its two samples exceed
-    spectral.BUDGET_BYTES.
+    refused, before a probe is built, if the probes and their run (see
+    _run_bytes) exceed spectral.BUDGET_BYTES.
     """
     if spec.flavor != "truncated":
         raise ValueError("flow_jacobian is defined for the truncated flavor")
@@ -413,8 +439,9 @@ def flow_jacobian(u0: FourierField, spec: FlowSpec, h: float) -> np.ndarray:
         raise ValueError(f"flow_jacobian takes one threshold N, got one per member: {spec.N}")
     n_modes = spec.grid.modes_upto(spec.N)
     dim = 2 * n_modes
-    _check_bytes(16 * 2 * 2 * dim * spec.grid.K,
-                 f"N={spec.N} needs {2 * dim} Jacobian probes at K={spec.grid.K}, a trajectory")
+    K = spec.grid.K
+    _check_bytes(16 * 2 * dim * K + _run_bytes(spec.grid, (2 * dim, K), 2, spec.nonlinear),
+                 f"N={spec.N} needs {2 * dim} Jacobian probes at K={K} and their run")
     if not h > 0:
         raise ValueError("finite-difference step must be positive")
 

@@ -1,6 +1,7 @@
 """Command-line interface: config resolution, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from kdvlab import cli, experiments, imethod, resonance, spectral
-from kdvlab.cli import ConfigError, _experiment_config, _write_csv, main, parse_config
+from kdvlab.cli import (
+    ConfigError, _column_text, _experiment_config, _joined, _write_csv, main, parse_config,
+)
 from kdvlab.experiments import ExperimentConfig
 from kdvlab.imethod import constant_form
 from kdvlab.resonance import p_n, prefactor, q_n, verify_factorization
@@ -130,10 +133,18 @@ class TestExitCodes:
         for piece in (1, 7, None) if K < 64 else (7, None):
             assert csv_at(piece) == whole, piece
 
+    def test_resonance_csv_digest(self, tmp_path):
+        # the README example's tuple CSV, byte for byte
+        argv = ("--j", "2", "--K", "64", "--K4", "24", "--csv", "t.csv")
+        assert run_cli("resonance-check", *argv, "--out", str(tmp_path)) == 0
+        digest = hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest()
+        assert digest == "291deb9582650693fd047d656efc4546e2fb722dc4994a1284d82e3009f886a3"
+
     def test_resonance_csv_write_peak(self, tmp_path, monkeypatch):
         # the README example's 3.2 MB CSV: the whole-file write held the
         # text of every row at once and peaked at about 18 MiB above what was
-        # held before it (tracemalloc); the write in pieces holds one piece
+        # held before it (tracemalloc); the write in pieces holds one piece's
+        # byte matrix and peaks at 3.53 MiB, bounded with 1.47 MiB headroom
         peaks = []
         true_write = cli._write_csv
 
@@ -148,7 +159,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_write_csv", traced)
         argv = ("--j", "2", "--K", "64", "--K4", "24", "--csv", "t.csv")
         assert run_cli("resonance-check", *argv, "--out", str(tmp_path)) == 0
-        assert len(peaks) == 1 and peaks[0] < 8 * 2**20
+        assert len(peaks) == 1 and peaks[0] < 5 * 2**20
 
     @pytest.mark.parametrize("argv, key", [
         (("--K", "20000"), "key 'K': 20000"),
@@ -600,6 +611,44 @@ class TestWriteCsv:
         assert [row.split(b",")[0] for row in path.read_bytes().split(b"\n")[1:3]] == [
             b"-0.0", b"0.0"
         ]
+
+    @pytest.mark.parametrize("column", [
+        np.array([0, -2**70, 0, 7, -2**70], dtype=object),
+        np.array([0.0, -1.7976931348623157e308, 0.0, 5.0, -1.7976931348623157e308]),
+    ], ids=["object", "float64"])
+    def test_short_and_long_cells_in_one_column(self, tmp_path, column):
+        # a column's width is its longest cell's: the short cells ("0",
+        # "0.0") are padded with NUL bytes, which the written text drops
+        columns = [column, np.arange(5, dtype=np.int64)]
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), ("wide", "i"), [columns])
+        assert path.read_bytes() == self.oracle(("wide", "i"), columns)
+        assert b"\0" not in path.read_bytes()
+
+    def test_joined_tuple_column(self, tmp_path):
+        # a pre-joined bytes column, its entries of 1 to 3 characters
+        # joined by spaces, is written as it is next to computed columns
+        tuples = np.array([[1, -1, 0], [-10, 2, 8], [100, -50, -50]], dtype=np.int64)
+        tuple_text = _joined([_column_text(e) for e in tuples.T], b" ")
+        ratio = np.array([0.5, 1.0, 0.5])
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), ("tuple", "ratio"), [[tuple_text, ratio]])
+        expected = [[" ".join(map(str, t)) for t in tuples.tolist()], ratio]
+        assert path.read_bytes() == self.oracle(("tuple", "ratio"), expected)
+
+    def test_all_equal_columns(self, tmp_path):
+        columns = [np.full(6, 0.1), np.full(6, 2**64, dtype=object), [True] * 6]
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), ("a", "b", "c"), [columns])
+        assert path.read_bytes() == self.oracle(("a", "b", "c"), columns)
+
+    def test_no_nul_byte_written(self, tmp_path):
+        tuples = np.array([[1, -1], [-100, 100], [3, -3]] * 4, dtype=np.int64)
+        columns = [_joined([_column_text(e) for e in tuples.T], b" "), *self.mixed_columns()]
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), ("tuple", *self.HEADER), [columns])
+        assert b"\0" not in path.read_bytes()
+        assert path.read_bytes().count(b"\n") == 1 + len(tuples)
 
     def test_zero_rows(self, tmp_path):
         path = tmp_path / "t.csv"

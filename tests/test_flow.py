@@ -176,14 +176,15 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("members", [None, 3])
     def test_trajectory_over_the_budget_refused_before_allocating(self, monkeypatch, members):
-        # 1,000,001 samples of K=8 modes take 128,000,016 bytes a member:
+        # a run of 1,000,001 samples of K=8 modes takes 136,027,448 bytes for
+        # one field and 392,033,560 for three members (flow._run_bytes):
         # refused under a 1 MiB budget before the samples or their times exist
         g = make_grid(2, 8)
         u0 = band_limited_field(g, 3, 4)
         spec = FlowSpec(grid=g, dt=1e-9, T=1e-3)
         monkeypatch.setattr(spectral, "BUDGET_BYTES", 2**20)
-        size = 16 * 1_000_001 * (members or 1) * 8
-        what = f"K=8 in 1000001 samples of {members or 1} members needs a trajectory of {size}"
+        size = {None: 136_027_448, 3: 392_033_560}[members]
+        what = f"K=8 in 1000001 samples of {members or 1} members needs a run of {size}"
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=what):
@@ -192,6 +193,35 @@ class TestIntegrate:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+    @pytest.mark.parametrize("members, K, flavor, N, nonlinear", [
+        (16, 1024, "full", None, True), (None, 1024, "full", None, True),
+        (3, 64, "truncated", (4.0, 8.0, 16.0), True), (2, 256, "full", None, False),
+    ])
+    def test_admitted_run_peaks_within_its_count(
+        self, monkeypatch, members, K, flavor, N, nonlinear
+    ):
+        # a run admitted under a budget of exactly its counted bytes holds at
+        # most that many (16 members at K=1024 peaked at about 6.58 MB of
+        # 9,736,344 counted, where the trajectory alone is 786,432), and one
+        # byte less refuses it
+        g = make_grid(2, K)
+        u0 = band_limited_field(g, 5, 4, norm=0.1)
+        spec = FlowSpec(grid=g, dt=1e-3, T=2e-3, flavor=flavor, N=N, nonlinear=nonlinear)
+        shape = (K,) if members is None else (members, K)
+        size = flow_module._run_bytes(g, shape, 3, nonlinear)
+        data = u0 if members is None else [u0] * members
+        monkeypatch.setattr(spectral, "BUDGET_BYTES", size)
+        tracemalloc.start()
+        try:
+            traj = integrate(data, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.coeffs.shape == (3, *shape) and peak <= size
+        monkeypatch.setattr(spectral, "BUDGET_BYTES", size - 1)
+        with pytest.raises(ValueError, match=f"needs a run of {size} bytes"):
+            integrate(data, spec)
 
     def test_blowup_guard(self):
         g = make_grid(1, 8)
@@ -706,21 +736,21 @@ class TestJacobian:
         assert defects[N] <= 10 * defects[N - 1.0]
 
     def test_over_the_budget_refused(self, monkeypatch):
-        # dimension 80 (160 probes of K=64 modes at 2 samples) computes in a
-        # budget of exactly its probes' bytes, and one byte under it is
-        # refused before a probe is built
+        # dimension 80 (160 probes of K=64 modes and their run at 2 samples)
+        # computes in a budget of exactly its probes' and run's bytes, and
+        # one byte under it is refused before a probe is built
         g = make_grid(1, 64)
         u0 = band_limited_field(g, 10, 4)
         spec = FlowSpec(grid=g, dt=1e-3, T=0.1, flavor="truncated", N=40.0)
-        size = 16 * 2 * 160 * 64
+        size = 4_338_704
         monkeypatch.setattr(spectral, "BUDGET_BYTES", size)
         J = flow_jacobian(u0, spec, h=1e-6)
         assert J.shape == (80, 80) and np.all(np.isfinite(J))
         monkeypatch.setattr(spectral, "BUDGET_BYTES", size - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"N=40.0 needs 160 Jacobian probes at K=64, "
-                                                 f"a trajectory of {size} bytes"):
+            with pytest.raises(ValueError, match=f"N=40.0 needs 160 Jacobian probes at K=64 "
+                                                 f"and their run of {size} bytes"):
                 flow_jacobian(u0, spec, h=1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
