@@ -92,7 +92,7 @@ class ExperimentConfig:
     def __post_init__(self):
         grid = self.grid
         FlowSpec(grid=grid, dt=self.dt, T=self.T)
-        for key, least in (("samples", 1), ("seed", 0)):
+        for key, least in (("samples", 1), ("seed", 0), ("n_ascent", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.N_list and list(self.N_list) != sorted(set(self.N_list)):
@@ -360,10 +360,11 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
 
     Seeded random sphere samples (plus one phase-aligned single-mode ray,
     exact at T = 0) are refined by projected coordinate ascent with a
-    shrinking step. The reported value is a fresh re-evaluation of the
-    returned initial datum, never a stale search value. Diagnostics count
-    the ascent probes solved (probes_solved) and those the sequential
-    order examines (probes_reached); the rest is speculative work.
+    shrinking step, one ensemble per window of up to 2·n_modes iterations.
+    The reported value is a fresh re-evaluation of the returned initial
+    datum, never a stale search value. Diagnostics count the ascent probes
+    solved (probes_solved) and those the sequential order examines
+    (probes_reached); the rest is speculative work.
     """
     grid = cfg.grid
     N = cfg.N
@@ -408,54 +409,37 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
 
     # Projected coordinate ascent. Each iteration tries +step then -step
     # along one coordinate and accepts the first improvement; after dim
-    # iterations without one the step halves. The probes of the next sweep
-    # (dim iterations) are planned as if none improves and solved as one
-    # ensemble, each iteration with the (step, since_improved) it leaves
-    # behind when it fails; the walk below replays the sequential order
-    # exactly and the next sweep starts after the first accepted probe.
+    # iterations without one the step halves. So each window of dim
+    # iterations runs at one step: its probes are one ensemble, and the
+    # first to beat v_best is exactly the sequential search's acceptance.
     improvements = 0
     step = 0.5
     dim = 2 * n_modes
-    since_improved = 0
     it = 0
     probes_solved = probes_reached = 0
     while it < cfg.n_ascent:
-        plan = []
-        plan_step, plan_since = step, since_improved
-        for plan_it in range(it, min(it + dim, cfg.n_ascent)):
-            mode_i, is_imag = divmod(plan_it % dim, 2)
-            tries = []
+        tries, owners = [], []
+        for probe_it in range(it, min(it + dim, cfg.n_ascent)):
+            mode_i, is_imag = divmod(probe_it % dim, 2)
             for sgn in (1.0, -1.0):
                 w_try = w_best.copy()
-                w_try[mode_i] += sgn * plan_step * R * (1j if is_imag else 1.0)
+                w_try[mode_i] += sgn * step * R * (1j if is_imag else 1.0)
                 nrm = ball_norm(FourierField(grid, w_try), n_modes)
-                if nrm == 0:
-                    continue
-                tries.append(w_try * (R / nrm))
-            plan_since += 1
-            if plan_since >= dim:
-                plan_step = max(plan_step * 0.5, 1e-4)
-                plan_since = 0
-            plan.append((tries, plan_step, plan_since))
-        flat = [w for tries, _, _ in plan for w in tries]
-        plan_values = iter(coords(flat))
-        probes_solved += len(flat)
-
-        for tries, step_after, since_after in plan:
-            it += 1
-            improved = False
-            for w_try in tries:
-                v_try = next(plan_values)
-                probes_reached += 1
-                if v_try > v_best:
-                    w_best, v_best = w_try, v_try
-                    improvements += 1
-                    improved = True
-                    break
-            if improved:
-                since_improved = 0
-                break
-            step, since_improved = step_after, since_after
+                if nrm != 0:
+                    tries.append(w_try * (R / nrm))
+                    owners.append(probe_it)
+        tried = coords(tries)
+        probes_solved += len(tries)
+        hit = next((i for i, v in enumerate(tried) if v > v_best), None)
+        if hit is None:
+            probes_reached += len(tries)
+            it += dim
+            step = max(step * 0.5, 1e-4)
+        else:
+            probes_reached += hit + 1
+            w_best, v_best = tries[hit], tried[hit]
+            improvements += 1
+            it = owners[hit] + 1
 
     u_best = center + FourierField(grid, w_best)
     final = cylinder_coordinate(flow_map([u_best])[0], cfg.k0, z)

@@ -297,17 +297,19 @@ def _step_count(spec: FlowSpec) -> int:
 
 
 def _run_bytes(grid: GridSpec, shape: tuple, n_samples: int, nonlinear: bool) -> int:
-    """Bytes of the arrays integrate allocates for a run of n_samples on
-    coefficient arrays of shape (K,) or (members, K).
+    """Bytes of the arrays integrate holds at its peak for a run of
+    n_samples on coefficient arrays of shape (K,) or (members, K).
 
-    The run holds its working copy, band mask, samples, times and
-    magnitudes; a step's tables (one without the nonlinearity, else six)
-    and eight stage arrays; and the RHS's half spectrum, physical samples,
-    squared spectrum, -ik/2 table and, for an ensemble, its mode copy.
-    While the tables are formed, the per-mode phases and their exponential
-    (three complex arrays of K) or, with the nonlinearity, the contour
-    averaging (at most six (K, 32) complex arrays at once) are held too.
-    All are summed, so the count bounds the run's peak from above.
+    The working copy and band mask are held throughout. With the
+    nonlinearity the tables are formed first, holding the phases L and h*L,
+    the six per-mode tables and at most six (K, 32) complex arrays of the
+    contour averaging; all are freed before the run holds its step's six
+    tables and eight stage arrays, the RHS's half spectrum, physical
+    samples, squared spectrum, -ik/2 table and, for an ensemble, mode copy,
+    its samples, times and magnitudes, and, while the step is formed, L and
+    the per-mode tables. The count is the larger phase, each summed, so it
+    bounds the peak of the array data (the Python objects around the
+    arrays, a few kilobytes, are not counted). A linear run has one phase.
     """
     K, P = grid.K, grid.physical_points
     size = int(np.prod(shape))
@@ -315,9 +317,11 @@ def _run_bytes(grid: GridSpec, shape: tuple, n_samples: int, nonlinear: bool) ->
     held = 16 * size * (n_samples + 1) + size + 8 * n_samples + 8 * size
     if not nonlinear:
         return held + 16 * size + 3 * 16 * K
+    # working copy and band mask; L, h*L, the six per-mode tables; the contour workspace
+    tables = 16 * size + size + 8 * 16 * K + 6 * 16 * _CONTOUR_POINTS * K
     # -ik/2 and an ensemble's mode copy; per member two half spectra and P samples
     rhs = 16 * size * (1 + (len(shape) > 1)) + size // K * (2 * 16 * (P // 2 + 1) + 8 * P)
-    return held + 16 * size * (6 + 8) + rhs + 6 * 16 * _CONTOUR_POINTS * K
+    return max(tables, held + 16 * size * (6 + 8) + rhs + 7 * 16 * K)
 
 
 def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Trajectory:

@@ -275,6 +275,9 @@ class TestExitCodes:
         # a physical grid over the budget is refused before any array
         (["solve", "--j", "2", "--K", "1000000000000000000000", "--dt", "1e-3", "--T", "0.01"],
          "K=1000000000000000000000 needs 3001892705939982420000 physical points"),
+        # a negative ascent length is refused, not run as none
+        (["squeeze", "--j", "2", "--K", "8", "--N_list", "8", "--k0", "1", "--radius", "0.5",
+          "--n_ascent", "-3", "--T", "0.01", "--samples", "2"], "n_ascent must be >= 0, got -3"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)

@@ -386,12 +386,17 @@ class TestBatchedAscent:
     # N=4 gives dim=8 and no n_ascent here is a multiple of 8. Every run
     # halves the step; the flowed runs also accept probes (at T=0 the ray
     # start is already optimal). Both are checked on the reference.
-    @pytest.mark.parametrize("T, k0, n_ascent, seed", [
-        (0.0, 2, 37, 21),
-        (0.02, -3, 45, 22),
-        (0.02, 3, 75, 23),
-    ])
-    def test_matches_sequential_ascent(self, T, k0, n_ascent, seed):
+    # solved and members pin the ascent's work as well as its answer: the
+    # probes solved and the member count of each integrate call (the
+    # centre, the starts, one ensemble per window, the re-evaluation)
+    @pytest.mark.parametrize("T, k0, n_ascent, seed, solved, members", [
+        (0.0, 2, 37, 21, 74, [1, 9, 16, 16, 16, 16, 10, 1]),
+        (0.02, -3, 45, 22, 92, [1, 9, 16, 16, 16, 16, 16, 10, 2, 1]),
+        (0.02, 3, 75, 23, 198, [1, 9] + [16] * 11 + [14, 8, 1]),
+    ], ids=["0.0-2-37-21", "0.02--3-45-22", "0.02-3-75-23"])
+    def test_matches_sequential_ascent(
+        self, monkeypatch, T, k0, n_ascent, seed, solved, members
+    ):
         cfg = ExperimentConfig(
             j=2, K=8, N_list=(4,), T=T, dt=1e-3, k0=k0, z_re=0.2,
             z_im=-0.1, radius=0.6, samples=8, n_ascent=n_ascent, seed=seed,
@@ -399,13 +404,22 @@ class TestBatchedAscent:
         u_best, final, values, improvements, probes, step = sequential_squeeze(cfg)
         assert step < 0.5
         assert (improvements > 0) == (T != 0.0)
+        calls = []
+        integrate = kdvlab.experiments.integrate
+
+        def counted(u, spec):
+            calls.append(1 if isinstance(u, FourierField) else len(u))
+            return integrate(u, spec)
+
+        monkeypatch.setattr(kdvlab.experiments, "integrate", counted)
         res = squeeze_witness(cfg)
         assert res.value == final
         assert res.improvements == improvements
         assert res.start_values == values
         assert np.array_equal(res.u0.coeffs, u_best.coeffs)
         assert res.diagnostics["probes_reached"] == probes
-        assert res.diagnostics["probes_solved"] >= probes
+        assert res.diagnostics["probes_solved"] == solved
+        assert calls == members
 
 
 class TestScalingCheck:

@@ -176,14 +176,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("members", [None, 3])
     def test_trajectory_over_the_budget_refused_before_allocating(self, monkeypatch, members):
-        # a run of 1,000,001 samples of K=8 modes takes 136,027,448 bytes for
-        # one field and 392,033,560 for three members (flow._run_bytes):
+        # a run of 1,000,001 samples of K=8 modes takes 136,003,768 bytes for
+        # one field and 392,009,880 for three members (flow._run_bytes):
         # refused under a 1 MiB budget before the samples or their times exist
         g = make_grid(2, 8)
         u0 = band_limited_field(g, 3, 4)
         spec = FlowSpec(grid=g, dt=1e-9, T=1e-3)
         monkeypatch.setattr(spectral, "BUDGET_BYTES", 2**20)
-        size = {None: 136_027_448, 3: 392_033_560}[members]
+        size = {None: 136_003_768, 3: 392_009_880}[members]
         what = f"K=8 in 1000001 samples of {members or 1} members needs a run of {size}"
         tracemalloc.start()
         try:
@@ -197,14 +197,16 @@ class TestIntegrate:
     @pytest.mark.parametrize("members, K, flavor, N, nonlinear", [
         (16, 1024, "full", None, True), (None, 1024, "full", None, True),
         (3, 64, "truncated", (4.0, 8.0, 16.0), True), (2, 256, "full", None, False),
+        (4, 4096, "full", None, True),
     ])
     def test_admitted_run_peaks_within_its_count(
         self, monkeypatch, members, K, flavor, N, nonlinear
     ):
         # a run admitted under a budget of exactly its counted bytes holds at
-        # most that many (16 members at K=1024 peaked at about 6.58 MB of
-        # 9,736,344 counted, where the trajectory alone is 786,432), and one
-        # byte less refuses it
+        # most that many (16 members at K=1024 peaked at about 6.59 MB of
+        # 6,705,304 counted, where the trajectory alone is 786,432; one field
+        # at K=1024 and 4 members at K=4096 peak while the tables are formed),
+        # and one byte less refuses it
         g = make_grid(2, K)
         u0 = band_limited_field(g, 5, 4, norm=0.1)
         spec = FlowSpec(grid=g, dt=1e-3, T=2e-3, flavor=flavor, N=N, nonlinear=nonlinear)
@@ -742,7 +744,7 @@ class TestJacobian:
         g = make_grid(1, 64)
         u0 = band_limited_field(g, 10, 4)
         spec = FlowSpec(grid=g, dt=1e-3, T=0.1, flavor="truncated", N=40.0)
-        size = 4_338_704
+        size = 4_149_264
         monkeypatch.setattr(spectral, "BUDGET_BYTES", size)
         J = flow_jacobian(u0, spec, h=1e-6)
         assert J.shape == (80, 80) and np.all(np.isfinite(J))
