@@ -288,7 +288,7 @@ def _initial_field(cfg: dict, grid):
         return u0
     _check_at_least(cfg, seed=0)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg["seed"]))
-    return random_smooth_field(grid, rng, decay=cfg["decay"], norm_value=1.0)
+    return _built(random_smooth_field, grid, rng, decay=cfg["decay"], norm_value=1.0)
 
 
 def _cmd_solve(cfg: dict, out_dir: str) -> None:
@@ -360,13 +360,11 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
         f"ratio in [{float(rep4.min_ratio):.6g}, {float(rep4.max_ratio):.6g}]; failures 0"
     )
     if path:
-        # Gamma3's rows, then Gamma4's, each piece's tuple text formed with it
-        step = resonance.PIECE_TUPLES
+        # Gamma3's pieces, then Gamma4's, each piece's tuple text formed with it
         pieces = (
-            (_joined([_column_text(e) for e in r.tuples[i : i + step].T], b" "),
-             r.p[i : i + step], r.q[i : i + step], r.ratio[i : i + step])
+            (_joined([_column_text(e) for e in t.T], b" "), p, q, ratio)
             for r in (rep3, rep4)
-            for i in range(0, len(r.tuples), step)
+            for t, p, q, ratio in r.pieces
         )
         _write_csv(path, ("tuple", "P_n", "Q_n", "ratio"), pieces)
 

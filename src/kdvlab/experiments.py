@@ -63,8 +63,8 @@ class ExperimentConfig:
 
     Every field but j and K has a reproducible default, and these defaults
     are the ones the CLI gives the same keys. The grid, the flow settings,
-    N_list, data_kmax, amplitude, tail_size and the ball and cylinder data
-    are validated here, the rest by the experiment that reads them. K and
+    N_list, data_kmax, amplitude, tail_size, the ball data and k0 != 0 are
+    validated here, the rest by the experiment that reads them. K and
     k0 are mode indices; N_list and data_kmax are frequencies
     (grid.modes_upto converts). z = z_re + i z_im is the cylinder center,
     (radius, center) the ball data.
@@ -111,8 +111,6 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.k0 == 0:
             raise ValueError("cylinder mode k0 must be nonzero")
-        if abs(self.k0) > grid.modes_upto(self.N):
-            raise ValueError(f"cylinder mode |k0|={abs(self.k0)} exceeds N={self.N}")
 
     @property
     def grid(self) -> GridSpec:
@@ -206,14 +204,15 @@ def check_almost_cons(cfg: ExperimentConfig) -> None:
 
 
 def _sweep_start(cfg: ExperimentConfig) -> tuple[GridSpec, FourierField]:
-    """The checked band's grid and a datum band-limited to frequency min(N_list)."""
+    """The checked band's grid and a datum band-limited to frequency min(N_list) >= 1/mu."""
     check_sweep_band(cfg)
     grid = cfg.grid
-    u0 = random_smooth_field(
-        grid, _rng_stream(cfg.seed, 0), cfg.decay,
-        kmax=grid.modes_upto(min(cfg.N_list)), norm_s=-0.5, norm_value=cfg.amplitude,
-    )
-    return grid, u0
+    kmax = grid.modes_upto(min(cfg.N_list))
+    if kmax == 0:
+        raise ValueError(f"min(N_list)={min(cfg.N_list):g} is below the first stored "
+                         f"frequency 1/mu={1 / cfg.mu:g}")
+    return grid, random_smooth_field(grid, _rng_stream(cfg.seed, 0), cfg.decay, kmax=kmax,
+                                     norm_s=-0.5, norm_value=cfg.amplitude)
 
 
 def _low_errors(grid: GridSpec, a: np.ndarray, b: np.ndarray, cut: float) -> list:
@@ -364,11 +363,14 @@ def squeeze_witness(cfg: ExperimentConfig) -> WitnessResult:
     The reported value is a fresh re-evaluation of the returned initial
     datum, never a stale search value. Diagnostics count the ascent probes
     solved (probes_solved) and those the sequential order examines
-    (probes_reached); the rest is speculative work.
+    (probes_reached); the rest is speculative work. A cylinder mode k0
+    beyond the band N is refused before anything is drawn or solved.
     """
     grid = cfg.grid
     N = cfg.N
     n_modes = grid.modes_upto(N)
+    if abs(cfg.k0) > n_modes:
+        raise ValueError(f"cylinder mode |k0|={abs(cfg.k0)} exceeds N={N}")
     center = project(
         random_smooth_field(grid, _rng_stream(cfg.seed, 10_000), cfg.decay, norm_s=-0.5),
         "le",

@@ -126,7 +126,7 @@ def _full(table: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _check_band(grid: GridSpec, flavor: str, N: float | tuple | None) -> None:
     """Refuse an unknown flavor, a full flow given a threshold N it would
-    ignore, and a truncated flow without N or with an N above K/mu or NaN."""
+    ignore, and a truncated flow without N or with an N not in (0, K/mu]."""
     if flavor == "full":
         if N is not None:
             raise ValueError(f"the full flavor takes no threshold N, got N={N}")
@@ -134,10 +134,11 @@ def _check_band(grid: GridSpec, flavor: str, N: float | tuple | None) -> None:
     if flavor != "truncated" or N is None:
         raise ValueError(f"unknown flavor {flavor!r} (truncated requires N)")
     for n in N if isinstance(N, tuple) else (N,):
-        if not n <= grid.band:  # also refuses NaN
+        if not 0 < n <= grid.band:  # also refuses NaN
             raise ValueError(
-                f"truncated N={n} exceeds the grid band K/mu={grid.band:g}"
-                if n > grid.band else f"truncated N={n} is not a number"
+                f"truncated N={n} exceeds the grid band K/mu={grid.band:g}" if n > grid.band
+                else f"truncated N={n} is not > 0" if n <= 0
+                else f"truncated N={n} is not a number"
             )
 
 
@@ -306,22 +307,24 @@ def _run_bytes(grid: GridSpec, shape: tuple, n_samples: int, nonlinear: bool) ->
     contour averaging; all are freed before the run holds its step's six
     tables and eight stage arrays, the RHS's half spectrum, physical
     samples, squared spectrum, -ik/2 table and, for an ensemble, mode copy,
-    its samples, times and magnitudes, and, while the step is formed, L and
-    the per-mode tables. The count is the larger phase, each summed, so it
-    bounds the peak of the array data (the Python objects around the
-    arrays, a few kilobytes, are not counted). A linear run has one phase.
+    its samples, times and magnitudes, the Trajectory check's time
+    differences and flags, and, while the step is formed, L and the
+    per-mode tables. The count is the larger phase, each summed, plus 16 KiB
+    for the Python objects around the arrays (up to 10 KB measured at K=8),
+    so it bounds the peak. A linear run has one phase.
     """
     K, P = grid.K, grid.physical_points
     size = int(np.prod(shape))
-    # samples and working copy, band mask, times, magnitudes
-    held = 16 * size * (n_samples + 1) + size + 8 * n_samples + 8 * size
+    objects = 16384
+    # samples and working copy, band mask, times, magnitudes, the time check
+    held = 16 * size * (n_samples + 1) + size + 8 * n_samples + 8 * size + 9 * n_samples
     if not nonlinear:
-        return held + 16 * size + 3 * 16 * K
+        return held + 16 * size + 3 * 16 * K + objects
     # working copy and band mask; L, h*L, the six per-mode tables; the contour workspace
     tables = 16 * size + size + 8 * 16 * K + 6 * 16 * _CONTOUR_POINTS * K
     # -ik/2 and an ensemble's mode copy; per member two half spectra and P samples
     rhs = 16 * size * (1 + (len(shape) > 1)) + size // K * (2 * 16 * (P // 2 + 1) + 8 * P)
-    return max(tables, held + 16 * size * (6 + 8) + rhs + 7 * 16 * K)
+    return max(tables, held + 16 * size * (6 + 8) + rhs + 7 * 16 * K) + objects
 
 
 def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Trajectory:

@@ -128,10 +128,10 @@ class FactorizationReport:
     """Outcome of exhaustive factorization/comparability enumeration.
 
     One row per non-resonant tuple whose prefactor divides P_n, in
-    nested-loop order: tuples (rows x arity), p (P_n), q (Q_n) and ratio
-    (|Q_n| / max|entry|^(2j-2), correctly rounded). The integer columns are
-    int64 while n*K^(2j+1) < 2^53 and Python ints beyond. count includes
-    the failures, each recorded as (tuple, P_n, prefactor).
+    nested-loop order, in the walk's pieces, each (tuples (rows x arity),
+    P_n, Q_n, |Q_n| / max|entry|^(2j-2) correctly rounded). The integer
+    columns are int64 while n*K^(2j+1) < 2^53 and Python ints beyond. count
+    includes the failures, each recorded as (tuple, P_n, prefactor).
     """
 
     j: int
@@ -140,10 +140,7 @@ class FactorizationReport:
     count: int
     min_ratio: Fraction | None
     max_ratio: Fraction | None
-    tuples: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    ratio: np.ndarray
+    pieces: list
     failures: list = field(default_factory=list)
 
     @property
@@ -267,14 +264,14 @@ def _pn_int(cols: Sequence[np.ndarray], j: int) -> np.ndarray:
 def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
     """Check P_n = prefactor * Q_n exactly on the full lattice.
 
-    Enumerates all nonzero-entry, nonzero-prefactor tuples on Gamma_n with
-    |entries| <= K and checks that the prefactor divides P_n in the
-    integers. Below n*K^(2j+1) < 2^53 every integer, and both operands of
-    the ratio, are exact in int64 and float64; beyond, the same expressions
-    run on Python ints. min/max of |Q_n| / max|entry|^(2j-2) are exact
-    Fractions, taken among the tuples whose rounded ratio is extreme (a
-    correctly rounded division is monotone). The comparability constants
-    are reported, not asserted: the underlying claim hides its constants.
+    Walks the nonzero-entry, nonzero-prefactor tuples on Gamma_n with
+    |entries| <= K a piece of _hyperplane_chunks at a time, keeping each
+    piece, and checks that the prefactor divides P_n in the integers. Below
+    n*K^(2j+1) < 2^53 every integer and ratio operand is exact in int64 and
+    float64; beyond, the same expressions run on Python ints. min/max of
+    |Q_n| / max|entry|^(2j-2) are exact Fractions, taken among each piece's
+    tuples of extreme rounded ratio (a correctly rounded division is
+    monotone). They are reported, not asserted: the claim hides its constants.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
@@ -282,34 +279,33 @@ def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
         raise ValueError(f"K must be >= 2, got {K}")
     if arity not in (3, 4):
         raise ValueError(f"arity must be 3 or 4, got {arity}")
-    t = np.stack(_hyperplane_tuples(arity, K), axis=1).astype(_exact_dtype(arity, K, j))
-    x = t.T
-    if arity == 3:
-        pref = x[0] * x[1] * x[2]
-    else:
-        pref = (x[0] + x[1]) * (x[0] + x[2]) * (x[0] + x[3])
-    keep = pref != 0
-    t, pref = t[keep], pref[keep]
-    p = _pn_int(t.T, j)
-    q, rem = p // pref, p % pref
-    ok = rem == 0
-    failures = [
-        (tuple(row), pv, dv)
-        for row, pv, dv in zip(t[~ok].tolist(), p[~ok].tolist(), pref[~ok].tolist())
-    ]
-    t, p, q = t[ok], p[ok], q[ok]
-    num = np.abs(q)
-    den = np.max(np.abs(t), axis=1) ** (2 * j - 2)
-    ratio = (num / den).astype(np.float64)
-
-    def exact(sel) -> set:
-        return {Fraction(a, b) for a, b in zip(num[sel].tolist(), den[sel].tolist())}
-
-    extremes = (None, None)
-    if ratio.size:
-        extremes = (min(exact(ratio == ratio.min())), max(exact(ratio == ratio.max())))
+    dtype = _exact_dtype(arity, K, j)
+    pieces, failures, lows, highs = [], [], set(), set()
+    for cols in _hyperplane_chunks(arity, K):
+        t = np.stack(cols, axis=1).astype(dtype)
+        x = t.T
+        if arity == 3:
+            pref = x[0] * x[1] * x[2]
+        else:
+            pref = (x[0] + x[1]) * (x[0] + x[2]) * (x[0] + x[3])
+        t, pref = t[pref != 0], pref[pref != 0]
+        p = _pn_int(t.T, j).astype(dtype, copy=False)
+        q, rem = p // pref, p % pref
+        ok = rem == 0
+        failures += [
+            (tuple(row), pv, dv)
+            for row, pv, dv in zip(t[~ok].tolist(), p[~ok].tolist(), pref[~ok].tolist())
+        ]
+        t, p, q = t[ok], p[ok], q[ok]
+        num, den = np.abs(q), np.max(np.abs(t), axis=1) ** (2 * j - 2)
+        ratio = (num / den).astype(np.float64, copy=False)
+        if ratio.size:
+            # the piece's exact extremes, one Fraction per distinct (num, den)
+            for ex, sel in ((lows, ratio == ratio.min()), (highs, ratio == ratio.max())):
+                ex |= {Fraction(a, b) for a, b in set(zip(num[sel].tolist(), den[sel].tolist()))}
+            pieces.append((t, p, q, ratio))
     return FactorizationReport(
-        j=j, K=K, arity=arity, count=len(t) + len(failures),
-        min_ratio=extremes[0], max_ratio=extremes[1],
-        tuples=t, p=p, q=q, ratio=ratio, failures=failures,
+        j=j, K=K, arity=arity, count=len(failures) + sum(len(r) for r, *_ in pieces),
+        min_ratio=min(lows, default=None), max_ratio=max(highs, default=None),
+        pieces=pieces, failures=failures,
     )

@@ -353,7 +353,7 @@ def random_smooth_field(
     u = FourierField(grid, c)
     cur = sobolev_norm(u, norm_s)
     if cur == 0.0:
-        raise ValueError("degenerate random field")
+        raise ValueError(f"degenerate random field: decay={decay:g} zeroes every kept mode")
     return u * (norm_value / cur)
 
 

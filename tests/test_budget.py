@@ -20,10 +20,10 @@ def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
         # 320 physical points, 16 bytes each
         "K=100 needs 320 physical points": lambda: make_grid(1, 100),
         # a run of 33 samples of 8 modes, with its step arrays (flow._run_bytes)
-        "needs a run of 25736 bytes": lambda: integrate(
+        "needs a run of 42120 bytes": lambda: integrate(
             u, FlowSpec(grid=g, dt=1e-3, T=0.032)),
         # 32 probes of 8 modes, and their run at 2 samples
-        "needs 32 Jacobian probes at K=8 and their run of 104848 bytes": lambda: flow_jacobian(
+        "needs 32 Jacobian probes at K=8 and their run of 121250 bytes": lambda: flow_jacobian(
             u, FlowSpec(grid=g, dt=1e-3, T=1e-3, flavor="truncated", N=8.0), 1e-6),
         # sigma3's pair-term table at bound 8, 16 * 17^2 bytes
         "needs a Gamma_3 table of 4624 bytes": lambda: imethod._pair_terms(3, mult, g, 8, 8),
@@ -58,8 +58,8 @@ def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
     assert main([*sweep, "--out", str(tmp_path / "b")]) == 2
     assert main([*check, "--out", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
-    assert "needs a run of 25736 bytes > BUDGET_BYTES (4096)" in err
-    assert "K=64 in 33 samples of 4 members needs a run of 233864 bytes" in err
+    assert "needs a run of 42120 bytes > BUDGET_BYTES (4096)" in err
+    assert "K=64 in 33 samples of 4 members needs a run of 250545 bytes" in err
     assert "key 'K': 4 needs a Gamma_4 report of 28672 bytes > BUDGET_BYTES (4096)" in err
     assert not (tmp_path / "b" / "manifest.json").exists()
     held = fill_cache()

@@ -278,6 +278,21 @@ class TestExitCodes:
         # a negative ascent length is refused, not run as none
         (["squeeze", "--j", "2", "--K", "8", "--N_list", "8", "--k0", "1", "--radius", "0.5",
           "--n_ascent", "-3", "--T", "0.01", "--samples", "2"], "n_ascent must be >= 0, got -3"),
+        # a decay whose field underflows to 0 is refused, naming decay
+        (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--decay", "1000"],
+         "decay=1000 zeroes every kept mode"),
+        (["energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4", "--dt", "1e-3",
+          "--T", "0.01", "--decay", "1000"], "decay=1000 zeroes every kept mode"),
+        (["approx-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16", "--T", "0.01",
+          "--decay", "1000"], "decay=1000 zeroes every kept mode"),
+        # a sweep's datum needs a stored mode up to min(N_list)
+        (["approx-sweep", "--j", "2", "--K", "64", "--N_list", "0.5,8,16", "--dt", "1e-3",
+          "--T", "0.01"], "min(N_list)=0.5 is below the first stored frequency 1/mu=1"),
+        # a truncated flow at N <= 0 would run on a zero field
+        (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--N", "0"],
+         "truncated N=0.0 is not > 0"),
+        (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--N", "-1"],
+         "truncated N=-1.0 is not > 0"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)
@@ -339,6 +354,17 @@ class TestExitCodes:
         assert status == 1
         err = capsys.readouterr().err
         assert "not strictly decreasing" in err
+
+    def test_almost_cons_below_the_cylinder_mode_runs(self, tmp_path, capsys):
+        # max(N_list)=0.75 is below mode 1, the default cylinder mode, which
+        # only the witness search reads: the sweep runs and ends on its result
+        status = run_cli(
+            "almost-cons", "--j", "2", "--K", "16", "--N_list", "0.25,0.5,0.75",
+            "--s", "-0.5", "--dt", "1e-3", "--T", "0.01", "--out", str(tmp_path),
+        )
+        err = capsys.readouterr().err
+        assert status == 1 and "not strictly decreasing" in err and "k0" not in err
+        assert (tmp_path / "almost-cons.csv").exists()
 
     # At T = 0 each trajectory is its one datum sample: every sweep row is
     # 0.0, which the strict-decrease check refuses, and the scaling

@@ -291,16 +291,23 @@ class TestSqueezeWitness:
         assert coord == cylinder_coordinate(center, 3, 0.1 + 0.2j)
         assert res.start_values[0] - coord == pytest.approx(0.7, abs=1e-12)
 
-    def test_k0_beyond_band_rejected(self):
-        # checked when the configuration is built, before any search
+    def test_k0_beyond_band_rejected(self, monkeypatch):
+        # checked by the witness search before anything is solved; the
+        # configuration itself, which other experiments read, is accepted
+        def refused(*args, **kwargs):
+            raise AssertionError("integrate called before the k0 check")
+
+        monkeypatch.setattr(kdvlab.experiments, "integrate", refused)
         with pytest.raises(ValueError, match="k0"):
-            ExperimentConfig(j=2, K=8, N_list=(4,), T=0.0, k0=6, radius=0.5)
+            squeeze_witness(ExperimentConfig(j=2, K=8, N_list=(4,), T=0.0, k0=6, radius=0.5))
         with pytest.raises(ValueError, match=r"\|k0\|=9 exceeds N=8"):
-            ExperimentConfig(j=2, K=8, k0=-9)
+            squeeze_witness(ExperimentConfig(j=2, K=8, k0=-9))
         # the band is in frequency: at mu=0.5 mode 3 is frequency 6 > 4, at
         # mu=2 mode 6 is frequency 3 <= 4
         with pytest.raises(ValueError, match=r"\|k0\|=3 exceeds N=4"):
-            ExperimentConfig(j=2, K=8, mu=0.5, N_list=(4,), T=0.0, k0=3, radius=0.5)
+            squeeze_witness(
+                ExperimentConfig(j=2, K=8, mu=0.5, N_list=(4,), T=0.0, k0=3, radius=0.5)
+            )
         cfg = ExperimentConfig(j=2, K=8, mu=2.0, N_list=(4,), T=0.0, k0=6, radius=0.5)
         assert cfg.grid.modes_upto(cfg.N) == 8
 

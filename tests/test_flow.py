@@ -176,14 +176,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("members", [None, 3])
     def test_trajectory_over_the_budget_refused_before_allocating(self, monkeypatch, members):
-        # a run of 1,000,001 samples of K=8 modes takes 136,003,768 bytes for
-        # one field and 392,009,880 for three members (flow._run_bytes):
+        # a run of 1,000,001 samples of K=8 modes takes 145,020,161 bytes for
+        # one field and 401,026,273 for three members (flow._run_bytes):
         # refused under a 1 MiB budget before the samples or their times exist
         g = make_grid(2, 8)
         u0 = band_limited_field(g, 3, 4)
         spec = FlowSpec(grid=g, dt=1e-9, T=1e-3)
         monkeypatch.setattr(spectral, "BUDGET_BYTES", 2**20)
-        size = {None: 136_003_768, 3: 392_009_880}[members]
+        size = {None: 145_020_161, 3: 401_026_273}[members]
         what = f"K=8 in 1000001 samples of {members or 1} members needs a run of {size}"
         tracemalloc.start()
         try:
@@ -194,24 +194,32 @@ class TestIntegrate:
             tracemalloc.stop()
         assert peak < 2**16
 
-    @pytest.mark.parametrize("members, K, flavor, N, nonlinear", [
-        (16, 1024, "full", None, True), (None, 1024, "full", None, True),
-        (3, 64, "truncated", (4.0, 8.0, 16.0), True), (2, 256, "full", None, False),
-        (4, 4096, "full", None, True),
+    @pytest.mark.parametrize("members, K, flavor, N, nonlinear, samples", [
+        pytest.param(16, 1024, "full", None, True, 3, id="16-1024-full-None-True"),
+        pytest.param(None, 1024, "full", None, True, 3, id="None-1024-full-None-True"),
+        pytest.param(3, 64, "truncated", (4.0, 8.0, 16.0), True, 3, id="3-64-truncated-N2-True"),
+        pytest.param(2, 256, "full", None, False, 3, id="2-256-full-None-False"),
+        pytest.param(4, 4096, "full", None, True, 3, id="4-4096-full-None-True"),
+        # a long run sampled at every step, and the witness search's ensemble
+        (None, 16, "full", None, True, 10_001),
+        (16, 8, "truncated", 4.0, True, 33),
     ])
     def test_admitted_run_peaks_within_its_count(
-        self, monkeypatch, members, K, flavor, N, nonlinear
+        self, monkeypatch, members, K, flavor, N, nonlinear, samples
     ):
         # a run admitted under a budget of exactly its counted bytes holds at
         # most that many (16 members at K=1024 peaked at about 6.59 MB of
-        # 6,705,304 counted, where the trajectory alone is 786,432; one field
-        # at K=1024 and 4 members at K=4096 peak while the tables are formed),
+        # 6,721,715 counted, where the trajectory alone is 786,432; one field
+        # at K=1024 and 4 members at K=4096 peak while the tables are formed;
+        # a long run's trajectory check forms 9 bytes a sample, and at K=8 the
+        # Python objects around the arrays are most of the 16 KiB allowance),
         # and one byte less refuses it
         g = make_grid(2, K)
         u0 = band_limited_field(g, 5, 4, norm=0.1)
-        spec = FlowSpec(grid=g, dt=1e-3, T=2e-3, flavor=flavor, N=N, nonlinear=nonlinear)
+        spec = FlowSpec(grid=g, dt=1e-3, T=(samples - 1) * 1e-3, flavor=flavor, N=N,
+                        nonlinear=nonlinear)
         shape = (K,) if members is None else (members, K)
-        size = flow_module._run_bytes(g, shape, 3, nonlinear)
+        size = flow_module._run_bytes(g, shape, samples, nonlinear)
         data = u0 if members is None else [u0] * members
         monkeypatch.setattr(spectral, "BUDGET_BYTES", size)
         tracemalloc.start()
@@ -220,7 +228,7 @@ class TestIntegrate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traj.coeffs.shape == (3, *shape) and peak <= size
+        assert traj.coeffs.shape == (samples, *shape) and peak <= size
         monkeypatch.setattr(spectral, "BUDGET_BYTES", size - 1)
         with pytest.raises(ValueError, match=f"needs a run of {size} bytes"):
             integrate(data, spec)
@@ -261,6 +269,12 @@ class TestIntegrate:
     def test_nan_threshold_refused(self, N):
         # nan > band is False: without the refusal the solve zeroes every mode
         with pytest.raises(ValueError, match="N=nan is not a number"):
+            FlowSpec(grid=make_grid(2, 8), dt=1e-3, T=1e-3, flavor="truncated", N=N)
+
+    @pytest.mark.parametrize("N, shown", [(0.0, "0.0"), (-1.0, "-1.0"), ((8.0, 0.0), "0.0")])
+    def test_nonpositive_threshold_refused(self, N, shown):
+        # a truncated flow at N <= 0 keeps no mode: it would run on a zero field
+        with pytest.raises(ValueError, match=f"truncated N={shown} is not > 0"):
             FlowSpec(grid=make_grid(2, 8), dt=1e-3, T=1e-3, flavor="truncated", N=N)
 
     # The full flow has no threshold, so an N given with it is refused, not ignored.
@@ -744,7 +758,7 @@ class TestJacobian:
         g = make_grid(1, 64)
         u0 = band_limited_field(g, 10, 4)
         spec = FlowSpec(grid=g, dt=1e-3, T=0.1, flavor="truncated", N=40.0)
-        size = 4_149_264
+        size = 4_165_666
         monkeypatch.setattr(spectral, "BUDGET_BYTES", size)
         J = flow_jacobian(u0, spec, h=1e-6)
         assert J.shape == (80, 80) and np.all(np.isfinite(J))

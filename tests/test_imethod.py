@@ -785,7 +785,7 @@ class TestWeightTable:
 
     @pytest.mark.parametrize("K", [1, 2, 3, 6, 9])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_tuples_read_off_the_layout(self, monkeypatch, n, K):
+    def test_orbit_pieces_cover_gamma_n(self, monkeypatch, n, K):
         # in pieces of 7 orbits and in one piece: the multiplicities count
         # Gamma_n; each orbit is written once, sorted, or in descending order
         # as the negation of its negation's representative, or, when it is its
@@ -837,7 +837,7 @@ class TestWeightTable:
     @pytest.mark.parametrize("mu", [1.0, 1.5])
     @pytest.mark.parametrize("shape", ["clipped_power", "smooth_log"])
     @pytest.mark.parametrize("K", [3, 6])
-    def test_equals_the_whole_lattice_scatter(self, monkeypatch, K, shape, mu):
+    def test_walk_equals_the_tuple_sum(self, monkeypatch, K, shape, mu):
         # the tuple sum weighs the whole lattice at once; the walk, in pieces
         # of one orbit, of 7 orbits and in one piece, agrees with it
         g = make_grid(2, K, mu)

@@ -152,6 +152,11 @@ def scalar_rows(j, K, arity):
     return rows
 
 
+def joined(rep):
+    """The report's pieces joined: its rows' tuples, P_n, Q_n and ratios."""
+    return tuple(np.concatenate(cols) for cols in zip(*rep.pieces))
+
+
 class TestVerifierRows:
     @pytest.mark.parametrize(
         "j, K, arity",
@@ -161,8 +166,9 @@ class TestVerifierRows:
     def test_rows_match_scalar_api(self, j, K, arity):
         rep = verify_factorization(j, K, arity=arity)
         ref = scalar_rows(j, K, arity)
-        assert rep.ok and rep.count == len(ref) == len(rep.ratio)
-        got = zip(rep.tuples.tolist(), rep.p.tolist(), rep.q.tolist(), rep.ratio.tolist())
+        tuples, p, q, ratio = joined(rep)
+        assert rep.ok and rep.count == len(ref) == len(ratio)
+        got = zip(tuples.tolist(), p.tolist(), q.tolist(), ratio.tolist())
         for (t, p, q, ratio), (t_ref, p_ref, q_ref, ratio_ref) in zip(got, ref):
             assert tuple(t) == t_ref and p == p_ref and q == q_ref
             assert type(p) is int and type(q) is int
@@ -171,19 +177,74 @@ class TestVerifierRows:
         assert rep.min_ratio == min(exact) and rep.max_ratio == max(exact)
 
     def test_dtype_switch_at_2_53(self):
-        # 3 * 25^11 < 2^53 <= 3 * 26^11: int64 below, Python ints above
-        assert verify_factorization(5, 25).p.dtype == np.int64
-        assert verify_factorization(5, 26).p.dtype == object
-        assert verify_factorization(9, 12).p.dtype == object
+        # 3 * 25^11 < 2^53 <= 3 * 26^11: int64 below, Python ints above, in
+        # every piece, whatever the largest entry of the piece
+        def dtypes(*args):
+            return {p.dtype for _, p, _, _ in verify_factorization(*args).pieces}
+
+        assert dtypes(5, 25) == {np.dtype(np.int64)}
+        assert dtypes(5, 26) == {np.dtype(object)}
+        assert dtypes(9, 12) == {np.dtype(object)}
 
     def test_indivisible_tuples_fail(self, monkeypatch):
         # Off-hyperplane probes: (1, 2, 4) has P = 73, prefactor 8
         fake = (np.array([1, 1]), np.array([2, 1]), np.array([4, 1]))
-        monkeypatch.setattr(resonance, "_hyperplane_tuples", lambda n, K: fake)
+        monkeypatch.setattr(resonance, "_hyperplane_chunks", lambda n, K: iter([fake]))
         rep = verify_factorization(1, 4)
         assert not rep.ok and rep.count == 2
         assert rep.failures == [((1, 2, 4), 73, 8)]
-        assert rep.tuples.tolist() == [[1, 1, 1]] and rep.q.tolist() == [3]
+        tuples, _, q, _ = joined(rep)
+        assert tuples.tolist() == [[1, 1, 1]] and q.tolist() == [3]
+
+
+class TestVerifierPieces:
+    @pytest.mark.parametrize("arity, K", [(3, 9), (4, 5)])
+    def test_pieces_are_the_walks(self, monkeypatch, arity, K):
+        # the report keeps the walk's pieces of 7 tuples, less the rows it
+        # drops, and joined they are the rows of one piece for all; the
+        # joined lattice is never formed
+        whole = joined(verify_factorization(2, K, arity))
+        monkeypatch.setattr(resonance, "PIECE_TUPLES", 7)
+
+        def refused(n, K):
+            raise AssertionError("the verifier joined the lattice")
+
+        monkeypatch.setattr(resonance, "_hyperplane_tuples", refused)
+        rep = verify_factorization(2, K, arity)
+        assert len(rep.pieces) > 1 and all(0 < len(t) <= 7 for t, *_ in rep.pieces)
+        for a, b in zip(joined(rep), whole):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("j, K, arity", [(2, 48, 4), (2, 256, 3)])
+    def test_peak_is_the_report_plus_one_piece(self, j, K, arity):
+        # the whole-lattice verifier peaked 48.4 MiB (Gamma4, K=48) and
+        # 13.8 MiB (Gamma3, K=256) above the report it returned; piece by
+        # piece it peaks 2.9 and 2.3 MiB above it (tracemalloc)
+        tracemalloc.start()
+        try:
+            rep = verify_factorization(j, K, arity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for piece in rep.pieces for a in piece)
+        assert rep.ok and peak - held <= 4 * 2**20
+
+    @pytest.mark.parametrize("arity, K", [(3, 64), (4, 12)])
+    def test_one_fraction_per_distinct_extreme(self, monkeypatch, arity, K):
+        # at j=1 every ratio is exactly 3, so every row is extreme: the
+        # extremes are built from the distinct (|Q_n|, denominator) pairs,
+        # not one Fraction per row
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return Fraction(*args)
+
+        monkeypatch.setattr(resonance, "Fraction", Counted)
+        rep = verify_factorization(1, K, arity)
+        assert rep.min_ratio == rep.max_ratio == 3
+        assert 0 < len(built) <= 2 * len(rep.pieces)
 
 
 # (n, j, K) with n * K^(2j+1) just below 2^53, so K + 1 is just above it
