@@ -785,7 +785,7 @@ class TestWeightTable:
 
     @pytest.mark.parametrize("K", [1, 2, 3, 6, 9])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_orbit_pieces_cover_gamma_n(self, monkeypatch, n, K):
+    def test_tuples_read_off_the_layout(self, monkeypatch, n, K):
         # in pieces of 7 orbits and in one piece: the multiplicities count
         # Gamma_n; each orbit is written once, sorted, or in descending order
         # as the negation of its negation's representative, or, when it is its
