@@ -29,8 +29,6 @@ from .experiments import (
     ExperimentConfig,
     almost_conservation_sweep,
     approx_truncated_sweep,
-    check_almost_cons,
-    check_sweep_band,
     first_rise,
     high_freq_insensitivity,
     scaling_check,
@@ -338,14 +336,13 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
     _check_at_least(cfg, j=1, K=2, K4=2)
     path = _output_path(cfg, "csv", out_dir) if cfg["csv"] else None
     k4 = cfg["K4"] if cfg["K4"] is not None else cfg["K"]
-    # refused before the walk: a report has at most (2K)^(n-1) rows, each
-    # n entries, P_n and Q_n at their dtype (a Python int is a pointer and
-    # an object) and a float64 ratio
-    for key, K, n in (("K", cfg["K"], 3), ("K4" if cfg["K4"] is not None else "K", k4, 4)):
-        dtype = resonance._exact_dtype(n, K, cfg["j"])
-        cell = 8 if dtype is np.int64 else 8 + sys.getsizeof(n * K ** (2 * cfg["j"] + 1))
-        size = (2 * K) ** (n - 1) * ((n + 2) * cell + 8)
-        _built(_check_bytes, size, f"bad value for key {key!r}: {K} needs a Gamma_{n} report")
+    # both reports are held until the CSV is written: refused before either
+    # walk if together they exceed the budget, naming the larger's key
+    sizes = {n: resonance._report_bytes(n, K, cfg["j"]) for n, K in ((3, cfg["K"]), (4, k4))}
+    n = max(sizes, key=sizes.get)
+    key, K = ("K", cfg["K"]) if n == 3 or cfg["K4"] is None else ("K4", k4)
+    _built(_check_bytes, sum(sizes.values()), f"bad value for key {key!r}: {K} needs a "
+           f"Gamma_{n} report held with a Gamma_{7 - n} one, two reports")
     rep3 = verify_factorization(cfg["j"], cfg["K"], arity=3)
     rep4 = verify_factorization(cfg["j"], k4, arity=4)
     for rep in (rep3, rep4):
@@ -374,10 +371,9 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     return _built(ExperimentConfig, **{k: v for k, v in cfg.items() if k in _FIELDS})
 
 
-def _cmd_sweep(check, sweep, cfg: dict, out_dir: str) -> None:
-    """Check, then run the sweep; its CSV and its report take the sweep's kind as name."""
+def _cmd_sweep(sweep, cfg: dict, out_dir: str) -> None:
+    """Run the sweep (it refuses its own configuration); CSV and report take its kind as name."""
     ecfg = _experiment_config(cfg)
-    _built(check, ecfg)
     result = _built(sweep, ecfg)
     kind = result.kind
     _write_csv(os.path.join(out_dir, f"{kind}.csv"), result.columns, [zip(*result.rows)])
@@ -447,15 +443,15 @@ _COMMANDS = {
         "j": True, "K": True, "K4": ("int", False, None), "csv": ("str", False, None),
     }),
     "approx-sweep": (
-        partial(_cmd_sweep, check_sweep_band, lambda e: approx_truncated_sweep(e)),
+        partial(_cmd_sweep, lambda e: approx_truncated_sweep(e)),
         {**_FLOW, "N_list": True},
     ),
     "tail-sweep": (
-        partial(_cmd_sweep, check_sweep_band, lambda e: high_freq_insensitivity(e)),
+        partial(_cmd_sweep, lambda e: high_freq_insensitivity(e)),
         {**_FLOW, "N_list": True, "tail_size": False},
     ),
     "almost-cons": (
-        partial(_cmd_sweep, check_almost_cons, lambda e: almost_conservation_sweep(e)),
+        partial(_cmd_sweep, lambda e: almost_conservation_sweep(e)),
         {**_FLOW, "N_list": True, "s": True, "amplitude": False, "data_kmax": False},
     ),
     "squeeze": (_cmd_squeeze, {

@@ -183,30 +183,17 @@ def _sampled_solve(
 # ---------------------------------------------------------------------------
 
 
-def check_sweep_band(cfg: ExperimentConfig) -> None:
-    """Refuse an approx or tail sweep whose reference band K/mu is below 4 max(N_list)."""
+def _sweep_start(cfg: ExperimentConfig) -> tuple[GridSpec, FourierField]:
+    """The grid and a datum band-limited to frequency min(N_list) >= 1/mu, refused
+    unless the reference band K/mu is at least 4 max(N_list)."""
     if not cfg.N_list:
         raise ValueError("the sweep needs N_list")
-    band = cfg.grid.band
-    if band < 4 * max(cfg.N_list):
+    grid = cfg.grid
+    if grid.band < 4 * max(cfg.N_list):
         raise ValueError(
-            f"reference band K/mu={band:g} under-resolved: need K/mu >= "
+            f"reference band K/mu={grid.band:g} under-resolved: need K/mu >= "
             f"4 max(N_list)={4 * max(cfg.N_list):g}"
         )
-
-
-def check_almost_cons(cfg: ExperimentConfig) -> None:
-    """Refuse an almost-cons sweep lacking N_list, with a rejected s or oversize sigma3 table."""
-    if not cfg.N_list:
-        raise ValueError("the sweep needs N_list")
-    IMultiplier(s=cfg.s, N=float(max(cfg.N_list)))
-    _check_table(3, cfg.K)
-
-
-def _sweep_start(cfg: ExperimentConfig) -> tuple[GridSpec, FourierField]:
-    """The checked band's grid and a datum band-limited to frequency min(N_list) >= 1/mu."""
-    check_sweep_band(cfg)
-    grid = cfg.grid
     kmax = grid.modes_upto(min(cfg.N_list))
     if kmax == 0:
         raise ValueError(f"min(N_list)={min(cfg.N_list):g} is below the first stored "
@@ -289,9 +276,13 @@ def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     For each multiplier threshold N records sup_t |E4(t) - E4(0)| and the
     bare sup_t |E2(t) - E2(0)| for comparison, then fits the E4 drift
-    against N in log-log.
+    against N in log-log. Refused before the flow without N_list, with a
+    rejected s or an oversize sigma3 table.
     """
-    check_almost_cons(cfg)
+    if not cfg.N_list:
+        raise ValueError("the sweep needs N_list")
+    mults = [IMultiplier(s=cfg.s, N=float(N)) for N in cfg.N_list]
+    _check_table(3, cfg.K)
     grid = cfg.grid
     u0 = random_smooth_field(
         grid, _rng_stream(cfg.seed, 0), cfg.decay,
@@ -300,11 +291,10 @@ def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
     )
     c = _sampled_solve(u0, grid, cfg).coeffs
     rows = []
-    for N in cfg.N_list:
-        mult = IMultiplier(s=cfg.s, N=float(N))
+    for mult in mults:
         e2, _, e4 = _modified_energies(grid, c, mult, 4)
         rows.append(
-            (float(N), float(np.max(np.abs(e4 - e4[0]))), float(np.max(np.abs(e2 - e2[0]))))
+            (mult.N, float(np.max(np.abs(e4 - e4[0]))), float(np.max(np.abs(e2 - e2[0]))))
         )
     return _sweep_result("almost-cons", ("N", "e4_drift", "e2_drift"), rows)
 

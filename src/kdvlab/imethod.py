@@ -422,9 +422,8 @@ def _m_values(
     grid: GridSpec,
     idx: tuple,
     cutoff: int | None = None,
-    with_scale: bool = True,
     bound: int | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(M_n, max |pair term|) at Gamma_n index tuples: the one cascade step.
 
     M_n = -(i/n) sum over pairs {a,b} of sigma_(n-1)(rest, k_a+k_b) (k_a+k_b),
@@ -440,9 +439,7 @@ def _m_values(
     given, not from the entries of idx: every piece of one lattice reads
     the one table, and an entry beyond the bound is refused. Each term is
     the product the indexed read sigma_(n-1)[rest] * ((k_a+k_b)/mu) gives,
-    bit for bit. The term scale is read only by sigma_n's resonant-set
-    check; with with_scale false it is not accumulated and None stands in
-    its place.
+    bit for bit. The term scale is read only by sigma_n's resonant-set check.
     """
     E = grid.K if bound is None else bound
     if any(a.size and (a.max() > E or a.min() < -E) for a in idx):
@@ -450,13 +447,12 @@ def _m_values(
     # rest entries reach E and pair sums 2E, but none above the cutoff counts
     B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
     terms = _pair_terms(n - 1, mult, grid, B, cutoff)
-    scale = np.zeros(idx[0].shape, dtype=np.float64) if with_scale else None
+    scale = np.zeros(idx[0].shape, dtype=np.float64)
     acc = np.zeros(idx[0].shape, dtype=terms.dtype)
     for a, b in combinations(range(n), 2):
         term = terms.take(_flat([idx[x] for x in range(n) if x not in (a, b)], B))
         acc += term
-        if with_scale:
-            np.maximum(scale, np.abs(term), out=scale)
+        np.maximum(scale, np.abs(term), out=scale)
     return (-1j / n) * acc, scale
 
 
@@ -472,7 +468,7 @@ def _cascade_form(
 
     def w(*idx):
         if kind == "M":
-            return _m_values(n, mult, grid, idx, cutoff, with_scale=False)[0]
+            return _m_values(n, mult, grid, idx, cutoff)[0]
         return _sigma_values(n, mult, grid, idx, cutoff).astype(np.complex128)
 
     return MultilinearForm(n, w, tag=tag or f"{kind}{n}")
@@ -517,9 +513,7 @@ def _successor_form(order: int, mult: IMultiplier, grid: GridSpec) -> Multilinea
     """Multiplier of Lambda_(order+1) equal to d/dt E^order on the K-lattice."""
     if order == 2:
         return big_m3(mult, grid)
-    if order == 3:
-        return big_m4(mult, grid, lattice_cutoff=grid.K)
-    return big_m5(mult, grid, lattice_cutoff=grid.K)
+    return _cascade_form("M", order + 1, mult, grid, grid.K)
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +522,10 @@ def _successor_form(order: int, mult: IMultiplier, grid: GridSpec) -> Multilinea
 
 
 def _corrections(mult: IMultiplier, grid: GridSpec, order: int) -> list:
-    """The correction forms of E^order: sigma3 from order 3, then sigma4 on the K-lattice."""
+    """The correction forms of E^order: sigma_n on the K-lattice, n = 3..order."""
     if order not in (2, 3, 4):
         raise ValueError(f"order must be 2, 3 or 4, got {order}")
-    return [sigma3(mult, grid), sigma4(mult, grid, lattice_cutoff=grid.K)][: order - 2]
+    return [_cascade_form("sigma", n, mult, grid, grid.K) for n in range(3, order + 1)]
 
 
 def _modified_energies(

@@ -15,12 +15,15 @@ arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
 import numpy as np
+
+from .spectral import _check_bytes
 
 __all__ = [
     "FreqTuple",
@@ -167,7 +170,8 @@ def _hyperplane_chunks(n: int, K: int, orbits: bool = False):
     values. Each head's k_(n-1) are its run, taken PIECE_TUPLES rows a
     piece, and k_n = -(g + k_(n-1)); the one row with k_n = 0 is dropped
     (sorted, k_n is the largest entry of a zero sum, so it never is 0). An
-    empty Gamma_n yields no piece.
+    empty Gamma_n yields no piece. Each level of heads is refused, before it
+    is formed, if its arrays exceed spectral.BUDGET_BYTES.
     """
     vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
 
@@ -189,6 +193,9 @@ def _hyperplane_chunks(n: int, K: int, orbits: bool = False):
         ends, total = np.cumsum(cnt), int(cnt.sum())
         first = lo - (ends - cnt)
         if r > 2:
+            # int64 arrays of total entries: the level's n-r+1 heads, g, h and
+            # at, then the next level's lo, hi, cnt, ends, first and two temporaries
+            _check_bytes(8 * total * (n - r + 10), f"K={K} needs Gamma_{n} heads")
             h, at = place(0, total)
             heads, g = [a[h] for a in heads] + [vals[at]], g[h] + vals[at]
     for start in range(0, total, PIECE_TUPLES):
@@ -249,6 +256,13 @@ def _exact_dtype(n: int, max_abs: int, j: int):
     """int64 while n * max_abs^(2j+1) < 2^53, so every P_n is exact in int64
     and float64; Python ints (object) beyond."""
     return np.int64 if n * max_abs ** (2 * j + 1) < 2**53 else object
+
+
+def _report_bytes(n: int, K: int, j: int) -> int:
+    """Bytes of a report on Gamma_n at bound K: at most (2K)^(n-1) rows of n entries,
+    P_n and Q_n at their dtype (a Python int: pointer and object) and a float64 ratio."""
+    big = 0 if _exact_dtype(n, K, j) is np.int64 else sys.getsizeof(n * K ** (2 * j + 1))
+    return (2 * K) ** (n - 1) * ((n + 2) * (8 + big) + 8)
 
 
 def _pn_int(cols: Sequence[np.ndarray], j: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from kdvlab import imethod, spectral
 from kdvlab.cli import main
 from kdvlab.flow import FlowSpec, flow_jacobian, integrate
-from kdvlab.imethod import IMultiplier
+from kdvlab.imethod import IMultiplier, constant_form, lambda_n
 from kdvlab.spectral import harmonic, make_grid
 
 
@@ -27,11 +27,16 @@ def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
             u, FlowSpec(grid=g, dt=1e-3, T=1e-3, flavor="truncated", N=8.0), 1e-6),
         # sigma3's pair-term table at bound 8, 16 * 17^2 bytes
         "needs a Gamma_3 table of 4624 bytes": lambda: imethod._pair_terms(3, mult, g, 8, 8),
+        # the walk's second level of Gamma_5 heads at K=16: 164 sorted heads,
+        # 11 int64 arrays of them
+        "K=16 needs Gamma_5 heads of 14432 bytes": lambda: lambda_n(
+            constant_form(5), [harmonic(make_grid(2, 16), 1, 0.1)] * 5),
     }
     solve = ("solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.032", "--samples", "32")
     # the reference and three truncated flows at 33 samples of 64 modes
     sweep = ("approx-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16", "--T", "0.01")
-    # a report on Gamma_4 at K=4: up to 8^3 rows of 56 bytes
+    # reports on Gamma_3 and Gamma_4 at K=4, held together: up to 8^2 rows
+    # of 48 bytes and 8^3 rows of 56 bytes
     check = ("resonance-check", "--j", "1", "--K", "4")
     # seven sigma3 tables at bound 4, 648 bytes each: 4536 bytes in all
     tables = [("pairs", 3, IMultiplier(s=-0.5, N=1.0 + 0.1 * i), 2, 1.0, 4, 4) for i in range(7)]
@@ -60,7 +65,8 @@ def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "needs a run of 42120 bytes > BUDGET_BYTES (4096)" in err
     assert "K=64 in 33 samples of 4 members needs a run of 250545 bytes" in err
-    assert "key 'K': 4 needs a Gamma_4 report of 28672 bytes > BUDGET_BYTES (4096)" in err
+    assert ("key 'K': 4 needs a Gamma_4 report held with a Gamma_3 one, two reports of "
+            "31744 bytes > BUDGET_BYTES (4096)") in err
     assert not (tmp_path / "b" / "manifest.json").exists()
     held = fill_cache()
     assert not held[0] and held[-1]

@@ -182,6 +182,56 @@ class TestExitCodes:
         assert not (tmp_path / "manifest.json").exists()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("argv, larger, total, message", [
+        # Gamma_3 and Gamma_4 at K=4: reports of 3072 and 28672 bytes
+        (("--K", "4"), 28672, 31744, "key 'K': 4 needs a Gamma_4 report held with a Gamma_3"),
+        # Gamma_3 at K=16 and Gamma_4 at K4=6: 49152 and 96768 bytes
+        (("--K", "16", "--K4", "6"), 96768, 145920,
+         "key 'K4': 6 needs a Gamma_4 report held with a Gamma_3"),
+        # Gamma_3 at K=16 and Gamma_4 at K4=3: 49152 and 12096 bytes
+        (("--K", "16", "--K4", "3"), 49152, 61248,
+         "key 'K': 16 needs a Gamma_3 report held with a Gamma_4"),
+    ], ids=["K", "K4", "K-larger"])
+    def test_resonance_reports_admitted_together(
+        self, tmp_path, monkeypatch, capsys, argv, larger, total, message
+    ):
+        # both reports are held until the CSV is written: a budget that
+        # each meets on its own but not their sum refuses the run, naming
+        # the key of the larger, and a budget at the sum admits it
+        argv = ("resonance-check", "--j", "1", *argv)
+        monkeypatch.setattr(spectral, "BUDGET_BYTES", larger)
+        assert run_cli(*argv, "--out", str(tmp_path / "a")) == 2
+        err = capsys.readouterr().err
+        assert f"{message} one, two reports of {total} bytes > BUDGET_BYTES ({larger})" in err
+        assert not (tmp_path / "a" / "manifest.json").exists()
+        monkeypatch.setattr(spectral, "BUDGET_BYTES", total)
+        assert run_cli(*argv, "--out", str(tmp_path / "b")) == 0
+
+    @pytest.mark.parametrize("command, name, argv", [
+        ("approx-sweep", "approx_truncated_sweep", ()),
+        ("tail-sweep", "high_freq_insensitivity", ()),
+        ("almost-cons", "almost_conservation_sweep", ("--s", "-0.5")),
+    ])
+    def test_sweep_refuses_its_configuration_once(
+        self, tmp_path, monkeypatch, capsys, command, name, argv
+    ):
+        # the sweep itself refuses an empty N_list: it is called once, and
+        # no other check refuses the configuration before it
+        calls = []
+        sweep = getattr(cli, name)
+
+        def counted(cfg):
+            calls.append(cfg)
+            return sweep(cfg)
+
+        monkeypatch.setattr(cli, name, counted)
+        status = run_cli(command, "--j", "1", "--K", "8", "--N_list", ",", *argv,
+                         "--T", "0.01", "--out", str(tmp_path))
+        assert status == 2
+        assert capsys.readouterr().err == "configuration error: the sweep needs N_list\n"
+        assert len(calls) == 1
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_oversize_grid_refused_before_any_array(self, tmp_path, capsys):
         # K=10^12 needs 3e12 physical points, 48 TB of samples: exit 2 naming
         # K before the grid, the datum or the flow allocates
