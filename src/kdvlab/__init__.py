@@ -25,11 +25,6 @@ from .spectral import (
 )
 from .resonance import (
     FactorizationReport,
-    FreqTuple,
-    ResonantTupleError,
-    alpha_n,
-    p_n,
-    q_n,
     verify_factorization,
 )
 from .imethod import (

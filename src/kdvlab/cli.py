@@ -333,14 +333,19 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
 def _cmd_resonance(cfg: dict, out_dir: str) -> None:
     """Exact factorization check on Gamma_3 and Gamma_4, with an optional
     per-tuple CSV; its tuple column is each entry's text joined by spaces."""
-    _check_at_least(cfg, j=1, K=2, K4=2)
+    _check_at_least(cfg, j=1, K=2)
+    # with every |k| <= 2, a zero-sum 4-tuple is two cancelling pairs, so
+    # Gamma_4 has no non-resonant row: its bound is K4, or K when K4 is unset
+    key4 = "K" if cfg["K4"] is None else "K4"
+    k4 = cfg[key4]
+    if k4 < 3:
+        raise ConfigError(f"bad value for key {key4!r}: {k4} (must be >= 3 for Gamma_4)")
     path = _output_path(cfg, "csv", out_dir) if cfg["csv"] else None
-    k4 = cfg["K4"] if cfg["K4"] is not None else cfg["K"]
     # both reports are held until the CSV is written: refused before either
     # walk if together they exceed the budget, naming the larger's key
     sizes = {n: resonance._report_bytes(n, K, cfg["j"]) for n, K in ((3, cfg["K"]), (4, k4))}
     n = max(sizes, key=sizes.get)
-    key, K = ("K", cfg["K"]) if n == 3 or cfg["K4"] is None else ("K4", k4)
+    key, K = ("K", cfg["K"]) if n == 3 else (key4, k4)
     _built(_check_bytes, sum(sizes.values()), f"bad value for key {key!r}: {K} needs a "
            f"Gamma_{n} report held with a Gamma_{7 - n} one, two reports")
     rep3 = verify_factorization(cfg["j"], cfg["K"], arity=3)

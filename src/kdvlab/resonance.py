@@ -3,9 +3,9 @@
 P_n(t) is the sum of (2j+1)-th powers of n frequencies summing to zero.
 On Gamma_3 it factors as x*y*z*Q_3 and on Gamma_4 as
 (x+y)(x+z)(x+w)*Q_4, with |Q_n| comparable to max|entry|^(2j-2). This
-module evaluates the polynomials and cofactors in exact integer/rational
-arithmetic (floats are deliberately rejected: the identities are exact,
-and k^(2j+1) overflows fixed-width types quickly), owns the one walk of
+module evaluates the polynomials and cofactors in exact integer
+arithmetic (k^(2j+1) overflows fixed-width types quickly, so Python ints
+take over beyond int64), owns the one walk of
 the zero-sum tuples (every tuple, or the sorted ones, one per permutation
 orbit) and the one array evaluator of P_n, and verifies the factorization
 and comparability claims over the tuples as exact integer array
@@ -18,7 +18,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -26,104 +25,9 @@ import numpy as np
 from .spectral import _check_bytes
 
 __all__ = [
-    "FreqTuple",
-    "p_n",
-    "q_n",
-    "alpha_n",
-    "prefactor",
-    "ResonantTupleError",
     "FactorizationReport",
     "verify_factorization",
 ]
-
-
-class ResonantTupleError(ValueError):
-    """Raised when a cofactor is requested at a zero-prefactor tuple."""
-
-
-def _as_exact(value) -> Fraction | int:
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, Rational):
-        return Fraction(value)
-    raise TypeError(
-        f"exact rational required, got {type(value).__name__} (floats are not allowed here)"
-    )
-
-
-def _validated(entries: Sequence, j: int, allow_zero: bool = False):
-    ent = tuple(_as_exact(e) for e in entries)
-    if len(ent) not in (3, 4, 5):
-        raise ValueError(f"tuple arity must be 3, 4 or 5, got {len(ent)}")
-    if sum(ent) != 0:
-        raise ValueError(f"entries {ent} do not lie on the zero-sum hyperplane")
-    if not allow_zero and any(e == 0 for e in ent):
-        raise ValueError(f"entries {ent} contain 0 (pass allow_zero for degenerate probes)")
-    if j < 1:
-        raise ValueError(f"dispersion order j must be >= 1, got {j}")
-    return ent
-
-
-@dataclass(frozen=True)
-class FreqTuple:
-    """n lattice frequencies on the zero-sum hyperplane Gamma_n."""
-
-    entries: tuple
-    j: int
-    allow_zero: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", _validated(self.entries, self.j, self.allow_zero)
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-
-def _unpack(t, j=None, allow_zero=False):
-    if isinstance(t, FreqTuple):
-        return t.entries, t.j
-    if j is None:
-        raise TypeError("j is required when passing raw entries")
-    return _validated(t, j, allow_zero), j
-
-
-def p_n(t, j: int | None = None, allow_zero: bool = False):
-    """Sum of (2j+1)-th powers; exact integer for integer entries."""
-    ent, j = _unpack(t, j, allow_zero)
-    e = 2 * j + 1
-    return sum(x**e for x in ent)
-
-
-def prefactor(t, j: int | None = None, allow_zero: bool = False):
-    """x*y*z on Gamma_3; (x+y)(x+z)(x+w) on Gamma_4."""
-    ent, j = _unpack(t, j, allow_zero)
-    if len(ent) == 3:
-        x, y, z = ent
-        return x * y * z
-    if len(ent) == 4:
-        x, y, z, w = ent
-        return (x + y) * (x + z) * (x + w)
-    raise ValueError(f"prefactor defined for arity 3 or 4, got {len(ent)}")
-
-
-def q_n(t, j: int | None = None, allow_zero: bool = False) -> Fraction:
-    """Exact cofactor Q_n = P_n / prefactor."""
-    ent, j = _unpack(t, j, allow_zero)
-    pref = prefactor(ent, j, allow_zero=True)
-    if pref == 0:
-        raise ResonantTupleError(f"tuple {ent} is resonant (zero prefactor)")
-    return Fraction(p_n(ent, j, allow_zero=True)) / Fraction(pref)
-
-
-def alpha_n(t, j: int | None = None, allow_zero: bool = False) -> complex:
-    """alpha_n = i * P_n; purely imaginary by construction."""
-    ent, j = _unpack(t, j, allow_zero)
-    return 1j * float(p_n(ent, j, allow_zero=True))
 
 
 @dataclass
@@ -240,16 +144,6 @@ def _orbit_chunks(n: int, K: int):
             t = [np.concatenate([a, b[both]]) for a, b in zip(t, t[::-1])]
             mult = np.concatenate([np.where(both, mult // 2, mult), mult[both] // 2])
         yield t, mult
-
-
-def _hyperplane_tuples(n: int, K: int) -> tuple:
-    """All of Gamma_n at once: the pieces of _hyperplane_chunks joined, one
-    read-only int64 array per slot (empty when Gamma_n is)."""
-    empty = [np.zeros(0, np.int64)] * n
-    out = tuple(np.concatenate(cols) for cols in zip(empty, *_hyperplane_chunks(n, K)))
-    for a in out:
-        a.flags.writeable = False
-    return out
 
 
 def _exact_dtype(n: int, max_abs: int, j: int):

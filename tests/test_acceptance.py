@@ -35,7 +35,7 @@ from kdvlab.imethod import (
     _m_values,
     drift_oracle,
 )
-from kdvlab.resonance import _hyperplane_tuples, _pn_int, verify_factorization
+from kdvlab.resonance import _pn_int, verify_factorization
 from kdvlab.spectral import (
     FourierField,
     harmonic,
@@ -44,6 +44,7 @@ from kdvlab.spectral import (
     random_smooth_field,
     sobolev_norm,
 )
+from lattice_reference import hyperplane
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> str:
@@ -214,7 +215,7 @@ class TestCriterion06DerivativeIdentities:
 class TestCriterion07ResonantSetVanishing:
     def test_m4_vanishes_on_resonant_set(self):
         g = make_grid(2, 16)
-        idx = _hyperplane_tuples(4, 16)
+        idx = hyperplane(4, 16)
         resonant = _pn_int(idx, g.j) == 0
         assert int(resonant.sum()) > 0
         worst = 0.0

@@ -6,7 +6,6 @@ import io
 import json
 import os
 import tracemalloc
-from itertools import product
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from kdvlab.cli import (
 )
 from kdvlab.experiments import ExperimentConfig
 from kdvlab.imethod import constant_form
-from kdvlab.resonance import p_n, prefactor, q_n, verify_factorization
+from kdvlab.resonance import verify_factorization
+from lattice_reference import nested_loop_rows
 
 
 def run_cli(*args):
@@ -89,6 +89,12 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "ratio in [3, 3]" in out
 
+    def test_least_gamma4_bound(self, tmp_path, capsys):
+        # K4=3 is the least bound at which Gamma_4 has non-resonant rows
+        argv = ("--j", "2", "--K", "2", "--K4", "3", "--out", str(tmp_path))
+        assert run_cli("resonance-check", *argv) == 0
+        assert "Gamma4 K=3 count=32 " in capsys.readouterr().out
+
     def test_resonance_csv_matches_scalar_api(self, tmp_path):
         # at j=6, K=16 the Gamma3 entries reach 3*16^13 > 2^53, so Gamma3 runs
         # on Python ints (an object column) while Gamma4 at K4=6 stays int64
@@ -99,16 +105,11 @@ class TestExitCodes:
                 "--csv", "tuples.csv", "--out", str(out),
             )
             assert status == 0
-            lines = ["tuple,P_n,Q_n,ratio"]
-            for arity, cutoff in ((3, K), (4, K4)):
-                rng = [k for k in range(-cutoff, cutoff + 1) if k != 0]
-                for free in product(rng, repeat=arity - 1):
-                    t = free + (-sum(free),)
-                    if t[-1] == 0 or abs(t[-1]) > cutoff or prefactor(t, j) == 0:
-                        continue
-                    q = q_n(t, j)
-                    ratio = float(abs(q) / max(abs(e) for e in t) ** (2 * j - 2))
-                    lines.append(f"{' '.join(map(str, t))},{p_n(t, j)},{q},{ratio!r}")
+            lines = ["tuple,P_n,Q_n,ratio"] + [
+                f"{' '.join(map(str, t))},{p},{q},{float(ratio)!r}"
+                for arity, cutoff in ((3, K), (4, K4))
+                for t, p, q, ratio in nested_loop_rows(j, cutoff, arity)
+            ]
             expected = ("\n".join(lines) + "\n").encode()
             assert (out / "tuples.csv").read_bytes() == expected
 
@@ -343,6 +344,10 @@ class TestExitCodes:
          "truncated N=0.0 is not > 0"),
         (["solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.01", "--N", "-1"],
          "truncated N=-1.0 is not > 0"),
+        # at |k| <= 2 every zero-sum 4-tuple is two cancelling pairs, so
+        # Gamma_4 would have no non-resonant row: its bound, K4 or else K
+        (["resonance-check", "--j", "1", "--K", "16", "--K4", "2"], "key 'K4': 2"),
+        (["resonance-check", "--j", "2", "--K", "2"], "key 'K': 2"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)

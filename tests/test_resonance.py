@@ -3,108 +3,16 @@
 import inspect
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from kdvlab import imethod, resonance
 from kdvlab.imethod import IMultiplier
-from kdvlab.resonance import (
-    FreqTuple,
-    ResonantTupleError,
-    alpha_n,
-    p_n,
-    prefactor,
-    q_n,
-    verify_factorization,
-)
+from kdvlab.resonance import _pn_int, verify_factorization
 from kdvlab.spectral import make_grid
-
-
-class TestPn:
-    def test_classical_identity_j1(self):
-        # x^3 + y^3 + z^3 = 3xyz on the zero-sum plane
-        assert p_n((1, 2, -3), 1) == -18
-        assert p_n((1, 2, -3), 1) == 3 * 1 * 2 * (-3)
-
-    def test_direct_evaluation_j2(self):
-        assert p_n((1, 1, -2), 2) == 1 + 1 - 2**5
-
-    def test_pairwise_cancellation(self):
-        assert p_n((1, -1, 2, -2), 3) == 0
-
-    def test_rational_entries(self):
-        value = p_n((Fraction(1, 2), Fraction(1, 2), -1), 1)
-        assert value == Fraction(1, 8) + Fraction(1, 8) - 1
-
-    def test_permutation_invariance(self):
-        for j in (1, 2, 3):
-            assert p_n((3, -5, 2), j) == p_n((2, 3, -5), j) == p_n((-5, 2, 3), j)
-
-    def test_scaling_homogeneity(self):
-        lam = Fraction(3, 7)
-        base = p_n((1, 2, -3), 2)
-        scaled = p_n((lam, 2 * lam, -3 * lam), 2)
-        assert scaled == lam**5 * base
-
-    def test_rejects_off_hyperplane(self):
-        with pytest.raises(ValueError):
-            p_n((1, 2, 3), 1)
-
-    def test_rejects_floats(self):
-        with pytest.raises(TypeError):
-            p_n((1.0, 2.0, -3.0), 1)
-
-    def test_rejects_zero_entry_without_flag(self):
-        with pytest.raises(ValueError):
-            p_n((0, 1, -1), 1)
-        assert p_n((0, 1, -1), 1, allow_zero=True) == 0
-
-
-class TestQn:
-    def test_q3_j1_constant(self):
-        assert q_n((1, 2, -3), 1) == 3
-
-    def test_q3_j2_value(self):
-        assert q_n((1, 1, -2), 2) == Fraction(-30, -2)
-
-    def test_q4_j1_value(self):
-        # P4 = -180, prefactor (x+y)(x+z)(x+w) = 3*4*(-5)
-        assert p_n((1, 2, 3, -6), 1) == -180
-        assert prefactor((1, 2, 3, -6), 1) == -60
-        assert q_n((1, 2, 3, -6), 1) == 3
-
-    def test_resonant_prefactor_signalled(self):
-        with pytest.raises(ResonantTupleError):
-            q_n((2, -2, 5, -5), 1)
-
-
-class TestAlpha:
-    def test_purely_imaginary(self):
-        a = alpha_n((1, 2, -3), 1)
-        assert a.real == 0.0 and a.imag == -18.0
-
-    def test_resonant_pairs_vanish(self):
-        for j in (1, 2, 3):
-            assert alpha_n((4, -4, 7, -7), j) == 0
-
-    def test_j2_value(self):
-        assert alpha_n((1, 1, -2), 2) == -30j
-
-
-class TestFreqTuple:
-    def test_valid(self):
-        t = FreqTuple((1, 2, -3), j=1)
-        assert t.n == 3 and p_n(t) == -18
-
-    def test_sum_enforced(self):
-        with pytest.raises(ValueError):
-            FreqTuple((1, 1, 1), j=1)
-
-    def test_degenerate_probe_flag(self):
-        t = FreqTuple((0, 3, -3), j=2, allow_zero=True)
-        assert p_n(t) == 0
+from lattice_reference import hyperplane, nested_loop_rows
 
 
 class TestVerifyFactorization:
@@ -138,23 +46,29 @@ class TestVerifyFactorization:
             verify_factorization(j, 4)
 
 
-def scalar_rows(j, K, arity):
-    """Reference rows from nested loops and the scalar Fraction API."""
-    rng = [k for k in range(-K, K + 1) if k != 0]
-    rows = []
-    for free in product(rng, repeat=arity - 1):
-        t = free + (-sum(free),)
-        if t[-1] == 0 or abs(t[-1]) > K or prefactor(t, j) == 0:
-            continue
-        q = q_n(t, j)
-        ratio = abs(q) / Fraction(max(abs(e) for e in t)) ** (2 * j - 2)
-        rows.append((t, p_n(t, j), q, ratio))
-    return rows
-
-
 def joined(rep):
     """The report's pieces joined: its rows' tuples, P_n, Q_n and ratios."""
     return tuple(np.concatenate(cols) for cols in zip(*rep.pieces))
+
+
+# hand-computed P_n and prefactors, x*y*z on Gamma_3 and (x+y)(x+z)(x+w) on
+# Gamma_4 (0: a resonant tuple, which the report drops), on the path the lab
+# runs: _pn_int, and Q_n = P_n / prefactor from the verifier's rows at K=6,
+# the same at every permutation of the tuple
+@pytest.mark.parametrize("t, j, p, pref", [
+    ((1, 2, -3), 1, -18, -6),  # x^3 + y^3 + z^3 = 3xyz
+    ((1, 1, -2), 2, -30, -2),
+    ((1, -1, 2, -2), 3, 0, 0),  # cancelling pairs
+    ((1, 2, 3, -6), 1, -180, -60),  # Q_4 = 3
+    ((3, -5, 2), 3, -75810, -30),
+], ids=["3xyz", "p3-j2", "cancelling-pairs", "q4-is-3", "permutations"])
+def test_hand_computed_identities(t, j, p, pref):
+    perms = sorted(set(permutations(t)))
+    assert _pn_int(np.array(perms).T, j).tolist() == [p] * len(perms)
+    tuples, ps, qs, _ = joined(verify_factorization(j, 6, len(t)))
+    rows = {tuple(r): (pv, qv) for r, pv, qv in zip(tuples.tolist(), ps.tolist(), qs.tolist())}
+    expected = {} if pref == 0 else {u: (p, p // pref) for u in perms}
+    assert {u: rows[u] for u in perms if u in rows} == expected
 
 
 class TestVerifierRows:
@@ -163,9 +77,9 @@ class TestVerifierRows:
         [(1, 7, 3), (2, 7, 3), (3, 7, 3), (1, 5, 4), (2, 5, 4), (3, 5, 4),
          (9, 12, 3), (9, 6, 4), (5, 25, 3), (5, 26, 3)],
     )
-    def test_rows_match_scalar_api(self, j, K, arity):
+    def test_rows_match_nested_loops(self, j, K, arity):
         rep = verify_factorization(j, K, arity=arity)
-        ref = scalar_rows(j, K, arity)
+        ref = list(nested_loop_rows(j, K, arity))
         tuples, p, q, ratio = joined(rep)
         assert rep.ok and rep.count == len(ref) == len(ratio)
         got = zip(tuples.tolist(), p.tolist(), q.tolist(), ratio.tolist())
@@ -201,15 +115,9 @@ class TestVerifierPieces:
     @pytest.mark.parametrize("arity, K", [(3, 9), (4, 5)])
     def test_pieces_are_the_walks(self, monkeypatch, arity, K):
         # the report keeps the walk's pieces of 7 tuples, less the rows it
-        # drops, and joined they are the rows of one piece for all; the
-        # joined lattice is never formed
+        # drops, and joined they are the rows of one piece for all
         whole = joined(verify_factorization(2, K, arity))
         monkeypatch.setattr(resonance, "PIECE_TUPLES", 7)
-
-        def refused(n, K):
-            raise AssertionError("the verifier joined the lattice")
-
-        monkeypatch.setattr(resonance, "_hyperplane_tuples", refused)
         rep = verify_factorization(2, K, arity)
         assert len(rep.pieces) > 1 and all(0 < len(t) <= 7 for t, *_ in rep.pieces)
         for a, b in zip(joined(rep), whole):
@@ -249,15 +157,15 @@ class TestVerifierPieces:
 
 # (n, j, K) with n * K^(2j+1) just below 2^53, so K + 1 is just above it
 @pytest.mark.parametrize("n, j, K", [(3, 5, 25), (4, 5, 24), (5, 9, 6)])
-def test_pn_int_equals_scalar_p_n_across_the_switch(n, j, K):
+def test_pn_int_equals_python_ints_across_the_switch(n, j, K):
     for K_side, dtype in ((K, np.int64), (K + 1, object)):
-        idx = resonance._hyperplane_tuples(n, K_side)
+        idx = hyperplane(n, K_side)
         # a spread of tuples, always including one that reaches K_side
         sel = np.unique(np.r_[np.arange(0, idx[0].size, 37), np.argmax(np.abs(idx[0]))])
         cols = [a[sel] for a in idx]
         p = resonance._pn_int(cols, j)
         assert p.dtype == dtype
-        expected = [p_n(tuple(row), j) for row in np.stack(cols, axis=1).tolist()]
+        expected = [sum(v ** (2 * j + 1) for v in row) for row in np.stack(cols, axis=1).tolist()]
         assert [int(v) for v in p] == expected
 
 
@@ -280,11 +188,10 @@ class TestHyperplaneTuples:
          (5, 1), (5, 2), (5, 6), (5, 11)],
     )
     def test_equals_the_meshgrid_enumeration(self, n, K):
-        got, ref = resonance._hyperplane_tuples(n, K), meshgrid_tuples(n, K)
+        got, ref = hyperplane(n, K), meshgrid_tuples(n, K)
         assert len(got) == n
         for a, b in zip(got, ref):
-            assert a.dtype == np.int64 and not a.flags.writeable
-            assert a.tobytes() == b.tobytes()
+            assert a.dtype == np.int64 and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("piece", [1, 7, 100, 10**6])
     @pytest.mark.parametrize("n, K", [(2, 3), (3, 5), (4, 4), (5, 3)])
@@ -308,16 +215,17 @@ class TestHyperplaneTuples:
         # the dense grid of the four free slots peaked at 63.8 MiB (tracemalloc)
         tracemalloc.start()
         try:
-            resonance._hyperplane_tuples(5, 16)
+            for _ in resonance._hyperplane_chunks(5, 16):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 63.8 * 2**20
 
     def test_both_outputs_come_from_the_one_walk(self, monkeypatch):
-        # the dense lattice, a pair-term table and the orbits all walk
-        # Gamma_n through _hyperplane_chunks, and no other function of the
-        # module computes a run of entries
+        # the verifier, the orbits and a pair-term table all walk Gamma_n
+        # through _hyperplane_chunks, and no other function of the module
+        # computes a run of entries
         walk, calls = resonance._hyperplane_chunks, []
 
         def counted(n, K, orbits=False):
@@ -325,7 +233,7 @@ class TestHyperplaneTuples:
             return walk(n, K, orbits)
 
         monkeypatch.setattr(resonance, "_hyperplane_chunks", counted)
-        resonance._hyperplane_tuples(4, 3)
+        verify_factorization(2, 3, 4)
         list(resonance._orbit_chunks(5, 3))
         imethod._CACHE.clear()
         try:
