@@ -321,9 +321,9 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
     u0 = _initial_field(cfg, grid)
     traj = _built(integrate, u0, spec)
     c = traj.coeffs
-    # the quintic column first: at K=16 the command then peaks lower (max
-    # RSS at --dt 1e-4 --T 0.05: 40.4-40.5 MB, against 40.6-40.8 MB with
-    # the energies first); at K=32 it peaks 0.2 MB higher (46.9-47.0 MB)
+    # the quintic column first: the command then peaks lower (max RSS at
+    # --dt 1e-4 --T 0.05, 9 runs each: 40.3-40.5 MB at K=16 and 48.3-48.4 MB
+    # at K=32, against 40.6-40.7 MB and 48.5-48.7 MB with the energies first)
     quintic = _real_lambda(big_m5(mult, grid, lattice_cutoff=grid.K), grid, c, "Lambda5M5")
     cols = (traj.times, *_modified_energies(grid, c, mult, 4), quintic)
     header = ("t", "E2", "E3", "E4", "Lambda5M5")

@@ -41,13 +41,14 @@ table and, sorted, the orbit representatives that Lambda_n weighs. A term
 whose pair sum vanishes contributes exactly 0, and sigma4 is defined as
 0 on resonant tuples (alpha4 = 0), where a runtime check confirms M4
 vanishes there. A form's weights are never stored: each piece of orbits
-is weighed and contracted before the next is formed. Pair-term tables are
-this module's one cache; spectral.BUDGET_BYTES bounds it and each table.
+is weighed and contracted before the next is formed. A pair-term table
+lives exactly as long as the form that reads it: the form builds it when
+it is made and holds it, and nothing else keeps it; spectral.BUDGET_BYTES
+bounds each table.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import factorial, prod
@@ -56,7 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .flow import _band_mask, _rhs_function
-from . import resonance, spectral
+from . import resonance
 from .resonance import _pn_int
 from .spectral import FourierField, GridSpec, _check_bytes, _check_same_grid
 
@@ -86,20 +87,6 @@ IMAG_RESIDUE_TOL = 1e-10
 RESONANT_M4_TOL = 1e-10
 
 _M_SHAPES = ("clipped_power", "smooth_log")
-# The one cache, of pair-term tables: least recently used out first while
-# it holds over spectral.BUDGET_BYTES.
-_CACHE: OrderedDict = OrderedDict()
-
-
-def _cached(key, build):
-    """The value stored under key; build() computes and stores it on a miss."""
-    if key in _CACHE:
-        _CACHE.move_to_end(key)
-        return _CACHE[key]
-    value = _CACHE[key] = build()
-    while _CACHE and sum(v.nbytes for v in _CACHE.values()) > spectral.BUDGET_BYTES:
-        _CACHE.popitem(last=False)
-    return value
 
 
 def _check_table(n: int, K: int, bound: int | None = None) -> None:
@@ -346,15 +333,10 @@ def big_m3(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
 
 
 def _sigma_values(
-    n: int,
-    mult: IMultiplier,
-    grid: GridSpec,
-    idx: tuple,
-    cutoff: int | None = None,
-    bound: int | None = None,
+    n: int, mult: IMultiplier, grid: GridSpec, idx: tuple, step: Callable | None = None
 ) -> np.ndarray:
-    """sigma_n at Gamma_n index tuples with entries within bound (grid.K
-    unless given).
+    """sigma_n at Gamma_n index tuples; from n = 4 on, step is the cascade
+    step at Gamma_n (see _cascade_step) that gives M_n there.
 
     sigma2 = m(k1) m(k2) seeds the cascade. sigma3 = -M3/alpha3 is the
     real closed form: alpha3 = i mu^-(2j+1) P3 never vanishes on nonzero
@@ -377,7 +359,7 @@ def _sigma_values(
             )
         return -(_m2k_sum(mult, mu, idx) / 3.0) / pn_freq
     resonant = pn == 0
-    m, scale = _m_values(n, mult, grid, idx, cutoff, bound=bound)
+    m, scale = step(idx)
     on = np.flatnonzero(resonant)
     excess = np.abs(m[on]) / np.maximum(scale[on], 1e-300)
     if np.any(excess > RESONANT_M4_TOL):
@@ -399,61 +381,64 @@ def _pair_terms(
     entries, offset by B, first outermost); 0 off that set. On Gamma_(n+1)
     the rest of a pair fixes its sum p, so each pair term of the cascade
     step is one entry here. Gamma_n is read piece by piece off the one
-    lattice walk, resonance._hyperplane_chunks."""
+    lattice walk, resonance._hyperplane_chunks; from n = 4 on, every piece
+    takes sigma_n from one cascade step, made before the walk."""
     _check_table(n, grid.K, B)
-
-    def build():
-        # sigma2 and sigma3 are real
-        table = np.zeros((2 * B + 1) ** (n - 1), dtype=np.float64 if n < 4 else np.complex128)
-        for idx in resonance._hyperplane_chunks(n, B):
-            if cutoff is not None:
-                keep = np.abs(idx[-1]) <= cutoff
-                idx = tuple(a[keep] for a in idx)
-            values = _sigma_values(n, mult, grid, idx, cutoff, B)
-            table[_flat(idx[:-1], B)] = values * (idx[-1] / grid.mu)
-        return table
-
-    return _cached(("pairs", n, mult, grid.j, grid.mu, B, cutoff), build)
+    step = _cascade_step(n, mult, grid, cutoff, B) if n >= 4 else None
+    # sigma2 and sigma3 are real
+    table = np.zeros((2 * B + 1) ** (n - 1), dtype=np.float64 if n < 4 else np.complex128)
+    for idx in resonance._hyperplane_chunks(n, B):
+        if cutoff is not None:
+            keep = np.abs(idx[-1]) <= cutoff
+            idx = tuple(a[keep] for a in idx)
+        values = _sigma_values(n, mult, grid, idx, step)
+        table[_flat(idx[:-1], B)] = values * (idx[-1] / grid.mu)
+    return table
 
 
-def _m_values(
+def _cascade_step(
     n: int,
     mult: IMultiplier,
     grid: GridSpec,
-    idx: tuple,
     cutoff: int | None = None,
     bound: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(M_n, max |pair term|) at Gamma_n index tuples: the one cascade step.
+) -> Callable[[tuple], tuple[np.ndarray, np.ndarray]]:
+    """The one cascade step at Gamma_n: step(idx) gives (M_n, max |pair term|)
+    at Gamma_n index tuples with entries within bound (grid.K unless given).
 
     M_n = -(i/n) sum over pairs {a,b} of sigma_(n-1)(rest, k_a+k_b) (k_a+k_b),
     the pair reduction of the mean over all argument permutations. On
     Gamma_n the rest fixes the pair sum, so each pair term is one read of
-    the pair-term table of sigma_(n-1) (see _pair_terms), built once on
-    Gamma_(n-1), which covers every entry and pair sum here. A vanishing
-    pair sum contributes exactly 0, and so, with a lattice cutoff, does one
-    above it: it is a mode absent from the K-truncated Galerkin system
-    whose energy derivative this multiplier represents.
+    the pair-term table of sigma_(n-1) (see _pair_terms), built here once,
+    on Gamma_(n-1), which covers every entry and pair sum the step is given,
+    and held by the step alone. A vanishing pair sum contributes exactly 0,
+    and so, with a lattice cutoff, does one above it: it is a mode absent
+    from the K-truncated Galerkin system whose energy derivative this
+    multiplier represents.
 
-    The table is sized from the lattice bound, grid.K unless bound is
-    given, not from the entries of idx: every piece of one lattice reads
-    the one table, and an entry beyond the bound is refused. Each term is
-    the product the indexed read sigma_(n-1)[rest] * ((k_a+k_b)/mu) gives,
-    bit for bit. The term scale is read only by sigma_n's resonant-set check.
+    The table is sized from the lattice bound, not from the entries of idx:
+    every piece of one lattice reads the one table, and an entry beyond the
+    bound is refused. Each term is the product the indexed read
+    sigma_(n-1)[rest] * ((k_a+k_b)/mu) gives, bit for bit. The term scale
+    is read only by sigma_n's resonant-set check.
     """
     E = grid.K if bound is None else bound
-    if any(a.size and (a.max() > E or a.min() < -E) for a in idx):
-        raise ValueError(f"index tuples reach beyond the lattice bound {E}")
     # rest entries reach E and pair sums 2E, but none above the cutoff counts
     B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
     terms = _pair_terms(n - 1, mult, grid, B, cutoff)
-    scale = np.zeros(idx[0].shape, dtype=np.float64)
-    acc = np.zeros(idx[0].shape, dtype=terms.dtype)
-    for a, b in combinations(range(n), 2):
-        term = terms.take(_flat([idx[x] for x in range(n) if x not in (a, b)], B))
-        acc += term
-        np.maximum(scale, np.abs(term), out=scale)
-    return (-1j / n) * acc, scale
+
+    def step(idx):
+        if any(a.size and (a.max() > E or a.min() < -E) for a in idx):
+            raise ValueError(f"index tuples reach beyond the lattice bound {E}")
+        scale = np.zeros(idx[0].shape, dtype=np.float64)
+        acc = np.zeros(idx[0].shape, dtype=terms.dtype)
+        for a, b in combinations(range(n), 2):
+            term = terms.take(_flat([idx[x] for x in range(n) if x not in (a, b)], B))
+            acc += term
+            np.maximum(scale, np.abs(term), out=scale)
+        return (-1j / n) * acc, scale
+
+    return step
 
 
 def _cascade_form(
@@ -464,12 +449,15 @@ def _cascade_form(
     cutoff: int | None = None,
     tag: str | None = None,
 ) -> MultilinearForm:
-    """M_n (kind "M") or sigma_n (kind "sigma") of the cascade as a form."""
+    """M_n (kind "M") or sigma_n (kind "sigma") of the cascade as a form; from
+    M3sym and sigma4 on, the form holds its cascade step, and so the one
+    pair-term table it reads, built when the form is made."""
+    step = _cascade_step(n, mult, grid, cutoff) if kind == "M" or n >= 4 else None
 
     def w(*idx):
         if kind == "M":
-            return _m_values(n, mult, grid, idx, cutoff)[0]
-        return _sigma_values(n, mult, grid, idx, cutoff).astype(np.complex128)
+            return step(idx)[0]
+        return _sigma_values(n, mult, grid, idx, step).astype(np.complex128)
 
     return MultilinearForm(n, w, tag=tag or f"{kind}{n}")
 

@@ -11,8 +11,8 @@ from kdvlab.spectral import harmonic, make_grid
 
 def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
     # each request below fits the default budget and exceeds 4096 bytes:
-    # one monkeypatch of spectral.BUDGET_BYTES refuses every one of them and
-    # bounds the cache, so no layer holds a copy of the constant
+    # one monkeypatch of spectral.BUDGET_BYTES refuses every one of them, so
+    # no layer holds a copy of the constant
     g = make_grid(2, 8)
     u = harmonic(g, 1, 0.1)
     mult = IMultiplier(s=-0.5, N=2.0)
@@ -38,21 +38,12 @@ def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
     # reports on Gamma_3 and Gamma_4 at K=4, held together: up to 8^2 rows
     # of 48 bytes and 8^3 rows of 56 bytes
     check = ("resonance-check", "--j", "1", "--K", "4")
-    # seven sigma3 tables at bound 4, 648 bytes each: 4536 bytes in all
-    tables = [("pairs", 3, IMultiplier(s=-0.5, N=1.0 + 0.1 * i), 2, 1.0, 4, 4) for i in range(7)]
-
-    def fill_cache():
-        for key in tables:
-            imethod._pair_terms(3, key[2], g, 4, 4)
-        return [key in imethod._CACHE for key in tables]
 
     for call in refusals.values():
         call()
     assert main([*solve, "--out", str(tmp_path / "a")]) == 0
     assert main([*sweep, "--out", str(tmp_path / "a")]) in (0, 1)
     assert main([*check, "--out", str(tmp_path / "a")]) == 0
-    assert all(fill_cache())
-    imethod._CACHE.clear()
 
     monkeypatch.setattr(spectral, "BUDGET_BYTES", 4096)
     for match, call in refusals.items():
@@ -68,6 +59,3 @@ def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
     assert ("key 'K': 4 needs a Gamma_4 report held with a Gamma_3 one, two reports of "
             "31744 bytes > BUDGET_BYTES (4096)") in err
     assert not (tmp_path / "b" / "manifest.json").exists()
-    held = fill_cache()
-    assert not held[0] and held[-1]
-    assert sum(v.nbytes for v in imethod._CACHE.values()) <= 4096

@@ -11,12 +11,13 @@ particular the 1/n! in the symmetrizations).
 
 import re
 import tracemalloc
+from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from kdvlab import imethod, resonance, spectral
+from kdvlab import imethod, resonance
 from kdvlab.flow import FlowSpec, integrate, nonlinear_rhs
 from kdvlab.imethod import (
     IMultiplier,
@@ -35,9 +36,9 @@ from kdvlab.imethod import (
     sigma4,
 )
 from kdvlab.imethod import (
+    _cascade_step,
     _energy_rates,
     _lambda_with_scale,
-    _m_values,
     _modified_energies,
 )
 from kdvlab.resonance import _pn_int
@@ -170,7 +171,7 @@ class TestLambdaN:
             with pytest.raises(ValueError, match=f"K={K + 1} needs a Gamma_{n} table"):
                 imethod._check_table(n, K + 1)
 
-    def test_sextic_form_at_20(self):
+    def test_sextic_form_at_20(self, monkeypatch):
         # Lambda_6(M6) holds sigma5's pair-term table, 16 * 41^4 bytes, and
         # no Gamma_6 table (the dense size 16 * 41^5 is over 1 GiB); it is
         # dE5/dt, the E4 rate plus 5 Lambda_5(sigma5; F, u, u, u, u), to
@@ -179,7 +180,10 @@ class TestLambdaN:
         mult = IMultiplier(s=-1.0, N=4.0)
         rng = np.random.default_rng(5)
         c = np.array([random_smooth_field(g, rng, 0.4).coeffs for _ in range(3)])
-        m6, s5 = (imethod._cascade_form(k, n, mult, g, 20) for k, n in (("M", 6), ("sigma", 5)))
+        builds = recorded_builds(monkeypatch)
+        m6 = imethod._cascade_form("M", 6, mult, g, 20)
+        assert builds == [(5, 20, 20), (4, 20, 20), (3, 20, 20)]
+        s5 = imethod._cascade_form("sigma", 5, mult, g, 20)
         direct = imethod._real_lambda(m6, g, c, "Lambda_6(M6)")
         nl = np.array([nonlinear_rhs(FourierField(g, row)).coeffs for row in c])
         rate, scale = _energy_rates(g, c, nl, mult, 4)
@@ -188,7 +192,6 @@ class TestLambdaN:
         rate, scale = rate + 5 * value.real, scale + 5 * sc
         assert np.all(np.isfinite(direct)) and np.all(direct != 0.0)
         assert np.all(np.abs(direct - rate) <= 2 * np.finfo(float).eps * scale)
-        assert ("pairs", 5, mult, 2, 1.0, 20, 20) in imethod._CACHE
 
     def test_resonant_set_failure_names_its_tuple(self):
         # at j=1, K=24 the lattice M5 does not vanish on two resonant orbits of
@@ -199,7 +202,7 @@ class TestLambdaN:
             lambda_n(imethod._cascade_form("sigma", 5, mult, g, 24), [harmonic(g, 1)] * 5)
         named = [int(a) for a in re.search(r"at \(([-\d, ]+)\)", str(err.value))[1].split(",")]
         idx = tuple(np.array([a]) for a in named)
-        m, scale = _m_values(5, mult, g, idx, 24)
+        m, scale = _cascade_step(5, mult, g, 24)(idx)
         assert sum(named) == 0 and _pn_int(idx, 1)[0] == 0
         assert abs(m[0]) > imethod.RESONANT_M4_TOL * scale[0]
         assert sorted(named) == [-22, -6, -5, 12, 21]
@@ -462,7 +465,7 @@ class TestM4Cascade:
         p4 = _pn_int(idx, g.j)
         resonant = p4 == 0
         assert np.any(resonant)
-        m4, scale = _m_values(4, mult, g, idx)
+        m4, scale = _cascade_step(4, mult, g)(idx)
         ratio = np.abs(m4[resonant]) / np.maximum(scale[resonant], 1e-300)
         assert float(np.max(ratio)) <= 1e-10
 
@@ -547,12 +550,15 @@ def _ref_m5(mult, grid, idx, cutoff):
 
 
 def recorded_builds(monkeypatch):
-    """The keys under which imethod builds a table (a cache miss), as they happen."""
+    """(arity, bound, cutoff) of each pair-term table imethod builds, as it happens."""
     builds = []
-    true_cached = imethod._cached
-    monkeypatch.setattr(
-        imethod, "_cached", lambda key, build: true_cached(key, lambda: builds.append(key) or build())
-    )
+    true_pair_terms = imethod._pair_terms
+
+    def counted(n, mult, grid, B, cutoff):
+        builds.append((n, B, cutoff))
+        return true_pair_terms(n, mult, grid, B, cutoff)
+
+    monkeypatch.setattr(imethod, "_pair_terms", counted)
     return builds
 
 
@@ -568,7 +574,7 @@ class TestCascadeStep:
         idx5 = hyperplane(5, K)
         all4 = np.ones(idx4[0].shape, dtype=bool)
         for cutoff in (None, K, K - 2):
-            m4, scale = _m_values(4, mult, g, idx4, cutoff)
+            m4, scale = _cascade_step(4, mult, g, cutoff)(idx4)
             ref_m4, ref_scale = _ref_m4(mult, g, idx4, all4, cutoff)
             assert np.array_equal(m4, ref_m4) and np.array_equal(scale, ref_scale)
             assert np.array_equal(big_m4(mult, g, cutoff).weight(*idx4), ref_m4)
@@ -581,20 +587,21 @@ class TestCascadeStep:
 
     @pytest.mark.parametrize("n, K, cutoff", [(3, 6, None), (4, 6, None), (4, 6, 4), (5, 8, 8)])
     def test_flat_read_is_the_indexed_read(self, n, K, cutoff):
-        # _m_values reads each pair term through one flat index of its
+        # the cascade step reads each pair term through one flat index of its
         # pair-term table; sigma_(n-1) scattered from the whole lattice at
         # once, indexed with the rest columns, gives the same bits
         g = make_grid(2, K)
         mult = IMultiplier(s=-0.5, N=2.0)
         idx = hyperplane(n, K)
-        m, scale = _m_values(n, mult, g, idx, cutoff)
+        m, scale = _cascade_step(n, mult, g, cutoff)(idx)
         E = int(np.max(np.abs(idx[0])))
         B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
         lattice = hyperplane(n - 1, B)
         if cutoff is not None:
             keep = np.abs(lattice[-1]) <= cutoff
             lattice = tuple(a[keep] for a in lattice)
-        values = imethod._sigma_values(n - 1, mult, g, lattice, cutoff, B)
+        step = _cascade_step(n - 1, mult, g, cutoff, B) if n > 4 else None
+        values = imethod._sigma_values(n - 1, mult, g, lattice, step)
         table = np.zeros((2 * B + 1,) * (n - 2), dtype=values.dtype)
         table[tuple(a + B for a in lattice[:-1])] = values
         acc = np.zeros(idx[0].shape, dtype=table.dtype)
@@ -611,104 +618,80 @@ class TestCascadeStep:
     def test_same_bits_in_every_slice(self, monkeypatch, cutoff):
         # the pair loop and the pair-term tables run over pieces of
         # PIECE_TUPLES tuples; one tuple per piece, 7, and one piece for all
-        # give M4, M5 and their scales bit for bit, and each pair-term table
-        # is still built once (without a cutoff M5 reads sigma4 on a wider
-        # lattice, so two sigma3 tables)
+        # give M4, M5 and their scales bit for bit, and each step builds
+        # each table it reads once (without a cutoff M5 reads sigma4 on a
+        # wider lattice, and sigma4 sigma3 on a wider one still)
         g = make_grid(2, 4, 1.4)
         mult = IMultiplier(s=-0.6, N=1.5)
         idx = {n: hyperplane(n, 4) for n in (4, 5)}
+        bounds = {4: [(3, 8)], 5: [(4, 8), (3, 16)]} if cutoff is None else {
+            4: [(3, 4)], 5: [(4, 4), (3, 4)]}
         builds = recorded_builds(monkeypatch)
         results = []
         for size in (idx[5][0].size + 1, 1, 7):
             monkeypatch.setattr(resonance, "PIECE_TUPLES", size)
-            imethod._CACHE.clear()
-            builds.clear()
-            got = [part.tobytes() for n in (4, 5) for part in _m_values(n, mult, g, idx[n], cutoff)]
-            # one build per table: as many as the cache holds
-            assert {key[1] for key in builds} == {3, 4}
-            assert sorted(builds, key=repr) == sorted(imethod._CACHE, key=repr)
+            got = []
+            for n in (4, 5):
+                builds.clear()
+                got += [part.tobytes() for part in _cascade_step(n, mult, g, cutoff)(idx[n])]
+                assert builds == [(m, B, cutoff) for m, B in bounds[n]]
             results.append(got)
-        imethod._CACHE.clear()
         assert results[1] == results[0] and results[2] == results[0]
 
     @pytest.mark.parametrize("piece", [1, 7, None])
     @pytest.mark.parametrize("cutoff", [None, 4])
     def test_one_pair_term_table_per_sigma_table(self, monkeypatch, cutoff, piece):
         # M3sym, M4 and M5, twice, with pieces of 1 and 7 tuples and one
-        # piece for all (None): sigma_n has one table, its pair-term table,
-        # built once per (n, mult, j, mu, B, cutoff) at the bounds the
-        # lattice and the cutoff give (M5 reads sigma3 through sigma4)
+        # piece for all (None): sigma_n has one table, its pair-term table;
+        # each step builds the one it reads once, at the bound the lattice
+        # and the cutoff give, and M5's, through sigma4's, sigma3's once
         g = make_grid(2, 4, 1.4)
         mult = IMultiplier(s=-0.6, N=1.5)
         idx = {n: hyperplane(n, 4) for n in (3, 4, 5)}
         monkeypatch.setattr(resonance, "PIECE_TUPLES", piece or idx[5][0].size + 1)
+        bounds = {3: [(2, 8)], 4: [(3, 8)], 5: [(4, 8), (3, 16)]} if cutoff is None else {
+            3: [(2, 4)], 4: [(3, 4)], 5: [(4, 4), (3, 4)]}
         builds = recorded_builds(monkeypatch)
-        imethod._CACHE.clear()
-        try:
-            for _ in range(2):
-                for n in (3, 4, 5):
-                    _m_values(n, mult, g, idx[n], cutoff)
-        finally:
-            imethod._CACHE.clear()
-        assert all(key[0] == "pairs" for key in builds)
-        pairs = [key[1:] for key in builds]
-        assert len(set(pairs)) == len(pairs)
-        assert all(key[1:4] == (mult, 2, 1.4) and key[5] == cutoff for key in pairs)
-        bounds = {(2, 8), (3, 8), (4, 8), (3, 16)} if cutoff is None else {(2, 4), (3, 4), (4, 4)}
-        assert {(key[0], key[4]) for key in pairs} == bounds
+        for _ in range(2):
+            for n in (3, 4, 5):
+                builds.clear()
+                _cascade_step(n, mult, g, cutoff)(idx[n])
+                assert builds == [(m, B, cutoff) for m, B in bounds[n]]
 
-    def test_cache_holds_imethod_tables_only(self):
-        # after the energy hierarchy, the drift oracle with its quintic M5 at
-        # K=16, M3sym and the continuum M4 and sigma4, the cache holds
-        # pair-term tables only: no weights and no walk
+    def test_no_table_outlives_its_form(self):
+        # Lambda_5(M5) at K=16 reads sigma4's pair-term table (574,992 bytes),
+        # built with sigma3's; once the form is dropped, neither is held
         g = make_grid(2, 16)
-        mult = IMultiplier(s=-0.5, N=4.0)
         u = smooth_field(g, 4)
-        traj = integrate(u, FlowSpec(grid=g, dt=1e-4, T=3e-4))
-        imethod._CACHE.clear()
+        tracemalloc.start()
         try:
-            _modified_energies(g, traj.coeffs, mult, 4)
-            drift_oracle(traj, mult, 4)
-            for form in (big_m3_symmetrized(mult, g), big_m4(mult, g), sigma4(mult, g)):
-                lambda_n(form, [u] * form.n)
-            kinds = {key[0] for key in imethod._CACHE}
+            start = tracemalloc.get_traced_memory()[0]
+            lambda_n(big_m5(IMultiplier(s=-0.5, N=4.0), g, lattice_cutoff=16), [u] * 5)
+            held = tracemalloc.get_traced_memory()[0] - start
         finally:
-            imethod._CACHE.clear()
-        assert kinds == {"pairs"}
-
-    def test_cache_stays_at_its_bound(self, monkeypatch):
-        # 40 quintic evaluations at K=6, each with its own multiplier and so
-        # its own sigma4 and sigma3 pair-term tables, under a budget of
-        # 16 * 13^4 bytes, about a dozen sigma4 tables: after every call the
-        # arrays the cache holds take at most spectral.BUDGET_BYTES
-        def held():
-            return sum(v.nbytes for v in imethod._CACHE.values())
-
-        def pairs(mult):
-            return ("pairs", 4, mult, 1, 1.0, 6, 6)
-
-        monkeypatch.setattr(spectral, "BUDGET_BYTES", 16 * 13**4)
-        g = make_grid(1, 6)
-        u = smooth_field(g, 3)
-        mults = [IMultiplier(s=-0.5, N=1.0 + 0.1 * i) for i in range(40)]
-        for mult in mults:
-            lambda_n(big_m5(mult, g, 6), [u] * 5)
-            assert pairs(mult) in imethod._CACHE and held() <= spectral.BUDGET_BYTES
-        # least recently used out first
-        assert pairs(mults[0]) not in imethod._CACHE
+            tracemalloc.stop()
+        assert held < 16 * 2**10
 
     def test_pair_terms_refuse_an_oversize_table_before_allocating(self):
         # the sigma4 pair-term table at bound 203 would take 16 * 407^3 bytes,
-        # just over 1 GiB: refused before np.zeros, and nothing is cached
-        g = make_grid(2, 8)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="K=8 needs a Gamma_4 table of 1078706288"):
-                imethod._pair_terms(4, IMultiplier(s=-0.5, N=2.0), g, 203, None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20 and not imethod._CACHE
+        # just over 1 GiB: refused before np.zeros, on its own and when M5's
+        # form, which reads it at K=203, is made
+        mult = IMultiplier(s=-0.5, N=2.0)
+        calls = {
+            "K=8 needs a Gamma_4 table of 1078706288": lambda: imethod._pair_terms(
+                4, mult, make_grid(2, 8), 203, None),
+            "K=203 needs a Gamma_4 table of 1078706288": lambda: big_m5(
+                mult, make_grid(2, 203), lattice_cutoff=203),
+        }
+        for match, call in calls.items():
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=match):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, match
 
     def test_odd_multiplier_breaks_the_resonant_set_check(self, monkeypatch):
         # an m that is not even: M4 no longer cancels on the resonant tuples
@@ -719,14 +702,10 @@ class TestCascadeStep:
         )
         g = make_grid(2, 6)
         mult = IMultiplier(s=-0.5, N=2.0)
-        imethod._CACHE.clear()
-        try:
-            with pytest.raises(ArithmeticError, match="M4 does not vanish on a resonant tuple"):
-                sigma4(mult, g, 6).weight(*hyperplane(4, 6))
-            with pytest.raises(ArithmeticError, match="M4 does not vanish on a resonant tuple"):
-                big_m5(mult, g, 6).weight(*hyperplane(5, 6))
-        finally:
-            imethod._CACHE.clear()
+        with pytest.raises(ArithmeticError, match="M4 does not vanish on a resonant tuple"):
+            sigma4(mult, g, 6).weight(*hyperplane(4, 6))
+        with pytest.raises(ArithmeticError, match="M4 does not vanish on a resonant tuple"):
+            big_m5(mult, g, 6)
 
 
 def slot_stacks(grid, n, samples, seed):
@@ -736,15 +715,6 @@ def slot_stacks(grid, n, samples, seed):
         np.array([random_smooth_field(grid, rng, 0.5).coeffs for _ in range(samples)])
         for _ in range(n)
     ]
-
-
-def streamed(form, grid, stacks):
-    """_lambda_with_scale from a cleared cache."""
-    imethod._CACHE.clear()
-    try:
-        return _lambda_with_scale(form, grid, stacks)
-    finally:
-        imethod._CACHE.clear()
 
 
 def assert_same_bits(got, ref, what):
@@ -805,7 +775,7 @@ class TestWeightTable:
             perms = np.concatenate([reps[:, p] for p in permutations(range(n))])
             assert np.array_equal(np.unique(perms, axis=0), np.unique(lattice, axis=0))
             form, records = weighed(constant_form(n))
-            streamed(form, make_grid(1, K), [np.ones((1, K), dtype=complex)] * n)
+            _lambda_with_scale(form, make_grid(1, K), [np.ones((1, K), dtype=complex)] * n)
             got = [r.T for r in records[:: 2 if n == 2 else 3]]
             assert np.array_equal(np.concatenate(got or [np.zeros((0, n), int)]), reps)
             assert [len(r) for r in got] == sizes
@@ -844,54 +814,52 @@ class TestWeightTable:
             ref = tuple_sum(form, g, stacks)
             for piece in (1, 7, 2**40):
                 monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
-                assert_near(streamed(form, g, stacks), ref, (form.tag, piece))
+                assert_near(_lambda_with_scale(form, g, stacks), ref, (form.tag, piece))
 
     def test_quintic_orbits_at_16(self):
         g = make_grid(2, 16)
         form = big_m5(IMultiplier(s=-0.5, N=4.0), g, 16)
         stacks = [slot_stacks(g, 1, 33, 72)[0]] * 5
-        assert_near(streamed(form, g, stacks), tuple_sum(form, g, stacks), "M5")
+        assert_near(_lambda_with_scale(form, g, stacks), tuple_sum(form, g, stacks), "M5")
 
     @pytest.mark.parametrize("piece", [1, 7, None])
     def test_one_sigma_table_at_every_piece_size(self, monkeypatch, piece):
         # a piece of one orbit, of 7 orbits, and one piece for all (None):
-        # every value is near the tuple sum and each pair-term table of
-        # sigma_n, keyed by its arity and bound, is built once
+        # every value is near the tuple sum, and each form builds each
+        # pair-term table it reads, keyed by its arity and bound, once, when
+        # it is made
         K = 4
         g = make_grid(2, K, 1.5)
         mult = IMultiplier(s=-0.6, N=1.0)
         cases = [
-            (big_m4(mult, g, K), {(3, K)}), (big_m4(mult, g), {(3, 2 * K)}),
-            (sigma4(mult, g, K), {(3, K)}), (sigma4(mult, g), {(3, 2 * K)}),
-            (big_m5(mult, g, K), {(4, K), (3, K)}), (big_m5(mult, g), {(4, 2 * K), (3, 4 * K)}),
+            (partial(big_m4, mult, g, K), [(3, K)]), (partial(big_m4, mult, g), [(3, 2 * K)]),
+            (partial(sigma4, mult, g, K), [(3, K)]), (partial(sigma4, mult, g), [(3, 2 * K)]),
+            (partial(big_m5, mult, g, K), [(4, K), (3, K)]),
+            (partial(big_m5, mult, g), [(4, 2 * K), (3, 4 * K)]),
         ]
         stacks = {n: slot_stacks(g, n, 2, 73) for n in (4, 5)}
-        refs = [tuple_sum(form, g, stacks[form.n]) for form, _ in cases]
+        refs = [tuple_sum(form, g, stacks[form.n]) for form in (make() for make, _ in cases)]
         monkeypatch.setattr(resonance, "PIECE_TUPLES", piece or 2**40)
         builds = recorded_builds(monkeypatch)
-        for (form, tables), ref in zip(cases, refs):
+        for (make, tables), ref in zip(cases, refs):
             builds.clear()
-            assert_near(streamed(form, g, stacks[form.n]), ref, form.tag)
-            pairs = [(key[1], key[5]) for key in builds if key[0] == "pairs"]
-            assert sorted(pairs) == sorted(tables), form.tag
+            form = make()
+            assert_near(_lambda_with_scale(form, g, stacks[form.n]), ref, form.tag)
+            assert [(n, B) for n, B, _ in builds] == tables, form.tag
 
     @staticmethod
     def quintic_peak(K):
         """(tracemalloc peak, bytes held after) of a cold Lambda_5(M5) on 33
-        samples with the sigma4 pair-term table warm; it caches nothing."""
+        samples; the form, made before, holds the sigma4 pair-term table."""
         g = make_grid(2, K)
-        mult = IMultiplier(s=-0.5, N=4.0)
-        form = big_m5(mult, g, K)
+        form = big_m5(IMultiplier(s=-0.5, N=4.0), g, K)
         stacks = [slot_stacks(g, 1, 33, 74)[0]] * 5
-        imethod._pair_terms(4, mult, g, K, K)
-        warm = set(imethod._CACHE)
         tracemalloc.start()
         try:
             _lambda_with_scale(form, g, stacks)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert set(imethod._CACHE) == warm
         return peak, held
 
     def test_quintic_peak_at_16(self):

@@ -195,7 +195,7 @@ class TestHyperplaneTuples:
 
     @pytest.mark.parametrize("piece", [1, 7, 100, 10**6])
     @pytest.mark.parametrize("n, K", [(2, 3), (3, 5), (4, 4), (5, 3)])
-    def test_pieces_are_runs_of_whole_heads(self, monkeypatch, n, K, piece):
+    def test_pieces_are_cut_at_the_piece_size(self, monkeypatch, n, K, piece):
         # joined, the pieces are the meshgrid enumeration; a piece is cut
         # at the piece size, not at a head's end: it holds at most the
         # piece size of tuples, and every orbit piece but the last holds
@@ -235,11 +235,7 @@ class TestHyperplaneTuples:
         monkeypatch.setattr(resonance, "_hyperplane_chunks", counted)
         verify_factorization(2, 3, 4)
         list(resonance._orbit_chunks(5, 3))
-        imethod._CACHE.clear()
-        try:
-            imethod._pair_terms(3, IMultiplier(s=-0.5, N=2.0), make_grid(2, 4), 4, None)
-        finally:
-            imethod._CACHE.clear()
+        imethod._pair_terms(3, IMultiplier(s=-0.5, N=2.0), make_grid(2, 4), 4, None)
         assert calls == [(4, 3, False), (5, 3, True), (3, 4, False)]
         src = inspect.getsource(resonance)
         assert src.count("searchsorted") == inspect.getsource(walk).count("searchsorted") > 0
