@@ -333,7 +333,7 @@ def big_m3(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
 
 
 def _sigma_values(
-    n: int, mult: IMultiplier, grid: GridSpec, idx: tuple, step: Callable | None = None
+    n: int, mult: IMultiplier, grid: GridSpec, idx: tuple, step: Callable | None
 ) -> np.ndarray:
     """sigma_n at Gamma_n index tuples; from n = 4 on, step is the cascade
     step at Gamma_n (see _cascade_step) that gives M_n there.

@@ -235,15 +235,22 @@ def skew_form(n):
     return MultilinearForm(n, w, tag="skew")
 
 
-def lab_forms(grid, mult):
-    """Every form of the lab at grid's lattice: M3, M3sym, sigma3, M4 and
-    sigma4 and M5 on the lattice and in the continuum, and a constant."""
+def lab_makers(grid, mult):
+    """A maker of every form of the lab at grid's lattice: M3, M3sym, sigma3,
+    M4 and sigma4 and M5 on the lattice and in the continuum, and a constant."""
     K = grid.K
     return [
-        big_m3(mult, grid), big_m3_symmetrized(mult, grid), sigma3(mult, grid),
-        big_m4(mult, grid, K), big_m4(mult, grid), sigma4(mult, grid, K), sigma4(mult, grid),
-        big_m5(mult, grid, K), big_m5(mult, grid), constant_form(4, 0.5 - 0.25j),
+        partial(big_m3, mult, grid), partial(big_m3_symmetrized, mult, grid),
+        partial(sigma3, mult, grid), partial(big_m4, mult, grid, K), partial(big_m4, mult, grid),
+        partial(sigma4, mult, grid, K), partial(sigma4, mult, grid),
+        partial(big_m5, mult, grid, K), partial(big_m5, mult, grid),
+        partial(constant_form, 4, 0.5 - 0.25j),
     ]
+
+
+def lab_forms(grid, mult):
+    """Every form of the lab at grid's lattice (see lab_makers)."""
+    return [make() for make in lab_makers(grid, mult)]
 
 
 def slot_patterns(grid, n, samples, rng):
@@ -806,15 +813,19 @@ class TestWeightTable:
     @pytest.mark.parametrize("K", [3, 6])
     def test_walk_equals_the_tuple_sum(self, monkeypatch, K, shape, mu):
         # the tuple sum weighs the whole lattice at once; the walk, in pieces
-        # of one orbit, of 7 orbits and in one piece, agrees with it
+        # of one orbit, of 7 orbits and in one piece, agrees with it. Each
+        # form is made again at each piece size, so its pair-term tables are
+        # filled in those pieces too.
         g = make_grid(2, K, mu)
         mult = IMultiplier(s=-0.7, N=1.0, shape=shape)
-        for form in lab_forms(g, mult):
+        for make in lab_makers(g, mult):
+            monkeypatch.undo()
+            form = make()
             stacks = slot_stacks(g, form.n, 3, 71)
             ref = tuple_sum(form, g, stacks)
             for piece in (1, 7, 2**40):
                 monkeypatch.setattr(resonance, "PIECE_TUPLES", piece)
-                assert_near(_lambda_with_scale(form, g, stacks), ref, (form.tag, piece))
+                assert_near(_lambda_with_scale(make(), g, stacks), ref, (form.tag, piece))
 
     def test_quintic_orbits_at_16(self):
         g = make_grid(2, 16)
