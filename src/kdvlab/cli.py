@@ -35,9 +35,9 @@ from .experiments import (
     squeeze_witness,
 )
 from .flow import FlowSpec, _step_count, conservation_report, integrate
-from .imethod import IMultiplier, _check_table, _modified_energies, _real_lambda, big_m5
-# perfbench/tracing.py wraps lambda_n and modified_energy here
-from .imethod import lambda_n, modified_energy  # noqa: F401
+from .imethod import IMultiplier, _hierarchy, _modified_energies, _real_lambda
+# perfbench/tracing.py wraps big_m5, lambda_n and modified_energy here
+from .imethod import big_m5, lambda_n, modified_energy  # noqa: F401
 from .resonance import verify_factorization
 from .spectral import (
     _check_bytes,
@@ -312,20 +312,17 @@ def _cmd_solve(cfg: dict, out_dir: str) -> None:
 
 def _cmd_energies(cfg: dict, out_dir: str) -> None:
     """t, E2, E3, E4 and Lambda_5(M5) at each sample of one trajectory, each
-    form evaluated once over all samples; refused if sigma4's table, which
-    M5 reads, cannot fit."""
+    form evaluated once over all samples, from one hierarchy built before
+    the flow, and so refused before it if sigma4's table cannot fit."""
     grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
     spec = _flow_spec(cfg, grid)
     mult = _built(IMultiplier, s=cfg["s"], N=cfg["N"])
-    _built(_check_table, 4, grid.K)
+    sigmas, m5 = _built(_hierarchy, mult, grid, 5)
     u0 = _initial_field(cfg, grid)
     traj = _built(integrate, u0, spec)
     c = traj.coeffs
-    # the quintic column first: the command then peaks lower (max RSS at
-    # --dt 1e-4 --T 0.05, 9 runs each: 40.3-40.5 MB at K=16 and 48.3-48.4 MB
-    # at K=32, against 40.6-40.7 MB and 48.5-48.7 MB with the energies first)
-    quintic = _real_lambda(big_m5(mult, grid, lattice_cutoff=grid.K), grid, c, "Lambda5M5")
-    cols = (traj.times, *_modified_energies(grid, c, mult, 4), quintic)
+    energies = _modified_energies(grid, c, mult, sigmas[:-1])
+    cols = (traj.times, *energies, _real_lambda(m5, grid, c, "Lambda5M5"))
     header = ("t", "E2", "E3", "E4", "Lambda5M5")
     _write_csv(os.path.join(out_dir, "energies.csv"), header, [cols])
 

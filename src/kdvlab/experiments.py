@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .flow import FlowSpec, Trajectory, integrate
-from .imethod import IMultiplier, _check_table, _modified_energies
+from .imethod import IMultiplier, _check_table, _hierarchy, _modified_energies
 from .imethod import modified_energy  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .spectral import (
     FourierField,
@@ -292,7 +292,7 @@ def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
     c = _sampled_solve(u0, grid, cfg).coeffs
     rows = []
     for mult in mults:
-        e2, _, e4 = _modified_energies(grid, c, mult, 4)
+        e2, _, e4 = _modified_energies(grid, c, mult, _hierarchy(mult, grid, 4)[0])
         rows.append(
             (mult.N, float(np.max(np.abs(e4 - e4[0]))), float(np.max(np.abs(e2 - e2[0]))))
         )

@@ -41,10 +41,10 @@ table and, sorted, the orbit representatives that Lambda_n weighs. A term
 whose pair sum vanishes contributes exactly 0, and sigma4 is defined as
 0 on resonant tuples (alpha4 = 0), where a runtime check confirms M4
 vanishes there. A form's weights are never stored: each piece of orbits
-is weighed and contracted before the next is formed. A pair-term table
-lives exactly as long as the form that reads it: the form builds it when
-it is made and holds it, and nothing else keeps it; spectral.BUDGET_BYTES
-bounds each table.
+is weighed and contracted before the next is formed. A run builds one
+hierarchy, and builds each of its pair-term tables once, in one chain
+(see _cascade); the forms of that hierarchy that read a table hold it,
+and nothing else keeps it. spectral.BUDGET_BYTES bounds each table.
 """
 
 from __future__ import annotations
@@ -374,7 +374,7 @@ def _sigma_values(
 
 
 def _pair_terms(
-    n: int, mult: IMultiplier, grid: GridSpec, B: int, cutoff: int | None
+    n: int, mult: IMultiplier, grid: GridSpec, B: int, cutoff: int | None, step: Callable | None
 ) -> np.ndarray:
     """sigma_n(rest, p) p/mu on Gamma_n with |entries| <= B and |p| <= cutoff,
     p the last entry, as a flat table dense over the rest (the first n-1
@@ -382,9 +382,7 @@ def _pair_terms(
     the rest of a pair fixes its sum p, so each pair term of the cascade
     step is one entry here. Gamma_n is read piece by piece off the one
     lattice walk, resonance._hyperplane_chunks; from n = 4 on, every piece
-    takes sigma_n from one cascade step, made before the walk."""
-    _check_table(n, grid.K, B)
-    step = _cascade_step(n, mult, grid, cutoff, B) if n >= 4 else None
+    takes sigma_n from step, the cascade step at Gamma_n."""
     # sigma2 and sigma3 are real
     table = np.zeros((2 * B + 1) ** (n - 1), dtype=np.float64 if n < 4 else np.complex128)
     for idx in resonance._hyperplane_chunks(n, B):
@@ -396,36 +394,33 @@ def _pair_terms(
     return table
 
 
-def _cascade_step(
-    n: int,
-    mult: IMultiplier,
-    grid: GridSpec,
-    cutoff: int | None = None,
-    bound: int | None = None,
-) -> Callable[[tuple], tuple[np.ndarray, np.ndarray]]:
-    """The one cascade step at Gamma_n: step(idx) gives (M_n, max |pair term|)
-    at Gamma_n index tuples with entries within bound (grid.K unless given).
+def _cascade(
+    n: int, mult: IMultiplier, grid: GridSpec, cutoff: int | None, bound: int | None = None
+) -> dict:
+    """The cascade steps at Gamma_n and each level below it down to Gamma_4
+    (Gamma_3's alone at n = 3), by level: step(idx) gives (M_n, max |pair
+    term|) at index tuples with entries within bound (K at the top; below
+    it, the bound of the table the level above reads).
 
     M_n = -(i/n) sum over pairs {a,b} of sigma_(n-1)(rest, k_a+k_b) (k_a+k_b),
     the pair reduction of the mean over all argument permutations. On
     Gamma_n the rest fixes the pair sum, so each pair term is one read of
-    the pair-term table of sigma_(n-1) (see _pair_terms), built here once,
-    on Gamma_(n-1), which covers every entry and pair sum the step is given,
-    and held by the step alone. A vanishing pair sum contributes exactly 0,
-    and so, with a lattice cutoff, does one above it: it is a mode absent
-    from the K-truncated Galerkin system whose energy derivative this
-    multiplier represents.
-
-    The table is sized from the lattice bound, not from the entries of idx:
-    every piece of one lattice reads the one table, and an entry beyond the
-    bound is refused. Each term is the product the indexed read
-    sigma_(n-1)[rest] * ((k_a+k_b)/mu) gives, bit for bit. The term scale
-    is read only by sigma_n's resonant-set check.
-    """
+    the pair-term table of sigma_(n-1) (see _pair_terms), built once, on
+    Gamma_(n-1), through the step below, and held by the step; the chain's
+    tables are checked against the budget before the lowest is built. A
+    vanishing pair sum contributes exactly 0, and so, with a lattice
+    cutoff, does one above it: a mode absent from the K-truncated Galerkin
+    system whose energy derivative M_n represents. The table is sized from
+    the lattice bound, so every piece of one lattice reads the one table,
+    and an entry beyond the bound is refused. Each term is the product the
+    indexed read sigma_(n-1)[rest] * ((k_a+k_b)/mu) gives, bit for bit; the
+    term scale is read only by sigma_n's resonant-set check."""
     E = grid.K if bound is None else bound
     # rest entries reach E and pair sums 2E, but none above the cutoff counts
     B = 2 * E if cutoff is None else max(E, min(2 * E, cutoff))
-    terms = _pair_terms(n - 1, mult, grid, B, cutoff)
+    _check_table(n - 1, grid.K, B)
+    steps = _cascade(n - 1, mult, grid, cutoff, B) if n > 4 else {}
+    terms = _pair_terms(n - 1, mult, grid, B, cutoff, steps.get(n - 1))
 
     def step(idx):
         if any(a.size and (a.max() > E or a.min() < -E) for a in idx):
@@ -438,7 +433,12 @@ def _cascade_step(
             np.maximum(scale, np.abs(term), out=scale)
         return (-1j / n) * acc, scale
 
-    return step
+    return {**steps, n: step}
+
+
+def _cascade_step(n: int, mult: IMultiplier, grid: GridSpec, cutoff: int | None = None):
+    """The cascade step at Gamma_n on the K-lattice: the top level of _cascade."""
+    return _cascade(n, mult, grid, cutoff)[n]
 
 
 def _cascade_form(
@@ -446,13 +446,12 @@ def _cascade_form(
     n: int,
     mult: IMultiplier,
     grid: GridSpec,
-    cutoff: int | None = None,
+    step: Callable | None,
     tag: str | None = None,
 ) -> MultilinearForm:
     """M_n (kind "M") or sigma_n (kind "sigma") of the cascade as a form; from
-    M3sym and sigma4 on, the form holds its cascade step, and so the one
-    pair-term table it reads, built when the form is made."""
-    step = _cascade_step(n, mult, grid, cutoff) if kind == "M" or n >= 4 else None
+    M3sym and sigma4 on, the form holds step, its level's cascade step, and
+    so the pair-term tables of its chain."""
 
     def w(*idx):
         if kind == "M":
@@ -464,12 +463,12 @@ def _cascade_form(
 
 def big_m3_symmetrized(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
     """M3 as the cascade step on sigma2 = m(k1) m(k2): -i [m(k1) m(k2+k3) (k2+k3)]_sym."""
-    return _cascade_form("M", 3, mult, grid, tag="M3sym")
+    return _cascade_form("M", 3, mult, grid, _cascade_step(3, mult, grid), tag="M3sym")
 
 
 def sigma3(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
     """sigma3 = -M3/alpha3; real, even, permutation-symmetric."""
-    return _cascade_form("sigma", 3, mult, grid)
+    return _cascade_form("sigma", 3, mult, grid, None)
 
 
 def big_m4(
@@ -480,28 +479,30 @@ def big_m4(
     lattice_cutoff (index units) restricts symmetrization pair sums to the
     stored lattice; None gives the continuum multiplier.
     """
-    return _cascade_form("M", 4, mult, grid, lattice_cutoff)
+    return _cascade_form("M", 4, mult, grid, _cascade_step(4, mult, grid, lattice_cutoff))
 
 
 def sigma4(
     mult: IMultiplier, grid: GridSpec, lattice_cutoff: int | None = None
 ) -> MultilinearForm:
     """sigma4 = -M4/alpha4 with the resonant-set zero convention."""
-    return _cascade_form("sigma", 4, mult, grid, lattice_cutoff)
+    return _cascade_form("sigma", 4, mult, grid, _cascade_step(4, mult, grid, lattice_cutoff))
 
 
 def big_m5(
     mult: IMultiplier, grid: GridSpec, lattice_cutoff: int | None = None
 ) -> MultilinearForm:
     """M5 = -2i [sigma4(k1,k2,k3,k4+k5) (k4+k5)]_sym."""
-    return _cascade_form("M", 5, mult, grid, lattice_cutoff)
+    return _cascade_form("M", 5, mult, grid, _cascade_step(5, mult, grid, lattice_cutoff))
 
 
-def _successor_form(order: int, mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
-    """Multiplier of Lambda_(order+1) equal to d/dt E^order on the K-lattice."""
-    if order == 2:
-        return big_m3(mult, grid)
-    return _cascade_form("M", order + 1, mult, grid, grid.K)
+def _hierarchy(mult: IMultiplier, grid: GridSpec, top: int) -> tuple[list, MultilinearForm]:
+    """sigma3..sigma_top on the K-lattice and M_top = d/dt E^(top-1), the
+    closed form at top 3, over one chain of _cascade, whose tables they hold."""
+    steps = _cascade(top, mult, grid, grid.K) if top > 3 else {}
+    sigmas = [_cascade_form("sigma", n, mult, grid, steps.get(n)) for n in range(3, top + 1)]
+    m = _cascade_form("M", top, mult, grid, steps[top]) if steps else big_m3(mult, grid)
+    return sigmas, m
 
 
 # ---------------------------------------------------------------------------
@@ -509,22 +510,21 @@ def _successor_form(order: int, mult: IMultiplier, grid: GridSpec) -> Multilinea
 # ---------------------------------------------------------------------------
 
 
-def _corrections(mult: IMultiplier, grid: GridSpec, order: int) -> list:
-    """The correction forms of E^order: sigma_n on the K-lattice, n = 3..order."""
+def _check_order(order: int) -> None:
+    """Refuse an energy order the lab does not verify."""
     if order not in (2, 3, 4):
         raise ValueError(f"order must be 2, 3 or 4, got {order}")
-    return [_cascade_form("sigma", n, mult, grid, grid.K) for n in range(3, order + 1)]
 
 
 def _modified_energies(
-    grid: GridSpec, coeffs: np.ndarray, mult: IMultiplier, order: int
+    grid: GridSpec, coeffs: np.ndarray, mult: IMultiplier, corrections: Sequence
 ) -> np.ndarray:
-    """E2 up to E^order at each sample of a coefficient stack (S, K), as rows
-    of an (order - 1, S) array; each row is the one before it plus its
-    correction, so every form is evaluated once. See modified_energy."""
+    """E2 up to E^n at each sample of a coefficient stack (S, K), with the
+    corrections sigma3..sigma_n, as rows of an (n - 1, S) array; each row
+    is the one before it plus its correction. See modified_energy."""
     m = _m_array(mult, grid.frequencies)
     rows = [2.0 * np.sum(m * m * np.abs(coeffs) ** 2, axis=-1) / (2.0 * np.pi * grid.mu)]
-    for form in _corrections(mult, grid, order):
+    for form in corrections:
         rows.append(rows[-1] + _real_lambda(form, grid, coeffs, f"Lambda_{form.n} correction"))
     return np.array(rows)
 
@@ -535,17 +535,19 @@ def modified_energy(u: FourierField, mult: IMultiplier, order: int) -> float:
     The quartic correction uses the K-lattice-consistent sigma4 so the
     derivative identities hold exactly for the integrated Galerkin system.
     """
-    return float(_modified_energies(u.grid, u.coeffs[None], mult, order)[-1, 0])
+    _check_order(order)
+    sigmas, _ = _hierarchy(mult, u.grid, max(order, 3))
+    return float(_modified_energies(u.grid, u.coeffs[None], mult, sigmas[: order - 2])[-1, 0])
 
 
 def _energy_rates(
-    grid: GridSpec, coeffs: np.ndarray, nl: np.ndarray, mult: IMultiplier, order: int
+    grid: GridSpec, coeffs: np.ndarray, nl: np.ndarray, mult: IMultiplier, corrections: Sequence
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(exact dE^order/dt, term scale) at each sample of a coefficient stack
+    """(exact dE^n/dt, term scale) at each sample of a coefficient stack
     (S, K) along u_t = i k^(2j+1) u_hat + nl, nl of the same shape.
 
-    The derivative DE^order(u)[F] is taken by polarization with the same
-    forms modified_energy uses: the symmetric corrections give
+    The derivative DE^n(u)[F] is taken by polarization with the
+    corrections sigma3..sigma_n of E^n: the symmetric corrections give
     d/dt Lambda_n(w; u,..,u) = n Lambda_n(w; F, u,..,u). In the E2 term
     the linear part m^2 conj(u_hat) i k^(2j+1) u_hat is purely imaginary,
     so its real part is exactly 0; it is left out rather than evaluated
@@ -556,7 +558,7 @@ def _energy_rates(
     value = 4.0 * np.sum(m2 * (np.conj(coeffs) * nl).real, axis=-1) / norm
     scale = 4.0 * np.sum(m2 * np.abs(coeffs) * np.abs(nl), axis=-1) / norm
     F = 1j * grid.frequencies ** (2 * grid.j + 1) * coeffs + nl
-    for form in _corrections(mult, grid, order):
+    for form in corrections:
         corr, sc = _lambda_with_scale(form, grid, [F] + [coeffs] * (form.n - 1))
         value = value + form.n * _real_part(corr, sc, f"polarized Lambda_{form.n} correction")
         scale = scale + form.n * sc
@@ -654,10 +656,11 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     nl = np.zeros_like(c)
     if spec.nonlinear:
         _rhs_function(spec.grid, mask, c.shape)(c, nl)
-    energies = _modified_energies(spec.grid, c, mult, order)[-1]
-    form = _successor_form(order, mult, spec.grid)
+    _check_order(order)
+    sigmas, form = _hierarchy(mult, spec.grid, order + 1)
+    energies = _modified_energies(spec.grid, c, mult, sigmas[:-1])[-1]
     direct_all = _real_lambda(form, spec.grid, c, f"Lambda_{form.n}({form.tag})")
-    exact, scales = _energy_rates(spec.grid, c, nl, mult, order)
+    exact, scales = _energy_rates(spec.grid, c, nl, mult, sigmas[:-1])
     exact_scale = float(np.max(scales))
     direct = direct_all[1:-1]
     fd = (energies[2:] - energies[:-2]) / (t[2:] - t[:-2])

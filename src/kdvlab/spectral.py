@@ -45,8 +45,8 @@ __all__ = [
 SNAPSHOT_SCHEMA_VERSION = 1
 # The one memory budget, in bytes, read here at call time: a grid's samples,
 # a flow's trajectory, a Jacobian's probes, a lattice table or report over it
-# are refused before they are allocated. Nothing is cached: an imethod
-# pair-term table lives exactly as long as the form that reads it.
+# are refused before they are allocated. Nothing is cached: a run builds one
+# imethod hierarchy, each of its pair-term tables once, held by its forms.
 BUDGET_BYTES = 1 << 30
 
 

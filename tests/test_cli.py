@@ -438,7 +438,10 @@ class TestExitCodes:
     def test_imaginary_quintic_energy_is_run_failure(self, tmp_path, monkeypatch, capsys):
         # Lambda_5 of a real field against an imaginary weight is imaginary:
         # the residue check must refuse it rather than write its real part
-        monkeypatch.setattr("kdvlab.cli.big_m5", lambda *args, **kwargs: constant_form(5, 1j))
+        true_hierarchy = cli._hierarchy
+        monkeypatch.setattr(
+            cli, "_hierarchy", lambda *args: (true_hierarchy(*args)[0], constant_form(5, 1j))
+        )
         status = run_cli(
             "energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4",
             "--dt", "1e-3", "--T", "0.01", "--samples", "2", "--out", str(tmp_path),

@@ -17,7 +17,8 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from kdvlab import imethod, resonance
+from kdvlab import cli, imethod, resonance
+from kdvlab.experiments import ExperimentConfig, almost_conservation_sweep
 from kdvlab.flow import FlowSpec, integrate, nonlinear_rhs
 from kdvlab.imethod import (
     IMultiplier,
@@ -175,21 +176,18 @@ class TestLambdaN:
         # Lambda_6(M6) holds sigma5's pair-term table, 16 * 41^4 bytes, and
         # no Gamma_6 table (the dense size 16 * 41^5 is over 1 GiB); it is
         # dE5/dt, the E4 rate plus 5 Lambda_5(sigma5; F, u, u, u, u), to
-        # round-off of the rate's term scale
+        # round-off of the rate's term scale. The hierarchy to M6 builds the
+        # sigma3, sigma4 and sigma5 tables at bound 20, bottom up, once each.
         g = make_grid(2, 20)
         mult = IMultiplier(s=-1.0, N=4.0)
         rng = np.random.default_rng(5)
         c = np.array([random_smooth_field(g, rng, 0.4).coeffs for _ in range(3)])
         builds = recorded_builds(monkeypatch)
-        m6 = imethod._cascade_form("M", 6, mult, g, 20)
-        assert builds == [(5, 20, 20), (4, 20, 20), (3, 20, 20)]
-        s5 = imethod._cascade_form("sigma", 5, mult, g, 20)
+        sigmas, m6 = imethod._hierarchy(mult, g, 6)
+        assert builds == [(3, 20, 20), (4, 20, 20), (5, 20, 20)]
         direct = imethod._real_lambda(m6, g, c, "Lambda_6(M6)")
         nl = np.array([nonlinear_rhs(FourierField(g, row)).coeffs for row in c])
-        rate, scale = _energy_rates(g, c, nl, mult, 4)
-        F = 1j * g.frequencies**5 * c + nl
-        value, sc = _lambda_with_scale(s5, g, [F] + [c] * 4)
-        rate, scale = rate + 5 * value.real, scale + 5 * sc
+        rate, scale = _energy_rates(g, c, nl, mult, sigmas[:-1])
         assert np.all(np.isfinite(direct)) and np.all(direct != 0.0)
         assert np.all(np.abs(direct - rate) <= 2 * np.finfo(float).eps * scale)
 
@@ -199,7 +197,7 @@ class TestLambdaN:
         g = make_grid(1, 24)
         mult = IMultiplier(s=-0.5, N=2.0)
         with pytest.raises(ArithmeticError, match="M5 does not vanish") as err:
-            lambda_n(imethod._cascade_form("sigma", 5, mult, g, 24), [harmonic(g, 1)] * 5)
+            lambda_n(imethod._hierarchy(mult, g, 5)[0][-1], [harmonic(g, 1)] * 5)
         named = [int(a) for a in re.search(r"at \(([-\d, ]+)\)", str(err.value))[1].split(",")]
         idx = tuple(np.array([a]) for a in named)
         m, scale = _cascade_step(5, mult, g, 24)(idx)
@@ -307,7 +305,7 @@ class TestStackedEvaluator:
         g = make_grid(2, 8, mu)
         mult = IMultiplier(s=-0.5, N=100.0)
         c = slot_stacks(g, 1, 4, 66)[0]
-        energies = _modified_energies(g, c, mult, 4)
+        energies = _modified_energies(g, c, mult, imethod._hierarchy(mult, g, 4)[0])
         assert np.all(np.abs(energies - energies[0]) <= 1e-12 * energies[0])
         for form in lab_forms(g, mult)[:-1]:
             assert np.all(np.isfinite(imethod._real_lambda(form, g, c, form.tag)))
@@ -369,14 +367,16 @@ class TestStackedEvaluator:
         rng = np.random.default_rng(63)
         c = np.array([random_smooth_field(g, rng, 0.3, norm_value=3.0).coeffs for _ in range(5)])
         mult = IMultiplier(s=-0.5, N=2.0)
-        stack = _modified_energies(g, c, mult, 4)
+        sigmas = imethod._hierarchy(mult, g, 4)[0]
+        stack = _modified_energies(g, c, mult, sigmas)
         assert stack.shape == (3, len(c))
         for order, row in zip((2, 3, 4), stack):
             expected = [modified_energy(FourierField(g, u), mult, order) for u in c]
             assert row.tobytes() == np.array(expected).tobytes()
         # a lower order's stack is the head of the order-4 one, bit for bit
         for order in (2, 3):
-            assert _modified_energies(g, c, mult, order).tobytes() == stack[: order - 1].tobytes()
+            got = _modified_energies(g, c, mult, sigmas[: order - 2])
+            assert got.tobytes() == stack[: order - 1].tobytes()
 
     def test_stack_shapes_checked(self):
         g = make_grid(1, 6)
@@ -561,9 +561,9 @@ def recorded_builds(monkeypatch):
     builds = []
     true_pair_terms = imethod._pair_terms
 
-    def counted(n, mult, grid, B, cutoff):
+    def counted(n, mult, grid, B, cutoff, step):
         builds.append((n, B, cutoff))
-        return true_pair_terms(n, mult, grid, B, cutoff)
+        return true_pair_terms(n, mult, grid, B, cutoff, step)
 
     monkeypatch.setattr(imethod, "_pair_terms", counted)
     return builds
@@ -607,7 +607,7 @@ class TestCascadeStep:
         if cutoff is not None:
             keep = np.abs(lattice[-1]) <= cutoff
             lattice = tuple(a[keep] for a in lattice)
-        step = _cascade_step(n - 1, mult, g, cutoff, B) if n > 4 else None
+        step = imethod._cascade(n, mult, g, cutoff).get(n - 1)
         values = imethod._sigma_values(n - 1, mult, g, lattice, step)
         table = np.zeros((2 * B + 1,) * (n - 2), dtype=values.dtype)
         table[tuple(a + B for a in lattice[:-1])] = values
@@ -626,13 +626,13 @@ class TestCascadeStep:
         # the pair loop and the pair-term tables run over pieces of
         # PIECE_TUPLES tuples; one tuple per piece, 7, and one piece for all
         # give M4, M5 and their scales bit for bit, and each step builds
-        # each table it reads once (without a cutoff M5 reads sigma4 on a
-        # wider lattice, and sigma4 sigma3 on a wider one still)
+        # each table it reads once, bottom up (without a cutoff M5 reads
+        # sigma4 on a wider lattice, and sigma4 sigma3 on a wider one still)
         g = make_grid(2, 4, 1.4)
         mult = IMultiplier(s=-0.6, N=1.5)
         idx = {n: hyperplane(n, 4) for n in (4, 5)}
-        bounds = {4: [(3, 8)], 5: [(4, 8), (3, 16)]} if cutoff is None else {
-            4: [(3, 4)], 5: [(4, 4), (3, 4)]}
+        bounds = {4: [(3, 8)], 5: [(3, 16), (4, 8)]} if cutoff is None else {
+            4: [(3, 4)], 5: [(3, 4), (4, 4)]}
         builds = recorded_builds(monkeypatch)
         results = []
         for size in (idx[5][0].size + 1, 1, 7):
@@ -651,13 +651,14 @@ class TestCascadeStep:
         # M3sym, M4 and M5, twice, with pieces of 1 and 7 tuples and one
         # piece for all (None): sigma_n has one table, its pair-term table;
         # each step builds the one it reads once, at the bound the lattice
-        # and the cutoff give, and M5's, through sigma4's, sigma3's once
+        # and the cutoff give, and M5's sigma3's once, bottom up, before
+        # sigma4's, which it builds through
         g = make_grid(2, 4, 1.4)
         mult = IMultiplier(s=-0.6, N=1.5)
         idx = {n: hyperplane(n, 4) for n in (3, 4, 5)}
         monkeypatch.setattr(resonance, "PIECE_TUPLES", piece or idx[5][0].size + 1)
-        bounds = {3: [(2, 8)], 4: [(3, 8)], 5: [(4, 8), (3, 16)]} if cutoff is None else {
-            3: [(2, 4)], 4: [(3, 4)], 5: [(4, 4), (3, 4)]}
+        bounds = {3: [(2, 8)], 4: [(3, 8)], 5: [(3, 16), (4, 8)]} if cutoff is None else {
+            3: [(2, 4)], 4: [(3, 4)], 5: [(3, 4), (4, 4)]}
         builds = recorded_builds(monkeypatch)
         for _ in range(2):
             for n in (3, 4, 5):
@@ -665,30 +666,60 @@ class TestCascadeStep:
                 _cascade_step(n, mult, g, cutoff)(idx[n])
                 assert builds == [(m, B, cutoff) for m, B in bounds[n]]
 
+    def test_one_hierarchy_per_run(self, monkeypatch, tmp_path):
+        # a run builds one hierarchy per multiplier, and so each pair-term
+        # table of it once: the drift oracle none at order 2, sigma3's at
+        # order 3, and sigma3's and sigma4's at order 4; energies sigma3's
+        # and sigma4's; almost-cons sigma3's for each N
+        builds = recorded_builds(monkeypatch)
+        g = make_grid(3, 16)
+        traj = integrate(smooth_field(g, 7), FlowSpec(grid=g, dt=1e-7, T=2e-7))
+        for order, tables in ((2, []), (3, [(3, 16, 16)]), (4, [(3, 16, 16), (4, 16, 16)])):
+            builds.clear()
+            drift_oracle(traj, IMultiplier(s=-1.5, N=4.0), order)
+            assert builds == tables, order
+        builds.clear()
+        argv = ["energies", "--j", "2", "--K", "8", "--s", "-0.5", "--N", "4",
+                "--dt", "1e-3", "--T", "0.01", "--samples", "2", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert builds == [(3, 8, 8), (4, 8, 8)]
+        builds.clear()
+        cfg = ExperimentConfig(j=2, K=8, s=-0.5, N_list=(1, 2, 4), dt=1e-3, T=0.01, samples=2)
+        almost_conservation_sweep(cfg)
+        assert builds == [(3, 8, 8)] * 3
+
     def test_no_table_outlives_its_form(self):
         # Lambda_5(M5) at K=16 reads sigma4's pair-term table (574,992 bytes),
-        # built with sigma3's; once the form is dropped, neither is held
+        # built with sigma3's; once the form is dropped, or the hierarchy to
+        # M5, whose sigma4, sigma5 and M5 hold them, neither is held
         g = make_grid(2, 16)
         u = smooth_field(g, 4)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            lambda_n(big_m5(IMultiplier(s=-0.5, N=4.0), g, lattice_cutoff=16), [u] * 5)
-            held = tracemalloc.get_traced_memory()[0] - start
-        finally:
-            tracemalloc.stop()
-        assert held < 16 * 2**10
+        mult = IMultiplier(s=-0.5, N=4.0)
+        runs = (
+            lambda: lambda_n(big_m5(mult, g, lattice_cutoff=16), [u] * 5),
+            lambda: imethod._hierarchy(mult, g, 5),
+        )
+        for i, run in enumerate(runs):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                held = tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+            assert held < 16 * 2**10, i
 
     def test_pair_terms_refuse_an_oversize_table_before_allocating(self):
         # the sigma4 pair-term table at bound 203 would take 16 * 407^3 bytes,
-        # just over 1 GiB: refused before np.zeros, on its own and when M5's
-        # form, which reads it at K=203, is made
+        # just over 1 GiB, and at bound 204, M5's in the continuum at K=102,
+        # more: refused when M5's form is made, before the chain builds its
+        # lowest table, sigma3's (1.3 MB at bound 203, 5.3 MB at 408)
         mult = IMultiplier(s=-0.5, N=2.0)
         calls = {
-            "K=8 needs a Gamma_4 table of 1078706288": lambda: imethod._pair_terms(
-                4, mult, make_grid(2, 8), 203, None),
             "K=203 needs a Gamma_4 table of 1078706288": lambda: big_m5(
                 mult, make_grid(2, 203), lattice_cutoff=203),
+            "K=102 needs a Gamma_4 table of 1094686864": lambda: big_m5(
+                mult, make_grid(2, 102)),
         }
         for match, call in calls.items():
             tracemalloc.start()
@@ -759,7 +790,7 @@ class TestWeightTable:
 
     @pytest.mark.parametrize("K", [1, 2, 3, 6, 9])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_tuples_read_off_the_layout(self, monkeypatch, n, K):
+    def test_orbit_walk_counts_gamma_n(self, monkeypatch, n, K):
         # in pieces of 7 orbits and in one piece: the multiplicities count
         # Gamma_n; each orbit is written once, sorted, or in descending order
         # as the negation of its negation's representative, or, when it is its
@@ -838,15 +869,15 @@ class TestWeightTable:
         # a piece of one orbit, of 7 orbits, and one piece for all (None):
         # every value is near the tuple sum, and each form builds each
         # pair-term table it reads, keyed by its arity and bound, once, when
-        # it is made
+        # it is made, bottom up
         K = 4
         g = make_grid(2, K, 1.5)
         mult = IMultiplier(s=-0.6, N=1.0)
         cases = [
             (partial(big_m4, mult, g, K), [(3, K)]), (partial(big_m4, mult, g), [(3, 2 * K)]),
             (partial(sigma4, mult, g, K), [(3, K)]), (partial(sigma4, mult, g), [(3, 2 * K)]),
-            (partial(big_m5, mult, g, K), [(4, K), (3, K)]),
-            (partial(big_m5, mult, g), [(4, 2 * K), (3, 4 * K)]),
+            (partial(big_m5, mult, g, K), [(3, K), (4, K)]),
+            (partial(big_m5, mult, g), [(3, 4 * K), (4, 2 * K)]),
         ]
         stacks = {n: slot_stacks(g, n, 2, 73) for n in (4, 5)}
         refs = [tuple_sum(form, g, stacks[form.n]) for form in (make() for make, _ in cases)]
@@ -912,11 +943,11 @@ class TestModifiedEnergy:
 
     @pytest.mark.parametrize("order", [1, 5])
     def test_rate_order_validation(self, order):
-        # order 1 must not slice the corrections down to a sigma3-polarized rate
-        g = make_grid(1, 6)
-        c = harmonic(g, 1).coeffs[None]
+        # order 1 must be refused, not run as order 2: below top 3 the
+        # hierarchy is top 3's
+        traj = short_trajectory(1, 1.0, seed=1)
         with pytest.raises(ValueError, match=f"order must be 2, 3 or 4, got {order}"):
-            _energy_rates(g, c, c, IMultiplier(s=-0.5, N=2.0), order)
+            drift_oracle(traj, IMultiplier(s=-0.5, N=2.0), order)
 
     def test_comparability_constant_reported(self):
         # |E4 - E2| <= C (||Iu||^3 + ||Iu||^4); fit C over random fields
@@ -1041,6 +1072,7 @@ class TestExactDriftSeries:
             FlowSpec(grid=g, dt=1e-7, T=3e-7, **kwargs),
         )
         spec, mult = traj.spec, IMultiplier(s=-0.5, N=1.5)
+        corrections = imethod._hierarchy(mult, g, order + 1)[0][:-1]
         expected = [
             _energy_rates(
                 g,
@@ -1048,7 +1080,7 @@ class TestExactDriftSeries:
                 (nonlinear_rhs(u, spec.flavor, spec.N) if spec.nonlinear
                  else FourierField.zero(g)).coeffs[None],
                 mult,
-                order,
+                corrections,
             )[0][0]
             for u in traj.fields
         ]
@@ -1059,15 +1091,15 @@ class TestExactDriftSeries:
     def test_misscaled_multiplier_flagged(self, monkeypatch, order):
         # 1.5 M in place of M: the exact series stays at d/dt E^n, so the
         # discrepancy is |1 - 1.5| / 1.5 = 1/3 of the reference
-        true_form = imethod._successor_form
+        true_hierarchy = imethod._hierarchy
 
-        def misscaled(order, mult, grid):
-            form = true_form(order, mult, grid)
-            return MultilinearForm(
+        def misscaled(mult, grid, top):
+            sigmas, form = true_hierarchy(mult, grid, top)
+            return sigmas, MultilinearForm(
                 form.n, lambda *idx: 1.5 * form.weight(*idx), tag=f"1.5{form.tag}"
             )
 
-        monkeypatch.setattr(imethod, "_successor_form", misscaled)
+        monkeypatch.setattr(imethod, "_hierarchy", misscaled)
         traj = short_trajectory(2, 1.0, seed=21)
         rep = drift_oracle(traj, IMultiplier(s=-0.5, N=2.0), order)
         assert rep.exact_max_rel_discrepancy == pytest.approx(1.0 / 3.0, rel=1e-3)

@@ -235,7 +235,7 @@ class TestHyperplaneTuples:
         monkeypatch.setattr(resonance, "_hyperplane_chunks", counted)
         verify_factorization(2, 3, 4)
         list(resonance._orbit_chunks(5, 3))
-        imethod._pair_terms(3, IMultiplier(s=-0.5, N=2.0), make_grid(2, 4), 4, None)
+        imethod._pair_terms(3, IMultiplier(s=-0.5, N=2.0), make_grid(2, 4), 4, None, None)
         assert calls == [(4, 3, False), (5, 3, True), (3, 4, False)]
         src = inspect.getsource(resonance)
         assert src.count("searchsorted") == inspect.getsource(walk).count("searchsorted") > 0
