@@ -18,13 +18,14 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from datetime import datetime, timezone
 from functools import partial
 
 import numpy as np
 
-from . import __version__, resonance
+from . import __version__
 from .experiments import (
     ExperimentConfig,
     almost_conservation_sweep,
@@ -40,7 +41,6 @@ from .imethod import IMultiplier, _hierarchy, _modified_energies, _real_lambda
 from .imethod import big_m5, lambda_n, modified_energy  # noqa: F401
 from .resonance import verify_factorization
 from .spectral import (
-    _check_bytes,
     _check_same_grid,
     _write_atomic,
     load_snapshot,
@@ -196,26 +196,30 @@ def _joined(cells, sep: bytes, end: bytes = b"") -> np.ndarray:
     return rows.view(f"S{rows.shape[1]}")[:, 0]
 
 
+def _write_rows(fh, columns) -> None:
+    """Write one piece of CSV rows to the open binary file fh. A piece is a
+    sequence of equal-length columns: a cell is the str() of its value (a
+    float's shortest round-trip repr), the text csv.writer writes, as no
+    field here needs quoting. The piece's rows are one byte matrix (see
+    _joined), cells joined by "," and ended by a newline, written as its
+    bytes other than NUL."""
+    cells = [_column_text(c) for c in columns]
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"columns of unequal length: {[len(c) for c in cells]}")
+    rows = _joined(cells, b",", b"\n").view(np.uint8)
+    del cells  # copied into rows: dropped before the compaction
+    fh.write(rows[rows != 0])
+
+
 def _write_csv(path: str, header, pieces) -> None:
-    """Header, then the rows of each piece, as CSV. A piece is a sequence of
-    equal-length columns: a cell is the str() of its value (a float's
-    shortest round-trip repr), the text csv.writer writes, as no field here
-    needs quoting. A piece's rows are one byte matrix (see _joined), cells
-    joined by "," and ended by a newline, written as its bytes other than
-    NUL. Each piece is formatted and written before the next is taken from
-    pieces, so a generator of pieces is held one at a time; a failure
-    leaves no file (see _write_atomic)."""
-
-    def text():
-        yield ",".join(header).encode() + b"\n"
+    """Header, then the rows of each piece (see _write_rows), as CSV. Each
+    piece is formatted and written before the next is taken from pieces, so
+    a generator of pieces is held one at a time; a failure leaves no file
+    (see _write_atomic)."""
+    with _write_atomic(path) as fh:
+        fh.write(",".join(header).encode() + b"\n")
         for columns in pieces:
-            cells = [_column_text(c) for c in columns]
-            if len({len(c) for c in cells}) > 1:
-                raise ValueError(f"columns of unequal length: {[len(c) for c in cells]}")
-            rows = _joined(cells, b",", b"\n").view(np.uint8)
-            yield rows[rows != 0].tobytes()
-
-    _write_atomic(path, text())
+            _write_rows(fh, columns)
 
 
 class _Manifest:
@@ -233,7 +237,8 @@ class _Manifest:
 
     def finish(self) -> None:
         self.data["finished"] = datetime.now(timezone.utc).isoformat()
-        _write_atomic(self.path, [(json.dumps(self.data, indent=1) + "\n").encode()])
+        with _write_atomic(self.path) as fh:
+            fh.write((json.dumps(self.data, indent=1) + "\n").encode())
 
 
 def _built(make, *args, **kwargs):
@@ -329,7 +334,10 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
 
 def _cmd_resonance(cfg: dict, out_dir: str) -> None:
     """Exact factorization check on Gamma_3 and Gamma_4, with an optional
-    per-tuple CSV; its tuple column is each entry's text joined by spaces."""
+    per-tuple CSV; its tuple column is each entry's text joined by spaces.
+    Each walk writes its rows as it verifies them, a piece at a time; a walk
+    refused by the budget names its key, and a refusal or a failed
+    factorization leaves no CSV."""
     _check_at_least(cfg, j=1, K=2)
     # with every |k| <= 2, a zero-sum 4-tuple is two cancelling pairs, so
     # Gamma_4 has no non-resonant row: its bound is K4, or K when K4 is unset
@@ -338,34 +346,27 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
     if k4 < 3:
         raise ConfigError(f"bad value for key {key4!r}: {k4} (must be >= 3 for Gamma_4)")
     path = _output_path(cfg, "csv", out_dir) if cfg["csv"] else None
-    # both reports are held until the CSV is written: refused before either
-    # walk if together they exceed the budget, naming the larger's key
-    sizes = {n: resonance._report_bytes(n, K, cfg["j"]) for n, K in ((3, cfg["K"]), (4, k4))}
-    n = max(sizes, key=sizes.get)
-    key, K = ("K", cfg["K"]) if n == 3 else (key4, k4)
-    _built(_check_bytes, sum(sizes.values()), f"bad value for key {key!r}: {K} needs a "
-           f"Gamma_{n} report held with a Gamma_{7 - n} one, two reports")
-    rep3 = verify_factorization(cfg["j"], cfg["K"], arity=3)
-    rep4 = verify_factorization(cfg["j"], k4, arity=4)
-    for rep in (rep3, rep4):
-        if rep.failures:
-            raise RunCheckError(
-                f"factorization failed on Gamma_{rep.arity} at {rep.failures[0][0]}"
-            )
-    print(
-        f"resonance-check j={cfg['j']}: Gamma3 K={cfg['K']} count={rep3.count} "
-        f"ratio in [{float(rep3.min_ratio):.6g}, {float(rep3.max_ratio):.6g}]; "
-        f"Gamma4 K={k4} count={rep4.count} "
-        f"ratio in [{float(rep4.min_ratio):.6g}, {float(rep4.max_ratio):.6g}]; failures 0"
-    )
-    if path:
-        # Gamma3's pieces, then Gamma4's, each piece's tuple text formed with it
-        pieces = (
-            (_joined([_column_text(e) for e in t.T], b" "), p, q, ratio)
-            for r in (rep3, rep4)
-            for t, p, q, ratio in r.pieces
-        )
-        _write_csv(path, ("tuple", "P_n", "Q_n", "ratio"), pieces)
+    verdicts = []
+    with _write_atomic(path) if path else nullcontext() as fh:
+        if fh:
+            fh.write(b"tuple,P_n,Q_n,ratio\n")
+
+        def write(piece):
+            t, p, q, ratio = piece
+            _write_rows(fh, (_joined([_column_text(e) for e in t.T], b" "), p, q, ratio))
+
+        for arity, key, K in ((3, "K", cfg["K"]), (4, key4, k4)):
+            try:
+                rep = verify_factorization(cfg["j"], K, arity, sink=write if fh else None)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for key {key!r}: {exc}") from exc
+            if rep.failures:
+                raise RunCheckError(
+                    f"factorization failed on Gamma_{arity} at {rep.failures[0][0]}"
+                )
+            verdicts.append(f"Gamma{arity} K={K} count={rep.count} ratio in "
+                            f"[{float(rep.min_ratio):.6g}, {float(rep.max_ratio):.6g}]")
+    print(f"resonance-check j={cfg['j']}: {'; '.join(verdicts)}; failures 0")
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:

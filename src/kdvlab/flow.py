@@ -90,8 +90,9 @@ class Trajectory:
     def __post_init__(self):
         if len(self.times) != len(self.coeffs):
             raise ValueError(f"trajectory has {len(self.times)} times for {len(self.coeffs)} samples")
-        steps = np.diff(self.times)
-        if np.isnan(self.times).any() or not (np.all(steps > 0) or np.all(steps < 0)):
+        # neighbours compared, one flag array at a time: a byte a sample (_run_bytes)
+        t = self.times
+        if np.isnan(t).any() or not ((t[1:] > t[:-1]).all() or (t[1:] < t[:-1]).all()):
             raise ValueError("trajectory timestamps must be strictly monotone, with no NaN")
 
     @property
@@ -307,17 +308,17 @@ def _run_bytes(grid: GridSpec, shape: tuple, n_samples: int, nonlinear: bool) ->
     contour averaging; all are freed before the run holds its step's six
     tables and eight stage arrays, the RHS's half spectrum, physical
     samples, squared spectrum, -ik/2 table and, for an ensemble, mode copy,
-    its samples, times and magnitudes, the Trajectory check's time
-    differences and flags, and, while the step is formed, L and the
-    per-mode tables. The count is the larger phase, each summed, plus 16 KiB
-    for the Python objects around the arrays (up to 10 KB measured at K=8),
-    so it bounds the peak. A linear run has one phase.
+    its samples, times and magnitudes, the Trajectory check's flags, and,
+    while the step is formed, L and the per-mode tables. The count is the
+    larger phase, each summed, plus 16 KiB for the Python objects around
+    the arrays (up to 10 KB measured at K=8), so it bounds the peak. A
+    linear run has one phase.
     """
     K, P = grid.K, grid.physical_points
     size = int(np.prod(shape))
     objects = 16384
     # samples and working copy, band mask, times, magnitudes, the time check
-    held = 16 * size * (n_samples + 1) + size + 8 * n_samples + 8 * size + 9 * n_samples
+    held = 16 * size * (n_samples + 1) + size + 8 * n_samples + 8 * size + n_samples
     if not nonlinear:
         return held + 16 * size + 3 * 16 * K + objects
     # working copy and band mask; L, h*L, the six per-mode tables; the contour workspace

@@ -15,7 +15,6 @@ arithmetic.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -34,11 +33,11 @@ __all__ = [
 class FactorizationReport:
     """Outcome of exhaustive factorization/comparability enumeration.
 
-    One row per non-resonant tuple whose prefactor divides P_n, in
-    nested-loop order, in the walk's pieces, each (tuples (rows x arity),
-    P_n, Q_n, |Q_n| / max|entry|^(2j-2) correctly rounded). The integer
-    columns are int64 while n*K^(2j+1) < 2^53 and Python ints beyond. count
-    includes the failures, each recorded as (tuple, P_n, prefactor).
+    count is the number of non-resonant tuples walked, the failures
+    included, each recorded as (tuple, P_n, prefactor); min_ratio and
+    max_ratio are the exact extremes of |Q_n| / max|entry|^(2j-2) over the
+    rest. The rows themselves are not kept: verify_factorization passes
+    them to its sink a piece at a time.
     """
 
     j: int
@@ -47,7 +46,6 @@ class FactorizationReport:
     count: int
     min_ratio: Fraction | None
     max_ratio: Fraction | None
-    pieces: list
     failures: list = field(default_factory=list)
 
     @property
@@ -55,8 +53,9 @@ class FactorizationReport:
         return not self.failures and self.count > 0
 
 
-# Tuples per piece of Gamma_n: a piece's index columns and the temporaries
-# computed from them, a few hundred kB, stay in a core's L2 cache.
+# Tuples per piece of Gamma_n. Verifying a piece of Gamma_4 takes about
+# 1.6 MiB of temporaries beyond the walk's own arrays, and writing its CSV
+# rows 2.1 MiB (tracemalloc, j=2, K=24: 3.2 MiB for the verification).
 PIECE_TUPLES = 1 << 14
 
 
@@ -74,9 +73,12 @@ def _hyperplane_chunks(n: int, K: int, orbits: bool = False):
     values. Each head's k_(n-1) are its run, taken PIECE_TUPLES rows a
     piece, and k_n = -(g + k_(n-1)); the one row with k_n = 0 is dropped
     (sorted, k_n is the largest entry of a zero sum, so it never is 0). An
-    empty Gamma_n yields no piece. Each level of heads is refused, before it
-    is formed, if its arrays exceed spectral.BUDGET_BYTES.
+    empty Gamma_n yields no piece. The values, and each level of heads, are
+    refused before they are formed if their arrays exceed
+    spectral.BUDGET_BYTES.
     """
+    # the 2K values, int64, and the two ranges they are joined from
+    _check_bytes(32 * K, f"K={K} needs Gamma_{n} values")
     vals = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)]).astype(np.int64)
 
     def place(start, stop):
@@ -152,13 +154,6 @@ def _exact_dtype(n: int, max_abs: int, j: int):
     return np.int64 if n * max_abs ** (2 * j + 1) < 2**53 else object
 
 
-def _report_bytes(n: int, K: int, j: int) -> int:
-    """Bytes of a report on Gamma_n at bound K: at most (2K)^(n-1) rows of n entries,
-    P_n and Q_n at their dtype (a Python int: pointer and object) and a float64 ratio."""
-    big = 0 if _exact_dtype(n, K, j) is np.int64 else sys.getsizeof(n * K ** (2 * j + 1))
-    return (2 * K) ** (n - 1) * ((n + 2) * (8 + big) + 8)
-
-
 def _pn_int(cols: Sequence[np.ndarray], j: int) -> np.ndarray:
     """Exact P_n of integer index columns: the sum of their (2j+1)-th powers.
 
@@ -169,15 +164,18 @@ def _pn_int(cols: Sequence[np.ndarray], j: int) -> np.ndarray:
     return sum(c.astype(dtype) ** (2 * j + 1) for c in cols)
 
 
-def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
+def verify_factorization(j: int, K: int, arity: int = 3, sink=None) -> FactorizationReport:
     """Check P_n = prefactor * Q_n exactly on the full lattice.
 
     Walks the nonzero-entry, nonzero-prefactor tuples on Gamma_n with
-    |entries| <= K a piece of _hyperplane_chunks at a time, keeping each
-    piece, and checks that the prefactor divides P_n in the integers. Below
-    n*K^(2j+1) < 2^53 every integer and ratio operand is exact in int64 and
-    float64; beyond, the same expressions run on Python ints. min/max of
-    |Q_n| / max|entry|^(2j-2) are exact Fractions, taken among each piece's
+    |entries| <= K a piece of _hyperplane_chunks at a time, and checks that
+    the prefactor divides P_n in the integers. Each piece's verified rows,
+    in nested-loop order, go to sink as (tuples (rows x arity), P_n, Q_n,
+    |Q_n| / max|entry|^(2j-2) correctly rounded), unless none is left, and
+    are dropped before the next piece is walked. The integer columns are
+    int64 while n*K^(2j+1) < 2^53, where every integer and ratio operand is
+    exact in int64 and float64; beyond, the same expressions run on Python
+    ints. min/max of the ratio are exact Fractions, taken among each piece's
     tuples of extreme rounded ratio (a correctly rounded division is
     monotone). They are reported, not asserted: the claim hides its constants.
     """
@@ -188,7 +186,7 @@ def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
     if arity not in (3, 4):
         raise ValueError(f"arity must be 3 or 4, got {arity}")
     dtype = _exact_dtype(arity, K, j)
-    pieces, failures, lows, highs = [], [], set(), set()
+    count, failures, lows, highs = 0, [], set(), set()
     for cols in _hyperplane_chunks(arity, K):
         t = np.stack(cols, axis=1).astype(dtype)
         x = t.T
@@ -197,6 +195,7 @@ def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
         else:
             pref = (x[0] + x[1]) * (x[0] + x[2]) * (x[0] + x[3])
         t, pref = t[pref != 0], pref[pref != 0]
+        count += len(t)
         p = _pn_int(t.T, j).astype(dtype, copy=False)
         q, rem = p // pref, p % pref
         ok = rem == 0
@@ -211,9 +210,12 @@ def verify_factorization(j: int, K: int, arity: int = 3) -> FactorizationReport:
             # the piece's exact extremes, one Fraction per distinct (num, den)
             for ex, sel in ((lows, ratio == ratio.min()), (highs, ratio == ratio.max())):
                 ex |= {Fraction(a, b) for a, b in set(zip(num[sel].tolist(), den[sel].tolist()))}
-            pieces.append((t, p, q, ratio))
+            if sink is not None:
+                sink((t, p, q, ratio))
+        # dropped before the walk forms the next piece
+        del x, t, pref, p, q, rem, ok, num, den, ratio
     return FactorizationReport(
-        j=j, K=K, arity=arity, count=len(failures) + sum(len(r) for r, *_ in pieces),
+        j=j, K=K, arity=arity, count=count,
         min_ratio=min(lows, default=None), max_ratio=max(highs, default=None),
-        pieces=pieces, failures=failures,
+        failures=failures,
     )

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -44,9 +44,10 @@ __all__ = [
 
 SNAPSHOT_SCHEMA_VERSION = 1
 # The one memory budget, in bytes, read here at call time: a grid's samples,
-# a flow's trajectory, a Jacobian's probes, a lattice table or report over it
-# are refused before they are allocated. Nothing is cached: a run builds one
-# imethod hierarchy, each of its pair-term tables once, held by its forms.
+# a flow's trajectory, a Jacobian's probes, a lattice table or the arrays of
+# a walk over it are refused before they are allocated. Nothing is cached: a
+# run builds one imethod hierarchy, each of its pair-term tables once, held
+# by its forms.
 BUDGET_BYTES = 1 << 30
 
 
@@ -358,18 +359,17 @@ def random_smooth_field(
     return u * (norm_value / cur)
 
 
-def _write_atomic(path: str, pieces: Iterable[bytes]) -> None:
-    """Write the pieces, in order, to path through a temporary file renamed
-    over it. Each piece is written before the next is formed, so a
-    generator of pieces is held one at a time; if forming or writing any
-    piece raises, the temporary file is removed and path is left as it
-    was."""
+@contextmanager
+def _write_atomic(path: str):
+    """Open a temporary file next to path for binary writes, and rename it
+    over path when the block ends. A caller writes to it piece by piece, so
+    nothing need hold the whole file; if the block raises, the temporary
+    file is removed and path is left as it was."""
     tmp = f"{path}.tmp"
     fh = open(tmp, "wb")
     try:
         with fh:
-            for piece in pieces:
-                fh.write(piece)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -389,7 +389,8 @@ def save_snapshot(u: FourierField, path: str) -> None:
             if c != 0
         ],
     }
-    _write_atomic(path, [(json.dumps(payload, indent=1) + "\n").encode()])
+    with _write_atomic(path) as fh:
+        fh.write((json.dumps(payload, indent=1) + "\n").encode())
 
 
 def _snapshot_number(value, what: str, integral: bool = False):

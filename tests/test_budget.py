@@ -23,7 +23,7 @@ def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
         "needs a run of 42120 bytes": lambda: integrate(
             u, FlowSpec(grid=g, dt=1e-3, T=0.032)),
         # 32 probes of 8 modes, and their run at 2 samples
-        "needs 32 Jacobian probes at K=8 and their run of 121250 bytes": lambda: flow_jacobian(
+        "needs 32 Jacobian probes at K=8 and their run of 121234 bytes": lambda: flow_jacobian(
             u, FlowSpec(grid=g, dt=1e-3, T=1e-3, flavor="truncated", N=8.0), 1e-6),
         # sigma3's pair-term table at bound 8, 16 * 17^2 bytes, which M4 reads
         "needs a Gamma_3 table of 4624 bytes": lambda: imethod._cascade_step(4, mult, g, 8),
@@ -35,8 +35,8 @@ def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
     solve = ("solve", "--j", "2", "--K", "8", "--dt", "1e-3", "--T", "0.032", "--samples", "32")
     # the reference and three truncated flows at 33 samples of 64 modes
     sweep = ("approx-sweep", "--j", "2", "--K", "64", "--N_list", "4,8,16", "--T", "0.01")
-    # reports on Gamma_3 and Gamma_4 at K=4, held together: up to 8^2 rows
-    # of 48 bytes and 8^3 rows of 56 bytes
+    # the walk of Gamma_4 at K=4: its second level of heads, the 64 heads of
+    # the first two entries, 11 int64 arrays of them
     check = ("resonance-check", "--j", "1", "--K", "4")
 
     for call in refusals.values():
@@ -55,7 +55,6 @@ def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
     assert main([*check, "--out", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
     assert "needs a run of 42120 bytes > BUDGET_BYTES (4096)" in err
-    assert "K=64 in 33 samples of 4 members needs a run of 250545 bytes" in err
-    assert ("key 'K': 4 needs a Gamma_4 report held with a Gamma_3 one, two reports of "
-            "31744 bytes > BUDGET_BYTES (4096)") in err
+    assert "K=64 in 33 samples of 4 members needs a run of 250281 bytes" in err
+    assert "key 'K': K=4 needs Gamma_4 heads of 5632 bytes > BUDGET_BYTES (4096)" in err
     assert not (tmp_path / "b" / "manifest.json").exists()

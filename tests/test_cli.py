@@ -144,69 +144,85 @@ class TestExitCodes:
     def test_resonance_csv_write_peak(self, tmp_path, monkeypatch):
         # the README example's 3.2 MB CSV: the whole-file write held the
         # text of every row at once and peaked at about 18 MiB above what was
-        # held before it (tracemalloc); the write in pieces holds one piece's
-        # byte matrix and peaks at 3.53 MiB, bounded with 1.47 MiB headroom
+        # held before it, and the write in pieces at 3.53 MiB (tracemalloc).
+        # Each piece is now formatted and written by the sink of the walk
+        # that verified it: a piece's cells are dropped once they are joined
+        # into its byte matrix, whose compacted text is written without a
+        # copy, and one piece peaks at 2.14 MiB
         peaks = []
-        true_write = cli._write_csv
+        true_verify = cli.verify_factorization
 
-        def traced(*args):
+        def traced(*args, sink):
+            def traced_sink(piece):
+                tracemalloc.start()
+                try:
+                    sink(piece)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+            return true_verify(*args, sink=traced_sink)
+
+        monkeypatch.setattr(cli, "verify_factorization", traced)
+        argv = ("--j", "2", "--K", "64", "--K4", "24", "--csv", "t.csv")
+        assert run_cli("resonance-check", *argv, "--out", str(tmp_path)) == 0
+        assert len(peaks) > 1 and max(peaks) < 2.5 * 2**20
+
+    def test_resonance_check_peak_does_not_grow_with_the_lattice(self, tmp_path):
+        # the check holds one walk piece, not the rows it has verified:
+        # Gamma_4 at K4=48 has 8.5 times the rows of the README example at
+        # K4=24, and the two runs peak within 1.5 MiB of each other
+        # (tracemalloc: 5.28 and 5.94 MiB; holding the rows, 7.41 and 33.8)
+        peaks = []
+        for K4 in (24, 48):
+            argv = ("--j", "2", "--K", "64", "--K4", str(K4), "--csv", "t.csv")
             tracemalloc.start()
             try:
-                true_write(*args)
+                assert run_cli("resonance-check", *argv, "--out", str(tmp_path)) == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1.5 * 2**20 and max(peaks) < 7 * 2**20
 
-        monkeypatch.setattr(cli, "_write_csv", traced)
-        argv = ("--j", "2", "--K", "64", "--K4", "24", "--csv", "t.csv")
-        assert run_cli("resonance-check", *argv, "--out", str(tmp_path)) == 0
-        assert len(peaks) == 1 and peaks[0] < 5 * 2**20
+    def test_failed_factorization_leaves_no_csv(self, tmp_path, monkeypatch, capsys):
+        # an off-hyperplane probe, (1, 2, 4): P = 73 and prefactor 8. The
+        # row before it in the piece, (1, 1, 1), is written to the CSV's
+        # temporary file by the walk's sink; the failure is raised inside the
+        # writer's scope, so the run exits 1 and leaves no CSV
+        fake = (np.array([1, 1]), np.array([1, 2]), np.array([1, 4]))
+        monkeypatch.setattr(resonance, "_hyperplane_chunks", lambda n, K: iter([fake]))
+        argv = ("--j", "1", "--K", "4", "--csv", "t.csv", "--out", str(tmp_path))
+        assert run_cli("resonance-check", *argv) == 1
+        err = capsys.readouterr().err
+        assert err == "run failed: factorization failed on Gamma_3 at (1, 2, 4)\n"
+        assert os.listdir(tmp_path) == ["manifest.json"]
 
-    @pytest.mark.parametrize("argv, key", [
-        (("--K", "20000"), "key 'K': 20000"),
-        (("--K", "16", "--K4", "20000"), "key 'K4': 20000"),
+    @pytest.mark.parametrize("argv, key, bound", [
+        # the walk's 2K values: 32 TB with their two ranges
+        (("--K", "1000000000000"), "key 'K': K=1000000000000 needs Gamma_3 values", 2**20),
+        # Gamma_4's second level of heads, 141 GB; the first, 40,000 heads
+        # of 10 int64 arrays, is admitted and formed (3.36 MiB)
+        (("--K", "16", "--K4", "20000"), "key 'K4': K=20000 needs Gamma_4 heads", 4 * 2**20),
     ], ids=["K", "K4"])
     def test_oversized_resonance_check_refused_before_the_walk(
-        self, tmp_path, capsys, argv, key
+        self, tmp_path, capsys, argv, key, bound
     ):
-        # a report on Gamma_3 at K=20000, or on Gamma_4 at K4=20000, would
-        # far exceed BUDGET_BYTES: refused, naming the key, before the walk
+        # refused by the walk's own admission, naming the key, before it
+        # forms the arrays that would exceed BUDGET_BYTES: exit 2, no
+        # manifest, and no CSV, also where Gamma_3's rows were written
+        # before Gamma_4 was refused
         tracemalloc.start()
         try:
-            status = run_cli("resonance-check", "--j", "1", *argv, "--out", str(tmp_path))
+            status = run_cli("resonance-check", "--j", "1", *argv, "--csv", "t.csv",
+                             "--out", str(tmp_path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err
         assert status == 2
-        assert err.startswith(f"configuration error: bad value for {key} needs a Gamma_")
-        assert not (tmp_path / "manifest.json").exists()
-        assert peak < 2**20
-
-    @pytest.mark.parametrize("argv, larger, total, message", [
-        # Gamma_3 and Gamma_4 at K=4: reports of 3072 and 28672 bytes
-        (("--K", "4"), 28672, 31744, "key 'K': 4 needs a Gamma_4 report held with a Gamma_3"),
-        # Gamma_3 at K=16 and Gamma_4 at K4=6: 49152 and 96768 bytes
-        (("--K", "16", "--K4", "6"), 96768, 145920,
-         "key 'K4': 6 needs a Gamma_4 report held with a Gamma_3"),
-        # Gamma_3 at K=16 and Gamma_4 at K4=3: 49152 and 12096 bytes
-        (("--K", "16", "--K4", "3"), 49152, 61248,
-         "key 'K': 16 needs a Gamma_3 report held with a Gamma_4"),
-    ], ids=["K", "K4", "K-larger"])
-    def test_resonance_reports_admitted_together(
-        self, tmp_path, monkeypatch, capsys, argv, larger, total, message
-    ):
-        # both reports are held until the CSV is written: a budget that
-        # each meets on its own but not their sum refuses the run, naming
-        # the key of the larger, and a budget at the sum admits it
-        argv = ("resonance-check", "--j", "1", *argv)
-        monkeypatch.setattr(spectral, "BUDGET_BYTES", larger)
-        assert run_cli(*argv, "--out", str(tmp_path / "a")) == 2
-        err = capsys.readouterr().err
-        assert f"{message} one, two reports of {total} bytes > BUDGET_BYTES ({larger})" in err
-        assert not (tmp_path / "a" / "manifest.json").exists()
-        monkeypatch.setattr(spectral, "BUDGET_BYTES", total)
-        assert run_cli(*argv, "--out", str(tmp_path / "b")) == 0
+        assert err.startswith(f"configuration error: bad value for {key} of ")
+        assert os.listdir(tmp_path) == []
+        assert peak < bound
 
     @pytest.mark.parametrize("command, name, argv", [
         ("approx-sweep", "approx_truncated_sweep", ()),

@@ -176,14 +176,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("members", [None, 3])
     def test_trajectory_over_the_budget_refused_before_allocating(self, monkeypatch, members):
-        # a run of 1,000,001 samples of K=8 modes takes 145,020,161 bytes for
-        # one field and 401,026,273 for three members (flow._run_bytes):
+        # a run of 1,000,001 samples of K=8 modes takes 137,020,153 bytes for
+        # one field and 393,026,265 for three members (flow._run_bytes):
         # refused under a 1 MiB budget before the samples or their times exist
         g = make_grid(2, 8)
         u0 = band_limited_field(g, 3, 4)
         spec = FlowSpec(grid=g, dt=1e-9, T=1e-3)
         monkeypatch.setattr(spectral, "BUDGET_BYTES", 2**20)
-        size = {None: 145_020_161, 3: 401_026_273}[members]
+        size = {None: 137_020_153, 3: 393_026_265}[members]
         what = f"K=8 in 1000001 samples of {members or 1} members needs a run of {size}"
         tracemalloc.start()
         try:
@@ -211,7 +211,7 @@ class TestIntegrate:
         # most that many (16 members at K=1024 peaked at about 6.59 MB of
         # 6,721,715 counted, where the trajectory alone is 786,432; one field
         # at K=1024 and 4 members at K=4096 peak while the tables are formed;
-        # a long run's trajectory check forms 9 bytes a sample, and at K=8 the
+        # a long run's trajectory check forms 1 byte a sample, and at K=8 the
         # Python objects around the arrays are most of the 16 KiB allowance),
         # and one byte less refuses it
         g = make_grid(2, K)
@@ -638,6 +638,20 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=match):
             Trajectory(times=np.array(times), coeffs=coeffs, spec=self.SPEC)
 
+    def test_time_check_forms_a_byte_a_sample(self):
+        # the check compares neighbouring times, a flag a sample: at 10,001
+        # samples it peaks at 11.4 KB, where the time differences and their
+        # flags took 9 bytes a sample, 91.6 KB (tracemalloc)
+        n = 10_001
+        times, coeffs = np.linspace(0.0, 1.0, n), np.zeros((n, 8), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            Trajectory(times=times, coeffs=coeffs, spec=self.SPEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n
+
     @pytest.mark.parametrize("T", [0.01, -0.01, 0.0])
     def test_integrated_times_are_accepted(self, T):
         u0 = band_limited_field(self.SPEC.grid, 3, 4)
@@ -758,7 +772,7 @@ class TestJacobian:
         g = make_grid(1, 64)
         u0 = band_limited_field(g, 10, 4)
         spec = FlowSpec(grid=g, dt=1e-3, T=0.1, flavor="truncated", N=40.0)
-        size = 4_165_666
+        size = 4_165_650
         monkeypatch.setattr(spectral, "BUDGET_BYTES", size)
         J = flow_jacobian(u0, spec, h=1e-6)
         assert J.shape == (80, 80) and np.all(np.isfinite(J))

@@ -46,9 +46,15 @@ class TestVerifyFactorization:
             verify_factorization(j, 4)
 
 
-def joined(rep):
-    """The report's pieces joined: its rows' tuples, P_n, Q_n and ratios."""
-    return tuple(np.concatenate(cols) for cols in zip(*rep.pieces))
+def walked(*args):
+    """verify_factorization(*args)'s report, and the pieces it passed to its sink."""
+    pieces = []
+    return verify_factorization(*args, sink=pieces.append), pieces
+
+
+def joined(pieces):
+    """Pieces joined: their rows' tuples, P_n, Q_n and ratios."""
+    return tuple(np.concatenate(cols) for cols in zip(*pieces))
 
 
 # hand-computed P_n and prefactors, x*y*z on Gamma_3 and (x+y)(x+z)(x+w) on
@@ -65,7 +71,7 @@ def joined(rep):
 def test_hand_computed_identities(t, j, p, pref):
     perms = sorted(set(permutations(t)))
     assert _pn_int(np.array(perms).T, j).tolist() == [p] * len(perms)
-    tuples, ps, qs, _ = joined(verify_factorization(j, 6, len(t)))
+    tuples, ps, qs, _ = joined(walked(j, 6, len(t))[1])
     rows = {tuple(r): (pv, qv) for r, pv, qv in zip(tuples.tolist(), ps.tolist(), qs.tolist())}
     expected = {} if pref == 0 else {u: (p, p // pref) for u in perms}
     assert {u: rows[u] for u in perms if u in rows} == expected
@@ -78,9 +84,9 @@ class TestVerifierRows:
          (9, 12, 3), (9, 6, 4), (5, 25, 3), (5, 26, 3)],
     )
     def test_rows_match_nested_loops(self, j, K, arity):
-        rep = verify_factorization(j, K, arity=arity)
+        rep, pieces = walked(j, K, arity)
         ref = list(nested_loop_rows(j, K, arity))
-        tuples, p, q, ratio = joined(rep)
+        tuples, p, q, ratio = joined(pieces)
         assert rep.ok and rep.count == len(ref) == len(ratio)
         got = zip(tuples.tolist(), p.tolist(), q.tolist(), ratio.tolist())
         for (t, p, q, ratio), (t_ref, p_ref, q_ref, ratio_ref) in zip(got, ref):
@@ -94,7 +100,7 @@ class TestVerifierRows:
         # 3 * 25^11 < 2^53 <= 3 * 26^11: int64 below, Python ints above, in
         # every piece, whatever the largest entry of the piece
         def dtypes(*args):
-            return {p.dtype for _, p, _, _ in verify_factorization(*args).pieces}
+            return {p.dtype for _, p, _, _ in walked(*args)[1]}
 
         assert dtypes(5, 25) == {np.dtype(np.int64)}
         assert dtypes(5, 26) == {np.dtype(object)}
@@ -104,38 +110,39 @@ class TestVerifierRows:
         # Off-hyperplane probes: (1, 2, 4) has P = 73, prefactor 8
         fake = (np.array([1, 1]), np.array([2, 1]), np.array([4, 1]))
         monkeypatch.setattr(resonance, "_hyperplane_chunks", lambda n, K: iter([fake]))
-        rep = verify_factorization(1, 4)
+        rep, pieces = walked(1, 4)
         assert not rep.ok and rep.count == 2
         assert rep.failures == [((1, 2, 4), 73, 8)]
-        tuples, _, q, _ = joined(rep)
+        tuples, _, q, _ = joined(pieces)
         assert tuples.tolist() == [[1, 1, 1]] and q.tolist() == [3]
 
 
 class TestVerifierPieces:
     @pytest.mark.parametrize("arity, K", [(3, 9), (4, 5)])
     def test_pieces_are_the_walks(self, monkeypatch, arity, K):
-        # the report keeps the walk's pieces of 7 tuples, less the rows it
+        # the sink gets the walk's pieces of 7 tuples, less the rows it
         # drops, and joined they are the rows of one piece for all
-        whole = joined(verify_factorization(2, K, arity))
+        whole = joined(walked(2, K, arity)[1])
         monkeypatch.setattr(resonance, "PIECE_TUPLES", 7)
-        rep = verify_factorization(2, K, arity)
-        assert len(rep.pieces) > 1 and all(0 < len(t) <= 7 for t, *_ in rep.pieces)
-        for a, b in zip(joined(rep), whole):
+        _, pieces = walked(2, K, arity)
+        assert len(pieces) > 1 and all(0 < len(t) <= 7 for t, *_ in pieces)
+        for a, b in zip(joined(pieces), whole):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("j, K, arity", [(2, 48, 4), (2, 256, 3)])
-    def test_peak_is_the_report_plus_one_piece(self, j, K, arity):
-        # the whole-lattice verifier peaked 48.4 MiB (Gamma4, K=48) and
-        # 13.8 MiB (Gamma3, K=256) above the report it returned; piece by
-        # piece it peaks 2.9 and 2.3 MiB above it (tracemalloc)
+    def test_peak_is_one_piece(self, j, K, arity):
+        # the verifier holds one piece, not the rows it has verified: it
+        # peaked at 32.4 MiB (Gamma4, K=48) and 11.3 MiB (Gamma3, K=256)
+        # when it kept them as its report, and with a sink it peaks at 3.76
+        # and 2.83 MiB, of which the walk alone takes 2.08 and 1.43 MiB
+        # (tracemalloc)
         tracemalloc.start()
         try:
-            rep = verify_factorization(j, K, arity)
+            rep = verify_factorization(j, K, arity, sink=lambda piece: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(a.nbytes for piece in rep.pieces for a in piece)
-        assert rep.ok and peak - held <= 4 * 2**20
+        assert rep.ok and peak < 4 * 2**20
 
     @pytest.mark.parametrize("arity, K", [(3, 64), (4, 12)])
     def test_one_fraction_per_distinct_extreme(self, monkeypatch, arity, K):
@@ -150,9 +157,9 @@ class TestVerifierPieces:
                 return Fraction(*args)
 
         monkeypatch.setattr(resonance, "Fraction", Counted)
-        rep = verify_factorization(1, K, arity)
+        rep, pieces = walked(1, K, arity)
         assert rep.min_ratio == rep.max_ratio == 3
-        assert 0 < len(built) <= 2 * len(rep.pieces)
+        assert 0 < len(built) <= 2 * len(pieces)
 
 
 # (n, j, K) with n * K^(2j+1) just below 2^53, so K + 1 is just above it

@@ -349,18 +349,16 @@ class TestSnapshots:
             load_snapshot(str(path))
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
-        # a write that raises in its second piece removes its temporary
+        # a write that raises after its first piece removes its temporary
         # file and leaves the snapshot it would have replaced as it was
         path = tmp_path / "field.json"
         save_snapshot(harmonic(make_grid(1, 4), 2), str(path))
         old = path.read_bytes()
 
-        def pieces():
-            yield b"{"
-            raise RuntimeError("second piece")
-
         with pytest.raises(RuntimeError, match="second piece"):
-            _write_atomic(str(path), pieces())
+            with _write_atomic(str(path)) as fh:
+                fh.write(b"{")
+                raise RuntimeError("second piece")
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["field.json"]
 
