@@ -33,15 +33,12 @@ from .imethod import (
     apply_I,
     big_m3,
     big_m3_symmetrized,
-    big_m4,
     big_m5,
     constant_form,
     drift_oracle,
     eval_m,
     lambda_n,
     modified_energy,
-    sigma3,
-    sigma4,
 )
 from .flow import (
     FlowBlowupError,

@@ -39,7 +39,7 @@ from .flow import FlowSpec, _step_count, conservation_report, integrate
 from .imethod import IMultiplier, _hierarchy, _modified_energies, _real_lambda
 # perfbench/tracing.py wraps big_m5, lambda_n and modified_energy here
 from .imethod import big_m5, lambda_n, modified_energy  # noqa: F401
-from .resonance import verify_factorization
+from .resonance import _hyperplane_chunks, verify_factorization
 from .spectral import (
     _check_same_grid,
     _write_atomic,
@@ -322,7 +322,7 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
     grid = _built(make_grid, cfg["j"], cfg["K"], cfg["mu"])
     spec = _flow_spec(cfg, grid)
     mult = _built(IMultiplier, s=cfg["s"], N=cfg["N"])
-    sigmas, m5 = _built(_hierarchy, mult, grid, 5)
+    sigmas, m5 = _built(_hierarchy, mult, grid, 5, grid.K)
     u0 = _initial_field(cfg, grid)
     traj = _built(integrate, u0, spec)
     c = traj.coeffs
@@ -335,9 +335,10 @@ def _cmd_energies(cfg: dict, out_dir: str) -> None:
 def _cmd_resonance(cfg: dict, out_dir: str) -> None:
     """Exact factorization check on Gamma_3 and Gamma_4, with an optional
     per-tuple CSV; its tuple column is each entry's text joined by spaces.
-    Each walk writes its rows as it verifies them, a piece at a time; a walk
-    refused by the budget names its key, and a refusal or a failed
-    factorization leaves no CSV."""
+    Each walk writes its rows as it verifies them, a piece at a time. Both
+    walks are made and dropped, and so admitted by the budget, before the
+    verifier makes its own and verifies a row: a refused walk names its
+    key, and a refusal or a failed factorization leaves no CSV."""
     _check_at_least(cfg, j=1, K=2)
     # with every |k| <= 2, a zero-sum 4-tuple is two cancelling pairs, so
     # Gamma_4 has no non-resonant row: its bound is K4, or K when K4 is unset
@@ -346,6 +347,12 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
     if k4 < 3:
         raise ConfigError(f"bad value for key {key4!r}: {k4} (must be >= 3 for Gamma_4)")
     path = _output_path(cfg, "csv", out_dir) if cfg["csv"] else None
+    walks = ((3, "K", cfg["K"]), (4, key4, k4))
+    for arity, key, K in walks:
+        try:
+            _hyperplane_chunks(arity, K)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for key {key!r}: {exc}") from exc
     verdicts = []
     with _write_atomic(path) if path else nullcontext() as fh:
         if fh:
@@ -355,11 +362,8 @@ def _cmd_resonance(cfg: dict, out_dir: str) -> None:
             t, p, q, ratio = piece
             _write_rows(fh, (_joined([_column_text(e) for e in t.T], b" "), p, q, ratio))
 
-        for arity, key, K in ((3, "K", cfg["K"]), (4, key4, k4)):
-            try:
-                rep = verify_factorization(cfg["j"], K, arity, sink=write if fh else None)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for key {key!r}: {exc}") from exc
+        for arity, _, K in walks:
+            rep = verify_factorization(cfg["j"], K, arity, sink=write if fh else None)
             if rep.failures:
                 raise RunCheckError(
                     f"factorization failed on Gamma_{arity} at {rep.failures[0][0]}"

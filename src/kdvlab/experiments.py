@@ -292,7 +292,7 @@ def almost_conservation_sweep(cfg: ExperimentConfig) -> SweepResult:
     c = _sampled_solve(u0, grid, cfg).coeffs
     rows = []
     for mult in mults:
-        e2, _, e4 = _modified_energies(grid, c, mult, _hierarchy(mult, grid, 4)[0])
+        e2, _, e4 = _modified_energies(grid, c, mult, _hierarchy(mult, grid, 4, grid.K)[0])
         rows.append(
             (mult.N, float(np.max(np.abs(e4 - e4[0]))), float(np.max(np.abs(e2 - e2[0]))))
         )

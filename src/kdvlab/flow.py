@@ -52,8 +52,8 @@ class FlowSpec:
     flavor "full" projects the nonlinearity to |k| <= K and takes no N,
     "truncated" to |k| <= N (requires N <= K/mu). N is one frequency
     threshold, or a tuple with one threshold per member of the ensemble it
-    is integrated with. T may be negative (backward integration); dt is a
-    positive target step, adjusted to land exactly on T.
+    is integrated with. T is finite and may be negative (backward integration);
+    dt is a positive target step, adjusted to land exactly on T.
     """
 
     grid: GridSpec
@@ -68,6 +68,8 @@ class FlowSpec:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"time step dt must be positive, got {self.dt}")
+        if not np.isfinite(self.T):
+            raise ValueError(f"final time T must be finite, got {self.T}")
         _check_band(self.grid, self.flavor, self.N)
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")

@@ -42,9 +42,10 @@ whose pair sum vanishes contributes exactly 0, and sigma4 is defined as
 0 on resonant tuples (alpha4 = 0), where a runtime check confirms M4
 vanishes there. A form's weights are never stored: each piece of orbits
 is weighed and contracted before the next is formed. A run builds one
-hierarchy, and builds each of its pair-term tables once, in one chain
-(see _cascade); the forms of that hierarchy that read a table hold it,
-and nothing else keeps it. spectral.BUDGET_BYTES bounds each table.
+hierarchy with _hierarchy, the one constructor of the cascade forms, and
+each of its pair-term tables once, in one chain (see _cascade); the forms
+of that hierarchy that read a table hold it, and nothing else keeps it.
+spectral.BUDGET_BYTES bounds each table.
 """
 
 from __future__ import annotations
@@ -70,9 +71,6 @@ __all__ = [
     "constant_form",
     "big_m3",
     "big_m3_symmetrized",
-    "sigma3",
-    "big_m4",
-    "sigma4",
     "big_m5",
     "modified_energy",
     "DriftReport",
@@ -113,7 +111,7 @@ class IMultiplier:
     def __post_init__(self):
         if not self.N > 0:
             raise ValueError(f"threshold N must be positive, got {self.N}")
-        if self.s > 0:
+        if not self.s <= 0:
             raise ValueError(f"Sobolev index s must be <= 0, got {self.s}")
         if self.shape not in _M_SHAPES:
             raise ValueError(f"unknown multiplier shape {self.shape!r}")
@@ -336,7 +334,7 @@ def _sigma_values(
     n: int, mult: IMultiplier, grid: GridSpec, idx: tuple, step: Callable | None
 ) -> np.ndarray:
     """sigma_n at Gamma_n index tuples; from n = 4 on, step is the cascade
-    step at Gamma_n (see _cascade_step) that gives M_n there.
+    step at Gamma_n, its level of _cascade, that gives M_n there.
 
     sigma2 = m(k1) m(k2) seeds the cascade. sigma3 = -M3/alpha3 is the
     real closed form: alpha3 = i mu^-(2j+1) P3 never vanishes on nonzero
@@ -436,73 +434,39 @@ def _cascade(
     return {**steps, n: step}
 
 
-def _cascade_step(n: int, mult: IMultiplier, grid: GridSpec, cutoff: int | None = None):
-    """The cascade step at Gamma_n on the K-lattice: the top level of _cascade."""
-    return _cascade(n, mult, grid, cutoff)[n]
-
-
-def _cascade_form(
-    kind: str,
-    n: int,
-    mult: IMultiplier,
-    grid: GridSpec,
-    step: Callable | None,
-    tag: str | None = None,
-) -> MultilinearForm:
-    """M_n (kind "M") or sigma_n (kind "sigma") of the cascade as a form; from
-    M3sym and sigma4 on, the form holds step, its level's cascade step, and
-    so the pair-term tables of its chain."""
-
-    def w(*idx):
-        if kind == "M":
-            return step(idx)[0]
-        return _sigma_values(n, mult, grid, idx, step).astype(np.complex128)
-
-    return MultilinearForm(n, w, tag=tag or f"{kind}{n}")
-
-
 def big_m3_symmetrized(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
     """M3 as the cascade step on sigma2 = m(k1) m(k2): -i [m(k1) m(k2+k3) (k2+k3)]_sym."""
-    return _cascade_form("M", 3, mult, grid, _cascade_step(3, mult, grid), tag="M3sym")
-
-
-def sigma3(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
-    """sigma3 = -M3/alpha3; real, even, permutation-symmetric."""
-    return _cascade_form("sigma", 3, mult, grid, None)
-
-
-def big_m4(
-    mult: IMultiplier, grid: GridSpec, lattice_cutoff: int | None = None
-) -> MultilinearForm:
-    """M4 = -(3i/2) [sigma3(k1,k2,k3+k4) (k3+k4)]_sym.
-
-    lattice_cutoff (index units) restricts symmetrization pair sums to the
-    stored lattice; None gives the continuum multiplier.
-    """
-    return _cascade_form("M", 4, mult, grid, _cascade_step(4, mult, grid, lattice_cutoff))
-
-
-def sigma4(
-    mult: IMultiplier, grid: GridSpec, lattice_cutoff: int | None = None
-) -> MultilinearForm:
-    """sigma4 = -M4/alpha4 with the resonant-set zero convention."""
-    return _cascade_form("sigma", 4, mult, grid, _cascade_step(4, mult, grid, lattice_cutoff))
+    step = _cascade(3, mult, grid, None)[3]
+    return MultilinearForm(3, lambda *idx: step(idx)[0], tag="M3sym")
 
 
 def big_m5(
     mult: IMultiplier, grid: GridSpec, lattice_cutoff: int | None = None
 ) -> MultilinearForm:
-    """M5 = -2i [sigma4(k1,k2,k3,k4+k5) (k4+k5)]_sym."""
-    return _cascade_form("M", 5, mult, grid, _cascade_step(5, mult, grid, lattice_cutoff))
+    """M5 = -2i [sigma4(k1,k2,k3,k4+k5) (k4+k5)]_sym, M_top of _hierarchy at top 5."""
+    return _hierarchy(mult, grid, 5, lattice_cutoff)[1]
 
 
-def _hierarchy(mult: IMultiplier, grid: GridSpec, top: int) -> tuple[list, MultilinearForm]:
-    """sigma3..sigma_top on the K-lattice and M_top = d/dt E^(top-1), the
-    closed form at top 3, over one chain of _cascade, whose tables they hold."""
-    steps = _cascade(top, mult, grid, grid.K) if top > 3 else {}
-    sigmas = [_cascade_form("sigma", n, mult, grid, steps.get(n)) for n in range(3, top + 1)]
-    m = _cascade_form("M", top, mult, grid, steps[top]) if steps else big_m3(mult, grid)
-    return sigmas, m
+def _hierarchy(
+    mult: IMultiplier, grid: GridSpec, top: int, cutoff: int | None
+) -> tuple[list, MultilinearForm]:
+    """sigma3..sigma_top and M_top = d/dt E^(top-1), the closed form at top
+    3, over one chain of _cascade, whose tables they hold: the one
+    constructor of the cascade forms. cutoff (index units) restricts the
+    pair sums to the stored lattice, as every run does at grid.K; None
+    gives the continuum multipliers."""
+    steps = _cascade(top, mult, grid, cutoff) if top > 3 else {}
+
+    def sigma(n, step):
+        def w(*idx):
+            return _sigma_values(n, mult, grid, idx, step).astype(np.complex128)
+
+        return MultilinearForm(n, w, tag=f"sigma{n}")
+
+    sigmas = [sigma(n, steps.get(n)) for n in range(3, top + 1)]
+    if not steps:
+        return sigmas, big_m3(mult, grid)
+    return sigmas, MultilinearForm(top, lambda *idx: steps[top](idx)[0], tag=f"M{top}")
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +500,7 @@ def modified_energy(u: FourierField, mult: IMultiplier, order: int) -> float:
     derivative identities hold exactly for the integrated Galerkin system.
     """
     _check_order(order)
-    sigmas, _ = _hierarchy(mult, u.grid, max(order, 3))
+    sigmas, _ = _hierarchy(mult, u.grid, max(order, 3), u.grid.K)
     return float(_modified_energies(u.grid, u.coeffs[None], mult, sigmas[: order - 2])[-1, 0])
 
 
@@ -657,7 +621,7 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     if spec.nonlinear:
         _rhs_function(spec.grid, mask, c.shape)(c, nl)
     _check_order(order)
-    sigmas, form = _hierarchy(mult, spec.grid, order + 1)
+    sigmas, form = _hierarchy(mult, spec.grid, order + 1, spec.grid.K)
     energies = _modified_energies(spec.grid, c, mult, sigmas[:-1])[-1]
     direct_all = _real_lambda(form, spec.grid, c, f"Lambda_{form.n}({form.tag})")
     exact, scales = _energy_rates(spec.grid, c, nl, mult, sigmas[:-1])

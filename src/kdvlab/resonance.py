@@ -64,7 +64,7 @@ def _hyperplane_chunks(n: int, K: int, orbits: bool = False):
     in pieces; with orbits, only the sorted ones k_1 <= .. <= k_n, one
     representative for each permutation orbit.
 
-    Yields one int64 array per slot for each piece, in nested-loop order
+    Each piece is one int64 array per slot, the tuples in nested-loop order
     (first slot outermost). The heads k_1..k_(n-2) are built slot by slot:
     with r entries left after a sum g, the next entry v runs over the
     values with |g + v| <= (r-1) K, after which the rest can still
@@ -73,9 +73,9 @@ def _hyperplane_chunks(n: int, K: int, orbits: bool = False):
     values. Each head's k_(n-1) are its run, taken PIECE_TUPLES rows a
     piece, and k_n = -(g + k_(n-1)); the one row with k_n = 0 is dropped
     (sorted, k_n is the largest entry of a zero sum, so it never is 0). An
-    empty Gamma_n yields no piece. The values, and each level of heads, are
-    refused before they are formed if their arrays exceed
-    spectral.BUDGET_BYTES.
+    empty Gamma_n yields no piece. The heads are formed when the walk is
+    made, and the values, and each level of heads, are refused then, before
+    they are formed, if their arrays exceed spectral.BUDGET_BYTES.
     """
     # the 2K values, int64, and the two ranges they are joined from
     _check_bytes(32 * K, f"K={K} needs Gamma_{n} values")
@@ -104,13 +104,16 @@ def _hyperplane_chunks(n: int, K: int, orbits: bool = False):
             _check_bytes(8 * total * (n - r + 10), f"K={K} needs Gamma_{n} heads")
             h, at = place(0, total)
             heads, g = [a[h] for a in heads] + [vals[at]], g[h] + vals[at]
-    for start in range(0, total, PIECE_TUPLES):
+
+    def piece(start):
         h, at = place(start, min(start + PIECE_TUPLES, total))
         nxt = vals[at]
         last = -(g[h] + nxt)
         keep = last != 0
         h = h[keep]
-        yield tuple(a[h] for a in heads) + (nxt[keep], last[keep])
+        return tuple(a[h] for a in heads) + (nxt[keep], last[keep])
+
+    return (piece(start) for start in range(0, total, PIECE_TUPLES))
 
 
 def _orbit_chunks(n: int, K: int):

@@ -32,7 +32,7 @@ from kdvlab.flow import (
 )
 from kdvlab.imethod import (
     IMultiplier,
-    _cascade_step,
+    _cascade,
     drift_oracle,
 )
 from kdvlab.resonance import _pn_int, verify_factorization
@@ -221,7 +221,7 @@ class TestCriterion07ResonantSetVanishing:
         worst = 0.0
         for s in (-0.5, -1.0):
             for N in (4.0, 8.0):
-                m4, scale = _cascade_step(4, IMultiplier(s=s, N=N), g)(idx)
+                m4, scale = _cascade(4, IMultiplier(s=s, N=N), g, None)[4](idx)
                 ratio = np.abs(m4[resonant]) / np.maximum(scale[resonant], 1e-300)
                 worst = max(worst, float(np.max(ratio)))
         ok = worst <= 1e-10

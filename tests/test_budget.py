@@ -26,7 +26,7 @@ def test_one_budget_moves_every_layer(tmp_path, monkeypatch, capsys):
         "needs 32 Jacobian probes at K=8 and their run of 121234 bytes": lambda: flow_jacobian(
             u, FlowSpec(grid=g, dt=1e-3, T=1e-3, flavor="truncated", N=8.0), 1e-6),
         # sigma3's pair-term table at bound 8, 16 * 17^2 bytes, which M4 reads
-        "needs a Gamma_3 table of 4624 bytes": lambda: imethod._cascade_step(4, mult, g, 8),
+        "needs a Gamma_3 table of 4624 bytes": lambda: imethod._cascade(4, mult, g, 8),
         # the walk's second level of Gamma_5 heads at K=16: 164 sorted heads,
         # 11 int64 arrays of them
         "K=16 needs Gamma_5 heads of 14432 bytes": lambda: lambda_n(

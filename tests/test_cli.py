@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,9 @@ from kdvlab.experiments import ExperimentConfig
 from kdvlab.imethod import constant_form
 from kdvlab.resonance import verify_factorization
 from lattice_reference import nested_loop_rows
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args):
@@ -40,6 +46,22 @@ class TestParseConfig:
         cfg.write_text("j = 2\nK = 8\nN_list = 4\nthreads = 2\n")
         with pytest.raises(ConfigError, match="unknown configuration key 'threads'"):
             parse_config("approx-sweep", str(cfg), {})
+
+    def test_readme_examples_parse(self, tmp_path, monkeypatch):
+        # every kdvlab line of the README's command-line block names a
+        # command and keys of the command table, with values its parsers
+        # take, sweep.cfg written from the README's own heredoc; no flow runs
+        text = README.read_text()
+        block = next(b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if "kdvlab " in b)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.cfg").write_text(
+            re.search(r"cat > sweep\.cfg <<'EOF'\n(.*?\n)EOF\n", block, re.S)[1])
+        lines = [line for line in block.splitlines() if line.startswith("kdvlab ")]
+        assert len(lines) == 9
+        for line in lines:
+            args = cli._build_parser().parse_args(shlex.split(line)[1:])
+            keys = cli._COMMANDS[args.command][1]
+            parse_config(args.command, args.config, {k: getattr(args, k) for k in keys})
 
     def test_missing_required_named(self):
         with pytest.raises(ConfigError, match="'K'"):
@@ -223,6 +245,18 @@ class TestExitCodes:
         assert err.startswith(f"configuration error: bad value for {key} of ")
         assert os.listdir(tmp_path) == []
         assert peak < bound
+
+    def test_both_walks_admitted_before_either_verifies(self, tmp_path, monkeypatch, capsys):
+        # Gamma_3 at K=1000 fits the budget, and its 3.0M rows take seconds
+        # to verify and write; Gamma_4 at K4=20000 does not. Both walks are
+        # admitted first, so no row of Gamma_3 reaches the CSV's writer
+        pieces = []
+        monkeypatch.setattr(cli, "_write_rows", lambda fh, cols: pieces.append(cols))
+        argv = ("--j", "1", "--K", "1000", "--K4", "20000", "--csv", "t.csv")
+        assert run_cli("resonance-check", *argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bad value for key 'K4': K=20000 needs Gamma_4 heads")
+        assert pieces == [] and os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command, name, argv", [
         ("approx-sweep", "approx_truncated_sweep", ()),

@@ -49,6 +49,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{key} must be positive"):
             ExperimentConfig(j=1, K=8, **{key: value})
 
+    @pytest.mark.parametrize("T", [float("inf"), float("nan")])
+    def test_final_time_finite(self, T):
+        with pytest.raises(ValueError, match="final time T must be finite"):
+            ExperimentConfig(j=1, K=8, T=T)
+
     def test_n_list_positive(self):
         with pytest.raises(ValueError, match="N_list entries must be positive"):
             ExperimentConfig(j=1, K=8, N_list=(0, 4))

@@ -265,6 +265,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             FlowSpec(grid=g, dt=1e-3, T=0.1, flavor="truncated", N=9.0)
 
+    @pytest.mark.parametrize("T", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_final_time_refused(self, T):
+        # an infinite T ended in an OverflowError from the step count, a nan
+        # one in a ValueError that did not name T
+        with pytest.raises(ValueError, match=f"final time T must be finite, got {T}"):
+            FlowSpec(grid=make_grid(2, 8), dt=1e-3, T=T)
+
     @pytest.mark.parametrize("N", [float("nan"), (4.0, float("nan"))])
     def test_nan_threshold_refused(self, N):
         # nan > band is False: without the refusal the solve zeroes every mode
