@@ -32,7 +32,6 @@ from .imethod import (
     MultilinearForm,
     apply_I,
     big_m3,
-    big_m3_symmetrized,
     big_m5,
     constant_form,
     drift_oracle,

@@ -301,13 +301,13 @@ def _cmd_solve(cfg: dict, out_dir: str) -> None:
     spec = _flow_spec(cfg, grid, flavor=flavor, N=cfg["N"], nonlinear=cfg["nonlinear"])
     u0 = _initial_field(cfg, grid)
     traj = _built(integrate, u0, spec)
-    for i, (t, u) in enumerate(zip(traj.times, traj.fields)):
+    for i, u in enumerate(traj.fields):
         save_snapshot(u, f"{prefix}_{i:04d}.json")
     reports, drifts = conservation_report(traj)
     _write_csv(
         f"{prefix}_conserved.csv",
         ("t", "mass", "l2_energy", "hamiltonian"),
-        [zip(*[(r.timestamp, r.mass, r.l2_energy, r.hamiltonian) for r in reports])],
+        [zip(*[(t, r.mass, r.l2_energy, r.hamiltonian) for t, r in zip(traj.times, reports)])],
     )
     print(
         f"solve: {traj.stats['steps']} steps, drifts E={drifts['l2_energy']:.3e} "

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _CONTOUR_POINTS = 32
+# a coefficient magnitude above this, or a NaN, aborts a run (see integrate)
+BLOWUP_THRESHOLD = 1e12
 
 
 class FlowBlowupError(RuntimeError):
@@ -63,7 +65,6 @@ class FlowSpec:
     N: float | tuple | None = None
     nonlinear: bool = True
     sample_stride: int = 1
-    blowup_threshold: float = 1e12
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -340,8 +341,8 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
     Truncated-flavor data is projected onto |k| <= N rather than rejected.
     The requested dt is adjusted to the nearest step count landing exactly
     on T. The blow-up guard runs after every step, sampled or not: a
-    coefficient magnitude above its threshold, or a NaN, aborts, and for
-    an ensemble the error names the member. A run whose arrays (see
+    coefficient magnitude above BLOWUP_THRESHOLD, or a NaN, aborts, and
+    for an ensemble the error names the member. A run whose arrays (see
     _run_bytes) exceed spectral.BUDGET_BYTES is refused before any exists.
     """
     g = spec.grid
@@ -376,20 +377,21 @@ def integrate(u0: FourierField | Sequence[FourierField], spec: FlowSpec) -> Traj
     samples[0] = c
     n_done = 1
     mags = np.empty(c.shape)
+    threshold = BLOWUP_THRESHOLD
     for step in range(1, n_steps + 1):
         advance(c)
         # the ufunc reduction itself: ndarray.max goes through a Python wrapper
         peak = np.maximum.reduce(np.absolute(c, mags), None)
-        if not peak <= spec.blowup_threshold:  # also trips on NaN
+        if not peak <= threshold:  # also trips on NaN
             where = ""
             if ensemble:
                 peaks = np.max(np.abs(c), axis=-1)
-                bad = ~(peaks <= spec.blowup_threshold)
+                bad = ~(peaks <= threshold)
                 where = f" in member {int(np.argmax(bad))}"
                 peak = float(peaks[bad][0])
             raise FlowBlowupError(
                 f"blow-up guard tripped{where} at t={step * h:.6g}: max |coeff| = "
-                f"{peak:.3e} > {spec.blowup_threshold:.1e}"
+                f"{peak:.3e} > {threshold:.1e}"
             )
         if step % stride == 0 or step == n_steps:
             samples[n_done] = c
@@ -406,9 +408,7 @@ def conservation_report(traj: Trajectory) -> tuple[list, dict]:
     trajectories: projection does not change the integral of u^3 when the
     field itself is band-limited, so H remains the invariant.
     """
-    reports = [
-        conserved_quantities(u, timestamp=t) for t, u in zip(traj.times, traj.fields)
-    ]
+    reports = [conserved_quantities(u) for u in traj.fields]
     e0 = reports[0].l2_energy
     h0 = reports[0].hamiltonian
     drifts = {

@@ -70,17 +70,12 @@ __all__ = [
     "lambda_n",
     "constant_form",
     "big_m3",
-    "big_m3_symmetrized",
     "big_m5",
     "modified_energy",
     "DriftReport",
     "drift_oracle",
 ]
 
-# Bytes a Lambda_n evaluation spends per pass on its coefficient products,
-# one complex entry for each of resonance.PIECE_TUPLES orbits; a piece's
-# samples are taken in passes that fit.
-STACK_BYTES = 1 << 18
 IMAG_RESIDUE_TOL = 1e-10
 RESONANT_M4_TOL = 1e-10
 
@@ -227,9 +222,9 @@ def _lambda_with_scale(
     refused if they move when its arguments are permuted (see
     _orbit_weights) by more than IMAG_RESIDUE_TOL x the largest |w|, or x
     the largest frequency K/mu where that is larger. A piece's samples are
-    taken in passes whose products fit STACK_BYTES, by gathers, multiplies
-    and one row-wise sum per pass, so a sample's value has the same bits
-    in any stack, and no BLAS kernel moves them.
+    taken in passes of max(1, resonance.PIECE_TUPLES // its orbits), by
+    gathers, multiplies and one row-wise sum per pass, so a sample's value
+    has the same bits in any stack, and no BLAS kernel moves them.
     """
     n = form.n
     if len(stacks) != n:
@@ -256,7 +251,7 @@ def _lambda_with_scale(
         parts = ((value, tables, w), (scale, moduli, modulus))
         # a table index is entry + K: non-negative, take's fast path
         at = [a + grid.K for a in t]
-        chunk = max(1, STACK_BYTES // (16 * len(w)))
+        chunk = max(1, resonance.PIECE_TUPLES // len(w))
         for i in range(0, S, chunk):
             for acc, tabs, weights in parts:
                 terms = _assigned([tab[i : i + chunk] for tab in tabs], at, assignments)
@@ -434,12 +429,6 @@ def _cascade(
     return {**steps, n: step}
 
 
-def big_m3_symmetrized(mult: IMultiplier, grid: GridSpec) -> MultilinearForm:
-    """M3 as the cascade step on sigma2 = m(k1) m(k2): -i [m(k1) m(k2+k3) (k2+k3)]_sym."""
-    step = _cascade(3, mult, grid, None)[3]
-    return MultilinearForm(3, lambda *idx: step(idx)[0], tag="M3sym")
-
-
 def big_m5(
     mult: IMultiplier, grid: GridSpec, lattice_cutoff: int | None = None
 ) -> MultilinearForm:
@@ -597,6 +586,7 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     samples each derivative covers; see _discrepancy for the vanishing
     case.
     """
+    _check_order(order)
     spec = traj.spec
     if isinstance(spec.N, tuple) or traj.coeffs.ndim != 2:
         raise ValueError(
@@ -620,7 +610,6 @@ def drift_oracle(traj, mult: IMultiplier, order: int) -> DriftReport:
     nl = np.zeros_like(c)
     if spec.nonlinear:
         _rhs_function(spec.grid, mask, c.shape)(c, nl)
-    _check_order(order)
     sigmas, form = _hierarchy(mult, spec.grid, order + 1, spec.grid.K)
     energies = _modified_energies(spec.grid, c, mult, sigmas[:-1])[-1]
     direct_all = _real_lambda(form, spec.grid, c, f"Lambda_{form.n}({form.tag})")

@@ -82,14 +82,15 @@ class GridSpec:
     j : dispersion order; the linear operator is d_x^(2j+1).
     K : largest retained mode index; frequencies are n/mu, 0 < n <= K.
     mu : period parameter; the torus has circumference 2*pi*mu.
-    physical_points : collocation points for transforms, >= 3K+1 so that
-        quadratic products of band-limited fields are alias-free.
+    physical_points : collocation points for transforms, derived: the
+        smallest fast transform size >= 3K+1, so that quadratic products of
+        band-limited fields are alias-free.
     """
 
     j: int
     K: int
     mu: float = 1.0
-    physical_points: int = 0
+    physical_points: int = field(init=False)
 
     def __post_init__(self):
         if self.j < 1:
@@ -98,12 +99,9 @@ class GridSpec:
             raise ValueError(f"mode cutoff K must be >= 1, got {self.K}")
         if not self.mu > 0:
             raise ValueError(f"period parameter mu must be positive, got {self.mu}")
-        if self.physical_points < 3 * self.K + 1:
-            raise ValueError(
-                f"physical_points={self.physical_points} < 3K+1={3 * self.K + 1}"
-            )
-        P = self.physical_points
+        P = _next_fast_len(3 * self.K + 1)
         _check_bytes(16 * P, f"mode cutoff K={self.K} needs {P} physical points, an array")
+        object.__setattr__(self, "physical_points", P)
 
     @property
     def circumference(self) -> float:
@@ -135,8 +133,8 @@ class GridSpec:
 
 
 def make_grid(j: int, K: int, mu: float = 1.0) -> GridSpec:
-    """Validated grid on the smallest fast transform size >= 3K+1."""
-    return GridSpec(j=j, K=K, mu=float(mu), physical_points=_next_fast_len(3 * K + 1))
+    """Validated grid, with mu as a float."""
+    return GridSpec(j=j, K=K, mu=float(mu))
 
 
 @dataclass(frozen=True)
@@ -245,8 +243,7 @@ def inverse(samples: np.ndarray, grid: GridSpec) -> FourierField:
 def project(u: FourierField, band: str, N: float) -> FourierField:
     """Sharp Fourier projection.
 
-    band: "le" keeps |k| <= N, "gt" keeps |k| > N, "dyadic" keeps
-    N <= |k| < 2N. Frequencies are n/mu.
+    band: "le" keeps |k| <= N, "gt" keeps |k| > N. Frequencies are n/mu.
     """
     if not N > 0:
         raise ValueError(f"band threshold N must be positive, got {N}")
@@ -255,8 +252,6 @@ def project(u: FourierField, band: str, N: float) -> FourierField:
         mask = k <= N
     elif band == "gt":
         mask = k > N
-    elif band == "dyadic":
-        mask = (k >= N) & (k < 2 * N)
     else:
         raise ValueError(f"unknown band {band!r}")
     return FourierField(u.grid, np.where(mask, u.coeffs, 0.0))
@@ -302,10 +297,9 @@ class ConservedReport:
     mass: float
     l2_energy: float
     hamiltonian: float
-    timestamp: float = 0.0
 
 
-def conserved_quantities(u: FourierField, timestamp: float = 0.0) -> ConservedReport:
+def conserved_quantities(u: FourierField) -> ConservedReport:
     """M, E, H with dealiased cubic quadrature for the u^3 term.
 
     M is exactly 0 by construction. E = int u^2. H = int (1/2)(d_x^j u)^2
@@ -323,7 +317,6 @@ def conserved_quantities(u: FourierField, timestamp: float = 0.0) -> ConservedRe
         mass=0.0,
         l2_energy=float(energy),
         hamiltonian=float(quad - cubic / 6.0),
-        timestamp=timestamp,
     )
 
 

@@ -30,3 +30,22 @@ def test_wrap_site_resolves(module, attr, name):
     layer, function = name.split(".")
     assert callable(site)
     assert site is getattr(importlib.import_module(f"kdvlab.{layer}"), function)
+
+
+def tracer_only_imports():
+    """(module, name) of every name that a `# noqa: F401` import brings into
+    a kdvlab module: a name the module does not use itself."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "kdvlab").glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.lineno - 1]:
+                found += [(f"kdvlab.{path.stem}", a.asname or a.name) for a in node.names]
+    return found
+
+
+# an unused import is kept only where the tracer wraps the name in that
+# module; once its site goes, the import must go with it
+@pytest.mark.parametrize("module, attr", tracer_only_imports())
+def test_unused_import_is_a_wrap_site(module, attr):
+    assert (module, attr) in {(m, a) for m, a, _ in wrap_sites()}

@@ -26,7 +26,6 @@ from kdvlab.flow import (
 )
 from kdvlab.spectral import (
     FourierField,
-    GridSpec,
     harmonic,
     make_grid,
     random_smooth_field,
@@ -233,20 +232,22 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=f"needs a run of {size} bytes"):
             integrate(data, spec)
 
-    def test_blowup_guard(self):
+    def test_blowup_guard(self, monkeypatch):
         g = make_grid(1, 8)
         u0 = harmonic(g, 1, 1.0)
-        spec = FlowSpec(grid=g, dt=1e-3, T=1.0, blowup_threshold=1e-6)
+        spec = FlowSpec(grid=g, dt=1e-3, T=1.0)
+        monkeypatch.setattr(flow_module, "BLOWUP_THRESHOLD", 1e-6)
         with pytest.raises(FlowBlowupError):
             integrate(u0, spec)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("threshold", [1e12, np.inf])
-    def test_blowup_guard_trips_on_nonfinite_data(self, bad, threshold):
+    def test_blowup_guard_trips_on_nonfinite_data(self, monkeypatch, bad, threshold):
         g = make_grid(2, 16)
         c = band_limited_field(g, 41, 4).coeffs.copy()
         c[2] = bad
-        spec = FlowSpec(grid=g, dt=1e-3, T=0.01, blowup_threshold=threshold)
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.01)
+        monkeypatch.setattr(flow_module, "BLOWUP_THRESHOLD", threshold)
         with np.errstate(invalid="ignore"), pytest.raises(FlowBlowupError, match=r"t=0\.001: "):
             integrate(FourierField(g, c), spec)
 
@@ -348,20 +349,22 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="shape"):
             batch.fields
 
-    def test_blowup_names_member(self):
+    def test_blowup_names_member(self, monkeypatch):
         g = make_grid(1, 8)
         members = [harmonic(g, 1, a) for a in (0.1, 0.2, 50.0, 0.3)]
-        spec = FlowSpec(grid=g, dt=1e-3, T=0.1, blowup_threshold=10.0)
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.1)
+        monkeypatch.setattr(flow_module, "BLOWUP_THRESHOLD", 10.0)
         with pytest.raises(FlowBlowupError, match="member 2 at"):
             integrate(members, spec)
-        spec = FlowSpec(grid=g, dt=1e-3, T=0.1, blowup_threshold=1e3)
+        monkeypatch.setattr(flow_module, "BLOWUP_THRESHOLD", 1e3)
         assert integrate(members, spec).stats["steps"] == 400
 
-    def test_blowup_names_nan_member(self):
+    def test_blowup_names_nan_member(self, monkeypatch):
         g = make_grid(2, 16)
         members = [band_limited_field(g, 50 + i, 4).coeffs.copy() for i in range(4)]
         members[1][5] = np.nan
-        spec = FlowSpec(grid=g, dt=1e-3, T=0.01, blowup_threshold=np.inf)
+        spec = FlowSpec(grid=g, dt=1e-3, T=0.01)
+        monkeypatch.setattr(flow_module, "BLOWUP_THRESHOLD", np.inf)
         with pytest.raises(FlowBlowupError, match=r"member 1 at t=0\.001: max \|coeff\| = nan"):
             integrate([FourierField(g, c) for c in members], spec)
 
@@ -449,16 +452,12 @@ RHS_CASES = [
     for g in (make_grid(2, K) for K in (1, 7, 8, 17, 64))
     for flavor in ("full", "truncated")
 ] + [
-    # prime P: pocketfft's other length path
-    pytest.param(GridSpec(j=2, K=16, physical_points=53), "full", None, 0, id="P53-full"),
-    pytest.param(GridSpec(j=2, K=16, physical_points=53), "truncated", 5.0, 0, id="P53-truncated"),
     pytest.param(make_grid(3, 16, 1.4), "full", None, 0, id="mu1.4-full"),
     pytest.param(make_grid(3, 16, 1.4), "truncated", 5.0, 0, id="mu1.4-truncated"),
     # (3, K) ensembles through the held RHS
     pytest.param(make_grid(2, 16), "full", None, 3, id="3xK16-full"),
     pytest.param(make_grid(2, 16), "truncated", 3.0, 3, id="3xK16-truncated"),
     pytest.param(make_grid(1, 8, 0.5), "truncated", 9.0, 3, id="3xK8-P25-mu0.5-truncated"),
-    pytest.param(GridSpec(j=1, K=16, physical_points=53), "full", None, 3, id="3xK16-P53-full"),
 ]
 
 
@@ -478,7 +477,13 @@ class TestInPlaceStep:
         ref = allocating_samples(np.array([u.coeffs for u in members]), spec)
         assert same_bits(batch, ref)
 
-    def test_guard_trips_at_the_first_crossing_step(self):
+    def test_step_cases_hold_an_odd_transform_length(self):
+        # the derived transform sizes of the step cases include K=8's odd
+        # P=25, so pocketfft's odd-length rfft path is compared too
+        cases = [case.values for case in STEP_CASES]
+        assert 25 in {make_grid(j, K, mu).physical_points for _, j, mu, K, _ in cases}
+
+    def test_guard_trips_at_the_first_crossing_step(self, monkeypatch):
         g = make_grid(2, 16)
         u0 = band_limited_field(g, 21, 4, norm=3.0)
         spec = FlowSpec(grid=g, dt=1e-3, T=0.06)
@@ -491,8 +496,9 @@ class TestInPlaceStep:
         )
         threshold = 0.5 * (peaks[1:crossing].max() + peaks[crossing])
         h = spec.T / (len(peaks) - 1)
+        monkeypatch.setattr(flow_module, "BLOWUP_THRESHOLD", threshold)
         with pytest.raises(FlowBlowupError, match=f"at t={crossing * h:.6g}: "):
-            integrate(u0, replace(spec, sample_stride=stride, blowup_threshold=threshold))
+            integrate(u0, replace(spec, sample_stride=stride))
 
     def test_later_solves_leave_earlier_trajectories_unchanged(self):
         g = make_grid(2, 8)

@@ -25,7 +25,6 @@ from kdvlab.imethod import (
     MultilinearForm,
     apply_I,
     big_m3,
-    big_m3_symmetrized,
     big_m5,
     constant_form,
     drift_oracle,
@@ -244,12 +243,18 @@ def big_m(mult, grid, n, cutoff):
     return imethod._hierarchy(mult, grid, n, cutoff)[1]
 
 
+def m3_symmetrized(mult, grid):
+    """M3 as the cascade step on sigma2 = m(k1) m(k2), -i [m(k1) m(k2+k3) (k2+k3)]_sym."""
+    step = imethod._cascade(3, mult, grid, None)[3]
+    return MultilinearForm(3, lambda *idx: step(idx)[0], tag="M3sym")
+
+
 def lab_makers(grid, mult):
     """A maker of every form of the lab at grid's lattice: M3, M3sym, sigma3,
     M4 and sigma4 and M5 on the lattice and in the continuum, and a constant."""
     K = grid.K
     return [
-        partial(big_m3, mult, grid), partial(big_m3_symmetrized, mult, grid),
+        partial(big_m3, mult, grid), partial(m3_symmetrized, mult, grid),
         partial(sigma, mult, grid, 3, None),
         partial(big_m, mult, grid, 4, K), partial(big_m, mult, grid, 4, None),
         partial(sigma, mult, grid, 4, K), partial(sigma, mult, grid, 4, None),
@@ -352,27 +357,29 @@ class TestStackedEvaluator:
                 v, sc = _lambda_with_scale(form, g, [part] * 5)
                 assert v.tobytes() == value[s : s + size].tobytes()
                 assert sc.tobytes() == scale[s : s + size].tobytes()
-        # a byte bound that also gives passes of 2 samples
-        monkeypatch.setattr(imethod, "STACK_BYTES", 4 * 32 * 2178)
+        # pieces three times as large leave the one piece as it is, taken
+        # 3 samples a pass
+        monkeypatch.setattr(resonance, "PIECE_TUPLES", 3 * 6340)
         v, sc = _lambda_with_scale(form, g, [c] * 5)
         assert v.tobytes() == value.tobytes() and sc.tobytes() == scale.tobytes()
 
     def test_each_orbit_weighed_once_in_passes(self, monkeypatch):
-        # pieces of 100 orbits at K=8, taken 4 samples a pass, so 10 samples
-        # take 3 passes a piece, and still each piece is weighed once at its
-        # representatives, one per orbit (and once at each of two
-        # permutations of them)
+        # the 472 orbits of Gamma_5 at K=8 in pieces of 400 and 72, taken 1
+        # and 5 samples a pass, so 10 samples take 10 and 2 passes, and
+        # still each piece is weighed once at its representatives, one per
+        # orbit (and once at each of two permutations of them); each sample
+        # alone, one pass a piece, has the same bits
         g = make_grid(2, 8)
         form, records = weighed(big_m5(IMultiplier(s=-0.5, N=2.0), g, 8))
         stacks = slot_stacks(g, 5, 10, 64)
-        monkeypatch.setattr(resonance, "PIECE_TUPLES", 100)
-        whole = _lambda_with_scale(form, g, stacks)
+        monkeypatch.setattr(resonance, "PIECE_TUPLES", 400)
+        alone = [_lambda_with_scale(form, g, [c[s : s + 1] for c in stacks]) for s in range(10)]
         records.clear()
-        monkeypatch.setattr(imethod, "STACK_BYTES", 16 * 4 * 100)
-        assert_same_bits(_lambda_with_scale(form, g, stacks), whole, "chunks")
+        whole = _lambda_with_scale(form, g, stacks)
+        assert_same_bits(whole, [np.concatenate(part) for part in zip(*alone)], "passes")
         got = np.sort(np.concatenate(records[::3], axis=1).T, axis=1)
         ref = np.unique(np.sort(np.stack(hyperplane(5, 8), axis=1), axis=1), axis=0)
-        assert len(records) == 3 * -(-len(ref) // 100)
+        assert len(records) == 3 * -(-len(ref) // 400)
         assert len(got) == len(ref) and np.array_equal(np.unique(got, axis=0), ref)
 
     def test_energies_of_a_stack_are_the_per_sample_energies(self):
@@ -419,10 +426,9 @@ class TestM3:
         g = make_grid(2, 24)
         mult = IMultiplier(s=-0.5, N=4.0)
         closed = big_m3(mult, g)
-        sym = big_m3_symmetrized(mult, g)
         idx = hyperplane(3, 24)
         a = closed.weight(*idx)
-        b = sym.weight(*idx)
+        b = imethod._cascade(3, mult, g, None)[3](idx)[0]
         assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(a)))
 
     def test_permutation_invariance(self):
@@ -886,28 +892,33 @@ class TestWeightTable:
         # it is made, bottom up. Each side rounds a term's modulus through
         # n + 1 products (of complex factors in the tuple sum, of moduli in
         # the walk), so the scales drift apart with n: Lambda_6(M6)'s were
-        # measured 18.2 eps apart, and are held to 32 eps
-        K = 4
-        g = make_grid(2, K, 1.5)
+        # measured 18.2 eps apart, and are held to 32 eps. A piece of one
+        # tuple costs some 250 us, and the continuum top-6 chain fills its
+        # tables from Gamma_3 at 8K up (9 s at K=4), so in pieces of one the
+        # forms take K=3, and that chain K=2, where M6 is nonzero on 284 of
+        # Gamma_6's 430 tuples
+        K, K6 = (3, 2) if piece == 1 else (4, 4)
+        g, g6 = make_grid(2, K, 1.5), make_grid(2, K6, 1.5)
         mult = IMultiplier(s=-0.6, N=1.0)
         cases = [
-            (partial(big_m, mult, g, 4, K), [(3, K)]),
-            (partial(big_m, mult, g, 4, None), [(3, 2 * K)]),
-            (partial(sigma, mult, g, 4, K), [(3, K)]),
-            (partial(sigma, mult, g, 4, None), [(3, 2 * K)]),
-            (partial(big_m, mult, g, 5, K), [(3, K), (4, K)]),
-            (partial(big_m, mult, g, 5, None), [(3, 4 * K), (4, 2 * K)]),
-            (partial(big_m, mult, g, 6, K), [(3, K), (4, K), (5, K)]),
-            (partial(big_m, mult, g, 6, None), [(3, 8 * K), (4, 4 * K), (5, 2 * K)]),
+            (g, partial(big_m, mult, g, 4, K), [(3, K)]),
+            (g, partial(big_m, mult, g, 4, None), [(3, 2 * K)]),
+            (g, partial(sigma, mult, g, 4, K), [(3, K)]),
+            (g, partial(sigma, mult, g, 4, None), [(3, 2 * K)]),
+            (g, partial(big_m, mult, g, 5, K), [(3, K), (4, K)]),
+            (g, partial(big_m, mult, g, 5, None), [(3, 4 * K), (4, 2 * K)]),
+            (g, partial(big_m, mult, g, 6, K), [(3, K), (4, K), (5, K)]),
+            (g6, partial(big_m, mult, g6, 6, None), [(3, 8 * K6), (4, 4 * K6), (5, 2 * K6)]),
         ]
-        stacks = {n: slot_stacks(g, n, 2, 73) for n in (4, 5, 6)}
-        refs = [tuple_sum(form, g, stacks[form.n]) for form in (make() for make, _ in cases)]
+        stacks = {(grid.K, n): slot_stacks(grid, n, 2, 73) for grid in (g, g6) for n in (4, 5, 6)}
+        forms = [make() for _, make, _ in cases]
+        refs = [tuple_sum(f, grid, stacks[grid.K, f.n]) for (grid, _, _), f in zip(cases, forms)]
         monkeypatch.setattr(resonance, "PIECE_TUPLES", piece or 2**40)
         builds = recorded_builds(monkeypatch)
-        for (make, tables), ref in zip(cases, refs):
+        for (grid, make, tables), ref in zip(cases, refs):
             builds.clear()
             form = make()
-            got = _lambda_with_scale(form, g, stacks[form.n])
+            got = _lambda_with_scale(form, grid, stacks[grid.K, form.n])
             assert_near(got, ref, form.tag, 32 if form.n == 6 else 8)
             assert [(n, B) for n, B, _ in builds] == tables, form.tag
 
@@ -970,6 +981,17 @@ class TestModifiedEnergy:
         traj = short_trajectory(1, 1.0, seed=1)
         with pytest.raises(ValueError, match=f"order must be 2, 3 or 4, got {order}"):
             drift_oracle(traj, IMultiplier(s=-0.5, N=2.0), order)
+
+    def test_order_refused_before_any_work(self, monkeypatch):
+        # the order is checked before the samples' RHS is formed or run
+        traj = short_trajectory(1, 1.0, seed=1)
+
+        def refuse(*args):
+            raise AssertionError("the RHS was formed before the order was checked")
+
+        monkeypatch.setattr(imethod, "_rhs_function", refuse)
+        with pytest.raises(ValueError, match="order must be 2, 3 or 4, got 5"):
+            drift_oracle(traj, IMultiplier(s=-0.5, N=2.0), 5)
 
     def test_comparability_constant_reported(self):
         # |E4 - E2| <= C (||Iu||^3 + ||Iu||^4); fit C over random fields

@@ -5,6 +5,7 @@ fine physical grid, independent of the coefficient-space code paths.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,18 @@ def quad_integral(f, mu=1.0):
     return np.sum(f(x)) * (2 * np.pi * mu / QUAD_POINTS)
 
 
+def smooth_walk(n):
+    """The first 5-smooth integer >= n, one integer at a time."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 class TestGrid:
     def test_default_padding(self):
         g = make_grid(2, 32)
@@ -57,33 +70,30 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(j, K, mu)
 
-    def test_rejects_underpadded_points(self):
-        with pytest.raises(ValueError):
-            # direct construction bypassing the rule must still validate
-            GridSpec(j=1, K=8, physical_points=16)
-
     def test_fast_len_is_the_integer_walk(self):
-        def walk(n):
-            while True:
-                m = n
-                for p in (2, 3, 5):
-                    while m % p == 0:
-                        m //= p
-                if m == 1:
-                    return n
-                n += 1
-
-        assert [_next_fast_len(n) for n in range(1, 20001)] == [walk(n) for n in range(1, 20001)]
+        ns = range(1, 20001)
+        assert [_next_fast_len(n) for n in ns] == [smooth_walk(n) for n in ns]
         # the walk over powers of 5 and 3 returns at once where one integer
         # at a time would not
         assert _next_fast_len(3 * 10**21 + 1) == 3001892705939982420000
 
+    @pytest.mark.parametrize("mu", [1.0, 1.4])
+    def test_points_derived_from_K(self, mu):
+        # the smallest 5-smooth size >= 3K+1, the same whether the grid is
+        # built directly, by make_grid or by replacing K
+        for K in range(1, 201):
+            g = GridSpec(2, K, mu)
+            assert g == make_grid(2, K, mu)
+            assert g.physical_points == smooth_walk(3 * K + 1)
+            assert replace(g, K=K + 1).physical_points == smooth_walk(3 * K + 4)
+
     def test_rejects_a_grid_over_the_budget(self):
-        # 16 bytes a physical point: the budget's points are accepted, one more refused
+        # 16 bytes a physical point: K = 22369621 derives the budget's 2^26
+        # points and is accepted; K + 1 derives 67184640 and is refused
         points = spectral.BUDGET_BYTES // 16
-        GridSpec(j=1, K=points // 4, physical_points=points)
-        with pytest.raises(ValueError, match=f"K={points // 3} needs {points + 1} physical"):
-            GridSpec(j=1, K=points // 3, physical_points=points + 1)
+        assert GridSpec(j=1, K=(points - 1) // 3).physical_points == points
+        with pytest.raises(ValueError, match=f"K={(points - 1) // 3 + 1} needs 67184640 physical"):
+            GridSpec(j=1, K=(points - 1) // 3 + 1)
         with pytest.raises(ValueError, match="K=10000000000000000000000 needs"):
             make_grid(2, 10**22)
 
@@ -143,6 +153,10 @@ class TestProjection:
         g = make_grid(1, 8)
         assert np.all(project(harmonic(g, 1), "gt", 3.0).coeffs == 0.0)
 
+    def test_unknown_band_refused(self):
+        with pytest.raises(ValueError, match="unknown band 'dyadic'"):
+            project(harmonic(make_grid(1, 8), 1), "dyadic", 2.0)
+
     def test_partition_of_identity(self):
         g = make_grid(1, 12)
         u = random_smooth_field(g, np.random.default_rng(2), decay=0.1)
@@ -152,8 +166,8 @@ class TestProjection:
     def test_idempotent_and_commutes_with_derivative(self):
         g = make_grid(1, 12)
         u = random_smooth_field(g, np.random.default_rng(3), decay=0.1)
-        p = project(u, "dyadic", 3.0)
-        assert np.array_equal(project(p, "dyadic", 3.0).coeffs, p.coeffs)
+        p = project(u, "gt", 3.0)
+        assert np.array_equal(project(p, "gt", 3.0).coeffs, p.coeffs)
         a = derivative(project(u, "le", 4.0), 1)
         b = project(derivative(u, 1), "le", 4.0)
         assert np.allclose(a.coeffs, b.coeffs, rtol=0, atol=1e-15)
